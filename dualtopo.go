@@ -79,8 +79,8 @@ import (
 // Engine: the session/handle serving core. A TopologyHandle owns one
 // immutable problem instance (graph, matrices, objective options) and a
 // bounded pool of RoutingSessions; each session owns private routing state
-// — an evaluator clone, an incremental router with checkpoint/revert, a
-// failure sweeper — leased per unit of work and returned with Release.
+// — an evaluator clone and a failure sweeper, with the incremental routing
+// states they drive — leased per unit of work and returned with Release.
 type (
 	// TopologyHandle is the immutable, concurrency-safe half of a loaded
 	// topology plus its session pool.
@@ -257,12 +257,6 @@ type (
 	Weights = spf.Weights
 	// RoutingPlan routes one traffic matrix and answers delay queries.
 	RoutingPlan = spf.Plan
-	// DeltaRouter incrementally maintains routing trees and loads under
-	// evolving weights, recomputing only invalidated destinations.
-	DeltaRouter = spf.DeltaRouter
-	// DeltaRouterStats counts incremental-engine work (trees reused vs
-	// recomputed, full-route fallbacks).
-	DeltaRouterStats = spf.DeltaStats
 	// SPFComputer runs repeated single-destination shortest-path
 	// computations over one graph, reusing buffers.
 	SPFComputer = spf.Computer
@@ -283,17 +277,6 @@ func RouteLoads(g *Graph, w Weights, tm *TrafficMatrix) ([]float64, error) {
 
 // NewRoutingPlan prepares repeated routing of tm's destinations.
 func NewRoutingPlan(g *Graph, tm *TrafficMatrix) *RoutingPlan { return spf.NewPlan(g, tm) }
-
-// NewDeltaRouter prepares incremental routing of the given matrices'
-// destinations. Call Route once, then Apply per weight change; results are
-// bitwise-equal to routing from scratch.
-//
-// Deprecated: lease a RoutingSession from a TopologyHandle and use its
-// Router method — the session scopes the router's mutable state to one
-// lease and catches leaked checkpoints at Release.
-func NewDeltaRouter(g *Graph, tms ...*TrafficMatrix) *DeltaRouter {
-	return spf.NewDeltaRouter(g, tms...)
-}
 
 // DisabledWeight is the sentinel weight that removes an arc from routing
 // (link failure).
@@ -330,16 +313,6 @@ func DefaultSLA() SLA { return cost.DefaultSLA() }
 // FortzThorupCost evaluates the piecewise-linear link cost Φ(load, capacity)
 // of Eq. (1).
 func FortzThorupCost(load, capacity float64) float64 { return cost.Phi(load, capacity) }
-
-// NewEvaluator builds an evaluator for one problem instance.
-//
-// Deprecated: wrap the instance in a handle with NewTopologyHandle (or
-// LoadTopology) and use Session(ctx).Evaluator() — the handle shares the
-// immutable instance across concurrent sessions and pools the mutable
-// routing state.
-func NewEvaluator(g *Graph, th, tl *TrafficMatrix, opts Options) (*Evaluator, error) {
-	return eval.New(g, th, tl, opts)
-}
 
 // Weight search (§4).
 type (
@@ -477,11 +450,6 @@ type (
 	FailureModel = resilience.Model
 	// FailureState is one failure state: the arcs that go down together.
 	FailureState = resilience.State
-	// FailureSweeper evaluates routings under failure states through the
-	// incremental routing core (disable → delta objective → repair).
-	FailureSweeper = resilience.Sweeper
-	// FailureSweepOptions toggles full re-evaluation or delta/full verify.
-	FailureSweepOptions = resilience.Options
 	// FailureSamples holds both schemes' per-state ΦL degradation factors.
 	FailureSamples = resilience.Samples
 	// FailureSummary condenses FailureSamples for records and aggregates.
@@ -503,23 +471,6 @@ const (
 // (optionally seeded-sampled) state list over g.
 func EnumerateFailures(g *Graph, m FailureModel) ([]FailureState, error) {
 	return resilience.Enumerate(g, m)
-}
-
-// NewFailureSweeper builds a sweeper over e's problem instance.
-//
-// Deprecated: use RoutingSession.SweepSTR / SweepDTR, which scope the
-// sweeper's incremental state to one lease.
-func NewFailureSweeper(e *Evaluator, opts FailureSweepOptions) *FailureSweeper {
-	return resilience.NewSweeper(e, opts)
-}
-
-// CompareUnderFailures sweeps both schemes' weight settings over the same
-// failure states and pairs the ΦL degradations.
-//
-// Deprecated: use RoutingSession.CompareUnderFailures, which owns its
-// sweeper and needs no hand-wired plumbing.
-func CompareUnderFailures(sw *FailureSweeper, wSTR, wH, wL Weights, states []FailureState) (*FailureSamples, error) {
-	return resilience.CompareSchemes(sw, wSTR, wH, wL, states)
 }
 
 // Experiments (§5).

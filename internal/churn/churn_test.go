@@ -353,26 +353,38 @@ func TestCounterfactualLeakDetector(t *testing.T) {
 			t.Fatalf("replayed-with-revert %s differs from fresh build", name)
 		}
 	}
-	compare("bufH", used.bufH, fresh.bufH)
-	compare("bufL", used.bufL, fresh.bufL)
-	compare("cfgH", used.cfgH, fresh.cfgH)
-	compare("cfgL", used.cfgL, fresh.cfgL)
+	compare("buf", used.buf, fresh.buf)
+	compare("cfg", used.cfg, fresh.cfg)
 	compare("linkDown", used.linkDown, fresh.linkDown)
 	compare("nodeDown", used.nodeDown, fresh.nodeDown)
-	compare("hLoads", used.drH.Loads, fresh.drH.Loads)
-	compare("lLoads", used.drL.Loads, fresh.drL.Loads)
-	compare("router weights H", used.drH.Weights(), fresh.drH.Weights())
-	compare("router weights L", used.drL.Weights(), fresh.drL.Weights())
-	compare("linkPhiH", used.linkPhiH, fresh.linkPhiH)
-	compare("linkPhiL", used.linkPhiL, fresh.linkPhiL)
-	compare("linkDelay", used.linkDelay, fresh.linkDelay)
-	compare("pairDelay", used.pairDelay, fresh.pairDelay)
+	for c := range used.buf {
+		a, b := used.st.Router(c), fresh.st.Router(c)
+		compare("loads", a.Loads, b.Loads)
+		compare("router weights", a.Weights(), b.Weights())
+	}
 	for _, dest := range used.hpDests {
-		a, b := used.drH.Tree(dest), fresh.drH.Tree(dest)
+		a, b := used.st.Router(eval.High).Tree(dest), fresh.st.Router(eval.High).Tree(dest)
 		compare("tree dist", a.Dist, b.Dist)
 		compare("tree next starts", a.NextStart, b.NextStart)
 		compare("tree next arcs", a.NextArcs, b.NextArcs)
 	}
+	// The score vectors are the routing state's own (eval pins them against
+	// a fresh state after every revert); from here they show through every
+	// reduction, at rest and after one more event.
+	var recs [2]Record
+	for i, r := range []*Replayer{used, fresh} {
+		r.scoreSteady(&recs[i])
+	}
+	compare("steady reductions", recs[0], recs[1])
+	for i, r := range []*Replayer{used, fresh} {
+		rec, err := r.Step(&Event{T: tl.Horizon, Kind: LinkDown, Target: LinkTarget(e.Graph(), 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = *rec
+		recs[i].Index, recs[i].RerouteNs = 0, 0
+	}
+	compare("next event's record", recs[0], recs[1])
 }
 
 func TestConvergenceStrictlyMoreMass(t *testing.T) {

@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/ospf"
 	"dualtopo/internal/spf"
@@ -70,13 +71,13 @@ func newConvState(r *Replayer) *convState {
 	}
 	// An adjacency floods while either direction survives in the high
 	// topology's effective weights (FailLink removes both together).
-	c.enabled = func(id graph.EdgeID) bool { return r.bufH[id] != spf.Disabled }
+	c.enabled = func(id graph.EdgeID) bool { return r.buf[eval.High][id] != spf.Disabled }
 	return c
 }
 
 // fillRow extracts destination di's first-hop row from the current tree.
 func (r *Replayer) convFillRow(di int, row []int32) {
-	t := r.drH.Tree(r.hpDests[di])
+	t := r.st.Router(eval.High).Tree(r.hpDests[di])
 	for u := range row {
 		if t.NextLen(graph.NodeID(u)) > 0 {
 			row[u] = int32(t.Next(graph.NodeID(u))[0]) + 1
@@ -116,12 +117,13 @@ func (r *Replayer) scoreTransient(rec *Record, ev *Event, node graph.NodeID, uv,
 		rec.Transient = &c.trans
 		return
 	}
-	// Refresh rows of delay-dirty destinations (a superset of tree-moved
-	// ones); note which rows actually changed.
+	// Refresh rows of destinations whose tree the event recomputed; note
+	// which rows actually changed.
 	anyMoved := false
-	for di := range r.hpDests {
+	drH := r.st.Router(eval.High)
+	for di, dest := range r.hpDests {
 		c.treeMoved[di] = false
-		if !r.dirtyDest[di] {
+		if !drH.TreeDirty(dest) {
 			continue
 		}
 		c.hop[di], c.prev[di] = c.prev[di], c.hop[di]
@@ -178,7 +180,7 @@ func (r *Replayer) scoreTransient(rec *Record, ev *Event, node graph.NodeID, uv,
 		}
 		dest := r.hpDests[di]
 		cur, prev := c.hop[di], c.prev[di]
-		for si, src := range r.hpSrcs[di] {
+		for _, src := range r.hpSrcs[di] {
 			if r.nodeDown[src] || r.nodeDown[dest] {
 				continue // charged as steady disconnection mass
 			}
@@ -201,7 +203,7 @@ func (r *Replayer) scoreTransient(rec *Record, ev *Event, node graph.NodeID, uv,
 					c.trans.Blackholes++
 				}
 				affected = true
-				c.trans.LostMbpsSec += r.hpDem[di][si] * width / 1000
+				c.trans.LostMbpsSec += r.th.At(src, dest) * width / 1000
 			}
 			if affected {
 				c.trans.AffectedPairs++
@@ -246,7 +248,7 @@ func (c *convState) walk(r *Replayer, src, dest graph.NodeID, cur, prev []int32,
 			return walkBlackhole
 		}
 		arc := graph.EdgeID(packed - 1)
-		if r.bufH[arc] == spf.Disabled {
+		if r.buf[eval.High][arc] == spf.Disabled {
 			return walkBlackhole
 		}
 		u = r.g.Edge(arc).To

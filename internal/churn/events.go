@@ -1,6 +1,8 @@
 // Package churn replays timestamped topology-event streams — link flaps,
-// weight reconfigurations, node outages — through the incremental routing
-// core, producing a per-event time series of the paper's objectives plus
+// weight reconfigurations, node outages — through an eval.RoutingState (the
+// routing and scoring are the state's; the desired-state model, the time
+// integration and the convergence emulation are this package's),
+// producing a per-event time series of the paper's objectives plus
 // transient metrics a static snapshot cannot show: SLA-violation mass
 // integrated over time, disconnected high-priority pairs, per-event reroute
 // latency, and (in convergence mode) the traffic lost to stale OSPF trees,

@@ -3,9 +3,7 @@ package churn
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"dualtopo/internal/cost"
 	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
@@ -116,57 +114,40 @@ type Summary struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// Replayer drives a Timeline through pooled DeltaRouters: per event it
-// applies the topology change incrementally, re-reduces the paper's
-// objectives over the moved arcs (bitwise-equal to a from-scratch
-// evaluation), refreshes only the pair delays whose trees moved, and
-// emits a Record. The warm path — events that neither disconnect nor
-// recover — is allocation-free.
+// Replayer drives a Timeline through an eval.RoutingState: per event it
+// updates the desired-state model (which links and nodes are down, which
+// weights are configured), moves the state to the resulting effective
+// weights, reads the paper's objectives off it (bitwise-equal to a
+// from-scratch evaluation) and emits a Record. What is the replayer's own is
+// that model, the time integration and the convergence emulation. The warm
+// path — events that neither disconnect nor recover — is allocation-free.
 //
 // A Replayer is not safe for concurrent use.
 type Replayer struct {
 	g      *graph.Graph
 	th     *traffic.Matrix
 	kind   eval.Kind
-	sla    cost.SLA
-	exact  bool
 	opts   Options
 	fullEv *eval.Evaluator // pooled clone backing -verify
 
-	drH, drL *spf.DeltaRouter
-	// baseH/baseL pin the intact configuration; cfgH/cfgL track the
-	// configured weights as weight-set events land; bufH/bufL are the
-	// effective weights actually routed (cfg masked to Disabled wherever
-	// the link or either endpoint is down).
-	baseH, baseL spf.Weights
-	cfgH, cfgL   spf.Weights
-	bufH, bufL   spf.Weights
-	linkDown     []bool
-	nodeDown     []bool
-	downLinks    int
-	downNodes    int
+	st *eval.RoutingState
+	// Per class: base pins the intact configuration; cfg tracks the
+	// configured weights as weight-set events land; buf is the effective
+	// weights actually routed (cfg masked to Disabled wherever the link or
+	// either endpoint is down).
+	base, cfg, buf [2]spf.Weights
+	linkDown       []bool
+	nodeDown       []bool
+	downLinks      int
+	downNodes      int
 
-	capacity  []float64
-	propDelay []float64
-	linkPhiH  []float64
-	residual  []float64
-	linkPhiL  []float64
-	linkDelay []float64
-
-	// High-priority demand grouped by destination, in the evaluator's
-	// canonical (dest, src) order so mass/penalty reductions are bitwise
-	// equal to eval's.
-	hpDests   []graph.NodeID
-	hpSrcs    [][]graph.NodeID
-	hpDem     [][]float64
-	pairDelay [][]float64
-	dirtyDest []bool // scratch: dests whose delays were refreshed this Step
+	// High-priority pairs grouped by destination (the evaluator's index).
+	hpDests []graph.NodeID
+	hpSrcs  [][]graph.NodeID
 
 	// Event-apply scratch (all reused).
-	evArcs  []graph.EdgeID // arcs toggled by the current event
-	savedH  []int          // counterfactual pre-images of cfgH on the event's arcs
-	savedL  []int
-	diffBuf []graph.EdgeID
+	evArcs []graph.EdgeID // arcs toggled by the current event
+	saved  [2][2]int      // counterfactual pre-images of cfg on the event's link
 	// Counterfactual pre-images of the desired-state flags.
 	cfLinkDown  bool
 	cfNodeDown  bool
@@ -198,7 +179,7 @@ func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer
 		return nil, errors.New("churn: counterfactual replay cannot score convergence transients (needs the cumulative trajectory)")
 	}
 	g := e.Graph()
-	th, tl := e.Matrices()
+	th, _ := e.Matrices()
 	if err := wH.Validate(g); err != nil {
 		return nil, fmt.Errorf("churn: high-topology weights: %w", err)
 	}
@@ -207,65 +188,24 @@ func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer
 	}
 	m := g.NumEdges()
 	n := g.NumNodes()
-	csr := g.CSR()
 	r := &Replayer{
-		g:         g,
-		th:        th,
-		kind:      e.Options().Kind,
-		sla:       e.Options().SLA,
-		exact:     e.Options().ExactDelay,
-		opts:      opts,
-		drH:       spf.NewDeltaRouter(g, th),
-		drL:       spf.NewDeltaRouter(g, tl),
-		baseH:     append(spf.Weights(nil), wH...),
-		baseL:     append(spf.Weights(nil), wL...),
-		cfgH:      make(spf.Weights, m),
-		cfgL:      make(spf.Weights, m),
-		bufH:      make(spf.Weights, m),
-		bufL:      make(spf.Weights, m),
-		linkDown:  make([]bool, m),
-		nodeDown:  make([]bool, n),
-		capacity:  csr.Capacity,
-		propDelay: make([]float64, m),
-		linkPhiH:  make([]float64, m),
-		residual:  make([]float64, m),
-		linkPhiL:  make([]float64, m),
-		linkDelay: make([]float64, m),
-		evArcs:    make([]graph.EdgeID, 0, 16),
-		savedH:    make([]int, 0, 16),
-		savedL:    make([]int, 0, 16),
-		reach:     make([]bool, n),
-		queue:     make([]graph.NodeID, 0, n),
+		g:        g,
+		th:       th,
+		kind:     e.Options().Kind,
+		opts:     opts,
+		st:       eval.NewRoutingState(e, eval.RouteDTR),
+		base:     [2]spf.Weights{wH.Clone(), wL.Clone()},
+		linkDown: make([]bool, m),
+		nodeDown: make([]bool, n),
+		evArcs:   make([]graph.EdgeID, 0, 16),
+		reach:    make([]bool, n),
+		queue:    make([]graph.NodeID, 0, n),
 	}
-	if r.kind != eval.SLABased {
-		// Load-based instances still track SLA-violation mass for the
-		// time series; score it with the paper's default SLA.
-		r.sla = cost.DefaultSLA()
+	for c := range r.base {
+		r.cfg[c] = make(spf.Weights, m)
+		r.buf[c] = make(spf.Weights, m)
 	}
-	for i := 0; i < m; i++ {
-		r.propDelay[i] = g.Edge(graph.EdgeID(i)).Delay
-	}
-	// Group the evaluator's canonical pair order by destination.
-	pairs := e.HighPriorityPairs()
-	for i := 0; i < len(pairs); {
-		dest := pairs[i].Dst
-		j := i
-		for j < len(pairs) && pairs[j].Dst == dest {
-			j++
-		}
-		srcs := make([]graph.NodeID, 0, j-i)
-		dem := make([]float64, 0, j-i)
-		for _, p := range pairs[i:j] {
-			srcs = append(srcs, p.Src)
-			dem = append(dem, th.At(p.Src, dest))
-		}
-		r.hpDests = append(r.hpDests, dest)
-		r.hpSrcs = append(r.hpSrcs, srcs)
-		r.hpDem = append(r.hpDem, dem)
-		r.pairDelay = append(r.pairDelay, make([]float64, len(srcs)))
-		i = j
-	}
-	r.dirtyDest = make([]bool, len(r.hpDests))
+	r.hpDests, r.hpSrcs = e.HighPriorityByDest()
 	if opts.Verify {
 		r.fullEv = e.Clone()
 		if opts.RouteWorkers != 1 {
@@ -282,10 +222,10 @@ func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer
 // routed and scored, returning the initial steady-state record (Index -1).
 // The record is reused by the next Step.
 func (r *Replayer) Start() (*Record, error) {
-	copy(r.cfgH, r.baseH)
-	copy(r.cfgL, r.baseL)
-	copy(r.bufH, r.baseH)
-	copy(r.bufL, r.baseL)
+	for c := range r.base {
+		copy(r.cfg[c], r.base[c])
+		copy(r.buf[c], r.base[c])
+	}
 	for i := range r.linkDown {
 		r.linkDown[i] = false
 	}
@@ -293,14 +233,9 @@ func (r *Replayer) Start() (*Record, error) {
 		r.nodeDown[i] = false
 	}
 	r.downLinks, r.downNodes = 0, 0
-	if err := r.moveRouter(r.drH, r.bufH); err != nil {
-		return nil, fmt.Errorf("churn: intact high topology does not route: %w", err)
+	if _, err := r.st.Move(r.buf); err != nil {
+		return nil, fmt.Errorf("churn: intact network does not route: %w", err)
 	}
-	if err := r.moveRouter(r.drL, r.bufL); err != nil {
-		return nil, fmt.Errorf("churn: intact low topology does not route: %w", err)
-	}
-	r.rescoreAll()
-	r.refreshAllDelays()
 	if r.conv != nil {
 		r.conv.snapshotAll(r)
 	}
@@ -316,116 +251,13 @@ func (r *Replayer) Start() (*Record, error) {
 	return &r.rec, nil
 }
 
-// moveRouter transitions one router to w with an exact diff, mirroring the
-// resilience sweep idiom.
-func (r *Replayer) moveRouter(dr *spf.DeltaRouter, w spf.Weights) error {
-	r.diffBuf = spf.DiffArcs(dr.Weights(), w, r.diffBuf[:0])
-	_, err := dr.Apply(w, r.diffBuf)
-	return err
-}
-
-// rescore recomputes the per-arc cost vectors of the listed arcs from the
-// current loads — the same per-arc expressions eval's full path uses.
-func (r *Replayer) rescore(arcs []graph.EdgeID) {
-	h, l := r.drH.Loads[0], r.drL.Loads[0]
-	for _, a := range arcs {
-		r.linkPhiH[a] = cost.Phi(h[a], r.capacity[a])
-		r.residual[a] = cost.Residual(r.capacity[a], h[a])
-		r.linkPhiL[a] = cost.Phi(l[a], r.residual[a])
-		r.linkDelay[a] = r.linkDelayAt(int(a), h[a], r.linkPhiH[a])
-	}
-}
-
-// rescoreAll recomputes every arc — the recovery path after a full route.
-func (r *Replayer) rescoreAll() {
-	h, l := r.drH.Loads[0], r.drL.Loads[0]
-	for a := range r.linkPhiH {
-		r.linkPhiH[a] = cost.Phi(h[a], r.capacity[a])
-		r.residual[a] = cost.Residual(r.capacity[a], h[a])
-		r.linkPhiL[a] = cost.Phi(l[a], r.residual[a])
-		r.linkDelay[a] = r.linkDelayAt(a, h[a], r.linkPhiH[a])
-	}
-}
-
-// linkDelayAt mirrors eval.Evaluator.linkDelayAt (Eq. 3 with the same
-// exact-delay fallback), so SLA metrics stay bitwise-comparable.
-func (r *Replayer) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
-	if r.exact {
-		d := r.sla.LinkDelayExact(hLoad, r.capacity[i], r.propDelay[i])
-		if !math.IsInf(d, 1) {
-			return d
-		}
-	}
-	return r.sla.LinkDelayApprox(linkPhiH, r.capacity[i], r.propDelay[i])
-}
-
-// refreshDelays recomputes pair delays for destinations whose high-
-// topology trees moved (dirty tree, or a moved arc on the stored DAG) —
-// the eval delta path's refresh rule. dirtyDest marks what was refreshed.
-func (r *Replayer) refreshDelays(moved []graph.EdgeID) {
-	for di, dest := range r.hpDests {
-		dirty := r.drH.TreeDirty(dest)
-		if !dirty {
-			for _, a := range moved {
-				if r.drH.TreeUsesArc(dest, a) {
-					dirty = true
-					break
-				}
-			}
-		}
-		r.dirtyDest[di] = dirty
-		if !dirty {
-			continue
-		}
-		xi := r.drH.DelaysTo(dest, r.linkDelay)
-		for si, src := range r.hpSrcs[di] {
-			r.pairDelay[di][si] = xi[src]
-		}
-	}
-}
-
-// refreshAllDelays recomputes every destination's pair delays.
-func (r *Replayer) refreshAllDelays() {
-	for di, dest := range r.hpDests {
-		r.dirtyDest[di] = true
-		xi := r.drH.DelaysTo(dest, r.linkDelay)
-		for si, src := range r.hpSrcs[di] {
-			r.pairDelay[di][si] = xi[src]
-		}
-	}
-}
-
-// scoreSteady fills rec's objective fields from the maintained vectors,
-// re-reducing in ascending-arc and canonical-pair order so every number is
-// bitwise-equal to a from-scratch evaluation.
+// scoreSteady fills rec's objective fields from the routing state, whose
+// reductions are bitwise-equal to a from-scratch evaluation. Load-based
+// instances report the violation mass (against the default SLA) but no Λ.
 func (r *Replayer) scoreSteady(rec *Record) {
-	phiH, phiL := 0.0, 0.0
-	for a := range r.linkPhiH {
-		phiH += r.linkPhiH[a]
-		phiL += r.linkPhiL[a]
-	}
-	rec.PhiH, rec.PhiL = phiH, phiL
-	h, l := r.drH.Loads[0], r.drL.Loads[0]
-	maxU := 0.0
-	for a := range h {
-		if u := (h[a] + l[a]) / r.capacity[a]; u > maxU {
-			maxU = u
-		}
-	}
-	rec.MaxUtil = maxU
-	lambda, mass := 0.0, 0.0
-	violations := 0
-	for di := range r.hpDests {
-		dem := r.hpDem[di]
-		for si, d := range r.pairDelay[di] {
-			if pen := r.sla.PairPenalty(d); pen > 0 {
-				lambda += pen
-				violations++
-				mass += dem[si]
-			}
-		}
-	}
-	rec.Lambda, rec.Violations, rec.ViolationMass = lambda, violations, mass
+	rec.PhiH, rec.PhiL = r.st.PhiH(), r.st.PhiL()
+	rec.MaxUtil = r.st.MaxUtilization()
+	rec.Lambda, rec.Violations, rec.ViolationMass = r.st.Penalties()
 	if r.kind != eval.SLABased {
 		rec.Lambda, rec.Violations = 0, 0
 	}

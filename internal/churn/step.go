@@ -44,53 +44,31 @@ func (r *Replayer) Step(ev *Event) (*Record, error) {
 		}
 	}
 	if r.opts.Counterfactual {
-		if err := r.drH.Checkpoint(); err != nil {
-			return nil, fmt.Errorf("churn: event %d: %w", idx, err)
-		}
-		if err := r.drL.Checkpoint(); err != nil {
+		if err := r.st.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("churn: event %d: %w", idx, err)
 		}
 		r.saveDesired(ev, node, uv, vu)
 	}
 	r.applyDesired(ev, node, uv, vu)
 
-	// Route the new effective weights through both delta routers and
-	// rescore whatever moved; the clock covers apply + rescore + delay
-	// refresh — the data-plane cost of reacting to the event.
+	// Move the routing state to the new effective weights; the clock covers
+	// apply + rescore + objective reduction — the data-plane cost of
+	// reacting to the event. A disconnected class is left invalid while the
+	// surviving one stays maintained through the outage window; steady
+	// metrics are meaningless there, so charge the unreachable demand.
 	t0 := time.Now()
-	hadFull := !r.drH.Valid() || !r.drL.Valid()
-	r.diffBuf = spf.DiffArcs(r.drH.Weights(), r.bufH, r.diffBuf[:0])
-	movedH, errH := r.drH.Apply(r.bufH, r.diffBuf)
-	r.diffBuf = spf.DiffArcs(r.drL.Weights(), r.bufL, r.diffBuf[:0])
-	movedL, errL := r.drL.Apply(r.bufL, r.diffBuf)
-	if errH != nil && !errors.Is(errH, spf.ErrNoPath) {
-		return nil, fmt.Errorf("churn: event %d (%s %s, t=%gs): high topology: %w", idx, ev.Kind, ev.Target, ev.T, errH)
+	hadFull := !r.st.Valid()
+	moved, err := r.st.Move(r.buf)
+	if err != nil && !errors.Is(err, spf.ErrNoPath) {
+		return nil, fmt.Errorf("churn: event %d (%s %s, t=%gs): %w", idx, ev.Kind, ev.Target, ev.T, err)
 	}
-	if errL != nil && !errors.Is(errL, spf.ErrNoPath) {
-		return nil, fmt.Errorf("churn: event %d (%s %s, t=%gs): low topology: %w", idx, ev.Kind, ev.Target, ev.T, errL)
-	}
-	ok := errH == nil && errL == nil
-	rec.MovedArcs = len(movedH) + len(movedL)
+	ok := err == nil
+	rec.MovedArcs = moved
 	rec.FullRoute = hadFull
 	if ok {
-		r.rescore(movedH)
-		r.rescore(movedL)
-		r.refreshDelays(movedH)
 		r.scoreSteady(rec)
 	} else {
-		// Keep whichever router survived maintained through the outage
-		// window (its arcs sharing a window with the broken router get
-		// garbage values from the latter's loads, but the broken router's
-		// recovery is a full route that rescores every arc). Steady
-		// metrics are meaningless here; charge the unreachable demand.
 		rec.Disconnected = true
-		if errH == nil {
-			r.rescore(movedH)
-			r.refreshDelays(movedH)
-		}
-		if errL == nil {
-			r.rescore(movedL)
-		}
 		rec.ViolationMass = r.disconnectedMass(rec)
 	}
 	rec.RerouteNs = time.Since(t0).Nanoseconds()
@@ -107,22 +85,8 @@ func (r *Replayer) Step(ev *Event) (*Record, error) {
 	}
 
 	if r.opts.Counterfactual {
-		r.drH.Revert()
-		r.drL.Revert()
+		r.st.Revert()
 		r.restoreDesired(ev, node, uv, vu)
-		// The rolled-back loads are the base loads again; re-scoring the
-		// same moved arcs restores every vector bitwise. A router that
-		// errored mid-apply reverts with an empty moved set and was never
-		// rescored, so there is nothing to restore on its side.
-		if errH == nil {
-			r.rescore(movedH)
-		}
-		if errL == nil {
-			r.rescore(movedL)
-		}
-		if errH == nil {
-			r.restoreDelays()
-		}
 	} else {
 		r.lastMass = rec.ViolationMass
 	}
@@ -176,20 +140,27 @@ func (r *Replayer) applyDesired(ev *Event, node graph.NodeID, uv, vu graph.EdgeI
 		r.evArcs = append(r.evArcs, r.g.Out(node)...)
 		r.evArcs = append(r.evArcs, r.g.In(node)...)
 	case WeightSet:
-		if ev.WH > 0 {
-			r.cfgH[uv], r.cfgH[vu] = ev.WH, ev.WH
-		}
-		if ev.WL > 0 {
-			r.cfgL[uv], r.cfgL[vu] = ev.WL, ev.WL
+		for c, w := range [2]int{ev.WH, ev.WL} {
+			if w > 0 {
+				r.cfg[c][uv], r.cfg[c][vu] = w, w
+			}
 		}
 		r.evArcs = append(r.evArcs, uv, vu)
 	}
+	r.maskEventArcs()
+}
+
+// maskEventArcs recomputes the effective weights of the current event's arcs
+// from the desired state.
+func (r *Replayer) maskEventArcs() {
 	for _, a := range r.evArcs {
 		e := r.g.Edge(a)
-		if r.linkDown[a] || r.nodeDown[e.From] || r.nodeDown[e.To] {
-			r.bufH[a], r.bufL[a] = spf.Disabled, spf.Disabled
-		} else {
-			r.bufH[a], r.bufL[a] = r.cfgH[a], r.cfgL[a]
+		down := r.linkDown[a] || r.nodeDown[e.From] || r.nodeDown[e.To]
+		for c := range r.buf {
+			r.buf[c][a] = r.cfg[c][a]
+			if down {
+				r.buf[c][a] = spf.Disabled
+			}
 		}
 	}
 }
@@ -197,16 +168,15 @@ func (r *Replayer) applyDesired(ev *Event, node graph.NodeID, uv, vu graph.EdgeI
 // saveDesired snapshots the desired state the event is about to touch so
 // restoreDesired can unwind a counterfactual exactly.
 func (r *Replayer) saveDesired(ev *Event, node graph.NodeID, uv, vu graph.EdgeID) {
-	r.savedH = r.savedH[:0]
-	r.savedL = r.savedL[:0]
 	switch ev.Kind {
 	case LinkDown, LinkUp:
 		r.cfLinkDown = r.linkDown[uv]
 	case NodeDown, NodeUp:
 		r.cfNodeDown = r.nodeDown[node]
 	case WeightSet:
-		r.savedH = append(r.savedH, r.cfgH[uv], r.cfgH[vu])
-		r.savedL = append(r.savedL, r.cfgL[uv], r.cfgL[vu])
+		for c := range r.cfg {
+			r.saved[c] = [2]int{r.cfg[c][uv], r.cfg[c][vu]}
+		}
 	}
 	r.cfDownLinks, r.cfDownNodes = r.downLinks, r.downNodes
 }
@@ -219,32 +189,12 @@ func (r *Replayer) restoreDesired(ev *Event, node graph.NodeID, uv, vu graph.Edg
 	case NodeDown, NodeUp:
 		r.nodeDown[node] = r.cfNodeDown
 	case WeightSet:
-		r.cfgH[uv], r.cfgH[vu] = r.savedH[0], r.savedH[1]
-		r.cfgL[uv], r.cfgL[vu] = r.savedL[0], r.savedL[1]
+		for c := range r.cfg {
+			r.cfg[c][uv], r.cfg[c][vu] = r.saved[c][0], r.saved[c][1]
+		}
 	}
 	r.downLinks, r.downNodes = r.cfDownLinks, r.cfDownNodes
-	for _, a := range r.evArcs {
-		e := r.g.Edge(a)
-		if r.linkDown[a] || r.nodeDown[e.From] || r.nodeDown[e.To] {
-			r.bufH[a], r.bufL[a] = spf.Disabled, spf.Disabled
-		} else {
-			r.bufH[a], r.bufL[a] = r.cfgH[a], r.cfgL[a]
-		}
-	}
-}
-
-// restoreDelays recomputes the pair delays of the destinations Step
-// refreshed, after a counterfactual revert put loads and delays back.
-func (r *Replayer) restoreDelays() {
-	for di, dest := range r.hpDests {
-		if !r.dirtyDest[di] {
-			continue
-		}
-		xi := r.drH.DelaysTo(dest, r.linkDelay)
-		for si, src := range r.hpSrcs[di] {
-			r.pairDelay[di][si] = xi[src]
-		}
-	}
+	r.maskEventArcs()
 }
 
 // disconnectedMass scans connectivity of every high-priority pair over the
@@ -264,7 +214,7 @@ func (r *Replayer) disconnectedMass(rec *Record) float64 {
 		for head := 0; head < len(q); head++ {
 			u := q[head]
 			for _, a := range r.g.In(u) {
-				if r.bufH[a] == spf.Disabled {
+				if r.buf[eval.High][a] == spf.Disabled {
 					continue
 				}
 				if f := r.g.Edge(a).From; !r.reach[f] {
@@ -274,12 +224,12 @@ func (r *Replayer) disconnectedMass(rec *Record) float64 {
 			}
 		}
 		r.queue = q[:0]
-		for si, src := range r.hpSrcs[di] {
+		for _, src := range r.hpSrcs[di] {
 			if r.reach[src] {
 				continue
 			}
 			rec.DisconnectedPairs++
-			mass += r.hpDem[di][si]
+			mass += r.th.At(src, dest)
 			if len(rec.DisconnectedSample) < maxDisconnectedSample {
 				rec.DisconnectedSample = append(rec.DisconnectedSample,
 					r.g.Name(src)+"->"+r.g.Name(dest))
@@ -293,7 +243,7 @@ func (r *Replayer) disconnectedMass(rec *Record) float64 {
 // disconnection verdict — against a from-scratch evaluation of the
 // current effective weights.
 func (r *Replayer) verifyEvent(idx int, ev *Event, rec *Record, ok bool) error {
-	full, err := r.fullEv.EvaluateDTR(r.bufH, r.bufL)
+	full, err := r.fullEv.EvaluateDTR(r.buf[eval.High], r.buf[eval.Low])
 	if err != nil {
 		if !ok {
 			return nil // both sides agree: disconnected

@@ -156,7 +156,9 @@ func loadTestTopo(t *testing.T, ts *httptest.Server) int {
 }
 
 func TestGoldenTopologyLifecycle(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	// The fixtures echo pool_size, whose server default is GOMAXPROCS: pin it
+	// so they hold on any machine shape.
+	_, ts := testServer(t, Config{PoolSize: 1})
 
 	// POST /v1/topologies
 	req := marshalReq(t, "load_request.json", testLoad())

@@ -4,21 +4,21 @@
 //
 // Before this package, every caller hand-wired the same stack per use: build
 // a problem instance (graph + traffic matrices), construct an
-// eval.Evaluator, allocate spf.DeltaRouters for incremental what-ifs, wrap a
-// resilience.Sweeper for failure sweeps. That wiring conflates two very
-// different lifetimes:
+// eval.Evaluator, wrap a resilience.Sweeper for failure sweeps. That wiring
+// conflates two very different lifetimes:
 //
 //   - instance data — the CSR graph snapshot, traffic matrices, SLA
 //     configuration, high-priority pair index — is immutable after
 //     construction and safely shared by any number of readers;
-//   - routing state — SPF trees, per-arc loads, delta-router checkpoints —
-//     is mutable, expensive to build, and must stay private to one user at
-//     a time.
+//   - routing state — SPF trees, per-arc loads and score vectors, router
+//     checkpoints, all held in eval.RoutingStates — is mutable, expensive to
+//     build, and must stay private to one user at a time.
 //
 // The engine makes the split explicit. Load (or New) builds the immutable
 // side once and returns a Handle. Handle.Session leases a Session — a
-// pooled evaluator clone plus lazily-created delta routers and a failure
-// sweeper — whose mutations are invisible to every other session. Releasing
+// pooled evaluator clone plus a lazily-created failure sweeper, each owning
+// the routing states it drives — whose mutations are invisible to every
+// other session. Releasing
 // the session returns its warm routing state to the pool for the next
 // lease, so a long-lived server answers "route this", "what if link X
 // fails" queries in milliseconds without per-request construction, while
@@ -49,7 +49,7 @@ import (
 type PoolConfig struct {
 	// Size bounds the number of concurrently leased sessions (and therefore
 	// the handle's total routing-state memory: each session owns evaluator
-	// plans and, once used, delta routers). 0 means GOMAXPROCS.
+	// plans and, once used, routing states). 0 means GOMAXPROCS.
 	Size int
 	// LeaseTimeout bounds how long Session waits for a pooled session when
 	// all Size are leased, before failing with ErrLeaseTimeout. The serving
@@ -94,9 +94,10 @@ var (
 	// ErrClosed reports a Session call on a closed handle.
 	ErrClosed = errors.New("engine: handle is closed")
 	// ErrLeakedCheckpoint reports that a session was released with an armed
-	// checkpoint. Release recovers (the session is reset before pooling, so
-	// the next lease starts clean), but the leak is a caller bug: the
-	// checkpointed what-if was never rolled back.
+	// checkpoint on one of its routing states. Release recovers (the session
+	// is reset before pooling, so the next lease starts clean), but the leak
+	// is a bug: a what-if was abandoned — typically by a panic unwinding
+	// through a sweep — before it was rolled back.
 	ErrLeakedCheckpoint = errors.New("engine: session released with an armed checkpoint (reset before reuse)")
 	// ErrForeignSession reports a Release of a session that does not belong
 	// to this handle.
@@ -231,12 +232,13 @@ func (h *Handle) leased(s *Session) (*Session, error) {
 	return s, nil
 }
 
-// Release returns a session to the pool for the next lease. It asserts the
-// session's checkpoint stack is empty: a leaked Checkpoint (armed, never
-// Reverted) would silently poison the next user — their first what-if could
-// roll routing back to state they never established. On a leak, the session
-// is Reset (all incremental state discarded, so the pool stays clean) and
-// ErrLeakedCheckpoint is returned for the caller's logs.
+// Release returns a session to the pool for the next lease. It asserts that
+// no routing state the session owns holds an armed checkpoint: a leaked one
+// (armed, never reverted) would silently poison the next user — the sweeper
+// scores every state against a base it believes is routed, and the stale
+// pre-images could roll routing back to a setting they never established. On
+// a leak, the session is Reset (all incremental state discarded, so the pool
+// stays clean) and ErrLeakedCheckpoint is returned for the caller's logs.
 func (h *Handle) Release(s *Session) error {
 	if s == nil {
 		return nil

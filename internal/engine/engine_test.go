@@ -267,35 +267,58 @@ func TestPoolExhaustionAndLeaseTimeout(t *testing.T) {
 	}
 }
 
+// abandonSweep leaves a sweeper-side checkpoint armed the way a served
+// /whatif can: a state naming an arc the graph does not have panics between
+// the state's Checkpoint and its Revert, and the caller (net/http, for a
+// handler) recovers the panic while the deferred release still pools the
+// session.
+func abandonSweep(t *testing.T, s *Session, wH, wL spf.Weights) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sweep over an out-of-range arc did not panic")
+		}
+	}()
+	bogus := resilience.State{Label: "bogus", Arcs: []graph.EdgeID{graph.EdgeID(len(wH))}}
+	s.SweepDTR(wH, wL, []resilience.State{bogus}) //nolint:errcheck
+}
+
 // TestLeakedCheckpointDetectedOnRelease is the stale-state foot-gun test: a
-// session released with an armed checkpoint must be flagged AND reset, so
-// the next lease of the pooled session starts clean and still routes
-// bitwise-correctly.
+// session released with an armed checkpoint on a routing state it owns must
+// be flagged, counted AND reset, so the next lease of the pooled session
+// starts clean and still routes and sweeps bitwise-correctly.
 func TestLeakedCheckpointDetectedOnRelease(t *testing.T) {
 	h := loadTestHandle(t, PoolConfig{Size: 1})
 	inst := h.Instance()
-	w := perturb(inst.G.NumEdges(), 1)
+	wH, wL := perturb(inst.G.NumEdges(), 1), perturb(inst.G.NumEdges(), 2)
+	states, err := resilience.Enumerate(inst.G, resilience.Model{Kind: "link"})
+	if err != nil {
+		t.Fatalf("Enumerate: %v", err)
+	}
 
 	s, err := h.Session(context.Background())
 	if err != nil {
 		t.Fatalf("Session: %v", err)
 	}
-	if err := s.Checkpoint(w); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	abandonSweep(t, s, wH, wL)
+	if !s.checkpointArmed() {
+		t.Fatal("abandoned sweep left no armed checkpoint")
 	}
-	// Single-level: a second checkpoint must refuse.
-	if err := s.Checkpoint(w); !errors.Is(err, ErrCheckpointArmed) {
-		t.Fatalf("second Checkpoint err = %v, want ErrCheckpointArmed", err)
-	}
-	// Leak it: release without Revert.
+	leaks := met.leakedCheckpoints.Value()
 	if err := h.Release(s); !errors.Is(err, ErrLeakedCheckpoint) {
 		t.Fatalf("Release err = %v, want ErrLeakedCheckpoint", err)
+	}
+	if got := met.leakedCheckpoints.Value(); got != leaks+1 {
+		t.Fatalf("engine_leaked_checkpoints_total moved by %d, want 1", got-leaks)
 	}
 
 	// The pooled session must come back disarmed and fully usable.
 	s2, err := h.Session(context.Background())
 	if err != nil {
 		t.Fatalf("Session after leak: %v", err)
+	}
+	if s2 != s {
+		t.Fatal("pool did not reuse the released session")
 	}
 	if s2.checkpointArmed() {
 		t.Fatal("re-leased session still has an armed checkpoint")
@@ -305,49 +328,35 @@ func TestLeakedCheckpointDetectedOnRelease(t *testing.T) {
 		t.Fatalf("eval.New: %v", err)
 	}
 	ref.SetRouteWorkers(1)
-	want, err := ref.EvaluateSTR(w)
+	want, err := ref.EvaluateSTR(wH)
 	if err != nil {
 		t.Fatalf("ref EvaluateSTR: %v", err)
 	}
-	got, err := s2.EvaluateSTR(w)
+	got, err := s2.EvaluateSTR(wH)
 	if err != nil {
 		t.Fatalf("EvaluateSTR after reset: %v", err)
 	}
 	if routeFingerprint(got) != routeFingerprint(want) {
 		t.Fatalf("post-leak session result differs from hand-wired evaluator")
 	}
+	wantSweep, err := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1}).SweepDTR(wH, wL, states)
+	if err != nil {
+		t.Fatalf("ref SweepDTR: %v", err)
+	}
+	gotSweep, err := s2.SweepDTR(wH, wL, states)
+	if err != nil {
+		t.Fatalf("SweepDTR after reset: %v", err)
+	}
+	if !sameFloat(gotSweep.Base, wantSweep.Base) || len(gotSweep.PhiL) != len(wantSweep.PhiL) {
+		t.Fatalf("post-leak sweep base %v != hand-wired %v", gotSweep.Base, wantSweep.Base)
+	}
+	for i := range gotSweep.PhiL {
+		if !sameFloat(gotSweep.PhiL[i], wantSweep.PhiL[i]) {
+			t.Fatalf("post-leak sweep state %d: %v != hand-wired %v", i, gotSweep.PhiL[i], wantSweep.PhiL[i])
+		}
+	}
 	if err := h.Release(s2); err != nil {
 		t.Fatalf("clean Release err = %v", err)
-	}
-}
-
-func TestCheckpointRevertRoundTrip(t *testing.T) {
-	h := loadTestHandle(t, DefaultPool())
-	inst := h.Instance()
-	w := perturb(inst.G.NumEdges(), 2)
-
-	s, err := h.Session(context.Background())
-	if err != nil {
-		t.Fatalf("Session: %v", err)
-	}
-	defer h.Release(s) //nolint:errcheck
-
-	if err := s.Checkpoint(w); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	// Mutate: fail the first arc, reroute incrementally.
-	dr := s.Router()
-	wf := append(spf.Weights(nil), w...)
-	wf[0] = spf.Disabled
-	if _, err := dr.Apply(wf, []graph.EdgeID{0}); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	s.Revert()
-	if s.checkpointArmed() {
-		t.Fatal("Revert left the checkpoint armed")
-	}
-	if err := h.Release(s); err != nil {
-		t.Fatalf("Release after Revert: %v", err)
 	}
 }
 
@@ -362,18 +371,34 @@ func TestSessionReset(t *testing.T) {
 	}
 	defer h.Release(s) //nolint:errcheck
 
-	if err := s.Checkpoint(w); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	abandonSweep(t, s, w, w)
+	if _, err := s.Evaluator().ObjectiveSTRDelta(w, nil); err != nil {
+		t.Fatalf("ObjectiveSTRDelta: %v", err)
 	}
+	resets := met.resets.Value()
 	s.Reset()
 	if s.checkpointArmed() {
 		t.Fatal("Reset left the checkpoint armed")
 	}
-	if s.Router().Valid() {
-		t.Fatal("Reset left the router valid")
+	if s.sw != nil {
+		t.Fatal("Reset kept the sweeper")
 	}
-	if _, err := s.EvaluateSTR(w); err != nil {
-		t.Fatalf("EvaluateSTR after Reset: %v", err)
+	if got := met.resets.Value(); got != resets+1 {
+		t.Fatalf("engine_session_resets_total moved by %d, want 1", got-resets)
+	}
+	// The evaluator's delta state is dropped too: the next delta call may
+	// claim nothing changed and must still route w2 from scratch.
+	w2 := perturb(inst.G.NumEdges(), 5)
+	got, err := s.Evaluator().ObjectiveSTRDelta(w2, nil)
+	if err != nil {
+		t.Fatalf("ObjectiveSTRDelta after Reset: %v", err)
+	}
+	want, err := s.Evaluator().ObjectiveSTR(w2)
+	if err != nil {
+		t.Fatalf("ObjectiveSTR: %v", err)
+	}
+	if got != want {
+		t.Fatalf("delta after Reset %+v != full %+v", got, want)
 	}
 }
 

@@ -1,31 +1,22 @@
 package engine
 
 import (
-	"errors"
-
 	"dualtopo/internal/eval"
 	"dualtopo/internal/resilience"
 	"dualtopo/internal/spf"
 )
 
-// ErrCheckpointArmed reports a Checkpoint call while one is already armed.
-// Session checkpoints are deliberately single-level: re-basing silently (as
-// the underlying router allows) would let an outer what-if swallow an inner
-// one's rollback point, which is exactly the class of bug the release-time
-// leak assertion exists to catch.
-var ErrCheckpointArmed = errors.New("engine: checkpoint already armed (Revert first)")
-
 // Session is the mutable half of a topology lease: a private evaluator
-// clone, a lazily-built incremental router with checkpoint/revert, and a
-// lazily-built failure sweeper. Sessions are NOT safe for concurrent use —
-// concurrency comes from leasing several sessions off one Handle. All
+// clone (with its lazily-built incremental objective states) and a
+// lazily-built failure sweeper. Each owns the eval.RoutingStates it drives;
+// the session itself holds no router. Sessions are NOT safe for concurrent
+// use — concurrency comes from leasing several sessions off one Handle. All
 // routing inside a session is sequential (RouteWorkers = 1), so results are
 // bitwise-independent of which pooled session serves a request.
 type Session struct {
 	h  *Handle
 	ev *eval.Evaluator
-	dr *spf.DeltaRouter    // lazy; carries both traffic matrices
-	sw *resilience.Sweeper // lazy; owns its own per-scheme routers
+	sw *resilience.Sweeper // lazy; owns its per-scheme routing states
 }
 
 func newSession(h *Handle) *Session {
@@ -64,62 +55,22 @@ func (s *Session) ScoreSTR(w spf.Weights) (eval.STRObjective, error) {
 	return s.ev.ObjectiveSTR(w)
 }
 
-// Router returns the session's incremental router (created on first use,
-// carrying both traffic matrices), for callers that drive Apply/Checkpoint
-// directly. Like the evaluator, it must not outlive the lease.
-func (s *Session) Router() *spf.DeltaRouter {
-	if s.dr == nil {
-		s.dr = spf.NewDeltaRouter(s.h.inst.G, s.h.inst.TH, s.h.inst.TL)
-	}
-	return s.dr
-}
-
-// Checkpoint routes the session's router at w — incrementally when its
-// current state allows — and arms a rollback point, so a sequence of
-// what-if Applies can be undone with one Revert. Checkpoints are
-// single-level: a second Checkpoint without an intervening Revert fails
-// with ErrCheckpointArmed.
-func (s *Session) Checkpoint(w spf.Weights) error {
-	if s.checkpointArmed() {
-		return ErrCheckpointArmed
-	}
-	dr := s.Router()
-	if dr.Valid() {
-		changed := spf.DiffArcs(dr.Weights(), w, nil)
-		if _, err := dr.Apply(w, changed); err != nil {
-			return err
-		}
-	} else if err := dr.Route(w); err != nil {
-		return err
-	}
-	return dr.Checkpoint()
-}
-
-// Revert rolls the router back to the armed checkpoint and disarms it; it
-// is a no-op when nothing is armed.
-func (s *Session) Revert() {
-	if s.dr != nil {
-		s.dr.Revert()
-	}
-}
-
 // checkpointArmed reports whether the session would fail the release-time
-// leak assertion.
+// leak assertion: some routing state it owns — the sweeper's, which sit
+// between Checkpoint and Revert for every what-if state, or the evaluator's
+// — still holds an armed checkpoint.
 func (s *Session) checkpointArmed() bool {
-	return s.dr != nil && s.dr.CheckpointArmed()
+	return s.ev.DeltaCheckpointArmed() || (s.sw != nil && s.sw.CheckpointArmed())
 }
 
-// Reset discards every piece of incremental state — evaluator delta
-// caches, the router's trees and any armed checkpoint, the sweeper — so
+// Reset discards every piece of incremental state — the evaluator's delta
+// states and the sweeper, with their routers and any armed checkpoint — so
 // the next operation recomputes from scratch. Use it when a request failed
 // midway and the session's state can no longer be trusted; Release invokes
 // it automatically on a leaked checkpoint.
 func (s *Session) Reset() {
 	met.resets.Inc()
 	s.ev.ResetDelta()
-	if s.dr != nil {
-		s.dr.Reset()
-	}
 	s.sw = nil
 }
 

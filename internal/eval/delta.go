@@ -1,88 +1,37 @@
 // Incremental objective evaluation: the Objective*Delta methods mirror
 // ObjectiveH / ObjectiveL / ObjectiveSTR but take the set of arcs whose
-// weights changed since the previous call, route incrementally through a
-// spf.DeltaRouter, and re-score only the arcs whose loads (or externally
-// supplied inputs) actually moved. Scalar objectives are then re-reduced
-// over the maintained per-arc vectors in the same order the full paths use,
-// so delta and full evaluation agree bitwise — a property the search's
-// VerifyDelta debug mode and the equivalence tests assert.
+// weights changed since the previous call and drive a RoutingState (see
+// state.go), which routes incrementally, re-scores only the arcs whose loads
+// — or caller-supplied inputs — moved, and re-reduces in the order the full
+// paths sum. Delta and full evaluation therefore agree bitwise, which the
+// search's VerifyDelta debug mode and the equivalence tests assert.
 package eval
 
 import (
 	"dualtopo/internal/cost"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
-	"dualtopo/internal/traffic"
 )
 
-// deltaEval bundles an incremental router with the per-arc score vectors it
-// keeps current, plus snapshots of the external inputs (incumbent L loads or
-// residuals) used at the last scoring so staleness is detected per arc.
-type deltaEval struct {
-	dr *spf.DeltaRouter
-
-	linkPhiH []float64
-	residual []float64
-	linkPhiL []float64
-	lSnap    []float64 // last lLoads scored against (H path)
-	rSnap    []float64 // last residuals scored against (L path)
-
-	// SLA state: per-arc Eq. (3) delays and, per high-priority destination,
-	// the expected delay of each of its source pairs.
-	linkDelay  []float64
-	pairDelays [][]float64
-
-	primed bool
+// deltaState returns the evaluator's lazily built state of the given shape.
+func (e *Evaluator) deltaState(shape Shape) *RoutingState {
+	if e.delta[shape] == nil {
+		e.delta[shape] = NewRoutingState(e, shape)
+	}
+	return e.delta[shape]
 }
 
-func newDeltaEval(e *Evaluator, tms ...*traffic.Matrix) *deltaEval {
-	m := e.g.NumEdges()
-	d := &deltaEval{
-		dr:       spf.NewDeltaRouter(e.g, tms...),
-		linkPhiH: make([]float64, m),
-		residual: make([]float64, m),
-		linkPhiL: make([]float64, m),
-		lSnap:    make([]float64, m),
-		rSnap:    make([]float64, m),
-	}
-	if e.opts.Kind == SLABased {
-		d.linkDelay = make([]float64, m)
-		d.pairDelays = make([][]float64, len(e.hpDests))
-		for i := range d.pairDelays {
-			d.pairDelays[i] = make([]float64, len(e.hpSrcs[i]))
+// DeltaCheckpointArmed reports whether any of the evaluator's incremental
+// states holds an armed checkpoint. The Objective*Delta paths never arm one,
+// so true means the state was corrupted from outside; session pools check it
+// before reuse.
+func (e *Evaluator) DeltaCheckpointArmed() bool {
+	for _, s := range e.delta {
+		if s != nil && s.CheckpointArmed() {
+			return true
 		}
 	}
-	return d
-}
-
-// route transitions the router to w. It returns the arcs whose loads moved
-// (every arc on the priming full route) and whether this was a full
-// recompute. Any error invalidates the state so the next call re-primes.
-func (d *deltaEval) route(w spf.Weights, changed []graph.EdgeID) ([]graph.EdgeID, bool, error) {
-	if !d.primed || !d.dr.Valid() {
-		if err := d.dr.Route(w); err != nil {
-			d.primed = false
-			return nil, true, err
-		}
-		d.primed = true
-		return nil, true, nil
-	}
-	moved, err := d.dr.Apply(w, changed)
-	if err != nil {
-		d.primed = false
-		return nil, false, err
-	}
-	return moved, false, nil
-}
-
-// sumPair re-reduces the maintained ΦH and ΦL vectors in ascending arc
-// order — the exact summation sequence ObjectiveH/ObjectiveSTR perform.
-func (d *deltaEval) sumPair() (phiH, phiL float64) {
-	for i := range d.linkPhiH {
-		phiH += d.linkPhiH[i]
-		phiL += d.linkPhiL[i]
-	}
-	return phiH, phiL
+	return false
 }
 
 // ObjectiveHDelta is the incremental FindH fast path: wH must differ from
@@ -90,105 +39,19 @@ func (d *deltaEval) sumPair() (phiH, phiL float64) {
 // (a superset is fine). The high-priority class is re-routed incrementally
 // and only arcs whose H load moved — plus arcs where lLoads differs from the
 // previous call — are re-scored. The first call (or any call after an
-// error) primes with a full route. The result is bitwise-equal to
+// error) routes from scratch. The result is bitwise-equal to
 // ObjectiveH(wH, lLoads).
 func (e *Evaluator) ObjectiveHDelta(wH spf.Weights, changed []graph.EdgeID, lLoads []float64) (cost.Lex, error) {
-	if e.deltaH == nil {
-		e.deltaH = newDeltaEval(e, e.th)
-	}
-	d := e.deltaH
-	moved, full, err := d.route(wH, changed)
-	if err != nil {
+	s := e.deltaState(RouteH)
+	s.SetInput(lLoads)
+	if _, err := s.Apply([2]spf.Weights{High: wH}, changed); err != nil {
 		return cost.Lex{}, err
 	}
-	hLoads := d.dr.Loads[0]
-	sla := e.opts.Kind == SLABased
-	if full {
-		for i := range hLoads {
-			d.linkPhiH[i] = cost.Phi(hLoads[i], e.capacity[i])
-			d.residual[i] = cost.Residual(e.capacity[i], hLoads[i])
-			d.linkPhiL[i] = cost.Phi(lLoads[i], d.residual[i])
-			d.lSnap[i] = lLoads[i]
-			if sla {
-				d.linkDelay[i] = e.linkDelayAt(i, hLoads[i], d.linkPhiH[i])
-			}
-		}
-		if sla {
-			for di, dest := range e.hpDests {
-				xi := d.dr.DelaysTo(dest, d.linkDelay)
-				for si, src := range e.hpSrcs[di] {
-					d.pairDelays[di][si] = xi[src]
-				}
-			}
-		}
-	} else {
-		for _, a := range moved {
-			d.linkPhiH[a] = cost.Phi(hLoads[a], e.capacity[a])
-			d.residual[a] = cost.Residual(e.capacity[a], hLoads[a])
-			d.linkPhiL[a] = cost.Phi(lLoads[a], d.residual[a])
-			d.lSnap[a] = lLoads[a]
-			if sla {
-				d.linkDelay[a] = e.linkDelayAt(int(a), hLoads[a], d.linkPhiH[a])
-			}
-		}
-		// The incumbent L loads are an external input: re-score arcs where
-		// they moved since the last call (residuals there are unchanged).
-		for i := range lLoads {
-			if lLoads[i] != d.lSnap[i] {
-				d.linkPhiL[i] = cost.Phi(lLoads[i], d.residual[i])
-				d.lSnap[i] = lLoads[i]
-			}
-		}
-		if sla {
-			e.refreshDirtyDelays(d, moved)
-		}
+	if e.opts.Kind != SLABased {
+		return cost.Lex{Primary: s.PhiH(), Secondary: s.PhiL()}, nil
 	}
-	phiH, phiL := d.sumPair()
-	if !sla {
-		return cost.Lex{Primary: phiH, Secondary: phiL}, nil
-	}
-	lambda, _ := e.sumPenalties(d)
-	return cost.Lex{Primary: lambda, Secondary: phiL}, nil
-}
-
-// refreshDirtyDelays recomputes expected pair delays for every destination
-// whose delay inputs could have moved: a recomputed tree (different DAG), or
-// a moved-load arc lying on the destination's ECMP DAG. Other destinations'
-// stored delays are bitwise-unchanged because Tree.Delays reads only DAG
-// arcs.
-func (e *Evaluator) refreshDirtyDelays(d *deltaEval, moved []graph.EdgeID) {
-	for di, dest := range e.hpDests {
-		dirty := d.dr.TreeDirty(dest)
-		if !dirty {
-			for _, a := range moved {
-				if d.dr.TreeUsesArc(dest, a) {
-					dirty = true
-					break
-				}
-			}
-		}
-		if !dirty {
-			continue
-		}
-		xi := d.dr.DelaysTo(dest, d.linkDelay)
-		for si, src := range e.hpSrcs[di] {
-			d.pairDelays[di][si] = xi[src]
-		}
-	}
-}
-
-// sumPenalties reduces the stored pair delays to (Λ, violation count) in the
-// destination-major order the full paths use.
-func (e *Evaluator) sumPenalties(d *deltaEval) (lambda float64, violations int) {
-	for di := range e.hpDests {
-		for _, xi := range d.pairDelays[di] {
-			if pen := e.opts.SLA.PairPenalty(xi); pen > 0 {
-				lambda += pen
-				violations++
-			}
-		}
-	}
-	return lambda, violations
+	lambda, _, _ := s.Penalties()
+	return cost.Lex{Primary: lambda, Secondary: s.PhiL()}, nil
 }
 
 // ObjectiveLDelta is the incremental FindL fast path: wL must differ from
@@ -197,37 +60,12 @@ func (e *Evaluator) sumPenalties(d *deltaEval) (lambda float64, violations int) 
 // the L load — or the externally supplied residual — moved. Bitwise-equal to
 // ObjectiveL(wL, residual).
 func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, residual []float64) (float64, error) {
-	if e.deltaL == nil {
-		e.deltaL = newDeltaEval(e, e.tl)
-	}
-	d := e.deltaL
-	moved, full, err := d.route(wL, changed)
-	if err != nil {
+	s := e.deltaState(RouteL)
+	s.SetInput(residual)
+	if _, err := s.Apply([2]spf.Weights{Low: wL}, changed); err != nil {
 		return 0, err
 	}
-	lLoads := d.dr.Loads[0]
-	if full {
-		for i := range lLoads {
-			d.linkPhiL[i] = cost.Phi(lLoads[i], residual[i])
-			d.rSnap[i] = residual[i]
-		}
-	} else {
-		for _, a := range moved {
-			d.linkPhiL[a] = cost.Phi(lLoads[a], residual[a])
-			d.rSnap[a] = residual[a]
-		}
-		for i := range residual {
-			if residual[i] != d.rSnap[i] {
-				d.linkPhiL[i] = cost.Phi(lLoads[i], residual[i])
-				d.rSnap[i] = residual[i]
-			}
-		}
-	}
-	phiL := 0.0
-	for i := range d.linkPhiL {
-		phiL += d.linkPhiL[i]
-	}
-	return phiL, nil
+	return s.PhiL(), nil
 }
 
 // ObjectiveSTRDelta is the incremental STR fast path: w must differ from the
@@ -235,48 +73,13 @@ func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, resi
 // classes are re-routed incrementally over one tree set. Bitwise-equal to
 // ObjectiveSTR(w).
 func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (STRObjective, error) {
-	if e.deltaSTR == nil {
-		e.deltaSTR = newDeltaEval(e, e.th, e.tl)
-	}
-	d := e.deltaSTR
-	moved, full, err := d.route(w, changed)
-	if err != nil {
+	s := e.deltaState(RouteSTR)
+	if _, err := s.Apply([2]spf.Weights{High: w}, changed); err != nil {
 		return STRObjective{}, err
 	}
-	hLoads, lLoads := d.dr.Loads[0], d.dr.Loads[1]
-	sla := e.opts.Kind == SLABased
-	score := func(i int) {
-		d.linkPhiH[i] = cost.Phi(hLoads[i], e.capacity[i])
-		d.residual[i] = cost.Residual(e.capacity[i], hLoads[i])
-		d.linkPhiL[i] = cost.Phi(lLoads[i], d.residual[i])
-		if sla {
-			d.linkDelay[i] = e.linkDelayAt(i, hLoads[i], d.linkPhiH[i])
-		}
-	}
-	if full {
-		for i := range hLoads {
-			score(i)
-		}
-		if sla {
-			for di, dest := range e.hpDests {
-				xi := d.dr.DelaysTo(dest, d.linkDelay)
-				for si, src := range e.hpSrcs[di] {
-					d.pairDelays[di][si] = xi[src]
-				}
-			}
-		}
-	} else {
-		for _, a := range moved {
-			score(int(a))
-		}
-		if sla {
-			e.refreshDirtyDelays(d, moved)
-		}
-	}
-	var o STRObjective
-	o.PhiH, o.PhiL = d.sumPair()
-	if sla {
-		o.Lambda, o.Violations = e.sumPenalties(d)
+	o := STRObjective{PhiH: s.PhiH(), PhiL: s.PhiL()}
+	if e.opts.Kind == SLABased {
+		o.Lambda, o.Violations, _ = s.Penalties()
 		o.Lex = cost.Lex{Primary: o.Lambda, Secondary: o.PhiL}
 	} else {
 		o.Lex = cost.Lex{Primary: o.PhiH, Secondary: o.PhiL}

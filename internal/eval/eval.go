@@ -171,34 +171,47 @@ type Pair struct {
 	Src, Dst graph.NodeID
 }
 
-// Evaluator evaluates weight settings for one (graph, TH, TL, options)
-// problem instance. It is not safe for concurrent use; use Clone to give
-// each goroutine its own.
-type Evaluator struct {
+// instance is the immutable half of a problem: the graph, both matrices, the
+// options and everything precomputed from them. Evaluator clones and the
+// RoutingStates built on them share one copy.
+type instance struct {
 	g    *graph.Graph
 	th   *traffic.Matrix
 	tl   *traffic.Matrix
 	opts Options
+	// sla scores pair delays: opts.SLA on SLA-based instances, the paper's
+	// default on load-based ones, whose violation mass churn replay still
+	// tracks.
+	sla cost.SLA
+
+	capacity  []float64
+	propDelay []float64
+
+	// High-priority demand grouped by destination; pairs lists the same
+	// demands flat, in the same (dest, src) order.
+	hpDests []graph.NodeID
+	hpSrcs  [][]graph.NodeID
+	pairs   []Pair
+}
+
+// Evaluator evaluates weight settings for one (graph, TH, TL, options)
+// problem instance. It is not safe for concurrent use; use Clone to give
+// each goroutine its own.
+type Evaluator struct {
+	*instance
 
 	planH   *spf.Plan      // routes TH (DTR high topology)
 	planL   *spf.Plan      // routes TL (DTR low topology)
 	planSTR *spf.MultiPlan // routes both under one weight set
 
-	capacity  []float64
-	propDelay []float64
-
-	hpDests []graph.NodeID // destinations receiving high-priority traffic
-	hpSrcs  [][]graph.NodeID
-	pairs   []Pair
-
 	// scratch buffers for the fast Objective* paths
 	scratchResidual []float64
 	scratchDelay    []float64
 
-	// Incremental evaluation state backing the Objective*Delta paths;
-	// created lazily so full-evaluation users pay nothing. Never shared by
-	// Clone.
-	deltaH, deltaL, deltaSTR *deltaEval
+	// Incremental states backing ObjectiveHDelta, ObjectiveLDelta and
+	// ObjectiveSTRDelta, in that order; created lazily so full-evaluation
+	// users pay nothing. Never shared by Clone.
+	delta [3]*RoutingState
 }
 
 // treeSource is any routed plan that can hand back per-destination trees.
@@ -217,37 +230,43 @@ func New(g *graph.Graph, th, tl *traffic.Matrix, opts Options) (*Evaluator, erro
 	if err := g.RequireStronglyConnected(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
+	in := &instance{
 		g:    g,
 		th:   th,
 		tl:   tl,
 		opts: opts,
+		sla:  opts.SLA,
+
+		capacity:  make([]float64, g.NumEdges()),
+		propDelay: make([]float64, g.NumEdges()),
+	}
+	if opts.Kind != SLABased {
+		in.sla = cost.DefaultSLA()
+	}
+	for _, edge := range g.Edges() {
+		in.capacity[edge.ID] = edge.Capacity
+		in.propDelay[edge.ID] = edge.Delay
+	}
+	in.hpDests = th.ActiveDestinations()
+	in.hpSrcs = make([][]graph.NodeID, len(in.hpDests))
+	for i, d := range in.hpDests {
+		for s := 0; s < g.NumNodes(); s++ {
+			if th.At(graph.NodeID(s), d) > 0 {
+				in.hpSrcs[i] = append(in.hpSrcs[i], graph.NodeID(s))
+				in.pairs = append(in.pairs, Pair{graph.NodeID(s), d})
+			}
+		}
+	}
+	return &Evaluator{
+		instance: in,
 
 		planH:   spf.NewPlan(g, th),
 		planL:   spf.NewPlan(g, tl),
 		planSTR: spf.NewMultiPlan(g, th, tl),
 
-		capacity:  make([]float64, g.NumEdges()),
-		propDelay: make([]float64, g.NumEdges()),
-
 		scratchResidual: make([]float64, g.NumEdges()),
 		scratchDelay:    make([]float64, g.NumEdges()),
-	}
-	for _, edge := range g.Edges() {
-		e.capacity[edge.ID] = edge.Capacity
-		e.propDelay[edge.ID] = edge.Delay
-	}
-	e.hpDests = th.ActiveDestinations()
-	e.hpSrcs = make([][]graph.NodeID, len(e.hpDests))
-	for i, d := range e.hpDests {
-		for s := 0; s < g.NumNodes(); s++ {
-			if th.At(graph.NodeID(s), d) > 0 {
-				e.hpSrcs[i] = append(e.hpSrcs[i], graph.NodeID(s))
-				e.pairs = append(e.pairs, Pair{graph.NodeID(s), d})
-			}
-		}
-	}
-	return e, nil
+	}, nil
 }
 
 // Clone returns an independent Evaluator sharing the immutable precomputed
@@ -258,21 +277,11 @@ func New(g *graph.Graph, th, tl *traffic.Matrix, opts Options) (*Evaluator, erro
 // clone in O(arcs) instead of O(nodes²).
 func (e *Evaluator) Clone() *Evaluator {
 	return &Evaluator{
-		g:    e.g,
-		th:   e.th,
-		tl:   e.tl,
-		opts: e.opts,
+		instance: e.instance,
 
 		planH:   e.planH.CloneState(),
 		planL:   e.planL.CloneState(),
 		planSTR: e.planSTR.CloneState(),
-
-		capacity:  e.capacity,
-		propDelay: e.propDelay,
-
-		hpDests: e.hpDests,
-		hpSrcs:  e.hpSrcs,
-		pairs:   e.pairs,
 
 		scratchResidual: make([]float64, e.g.NumEdges()),
 		scratchDelay:    make([]float64, e.g.NumEdges()),
@@ -300,7 +309,7 @@ func (e *Evaluator) SetRouteWorkers(n int) {
 // route. Searches call this when they start so that a reused Evaluator
 // cannot leak a previous run's router position into the changed-arc
 // contract (which would silently desynchronize delta from full evaluation).
-func (e *Evaluator) ResetDelta() { e.deltaH, e.deltaL, e.deltaSTR = nil, nil, nil }
+func (e *Evaluator) ResetDelta() { e.delta = [3]*RoutingState{} }
 
 // Graph returns the underlying graph.
 func (e *Evaluator) Graph() *graph.Graph { return e.g }
@@ -314,6 +323,13 @@ func (e *Evaluator) Matrices() (th, tl *traffic.Matrix) { return e.th, e.tl }
 // HighPriorityPairs lists the SD pairs carrying high-priority traffic, in
 // the order Result.PairDelays uses.
 func (e *Evaluator) HighPriorityPairs() []Pair { return e.pairs }
+
+// HighPriorityByDest returns the same pairs grouped by destination: srcs[i]
+// lists the sources sending to dests[i]. Walking it destination-major visits
+// pairs in HighPriorityPairs order. Callers must not modify the slices.
+func (e *Evaluator) HighPriorityByDest() (dests []graph.NodeID, srcs [][]graph.NodeID) {
+	return e.hpDests, e.hpSrcs
+}
 
 // HPlan exposes the high-priority routing plan for read-only tree
 // inspection: after a full evaluation its per-destination trees sit at the
@@ -386,17 +402,17 @@ func (e *Evaluator) finish(hLoads, lLoads []float64, trees treeSource) (*Result,
 }
 
 // linkDelayAt computes the Eq. (3) delay of one arc from its high-priority
-// load and per-arc ΦH — the unit the delta path re-scores per moved arc.
-func (e *Evaluator) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
+// load and per-arc ΦH — the unit a RoutingState re-scores per moved arc.
+func (e *instance) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
 	if e.opts.ExactDelay {
-		d := e.opts.SLA.LinkDelayExact(hLoad, e.capacity[i], e.propDelay[i])
+		d := e.sla.LinkDelayExact(hLoad, e.capacity[i], e.propDelay[i])
 		if !math.IsInf(d, 1) {
 			return d
 		}
 		// Keep the search objective finite on overloaded links by falling
 		// back to the (always finite) approximation.
 	}
-	return e.opts.SLA.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
+	return e.sla.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
 }
 
 // fillLinkDelays computes Eq. (3) per-arc delays into out.

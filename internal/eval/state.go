@@ -1,0 +1,366 @@
+package eval
+
+import (
+	"errors"
+
+	"dualtopo/internal/cost"
+	"dualtopo/internal/graph"
+	"dualtopo/internal/spf"
+)
+
+// High and Low index the two traffic classes wherever per-class data is kept
+// in a [2] array.
+const (
+	High = iota
+	Low
+)
+
+// Shape selects which classes a RoutingState routes itself.
+type Shape int
+
+const (
+	// RouteH routes the high-priority class only; the caller supplies the
+	// low-priority per-arc loads through SetInput (FindH: WL is fixed).
+	RouteH Shape = iota
+	// RouteL routes the low-priority class only; the caller supplies the
+	// per-arc residual capacities through SetInput (FindL: WH is fixed).
+	RouteL
+	// RouteSTR routes both classes on one router under one weight setting.
+	RouteSTR
+	// RouteDTR routes each class on its own router under its own setting.
+	RouteDTR
+)
+
+// RoutingState is the incremental form of the paper's evaluation: the delta
+// router(s) of one routing scheme plus the per-arc ΦH, residual, ΦL and
+// Eq. (3) delay vectors and the per-pair delays, kept current across weight
+// transitions by re-scoring only the arcs whose loads moved. Every reduction
+// walks the maintained vectors in the order the full evaluation sums them, so
+// each number is bitwise-equal to EvaluateSTR / EvaluateDTR at the same
+// weights — the property the Verify modes of the search, the failure sweeper
+// and the churn replayer assert.
+//
+// A class whose transition fails with spf.ErrNoPath is left invalid; the
+// other class is still moved and re-scored, and the failed class's next
+// successful transition routes from scratch and re-scores every arc.
+//
+// Only what is read is paid for. The per-arc ΦH and delay vectors come into
+// being at the first PhiH or Penalties call and are maintained from then on,
+// and pair delays — a tree walk per destination — are recomputed only when
+// Penalties reads them: a transition merely marks the destinations it could
+// have changed. A state that is only ever asked for ΦL (a failure sweep)
+// computes neither a ΦH nor a delay.
+//
+// A RoutingState is not safe for concurrent use.
+type RoutingState struct {
+	in *instance
+
+	// dr[c] routes class c. A RouteSTR state carries both matrices on
+	// dr[High]; the entry of a class the state does not route is nil.
+	dr [2]*spf.DeltaRouter
+	// loads[c] is class c's per-arc load vector: a router's aggregate, or on
+	// a RouteH state the snapshot of the caller's low-priority loads. A
+	// RouteL state has no high-priority loads (its residuals are supplied).
+	loads [2][]float64
+	// ext aliases the vector SetInput maintains — loads[Low] on a RouteH
+	// state, residual on a RouteL state — and is nil otherwise.
+	ext []float64
+
+	residual []float64
+	linkPhiL []float64
+	linkPhiH []float64 // nil until first read
+
+	// Delay state, nil until the first Penalties call. stale marks the
+	// destinations whose pair delays must be recomputed before the next read.
+	linkDelay []float64
+	pairDelay [][]float64
+	stale     []bool
+
+	// moved[c] is the moved-arc set of class c's router in the last
+	// transition (nil if it failed); cpDests lists the destinations whose
+	// delays were recomputed under the armed checkpoint. Revert needs both.
+	moved   [2][]graph.EdgeID
+	cpDests []int
+	diffBuf []graph.EdgeID
+}
+
+// NewRoutingState builds an unrouted state of the given shape over e's
+// problem instance. Only immutable instance data is shared with e: the state
+// owns its routers, and e's plans and delta states are never touched.
+func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
+	in := e.instance
+	m := in.g.NumEdges()
+	s := &RoutingState{in: in, residual: make([]float64, m), linkPhiL: make([]float64, m)}
+	switch shape {
+	case RouteH:
+		s.dr[High] = spf.NewDeltaRouter(in.g, in.th)
+		s.ext = make([]float64, m)
+		s.loads = [2][]float64{s.dr[High].Loads[0], s.ext}
+	case RouteL:
+		s.dr[Low] = spf.NewDeltaRouter(in.g, in.tl)
+		s.ext = s.residual
+		s.loads[Low] = s.dr[Low].Loads[0]
+	case RouteSTR:
+		s.dr[High] = spf.NewDeltaRouter(in.g, in.th, in.tl)
+		s.loads = [2][]float64{s.dr[High].Loads[0], s.dr[High].Loads[1]}
+	case RouteDTR:
+		s.dr = [2]*spf.DeltaRouter{spf.NewDeltaRouter(in.g, in.th), spf.NewDeltaRouter(in.g, in.tl)}
+		s.loads = [2][]float64{s.dr[High].Loads[0], s.dr[Low].Loads[0]}
+	}
+	return s
+}
+
+// Router exposes class c's router for read-only inspection (trees, loads,
+// weights, stats); nil if the state does not route c on a router of its own.
+// Callers must not route on it.
+func (s *RoutingState) Router(c int) *spf.DeltaRouter { return s.dr[c] }
+
+// Valid reports whether every class the state routes holds a routed state;
+// false before the first transition and after a disconnecting one.
+func (s *RoutingState) Valid() bool {
+	for _, dr := range s.dr {
+		if dr != nil && !dr.Valid() {
+			return false
+		}
+	}
+	return true
+}
+
+// Apply transitions the state to w, where changed lists every arc on which
+// any routed class's weights differ from its router's current setting (a
+// superset is fine). w[c] is read only for classes with a router of their
+// own; a RouteSTR state reads w[High]. It returns the number of arcs whose
+// loads moved, summed over the routers that succeeded. An spf.ErrNoPath
+// error means some class is disconnected (see the type comment for what
+// state that leaves); any other error leaves the state unusable.
+func (s *RoutingState) Apply(w [2]spf.Weights, changed []graph.EdgeID) (int, error) {
+	return s.transition(w, changed, false)
+}
+
+// Move is Apply for a caller that does not track what changed: each router's
+// changed set is the exact diff between its current setting and w.
+func (s *RoutingState) Move(w [2]spf.Weights) (int, error) {
+	return s.transition(w, nil, true)
+}
+
+func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff bool) (int, error) {
+	total := 0
+	var noPath error
+	for c, dr := range s.dr {
+		if dr == nil {
+			continue
+		}
+		if diff {
+			s.diffBuf = spf.DiffArcs(dr.Weights(), w[c], s.diffBuf[:0])
+			changed = s.diffBuf
+		}
+		// An invalid router routes from scratch here and reports every arc
+		// as moved, which makes the re-score below a full one.
+		moved, err := dr.Apply(w[c], changed)
+		s.moved[c] = moved
+		if err != nil {
+			if !errors.Is(err, spf.ErrNoPath) {
+				return total, err
+			}
+			if noPath == nil {
+				noPath = err
+			}
+			continue
+		}
+		s.rescore(moved)
+		if c == High && s.linkDelay != nil {
+			s.markStale(moved)
+		}
+		total += len(moved)
+	}
+	return total, noPath
+}
+
+// rescore recomputes the per-arc vectors of the listed arcs from the current
+// loads — the per-arc expressions of Evaluator.finish.
+func (s *RoutingState) rescore(arcs []graph.EdgeID) {
+	in := s.in
+	h, l := s.loads[High], s.loads[Low]
+	for _, a := range arcs {
+		if h != nil {
+			s.residual[a] = cost.Residual(in.capacity[a], h[a])
+			if s.linkPhiH != nil {
+				s.linkPhiH[a] = cost.Phi(h[a], in.capacity[a])
+				if s.linkDelay != nil { // implies linkPhiH
+					s.linkDelay[a] = in.linkDelayAt(int(a), h[a], s.linkPhiH[a])
+				}
+			}
+		}
+		s.linkPhiL[a] = cost.Phi(l[a], s.residual[a])
+	}
+}
+
+// SetInput supplies the per-arc input of the class a one-class state does
+// not route — low-priority loads for RouteH, residual capacities for RouteL —
+// and re-scores ΦL on the arcs where it differs from the previous call's.
+func (s *RoutingState) SetInput(v []float64) {
+	l := s.loads[Low]
+	for i, x := range v {
+		if x != s.ext[i] {
+			s.ext[i] = x
+			s.linkPhiL[i] = cost.Phi(l[i], s.residual[i])
+		}
+	}
+}
+
+// markStale marks every high-priority destination whose pair delays the last
+// high-class transition could have moved: a recomputed tree (different DAG),
+// or a moved-load arc lying on the destination's ECMP DAG. Other
+// destinations' delays are bitwise-unchanged because Tree.Delays reads only
+// DAG arcs.
+func (s *RoutingState) markStale(moved []graph.EdgeID) {
+	dr := s.dr[High]
+	for di, dest := range s.in.hpDests {
+		if s.stale[di] {
+			continue
+		}
+		dirty := dr.TreeDirty(dest)
+		for i := 0; !dirty && i < len(moved); i++ {
+			dirty = dr.TreeUsesArc(dest, moved[i])
+		}
+		s.stale[di] = dirty
+	}
+}
+
+// refreshDelays brings the pair delays of every stale destination up to
+// date. The first call allocates the delay state and computes all of it.
+func (s *RoutingState) refreshDelays() {
+	in := s.in
+	if s.linkDelay == nil {
+		s.linkDelay = make([]float64, len(s.residual))
+		for a, phi := range s.phiH() {
+			s.linkDelay[a] = in.linkDelayAt(a, s.loads[High][a], phi)
+		}
+		s.pairDelay = make([][]float64, len(in.hpDests))
+		s.stale = make([]bool, len(in.hpDests))
+		for di := range s.pairDelay {
+			s.pairDelay[di] = make([]float64, len(in.hpSrcs[di]))
+			s.stale[di] = true
+		}
+		s.cpDests = make([]int, 0, len(in.hpDests))
+	}
+	armed := s.CheckpointArmed()
+	for di, dest := range in.hpDests {
+		if !s.stale[di] {
+			continue
+		}
+		s.stale[di] = false
+		xi := s.dr[High].DelaysTo(dest, s.linkDelay)
+		for si, src := range in.hpSrcs[di] {
+			s.pairDelay[di][si] = xi[src]
+		}
+		if armed {
+			s.cpDests = append(s.cpDests, di)
+		}
+	}
+}
+
+func sum(v []float64) float64 {
+	t := 0.0
+	for _, x := range v {
+		t += x
+	}
+	return t
+}
+
+// phiH returns the per-arc ΦH vector, computing all of it on first use.
+func (s *RoutingState) phiH() []float64 {
+	if s.linkPhiH == nil {
+		s.linkPhiH = make([]float64, len(s.residual))
+		for a, h := range s.loads[High] {
+			s.linkPhiH[a] = cost.Phi(h, s.in.capacity[a])
+		}
+	}
+	return s.linkPhiH
+}
+
+// PhiH re-reduces ΦH in ascending arc order, the summation sequence of
+// Evaluator.finish. The state must route the high-priority class.
+func (s *RoutingState) PhiH() float64 { return sum(s.phiH()) }
+
+// PhiL re-reduces ΦL in ascending arc order.
+func (s *RoutingState) PhiL() float64 { return sum(s.linkPhiL) }
+
+// Penalties reduces the pair delays to Λ (Eq. 4), the number of violating
+// pairs and the high-priority demand they carry, in the destination-major
+// order of Evaluator.finish. Load-based instances are scored against the
+// paper's default SLA. The state must route the high-priority class.
+func (s *RoutingState) Penalties() (lambda float64, violations int, mass float64) {
+	s.refreshDelays()
+	in := s.in
+	for di, delays := range s.pairDelay {
+		for si, xi := range delays {
+			if pen := in.sla.PairPenalty(xi); pen > 0 {
+				lambda += pen
+				violations++
+				mass += in.th.At(in.hpSrcs[di][si], in.hpDests[di])
+			}
+		}
+	}
+	return lambda, violations, mass
+}
+
+// MaxUtilization is the maximum per-arc total utilization (H+L)/C, equal to
+// Result.MaxUtilization.
+func (s *RoutingState) MaxUtilization() float64 {
+	h, l := s.loads[High], s.loads[Low]
+	max := 0.0
+	for a, c := range s.in.capacity {
+		if u := (h[a] + l[a]) / c; u > max {
+			max = u
+		}
+	}
+	return max
+}
+
+// Checkpoint arms a rollback point on every router so that one transition
+// can be scored and undone without recomputation. It fails on a state that
+// is not Valid.
+func (s *RoutingState) Checkpoint() error {
+	for _, dr := range s.dr {
+		if dr == nil {
+			continue
+		}
+		if err := dr.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckpointArmed reports whether any router still holds an armed checkpoint
+// — a what-if that was never reverted.
+func (s *RoutingState) CheckpointArmed() bool {
+	for _, dr := range s.dr {
+		if dr != nil && dr.CheckpointArmed() {
+			return true
+		}
+	}
+	return false
+}
+
+// Revert rolls every router back to the armed checkpoint — recovering even a
+// class the transition disconnected — and restores the score vectors bitwise:
+// the rolled-back loads are the checkpointed loads again, so re-scoring the
+// arcs the transition moved puts every per-arc value back, and the
+// destinations whose delays were read in between are marked for recomputation.
+// At most one transition may sit between Checkpoint and Revert.
+func (s *RoutingState) Revert() {
+	for _, dr := range s.dr {
+		if dr != nil {
+			dr.Revert()
+		}
+	}
+	for _, moved := range s.moved {
+		s.rescore(moved)
+	}
+	for _, di := range s.cpDests {
+		s.stale[di] = true
+	}
+	s.cpDests = s.cpDests[:0]
+}

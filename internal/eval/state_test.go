@@ -1,0 +1,401 @@
+package eval
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"dualtopo/internal/cost"
+	"dualtopo/internal/graph"
+	"dualtopo/internal/spf"
+)
+
+var stateOptions = []struct {
+	name string
+	opts Options
+}{
+	{"load", DefaultOptions()},
+	{"sla-approx", Options{Kind: SLABased, SLA: cost.DefaultSLA()}},
+	{"sla-exact", Options{Kind: SLABased, SLA: cost.DefaultSLA(), ExactDelay: true}},
+}
+
+var stateShapes = []struct {
+	name  string
+	shape Shape
+}{{"H", RouteH}, {"L", RouteL}, {"STR", RouteSTR}, {"DTR", RouteDTR}}
+
+// stateHarness drives one RoutingState through random transitions next to a
+// from-scratch oracle. The oracle is always SLA-based: on a load-based
+// instance the state scores delays against the default SLA, which is what an
+// SLA-based evaluator with default parameters computes.
+type stateHarness struct {
+	t     *testing.T
+	rng   *rand.Rand
+	e     *Evaluator // the instance the state is built over
+	ref   *Evaluator // oracle
+	shape Shape
+	st    *RoutingState
+	m     int
+
+	w     [2]spf.Weights // requested weights of the routed classes
+	fixed spf.Weights    // weights of the class a one-class state does not route
+	input []float64      // what SetInput was last given
+}
+
+func newStateHarness(t *testing.T, seed uint64, opts Options, shape Shape) *stateHarness {
+	e, m, _ := deltaInstance(t, seed, opts)
+	refOpts := opts
+	if opts.Kind != SLABased {
+		refOpts = Options{Kind: SLABased, SLA: cost.DefaultSLA(), ExactDelay: opts.ExactDelay}
+	}
+	ref, err := New(e.g, e.th, e.tl, refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &stateHarness{
+		t: t, rng: rand.New(rand.NewPCG(seed, 77)), e: e, ref: ref, shape: shape,
+		st: NewRoutingState(e, shape), m: m,
+	}
+	h.w[High] = randomWeightsFor(h.rng, m)
+	h.w[Low] = randomWeightsFor(h.rng, m)
+	if shape == RouteSTR {
+		h.w[Low] = h.w[High]
+	}
+	if h.st.ext != nil {
+		h.setFixed(randomWeightsFor(h.rng, m))
+	}
+	return h
+}
+
+// setFixed re-routes the class the state does not route and hands the state
+// the resulting per-arc input.
+func (h *stateHarness) setFixed(w spf.Weights) {
+	h.fixed = w
+	unit := spf.Uniform(h.m)
+	if h.shape == RouteH {
+		r, err := h.ref.EvaluateDTR(unit, w)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		h.input = r.LLoads
+	} else {
+		r, err := h.ref.EvaluateDTR(w, unit)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		h.input = r.Residual
+	}
+	h.st.SetInput(h.input)
+}
+
+// routed lists the classes whose weights the harness may change.
+func (h *stateHarness) routed() []int {
+	switch h.shape {
+	case RouteH, RouteSTR:
+		return []int{High}
+	case RouteL:
+		return []int{Low}
+	}
+	return []int{High, Low}
+}
+
+func (h *stateHarness) full() (*Result, error) {
+	switch h.shape {
+	case RouteH:
+		return h.ref.EvaluateDTR(h.w[High], h.fixed)
+	case RouteL:
+		return h.ref.EvaluateDTR(h.fixed, h.w[Low])
+	case RouteSTR:
+		return h.ref.EvaluateSTR(h.w[High])
+	}
+	return h.ref.EvaluateDTR(h.w[High], h.w[Low])
+}
+
+// transition moves the state to h.w — by trusted changed set or exact diff,
+// at random — and holds every reduction to the oracle's.
+func (h *stateHarness) transition(what string, changed []graph.EdgeID) {
+	h.t.Helper()
+	var err error
+	if h.rng.IntN(2) == 0 {
+		_, err = h.st.Apply(h.w, changed)
+	} else {
+		_, err = h.st.Move(h.w)
+	}
+	want, fullErr := h.full()
+	if (err != nil) != (fullErr != nil) {
+		h.t.Fatalf("%s: state err %v, full evaluation err %v", what, err, fullErr)
+	}
+	if err != nil {
+		if !errors.Is(err, spf.ErrNoPath) {
+			h.t.Fatalf("%s: %v, want ErrNoPath", what, err)
+		}
+		if h.st.Valid() {
+			h.t.Fatalf("%s: state still valid after a disconnection", what)
+		}
+		return
+	}
+	if !h.st.Valid() {
+		h.t.Fatalf("%s: state invalid after a successful transition", what)
+	}
+	h.compare(what, want)
+}
+
+func (h *stateHarness) compare(what string, want *Result) {
+	h.t.Helper()
+	if got := h.st.PhiL(); got != want.PhiL {
+		h.t.Fatalf("%s: ΦL %v != full %v", what, got, want.PhiL)
+	}
+	if h.shape == RouteL {
+		return
+	}
+	if got := h.st.PhiH(); got != want.PhiH {
+		h.t.Fatalf("%s: ΦH %v != full %v", what, got, want.PhiH)
+	}
+	if got, full := h.st.MaxUtilization(), want.MaxUtilization(h.e.g); got != full {
+		h.t.Fatalf("%s: max utilization %v != full %v", what, got, full)
+	}
+	lambda, violations, mass := h.st.Penalties()
+	if lambda != want.Lambda || violations != want.Violations || mass != want.ViolationMass {
+		h.t.Fatalf("%s: SLA (Λ=%v, v=%d, mass=%v) != full (Λ=%v, v=%d, mass=%v)",
+			what, lambda, violations, mass, want.Lambda, want.Violations, want.ViolationMass)
+	}
+}
+
+// mutate applies one random change to h.w and returns its description and
+// changed arcs: a ±step on one or two arcs, an arc failure, a repair of
+// everything failed, or a node isolated in one class (which disconnects it
+// whenever the node sources demand).
+func (h *stateHarness) mutate(base [2]spf.Weights) (string, []graph.EdgeID) {
+	classes := h.routed()
+	switch op := h.rng.IntN(8); {
+	case op < 4:
+		c := classes[h.rng.IntN(len(classes))]
+		changed := make([]graph.EdgeID, 1+h.rng.IntN(2))
+		for i := range changed {
+			a := h.rng.IntN(h.m)
+			changed[i] = graph.EdgeID(a)
+			if h.w[c][a] != spf.Disabled {
+				h.w[c][a] = 1 + (h.w[c][a]+h.rng.IntN(5))%30
+			}
+		}
+		return "step", changed
+	case op < 6:
+		a := h.rng.IntN(h.m)
+		for _, c := range classes {
+			h.w[c][a] = spf.Disabled
+		}
+		return fmt.Sprintf("fail arc %d", a), []graph.EdgeID{graph.EdgeID(a)}
+	case op < 7:
+		var changed []graph.EdgeID
+		for _, c := range classes {
+			for a := range h.w[c] {
+				if h.w[c][a] == spf.Disabled {
+					h.w[c][a] = base[c][a]
+					changed = append(changed, graph.EdgeID(a))
+				}
+			}
+		}
+		return "repair all", changed
+	default:
+		c := classes[h.rng.IntN(len(classes))]
+		v := graph.NodeID(h.rng.IntN(h.e.g.NumNodes()))
+		out := h.e.g.Out(v)
+		for _, a := range out {
+			h.w[c][a] = spf.Disabled
+		}
+		return fmt.Sprintf("isolate node %d in class %d", v, c), out
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAsFresh holds every vector of the state to a freshly built state moved
+// straight to the same weights.
+func (h *stateHarness) sameAsFresh(what string) {
+	h.t.Helper()
+	fresh := NewRoutingState(h.e, h.shape)
+	if fresh.ext != nil {
+		fresh.SetInput(h.input)
+	}
+	if _, err := fresh.Move(h.w); err != nil {
+		h.t.Fatalf("%s: fresh state: %v", what, err)
+	}
+	if h.shape != RouteL {
+		h.st.Penalties()
+		fresh.Penalties()
+	}
+	vec := func(name string, a, b []float64) {
+		if !bitsEqual(a, b) {
+			h.t.Fatalf("%s: %s differs from a fresh state's", what, name)
+		}
+	}
+	vec("linkPhiH", h.st.linkPhiH, fresh.linkPhiH)
+	vec("residual", h.st.residual, fresh.residual)
+	vec("linkPhiL", h.st.linkPhiL, fresh.linkPhiL)
+	vec("linkDelay", h.st.linkDelay, fresh.linkDelay)
+	for c := range h.st.loads {
+		vec(fmt.Sprintf("loads[%d]", c), h.st.loads[c], fresh.loads[c])
+	}
+	for di := range h.st.pairDelay {
+		vec(fmt.Sprintf("pairDelay[%d]", di), h.st.pairDelay[di], fresh.pairDelay[di])
+	}
+	for c, dr := range h.st.dr {
+		if dr == nil {
+			continue
+		}
+		for a, w := range dr.Weights() {
+			if w != fresh.dr[c].Weights()[a] {
+				h.t.Fatalf("%s: router %d weight of arc %d differs from a fresh state's", what, c, a)
+			}
+		}
+	}
+}
+
+// TestRoutingStateMatchesFullEvaluation is the property test of the one
+// incremental routing state: over random graphs, every shape and every
+// objective, a random interleaving of weight steps, arc failures, repairs,
+// disconnections with recovery, input changes and checkpointed what-ifs
+// keeps every reduction bitwise-equal to EvaluateSTR / EvaluateDTR at the
+// same weights, and every revert leaves all vectors equal to a fresh state's.
+func TestRoutingStateMatchesFullEvaluation(t *testing.T) {
+	for _, oc := range stateOptions {
+		for _, sc := range stateShapes {
+			t.Run(oc.name+"/"+sc.name, func(t *testing.T) {
+				for seed := uint64(1); seed <= 3; seed++ {
+					h := newStateHarness(t, seed, oc.opts, sc.shape)
+					base := [2]spf.Weights{h.w[High].Clone(), h.w[Low].Clone()}
+					if sc.shape == RouteSTR {
+						base[Low] = base[High]
+					}
+					h.transition("initial route", nil)
+					for step := 0; step < 80; step++ {
+						at := fmt.Sprintf("seed %d step %d", seed, step)
+						switch op := h.rng.IntN(10); {
+						case op < 6 || !h.st.Valid():
+							what, changed := h.mutate(base)
+							h.transition(at+": "+what, changed)
+						case op < 7 && h.st.ext != nil:
+							h.setFixed(randomWeightsFor(h.rng, h.m))
+							h.transition(at+": new input", nil)
+						default:
+							saved := [2]spf.Weights{h.w[High].Clone(), h.w[Low].Clone()}
+							if err := h.st.Checkpoint(); err != nil {
+								t.Fatalf("%s: Checkpoint: %v", at, err)
+							}
+							what, changed := h.mutate(base)
+							h.transition(at+": what-if "+what, changed)
+							h.st.Revert()
+							if h.st.CheckpointArmed() {
+								t.Fatalf("%s: Revert left a checkpoint armed", at)
+							}
+							copy(h.w[High], saved[High])
+							copy(h.w[Low], saved[Low])
+							h.sameAsFresh(at + ": after revert of " + what)
+							want, err := h.full()
+							if err != nil {
+								t.Fatalf("%s: base no longer routes: %v", at, err)
+							}
+							h.compare(at+": after revert", want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRoutingStateFirstReadUnderCheckpoint covers the lazily built vectors:
+// when ΦH and the delays are first read inside a checkpointed what-if, they
+// are computed from the what-if loads, and Revert must still leave them equal
+// to a fresh state's.
+func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
+	for _, sc := range stateShapes[2:] {
+		h := newStateHarness(t, 4, Options{Kind: SLABased, SLA: cost.DefaultSLA()}, sc.shape)
+		if _, err := h.st.Move(h.w); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		saved := [2]spf.Weights{h.w[High].Clone(), h.w[Low].Clone()}
+		for a := 0; a < 4; a++ {
+			h.w[High][a], h.w[Low][a] = h.w[High][a]%30+1, h.w[Low][a]%30+1
+		}
+		h.transition(sc.name+": what-if", []graph.EdgeID{0, 1, 2, 3})
+		h.st.Revert()
+		copy(h.w[High], saved[High])
+		copy(h.w[Low], saved[Low])
+		h.sameAsFresh(sc.name + ": after revert")
+	}
+}
+
+// TestRoutingStateZeroSteadyStateAllocs pins the two warm paths every driver
+// sits on: apply + reduce, and checkpoint → apply → reduce → revert.
+func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
+	e, m, ring := deltaInstance(t, 6, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
+	for _, sc := range stateShapes[2:] {
+		st := NewRoutingState(e, sc.shape)
+		rng := rand.New(rand.NewPCG(6, 6))
+		wA := [2]spf.Weights{randomWeightsFor(rng, m), randomWeightsFor(rng, m)}
+		wB := [2]spf.Weights{wA[High].Clone(), wA[Low].Clone()}
+		changed := []graph.EdgeID{3, graph.EdgeID(ring + 1)}
+		for _, a := range changed {
+			wB[High][a] = wA[High][a]%30 + 1
+			wB[Low][a] = wA[Low][a]%30 + 1
+		}
+		failed := [2]spf.Weights{wA[High].Clone(), wA[Low].Clone()}
+		failed[High][ring], failed[Low][ring] = spf.Disabled, spf.Disabled
+		reduce := func() {
+			st.PhiH()
+			st.PhiL()
+			st.Penalties()
+			st.MaxUtilization()
+		}
+		flip := false
+		step := func() {
+			w := wA
+			if flip = !flip; flip {
+				w = wB
+			}
+			if _, err := st.Apply(w, changed); err != nil {
+				t.Fatal(err)
+			}
+			reduce()
+		}
+		whatIf := func() {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Apply(failed, []graph.EdgeID{graph.EdgeID(ring)}); err != nil {
+				t.Fatal(err)
+			}
+			reduce()
+			st.Revert()
+		}
+		for i := 0; i < 4; i++ {
+			step()
+		}
+		whatIf()
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Errorf("%s: warm apply + reduce allocates %v times per run", sc.name, n)
+		}
+		if flip {
+			step() // back to wA, which the what-if's changed set assumes
+		}
+		if n := testing.AllocsPerRun(50, whatIf); n != 0 {
+			t.Errorf("%s: warm checkpoint → apply → reduce → revert allocates %v times per run", sc.name, n)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 // Package resilience makes failure scenarios a structural layer of the
 // dual-topology routing system: deterministic enumerators and seeded
 // samplers over failure-state families (single link, dual link, node,
-// shared-risk link group), and a sweep engine that evaluates every state
-// through the incremental routing core (disable → delta objective → repair)
-// instead of re-running a full evaluation per state.
+// shared-risk link group), and a Sweeper that evaluates every state on an
+// eval.RoutingState (checkpoint → mask the arcs → read ΦL → revert) instead
+// of re-running a full evaluation per state. The routing and scoring are the
+// state's; this package owns the failure models, the Disabled masks and the
+// full-evaluation oracles the delta path is verified against.
 //
 // The failure semantics follow the paper's §5 robustness study: link weights
 // stay fixed across failures (operators run between re-optimizations) and

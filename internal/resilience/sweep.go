@@ -5,11 +5,8 @@ import (
 	"math"
 	"time"
 
-	"dualtopo/internal/cost"
 	"dualtopo/internal/eval"
-	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
-	"dualtopo/internal/traffic"
 )
 
 // Options configures how a Sweeper evaluates failure states.
@@ -31,23 +28,32 @@ type Options struct {
 }
 
 // Sweeper evaluates routings under failure states for one problem instance.
-// Each sweep threads every state's arc set through the incremental routing
-// core: disable the arcs (delta Apply), re-reduce the low-priority objective
-// over the maintained per-arc cost vector, then repair (delta Apply back).
-// Results are bitwise-identical to evaluating each surviving topology from
-// scratch; states whose failure leaves some demand unreachable are marked
-// disconnecting (NaN) and the routers recover via a full fallback route.
+// It owns what is specific to failure sweeps — the state list, the Disabled
+// masks over a pinned base weight setting, the FullEval/Verify oracles — and
+// drives one eval.RoutingState per scheme for everything else: per state it
+// checkpoints, applies the mask (a pure weight increase, served by the
+// partial SPF path), reads ΦL off the maintained per-arc vector, and reverts
+// — a support-sized rollback that never recomputes, even when the failure
+// disconnected a demand. Results are bitwise-identical to evaluating each
+// surviving topology from scratch; states whose failure leaves some demand
+// unreachable are marked disconnecting (NaN).
 //
 // A Sweeper is not safe for concurrent use; give each goroutine its own.
 type Sweeper struct {
-	g        *graph.Graph
-	th, tl   *traffic.Matrix
-	capacity []float64
-	e        *eval.Evaluator // pooled clone backing the full/verify paths
-	opts     Options
+	e    *eval.Evaluator // backs the full/verify paths
+	opts Options
 
-	str *sweepEngine // both classes on one router (STR)
-	dtr *sweepEngine // one router per class (DTR)
+	str, dtr *scheme // lazy: both classes on one router / one router per class
+}
+
+// scheme is the per-scheme sweep state: the routing state pinned to a base
+// weight setting, the base itself, and the working copy that states mask to
+// Disabled and back.
+type scheme struct {
+	dual      bool
+	st        *eval.RoutingState
+	base, buf [2]spf.Weights
+	phiBuf    []float64
 }
 
 // NewSweeper builds a sweeper over e's problem instance. The evaluator is
@@ -63,22 +69,25 @@ func NewSweeper(e *eval.Evaluator, opts Options) *Sweeper {
 // concurrently with the sweeper (full/verify sweeps route on it), and must
 // accept that those modes leave e's plans at the last swept state.
 func NewSweeperFrom(e *eval.Evaluator, opts Options) *Sweeper {
-	g := e.Graph()
-	th, tl := e.Matrices()
-	s := &Sweeper{
-		g:        g,
-		th:       th,
-		tl:       tl,
-		capacity: g.CSR().Capacity,
-		e:        e,
-		opts:     opts,
-	}
+	s := &Sweeper{e: e, opts: opts}
 	// The sweeper's evaluator is driven sequentially, so it can keep the
 	// parallel full-route enabled for its lifetime (0 = auto).
 	if opts.RouteWorkers != 1 {
 		s.e.SetRouteWorkers(opts.RouteWorkers)
 	}
 	return s
+}
+
+// CheckpointArmed reports whether a sweep was abandoned between a state's
+// checkpoint and its revert (a panic unwound through it). Session pools check
+// it before reusing the sweeper.
+func (s *Sweeper) CheckpointArmed() bool {
+	for _, sc := range [2]*scheme{s.str, s.dtr} {
+		if sc != nil && sc.st.CheckpointArmed() {
+			return true
+		}
+	}
+	return false
 }
 
 // Sweep is the outcome of evaluating one routing under a state set.
@@ -93,114 +102,21 @@ type Sweep struct {
 	Survivors, Disconnecting int
 }
 
-// sweepEngine is the per-scheme incremental state: one or two delta routers
-// pinned to a base weight setting, plus the per-arc ΦL vector kept current
-// across disable/repair transitions. For STR both matrices ride one router
-// (drL == nil); for DTR each class has its own.
-type sweepEngine struct {
-	drH, drL *spf.DeltaRouter
-	// baseH/baseL snapshot the intact weights; bufH/bufL are the working
-	// copies that states mutate to Disabled and back.
-	baseH, baseL spf.Weights
-	bufH, bufL   spf.Weights
-	linkPhiL     []float64
-	diffBuf      []graph.EdgeID
-	phiBuf       []float64
-}
-
-func (s *Sweeper) engine(dual bool) *sweepEngine {
-	slot := &s.str
+func (s *Sweeper) scheme(dual bool) *scheme {
+	slot, shape := &s.str, eval.RouteSTR
 	if dual {
-		slot = &s.dtr
+		slot, shape = &s.dtr, eval.RouteDTR
 	}
-	if *slot != nil {
-		return *slot
-	}
-	m := s.g.NumEdges()
-	en := &sweepEngine{
-		baseH:    make(spf.Weights, m),
-		bufH:     make(spf.Weights, m),
-		linkPhiL: make([]float64, m),
-	}
-	if dual {
-		en.drH = spf.NewDeltaRouter(s.g, s.th)
-		en.drL = spf.NewDeltaRouter(s.g, s.tl)
-		en.baseL = make(spf.Weights, m)
-		en.bufL = make(spf.Weights, m)
-	} else {
-		en.drH = spf.NewDeltaRouter(s.g, s.th, s.tl)
-	}
-	*slot = en
-	return en
-}
-
-// loads returns the engine's current per-arc class loads.
-func (en *sweepEngine) loads() (h, l []float64) {
-	if en.drL != nil {
-		return en.drH.Loads[0], en.drL.Loads[0]
-	}
-	return en.drH.Loads[0], en.drH.Loads[1]
-}
-
-// rescore recomputes the per-arc ΦL of the listed arcs from the current
-// loads — the same per-arc expression eval's full paths use.
-func (s *Sweeper) rescore(en *sweepEngine, arcs []graph.EdgeID) {
-	h, l := en.loads()
-	for _, a := range arcs {
-		en.linkPhiL[a] = cost.Phi(l[a], cost.Residual(s.capacity[a], h[a]))
-	}
-}
-
-// rescoreAll recomputes every arc — the recovery path after a full fallback
-// route rewrote the load vectors wholesale.
-func (s *Sweeper) rescoreAll(en *sweepEngine) {
-	h, l := en.loads()
-	for a := range en.linkPhiL {
-		en.linkPhiL[a] = cost.Phi(l[a], cost.Residual(s.capacity[a], h[a]))
-	}
-}
-
-// sum re-reduces ΦL in ascending arc order — the exact summation sequence
-// Evaluator.finish performs, which is what makes delta sweeps bitwise-equal
-// to full evaluation.
-func (en *sweepEngine) sum() float64 {
-	phiL := 0.0
-	for _, v := range en.linkPhiL {
-		phiL += v
-	}
-	return phiL
-}
-
-// moveRouter transitions one router to w (exact diff against its current
-// setting) and rescores whatever moved. A router without valid state — first
-// use, or after an error — full-routes and triggers a full rescore via the
-// returned all-arcs moved set.
-func (s *Sweeper) moveRouter(en *sweepEngine, dr *spf.DeltaRouter, w spf.Weights) error {
-	en.diffBuf = spf.DiffArcs(dr.Weights(), w, en.diffBuf[:0])
-	moved, err := dr.Apply(w, en.diffBuf)
-	if err != nil {
-		return err
-	}
-	s.rescore(en, moved)
-	return nil
-}
-
-// move pins the engine's base routing, rescoring incrementally from wherever
-// the routers currently sit.
-func (s *Sweeper) move(en *sweepEngine, wH, wL spf.Weights) error {
-	if err := s.moveRouter(en, en.drH, wH); err != nil {
-		return err
-	}
-	copy(en.baseH, wH)
-	copy(en.bufH, wH)
-	if en.drL != nil {
-		if err := s.moveRouter(en, en.drL, wL); err != nil {
-			return err
+	if *slot == nil {
+		m := s.e.Graph().NumEdges()
+		sc := &scheme{dual: dual, st: eval.NewRoutingState(s.e, shape)}
+		for c := range sc.base {
+			sc.base[c] = make(spf.Weights, m)
+			sc.buf[c] = make(spf.Weights, m)
 		}
-		copy(en.baseL, wL)
-		copy(en.bufL, wL)
+		*slot = sc
 	}
-	return nil
+	return *slot
 }
 
 // SweepSTR evaluates the single-topology routing w under every state,
@@ -210,7 +126,7 @@ func (s *Sweeper) SweepSTR(w spf.Weights, states []State) (*Sweep, error) {
 	if s.opts.FullEval {
 		return s.sweepFull(states, w, nil, false)
 	}
-	return s.sweepDelta(s.engine(false), w, nil, states)
+	return s.sweepDelta(s.scheme(false), w, w, states)
 }
 
 // SweepDTR evaluates the dual-topology routing (wH, wL) under every state.
@@ -220,7 +136,7 @@ func (s *Sweeper) SweepDTR(wH, wL spf.Weights, states []State) (*Sweep, error) {
 	if s.opts.FullEval {
 		return s.sweepFull(states, wH, wL, true)
 	}
-	return s.sweepDelta(s.engine(true), wH, wL, states)
+	return s.sweepDelta(s.scheme(true), wH, wL, states)
 }
 
 // fullPhiL evaluates one (possibly failed) weight setting from scratch.
@@ -267,19 +183,25 @@ func (s *Sweeper) sweepFull(states []State, wH, wL spf.Weights, dual bool) (*Swe
 	return sw, nil
 }
 
-// sweepDelta is the fast path: pin the base routing, then per state disable
-// the arcs, re-reduce ΦL over the moved arcs, and repair.
-func (s *Sweeper) sweepDelta(en *sweepEngine, wH, wL spf.Weights, states []State) (*Sweep, error) {
+// sweepDelta is the fast path: pin the base routing (incrementally, from
+// wherever the state currently sits), then per state mask the arcs, read ΦL,
+// and revert.
+func (s *Sweeper) sweepDelta(sc *scheme, wH, wL spf.Weights, states []State) (*Sweep, error) {
 	start := time.Now()
-	if err := s.move(en, wH, wL); err != nil {
+	w := [2]spf.Weights{wH, wL}
+	if _, err := sc.st.Move(w); err != nil {
 		return nil, err
 	}
-	if cap(en.phiBuf) < len(states) {
-		en.phiBuf = make([]float64, len(states))
+	for c := range w {
+		copy(sc.base[c], w[c])
+		copy(sc.buf[c], w[c])
 	}
-	sw := &Sweep{Base: en.sum(), PhiL: en.phiBuf[:len(states)]}
+	if cap(sc.phiBuf) < len(states) {
+		sc.phiBuf = make([]float64, len(states))
+	}
+	sw := &Sweep{Base: sc.st.PhiL(), PhiL: sc.phiBuf[:len(states)]}
 	if s.opts.Verify {
-		full, err := s.fullPhiL(en.drL != nil, wH, wL)
+		full, err := s.fullPhiL(sc.dual, wH, wL)
 		if err != nil {
 			return nil, fmt.Errorf("resilience: verify: intact network failed full evaluation: %w", err)
 		}
@@ -288,7 +210,7 @@ func (s *Sweeper) sweepDelta(en *sweepEngine, wH, wL spf.Weights, states []State
 		}
 	}
 	for i, st := range states {
-		phiL, ok, err := s.evalState(en, st)
+		phiL, ok, err := sc.evalState(st)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +222,7 @@ func (s *Sweeper) sweepDelta(en *sweepEngine, wH, wL spf.Weights, states []State
 			sw.Survivors++
 		}
 		if s.opts.Verify {
-			if err := s.verifyState(en, st, phiL, ok); err != nil {
+			if err := s.verifyState(sc, st, phiL, ok); err != nil {
 				return nil, err
 			}
 		}
@@ -309,74 +231,34 @@ func (s *Sweeper) sweepDelta(en *sweepEngine, wH, wL spf.Weights, states []State
 	return sw, nil
 }
 
-// evalState scores one failure state and restores the engine to its base
+// evalState scores one failure state and restores the scheme to its base
 // routing. ok reports whether the state left every demand connected.
-//
-// The state is threaded through the incremental core: checkpoint, disable
-// the arcs (a pure weight increase, served by the partial SPF path),
-// re-reduce ΦL over the moved arcs, then Revert — a support-sized rollback
-// that never recomputes, even when the failure disconnected a demand and
-// invalidated a router mid-apply.
-func (s *Sweeper) evalState(en *sweepEngine, st State) (phiL float64, ok bool, err error) {
-	if err := en.drH.Checkpoint(); err != nil {
+func (sc *scheme) evalState(st State) (phiL float64, ok bool, err error) {
+	if err := sc.st.Checkpoint(); err != nil {
 		return 0, false, err
 	}
-	if en.drL != nil {
-		if err := en.drL.Checkpoint(); err != nil {
-			return 0, false, err
-		}
-	}
 	for _, a := range st.Arcs {
-		en.bufH[a] = spf.Disabled
-		if en.bufL != nil {
-			en.bufL[a] = spf.Disabled
-		}
+		sc.buf[eval.High][a], sc.buf[eval.Low][a] = spf.Disabled, spf.Disabled
 	}
-	movedH, errH := en.drH.Apply(en.bufH, st.Arcs)
-	var movedL []graph.EdgeID
-	var errL error
-	if errH == nil && en.drL != nil {
-		movedL, errL = en.drL.Apply(en.bufL, st.Arcs)
+	if _, err := sc.st.Apply(sc.buf, st.Arcs); err == nil {
+		phiL, ok = sc.st.PhiL(), true
 	}
-	ok = errH == nil && errL == nil
-	if ok {
-		s.rescore(en, movedH)
-		if en.drL != nil {
-			s.rescore(en, movedL)
-		}
-		phiL = en.sum()
-	}
-	en.drH.Revert()
-	if en.drL != nil {
-		en.drL.Revert()
-	}
+	sc.st.Revert()
 	for _, a := range st.Arcs {
-		en.bufH[a] = en.baseH[a]
-		if en.bufL != nil {
-			en.bufL[a] = en.baseL[a]
-		}
-	}
-	if ok {
-		// The rolled-back loads are the base loads again; re-scoring the
-		// same moved arcs restores the ΦL vector bitwise.
-		s.rescore(en, movedH)
-		if en.drL != nil {
-			s.rescore(en, movedL)
-		}
+		sc.buf[eval.High][a], sc.buf[eval.Low][a] = sc.base[eval.High][a], sc.base[eval.Low][a]
 	}
 	return phiL, ok, nil
 }
 
 // verifyState asserts the delta outcome of one state — its ΦL and its
 // disconnection verdict — against a from-scratch evaluation.
-func (s *Sweeper) verifyState(en *sweepEngine, st State, phiL float64, ok bool) error {
-	dual := en.drL != nil
-	fwH := en.baseH.WithFailedArcs(st.Arcs...)
+func (s *Sweeper) verifyState(sc *scheme, st State, phiL float64, ok bool) error {
+	fwH := sc.base[eval.High].WithFailedArcs(st.Arcs...)
 	var fwL spf.Weights
-	if dual {
-		fwL = en.baseL.WithFailedArcs(st.Arcs...)
+	if sc.dual {
+		fwL = sc.base[eval.Low].WithFailedArcs(st.Arcs...)
 	}
-	full, err := s.fullPhiL(dual, fwH, fwL)
+	full, err := s.fullPhiL(sc.dual, fwH, fwL)
 	switch {
 	case err != nil && ok:
 		return fmt.Errorf("resilience: verify %q: delta survived, full evaluation disconnected: %v", st.Label, err)
