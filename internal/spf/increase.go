@@ -102,16 +102,16 @@ func (c *Computer) TreeIncrease(w Weights, t *Tree, changed []graph.EdgeID) {
 		c.resettleAffected(w, t, s)
 	}
 
-	// Rebuild the flat ECMP DAG: rebuild-set nodes rescan their out-arcs in
-	// CSR order — ascending arc ID, the same per-node order the full build's
-	// counting sort produces. Nodes outside the rebuild set keep their runs
-	// verbatim: a changed run length shifts every downstream offset, so the
-	// flat layout cannot patch in place, but maximal spans of consecutive
-	// kept nodes are moved with a single copy and an offset shift, making
-	// the compaction one memmove per rebuild-set boundary plus an O(n)
-	// integer pass — not per-node slice work. (Checkpointed sweeps already
-	// pay this order per dirty destination in saveDest; what the flat layout
-	// buys back is zero-alloc contiguous iteration on every hot pass.)
+	// Rebuild the flat ECMP DAG: rebuild-set nodes rescan their out-arcs
+	// through nextRun, the per-node step of the full build. Nodes outside the
+	// rebuild set keep their runs verbatim: a changed run length shifts every
+	// downstream offset, so the flat layout cannot patch in place, but maximal
+	// spans of consecutive kept nodes are moved with a single copy and an
+	// offset shift, making the compaction one memmove per rebuild-set boundary
+	// plus an O(n) integer pass — not per-node slice work. (Checkpointed
+	// sweeps already pay this order per dirty destination in saveDest; what
+	// the flat layout buys back is zero-alloc contiguous iteration on every
+	// hot pass.)
 	newStart := s.newStart[:n+1]
 	newArcs := s.newArcs[:0]
 	oldStart, oldArcs := t.NextStart, t.NextArcs
@@ -130,19 +130,8 @@ func (c *Computer) TreeIncrease(w Weights, t *Tree, changed []graph.EdgeID) {
 			continue
 		}
 		newStart[u] = int32(len(newArcs))
-		if du := t.Dist[u]; du != unreachable {
-			lo, hi := csr.OutStart[u], csr.OutStart[u+1]
-			for i := lo; i < hi; i++ {
-				id := csr.OutArcs[i]
-				if w[id] == Disabled {
-					continue
-				}
-				dv := t.Dist[csr.OutTo[i]]
-				if dv != unreachable && dv+int32(w[id]) == du {
-					newArcs = append(newArcs, id)
-				}
-			}
-		}
+		k := c.nextRun(w, t.Dist, graph.NodeID(u), c.stage, 0)
+		newArcs = append(newArcs, c.stage[:k]...)
 		u++
 	}
 	newStart[n] = int32(len(newArcs))
@@ -218,23 +207,10 @@ func (c *Computer) resettleAffected(w Weights, t *Tree, s *increaseScratch) {
 		}
 	}
 
-	// Canonicalize the settled run by (Dist, ID); heap pop order already
-	// ascends in distance, so insertion sort only reorders within ties.
-	for i := 1; i < len(s.settled); i++ {
-		u := s.settled[i]
-		du := t.Dist[u]
-		j := i
-		for j > 0 && (t.Dist[s.settled[j-1]] > du ||
-			(t.Dist[s.settled[j-1]] == du && s.settled[j-1] > u)) {
-			s.settled[j] = s.settled[j-1]
-			j--
-		}
-		s.settled[j] = u
-	}
-
 	// Merge: the old Order minus affected nodes is still sorted by
-	// (Dist, ID) — those distances did not move — and the settled run is
-	// sorted the same way, so one linear merge restores the canonical Order.
+	// (Dist, ID) — those distances did not move — and the heap popped the
+	// settled run in the same order, so one linear merge restores the
+	// canonical Order.
 	s.newOrder = s.newOrder[:0]
 	si := 0
 	for _, u := range t.Order {

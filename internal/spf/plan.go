@@ -26,7 +26,7 @@ type MultiPlan struct {
 	Loads [][]float64
 
 	demandBuf   []float64
-	destScratch []float64 // per-destination load staging buffer
+	destScratch []float64 // per-destination load staging buffer (kept zeroed)
 	xiBuf       []float64
 
 	tmsBuf []*traffic.Matrix // Route's copy of the variadic matrix list
@@ -67,6 +67,7 @@ func NewMultiPlan(g *graph.Graph, tms ...*traffic.Matrix) *MultiPlan {
 	for i := range p.Loads {
 		p.Loads[i] = make([]float64, g.NumEdges())
 	}
+	p.demandBuf = make([]float64, g.NumNodes())
 	p.destScratch = make([]float64, g.NumEdges())
 	p.workers = 1
 	return p
@@ -92,6 +93,7 @@ func (p *MultiPlan) CloneState() *MultiPlan {
 	for i := range c.Loads {
 		c.Loads[i] = make([]float64, p.g.NumEdges())
 	}
+	c.demandBuf = make([]float64, p.g.NumNodes())
 	c.destScratch = make([]float64, p.g.NumEdges())
 	c.workers = 1
 	return c
@@ -175,12 +177,12 @@ func (p *MultiPlan) Destinations() []graph.NodeID { return p.dests }
 // demands into the corresponding Loads slice.
 //
 // Aggregation is grouped per destination: each destination's contribution is
-// routed into a zeroed staging buffer and then folded into the aggregate,
-// skipping zero entries. Because every arc receives at most one addition per
-// destination and destinations fold in ascending index order, the parallel
-// path (SetWorkers > 1) and the incremental DeltaRouter both reproduce this
-// exact floating-point summation sequence — which is what makes all three
-// engines bitwise-equal.
+// routed into an all-zero staging buffer and then folded into the aggregate
+// over its support, the arcs it loaded. Because every arc receives at most
+// one addition per destination and destinations fold in ascending index
+// order, the parallel path (SetWorkers > 1) and the incremental DeltaRouter
+// both reproduce this exact floating-point summation sequence — which is
+// what makes all three engines bitwise-equal.
 func (p *MultiPlan) Route(w Weights, tms ...*traffic.Matrix) error {
 	p.tmsBuf = append(p.tmsBuf[:0], tms...)
 	workers := p.workers
@@ -200,37 +202,40 @@ func (p *MultiPlan) Route(w Weights, tms ...*traffic.Matrix) error {
 			loads[j] = 0
 		}
 	}
+	scratch := p.destScratch
 	for di, dest := range p.dests {
-		t := &p.trees[di]
-		p.comp.tree(dest, w, t, maxW)
-		for mi, tm := range p.tmsBuf {
-			p.demandBuf = tm.DemandsTo(dest, p.demandBuf)
-			any := false
-			for _, d := range p.demandBuf {
-				if d != 0 {
-					any = true
-					break
-				}
-			}
-			if !any {
-				continue
-			}
-			scratch := p.destScratch
-			for a := range scratch {
-				scratch[a] = 0
-			}
-			if err := p.comp.AddLoads(t, p.demandBuf, scratch); err != nil {
+		p.comp.tree(dest, w, &p.trees[di], maxW)
+		for mi := range p.tmsBuf {
+			// The computer's DAG staging buffer is idle between tree builds
+			// and holds one slot per arc, room for any support.
+			sup, err := p.destLoads(p.comp, di, mi, p.demandBuf, scratch, p.comp.stage[:0])
+			if err != nil {
 				return err
 			}
 			loads := p.Loads[mi]
-			for a, v := range scratch {
-				if v != 0 {
-					loads[a] += v
-				}
+			for _, a := range sup {
+				loads[a] += scratch[a]
+				scratch[a] = 0
 			}
 		}
 	}
 	return nil
+}
+
+// destLoads routes matrix mi's demand toward destination di over its tree
+// into scratch, which must be all-zero, and appends the arcs it loaded to
+// sup: the one per-destination routine under the sequential and the parallel
+// path, each of which then drains scratch over sup its own way. demand is an
+// n-sized buffer for the demand column. Reachability is validated before any
+// load is written, so on error scratch is still all-zero and sup unchanged.
+func (p *MultiPlan) destLoads(comp *Computer, di, mi int, demand, scratch []float64, sup []graph.EdgeID) ([]graph.EdgeID, error) {
+	demand = p.tmsBuf[mi].DemandsTo(p.dests[di], demand)
+	for _, d := range demand {
+		if d != 0 {
+			return comp.addLoadsTracked(&p.trees[di], demand, scratch, sup)
+		}
+	}
+	return sup, nil
 }
 
 // parRoute is MultiPlan's parallel full-route state: per-worker computers
@@ -379,35 +384,18 @@ func (pr *parRoute) routeDest(wk, di int) error {
 	comp := pr.comps[wk]
 	comp.tree(dest, pr.w, &p.trees[di], pr.maxW)
 	scratch := pr.scratch[wk]
-	for mi, tm := range p.tmsBuf {
-		pr.demandBufs[wk] = tm.DemandsTo(dest, pr.demandBufs[wk])
-		demand := pr.demandBufs[wk]
-		any := false
-		for _, d := range demand {
-			if d != 0 {
-				any = true
-				break
-			}
-		}
-		sup := pr.supArcs[di][mi][:0]
+	for mi := range p.tmsBuf {
+		sup, err := p.destLoads(comp, di, mi, pr.demandBufs[wk], scratch, pr.supArcs[di][mi][:0])
 		vals := pr.supVals[di][mi][:0]
-		if any {
-			var err error
-			// AddLoads validates reachability before writing any load, so on
-			// error the staging buffer is still zero and needs no repair.
-			sup, err = comp.addLoadsTracked(&p.trees[di], demand, scratch, sup)
-			if err != nil {
-				pr.supArcs[di][mi] = sup[:0]
-				pr.supVals[di][mi] = vals
-				return err
-			}
-			for _, a := range sup {
-				vals = append(vals, scratch[a])
-				scratch[a] = 0
-			}
+		for _, a := range sup { // empty on error
+			vals = append(vals, scratch[a])
+			scratch[a] = 0
 		}
 		pr.supArcs[di][mi] = sup
 		pr.supVals[di][mi] = vals
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

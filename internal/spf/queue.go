@@ -1,21 +1,26 @@
 package spf
 
-import "dualtopo/internal/graph"
+import (
+	"slices"
 
-// Priority queues backing the SPF core. Two implementations share the same
-// monotone contract (pop order never decreases, lazy or indexed staleness
-// handling):
+	"dualtopo/internal/graph"
+)
+
+// Priority queues backing the SPF core. Both hand nodes back in the tree's
+// canonical order — increasing (distance, node ID) — so the Dijkstra loops
+// append what they pop straight to Tree.Order:
 //
 //   - bucketQueue is Dial's monotone bucket queue, the default for the
-//     paper's bounded OSPF-style weight range: O(1) push/pop plus a bounded
-//     bucket scan, no comparisons, no sifting.
-//   - heap4 is an indexed 4-ary min-heap with decrease-key, the fallback
-//     when the weight range is too wide for buckets (and the engine behind
-//     the boundary Dijkstra of TreeIncrease, whose seed distances span the
-//     whole distance range rather than one arc weight).
+//     paper's bounded OSPF-style weight range: O(1) push, and a pop that
+//     drains one whole distance class at a time, sorted by node ID.
+//   - heap4 is an indexed 4-ary min-heap with decrease-key, keyed on
+//     (distance, node ID): the fallback when the weight range is too wide
+//     for buckets, and the engine behind the boundary Dijkstra of
+//     TreeIncrease, whose seed distances span the whole distance range rather
+//     than one arc weight.
 //
-// Both yield the same distance vector, and Tree canonicalizes Order and
-// rebuilds the ECMP DAG from distances alone, so the tree produced is
+// Distances and the ECMP DAG are pure functions of (graph, weights,
+// destination), so with the order canonical too the tree produced is
 // bitwise-identical whichever queue ran — a property the equivalence tests
 // assert directly.
 
@@ -26,10 +31,16 @@ import "dualtopo/internal/graph"
 // below this limit.
 const maxBucketWeight = 1024
 
+// sortCutoff is the longest distance class popClass sorts by insertion
+// in place. Under spread-out weights a class is a handful of nodes and a
+// library call costs more than the sort; under unit weights it is hundreds,
+// where insertion sort is quadratic and slices.Sort takes over.
+const sortCutoff = 16
+
 // bucketQueue is a monotone (Dial) bucket queue over integer distances.
-// Entries are lazy: a node may be queued at several distances; callers skip
-// pops whose distance exceeds the node's settled distance. Correctness of
-// the ring indexing relies on monotonicity: every queued distance lies in
+// Entries are lazy: a node may be queued at several distances, and popClass
+// drops the ones a shorter path has overtaken. Correctness of the ring
+// indexing relies on monotonicity: every queued distance lies in
 // [cur, cur+maxW], so a ring of power-of-two width > maxW never aliases two
 // live distances to one bucket.
 type bucketQueue struct {
@@ -41,7 +52,7 @@ type bucketQueue struct {
 
 // reset prepares the queue for a run whose arc weights are at most width-1,
 // growing the ring to the next power of two ≥ width. All buckets are empty
-// between runs (pop removes entries before the staleness check).
+// between runs (popClass empties the bucket it returns).
 func (q *bucketQueue) reset(width int) {
 	size := 1
 	for size < width {
@@ -61,32 +72,59 @@ func (q *bucketQueue) push(u graph.NodeID, d int32) {
 	q.count++
 }
 
-// pop returns an entry with the minimum queued distance. Monotonicity makes
-// the distance simply q.cur: every entry in the bucket q.cur indexes has
-// distance exactly q.cur (smaller ones were drained when cur passed them,
-// larger ones live in other buckets).
-func (q *bucketQueue) pop() (graph.NodeID, int32) {
+// popClass removes the minimum queued distance d and returns the nodes whose
+// settled distance (dist) it is, in ascending node ID. Monotonicity makes the
+// bucket q.cur indexes hold exactly the entries queued at q.cur (smaller
+// ones were drained when cur passed them, larger ones live in other
+// buckets), each node at most once (a push needs a strict improvement), so
+// the survivors of the staleness filter are the whole distance class. The
+// returned slice is the bucket's own storage: it stays intact while the
+// caller relaxes the class, because arc weights are in [1, ring width) and
+// so no push can land in the bucket being drained.
+func (q *bucketQueue) popClass(dist []int32) ([]graph.NodeID, int32) {
 	i := q.cur & q.mask
 	for len(q.buckets[i]) == 0 {
 		q.cur++
 		i = q.cur & q.mask
 	}
 	b := q.buckets[i]
-	u := b[len(b)-1]
-	q.buckets[i] = b[:len(b)-1]
-	q.count--
-	return u, q.cur
+	q.buckets[i] = b[:0]
+	q.count -= len(b)
+	k := 0
+	for _, u := range b {
+		b[k] = u
+		if dist[u] == q.cur {
+			k++
+		}
+	}
+	b = b[:k]
+	if k > sortCutoff {
+		slices.Sort(b)
+		return b, q.cur
+	}
+	for i := 1; i < k; i++ {
+		u := b[i]
+		j := i
+		for ; j > 0 && b[j-1] > u; j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = u
+	}
+	return b, q.cur
 }
 
-// heap4 is an indexed 4-ary min-heap keyed on int32 distances with
-// decrease-key: each node appears at most once, so the heap never exceeds
-// the node count and pops need no staleness filtering. 4-ary keeps the
-// sift depth half of a binary heap's with all children in one cache line.
+// heap4 is an indexed 4-ary min-heap with decrease-key over (distance, node
+// ID) pairs packed into one uint64 key — distance in the high half, so key
+// order is the canonical tree order and a comparison is one compare. Each
+// node appears at most once, so the heap never exceeds the node count and
+// pops need no staleness filtering. 4-ary keeps the sift depth half of a
+// binary heap's with all children in one cache line.
 type heap4 struct {
-	nodes []graph.NodeID
-	dists []int32
-	pos   []int32 // node -> heap index + 1; 0 when absent
+	keys []uint64
+	pos  []int32 // node -> heap index + 1; 0 when absent
 }
+
+func heapKey(u graph.NodeID, d int32) uint64 { return uint64(d)<<32 | uint64(u) }
 
 // ensure sizes the position index for n nodes.
 func (h *heap4) ensure(n int) {
@@ -98,51 +136,49 @@ func (h *heap4) ensure(n int) {
 // reset empties the heap. The position index is already clean when the
 // previous run drained the heap; the loop covers abandoned runs.
 func (h *heap4) reset() {
-	for _, u := range h.nodes {
-		h.pos[u] = 0
+	for _, k := range h.keys {
+		h.pos[uint32(k)] = 0
 	}
-	h.nodes = h.nodes[:0]
-	h.dists = h.dists[:0]
+	h.keys = h.keys[:0]
 }
 
-func (h *heap4) len() int { return len(h.nodes) }
+func (h *heap4) len() int { return len(h.keys) }
 
 // push inserts u at distance d, or decreases u's key when it is already
 // queued with a larger one.
 func (h *heap4) push(u graph.NodeID, d int32) {
+	k := heapKey(u, d)
 	if i := h.pos[u]; i != 0 {
-		if d < h.dists[i-1] {
-			h.dists[i-1] = d
+		if k < h.keys[i-1] {
+			h.keys[i-1] = k
 			h.up(int(i) - 1)
 		}
 		return
 	}
-	h.nodes = append(h.nodes, u)
-	h.dists = append(h.dists, d)
-	h.pos[u] = int32(len(h.nodes))
-	h.up(len(h.nodes) - 1)
+	h.keys = append(h.keys, k)
+	h.pos[u] = int32(len(h.keys))
+	h.up(len(h.keys) - 1)
 }
 
 func (h *heap4) pop() (graph.NodeID, int32) {
-	u, d := h.nodes[0], h.dists[0]
-	h.pos[u] = 0
-	last := len(h.nodes) - 1
+	k := h.keys[0]
+	h.pos[uint32(k)] = 0
+	last := len(h.keys) - 1
 	if last > 0 {
-		h.nodes[0], h.dists[0] = h.nodes[last], h.dists[last]
-		h.pos[h.nodes[0]] = 1
+		h.keys[0] = h.keys[last]
+		h.pos[uint32(h.keys[0])] = 1
 	}
-	h.nodes = h.nodes[:last]
-	h.dists = h.dists[:last]
+	h.keys = h.keys[:last]
 	if last > 1 {
 		h.down(0)
 	}
-	return u, d
+	return graph.NodeID(uint32(k)), int32(k >> 32)
 }
 
 func (h *heap4) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 4
-		if h.dists[parent] <= h.dists[i] {
+		if h.keys[parent] <= h.keys[i] {
 			break
 		}
 		h.swap(i, parent)
@@ -151,7 +187,7 @@ func (h *heap4) up(i int) {
 }
 
 func (h *heap4) down(i int) {
-	n := len(h.nodes)
+	n := len(h.keys)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -163,7 +199,7 @@ func (h *heap4) down(i int) {
 			end = n
 		}
 		for c := first; c < end; c++ {
-			if h.dists[c] < h.dists[smallest] {
+			if h.keys[c] < h.keys[smallest] {
 				smallest = c
 			}
 		}
@@ -176,8 +212,7 @@ func (h *heap4) down(i int) {
 }
 
 func (h *heap4) swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.dists[i], h.dists[j] = h.dists[j], h.dists[i]
-	h.pos[h.nodes[i]] = int32(i + 1)
-	h.pos[h.nodes[j]] = int32(j + 1)
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.pos[uint32(h.keys[i])] = int32(i + 1)
+	h.pos[uint32(h.keys[j])] = int32(j + 1)
 }

@@ -167,13 +167,13 @@ func (t *Tree) NextHops(g *graph.Graph, u graph.NodeID) []graph.NodeID {
 // reusing internal buffers. It is not safe for concurrent use; create one
 // Computer per goroutine.
 type Computer struct {
-	g      *graph.Graph
-	csr    *graph.CSR // flat adjacency snapshot, the traversal hot path
-	bq     bucketQueue
-	hp     heap4
-	cursor []int32         // buildNext fill cursors, one per node
-	flow   []float64       // buffer for load aggregation
-	inc    increaseScratch // TreeIncrease buffers
+	g     *graph.Graph
+	csr   *graph.CSR // flat adjacency snapshot, the traversal hot path
+	bq    bucketQueue
+	hp    heap4
+	stage []graph.EdgeID  // ECMP-DAG staging buffer, one slot per arc; idle between tree builds
+	flow  []float64       // buffer for load aggregation
+	inc   increaseScratch // TreeIncrease buffers
 
 	forceHeap bool
 }
@@ -184,10 +184,10 @@ type Computer struct {
 func NewComputer(g *graph.Graph) *Computer {
 	n := g.NumNodes()
 	c := &Computer{
-		g:      g,
-		csr:    g.CSR(),
-		cursor: make([]int32, n),
-		flow:   make([]float64, n),
+		g:     g,
+		csr:   g.CSR(),
+		stage: make([]graph.EdgeID, g.NumEdges()),
+		flow:  make([]float64, n),
 	}
 	c.hp.ensure(n)
 	return c
@@ -242,6 +242,7 @@ func (c *Computer) tree(dest graph.NodeID, w Weights, t *Tree, maxW int) {
 	// Dijkstra from dest over incoming arcs (reverse graph): Dist[u] is the
 	// distance from u to dest in the forward graph. Bounded integer weights
 	// route through the bucket queue; wide ranges fall back to the heap.
+	// Either queue yields nodes in canonical (Dist, ID) order.
 	if maxW <= maxBucketWeight && !c.forceHeap {
 		met.treeBucket.Inc()
 		c.dijkstraBucket(w, t, maxW)
@@ -249,14 +250,13 @@ func (c *Computer) tree(dest graph.NodeID, w Weights, t *Tree, maxW int) {
 		met.treeHeap.Inc()
 		c.dijkstraHeap(w, t)
 	}
-
-	canonicalizeOrder(t.Dist, t.Order)
 	c.buildNext(w, t)
 }
 
-// dijkstraBucket settles all distances through the monotone bucket queue.
-// Entries are lazy (a node can be queued at several distances), so pops
-// staler than the settled distance are skipped.
+// dijkstraBucket settles all distances through the monotone bucket queue,
+// one whole distance class per pop. The relaxation's widened sum needs no
+// Disabled test: du + Disabled is at least MaxInt32, never below a stored
+// distance.
 func (c *Computer) dijkstraBucket(w Weights, t *Tree, maxW int) {
 	csr := c.csr
 	q := &c.bq
@@ -264,22 +264,16 @@ func (c *Computer) dijkstraBucket(w Weights, t *Tree, maxW int) {
 	q.push(t.Dest, 0)
 	dist := t.Dist
 	for q.count > 0 {
-		u, du := q.pop()
-		if du > dist[u] {
-			continue // stale entry
-		}
-		t.Order = append(t.Order, u)
-		lo, hi := csr.InStart[u], csr.InStart[u+1]
-		for i := lo; i < hi; i++ {
-			id := csr.InArcs[i]
-			if w[id] == Disabled {
-				continue
-			}
-			v := csr.InFrom[i]
-			alt := du + int32(w[id])
-			if alt < dist[v] {
-				dist[v] = alt
-				q.push(v, alt)
+		class, du := q.popClass(dist)
+		t.Order = append(t.Order, class...)
+		for _, u := range class {
+			lo, hi := csr.InStart[u], csr.InStart[u+1]
+			for i := lo; i < hi; i++ {
+				v := csr.InFrom[i]
+				if alt := int64(du) + int64(w[csr.InArcs[i]]); alt < int64(dist[v]) {
+					dist[v] = int32(alt)
+					q.push(v, int32(alt))
+				}
 			}
 		}
 	}
@@ -297,98 +291,70 @@ func (c *Computer) dijkstraHeap(w Weights, t *Tree) {
 		t.Order = append(t.Order, u)
 		lo, hi := csr.InStart[u], csr.InStart[u+1]
 		for i := lo; i < hi; i++ {
-			id := csr.InArcs[i]
-			if w[id] == Disabled {
-				continue
-			}
 			v := csr.InFrom[i]
-			alt := du + int32(w[id])
-			if alt < dist[v] {
-				dist[v] = alt
-				h.push(v, alt)
+			if alt := int64(du) + int64(w[csr.InArcs[i]]); alt < int64(dist[v]) {
+				dist[v] = int32(alt)
+				h.push(v, int32(alt))
 			}
 		}
 	}
 }
 
-// canonicalizeOrder sorts each equal-distance run of order by node ID. Any
-// correct Dijkstra emits nodes in non-decreasing distance but breaks ties
-// by queue history; sorting the ties makes the order — and every pass over
-// it — a pure function of the inputs. Runs are typically tiny, so insertion
-// sort per run is cheap and allocation-free.
-func canonicalizeOrder(dist []int32, order []graph.NodeID) {
-	for i := 1; i < len(order); i++ {
-		u := order[i]
-		du := dist[u]
-		j := i
-		for j > 0 && dist[order[j-1]] == du && order[j-1] > u {
-			order[j] = order[j-1]
-			j--
-		}
-		order[j] = u
-	}
-}
-
-// buildNext fills the flat ECMP DAG: arc (u,v) is on a shortest path iff
-// w + Dist[v] == Dist[u]. A counting pass sizes the per-node runs, then a
-// fill pass places arcs in ascending arc-ID order — the same deterministic
-// per-node order the adjacency lists carry.
+// buildNext fills the flat ECMP DAG in one sweep over the out-adjacency:
+// NextStart is node-indexed and CSR out-runs ascend in arc ID, so walking
+// the nodes in ID order and appending each one's run lays the arcs out in
+// their final place.
 func (c *Computer) buildNext(w Weights, t *Tree) {
-	csr := c.csr
-	n := csr.NumNodes()
+	n := c.csr.NumNodes()
 	if cap(t.NextStart) < n+1 {
 		t.NextStart = make([]int32, n+1)
 	}
 	t.NextStart = t.NextStart[:n+1]
-	start := t.NextStart
-	for i := range start {
-		start[i] = 0
-	}
-	dist := t.Dist
-	for id := range w {
-		if w[id] == Disabled {
-			continue
-		}
-		dv := dist[csr.To[id]]
-		if dv == unreachable {
-			continue
-		}
-		if from := csr.From[id]; dv+int32(w[id]) == dist[from] {
-			start[from+1]++
-		}
-	}
+	// The arc total is unknown until the sweep ends, so runs are staged in an
+	// m-sized buffer and the tree keeps only what it needs.
+	total := int32(0)
 	for u := 0; u < n; u++ {
-		start[u+1] += start[u]
+		t.NextStart[u] = total
+		total = c.nextRun(w, t.Dist, graph.NodeID(u), c.stage, total)
 	}
-	total := int(start[n])
-	if cap(t.NextArcs) < total {
+	t.NextStart[n] = total
+	if cap(t.NextArcs) < int(total) {
 		// Grow with 50% headroom, capped at the arc count. A DAG holds at
 		// most m arcs but typically far fewer; the old grow-straight-to-m
 		// policy cost 4m bytes per tree (the dominant tree allocation at
 		// 10k+ nodes) to save reallocations that the headroom already
 		// absorbs across the ±1 weight steps a search performs.
-		capHint := total + total/2
+		capHint := int(total + total/2)
 		if capHint > len(w) {
 			capHint = len(w)
 		}
-		t.NextArcs = make([]graph.EdgeID, total, capHint)
+		t.NextArcs = make([]graph.EdgeID, 0, capHint)
 	}
-	t.NextArcs = t.NextArcs[:total]
-	cur := c.cursor[:n]
-	copy(cur, start[:n])
-	for id := range w {
-		if w[id] == Disabled {
-			continue
-		}
-		dv := dist[csr.To[id]]
-		if dv == unreachable {
-			continue
-		}
-		if from := csr.From[id]; dv+int32(w[id]) == dist[from] {
-			t.NextArcs[cur[from]] = graph.EdgeID(id)
-			cur[from]++
+	t.NextArcs = append(t.NextArcs[:0], c.stage[:total]...)
+}
+
+// nextRun writes the ECMP arcs leaving u — arc (u,v) is on a shortest path
+// iff w + Dist[v] == Dist[u] — to out[off:] in CSR order (ascending arc ID)
+// and returns the offset past them; out needs room for u's whole out-degree
+// beyond off. Every arc is stored and only a match advances the offset, so
+// the test is not a branch. Widened to int64 it needs no Disabled or
+// unreachable-head case either: Dist[u] is finite here, so below MaxInt32,
+// and either of those pushes the sum to MaxInt32 or beyond.
+func (c *Computer) nextRun(w Weights, dist []int32, u graph.NodeID, out []graph.EdgeID, off int32) int32 {
+	du := int64(dist[u])
+	if du == unreachable {
+		return off
+	}
+	lo, hi := c.csr.OutStart[u], c.csr.OutStart[u+1]
+	arcs, heads := c.csr.OutArcs[lo:hi], c.csr.OutTo[lo:hi]
+	heads = heads[:len(arcs)]
+	for i, id := range arcs {
+		out[off] = id
+		if int64(dist[heads[i]])+int64(w[id]) == du {
+			off++
 		}
 	}
+	return off
 }
 
 // AddLoads routes demand (volume per source node, destined to t.Dest) over
@@ -488,6 +454,7 @@ func (t *Tree) Delays(g *graph.Graph, arcDelay []float64, xi []float64) []float6
 	xi[t.Dest] = 0
 	// Increasing-distance order guarantees xi of all next hops is final
 	// (arcs in the DAG strictly decrease distance since weights >= 1).
+	to := g.CSR().To
 	for _, u := range t.Order {
 		if u == t.Dest {
 			continue
@@ -495,7 +462,7 @@ func (t *Tree) Delays(g *graph.Graph, arcDelay []float64, xi []float64) []float6
 		arcs := t.Next(u)
 		sum := 0.0
 		for _, id := range arcs {
-			sum += arcDelay[id] + xi[g.Edge(id).To]
+			sum += arcDelay[id] + xi[to[id]]
 		}
 		xi[u] = sum / float64(len(arcs))
 	}

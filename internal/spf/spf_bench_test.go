@@ -24,23 +24,38 @@ func benchSetup(b *testing.B) (*graph.Graph, Weights, *traffic.Matrix) {
 	return g, randomWeights(g.NumEdges(), 30, rng), traffic.Gravity(100, rng)
 }
 
-// BenchmarkTreeQueue compares the monotone bucket queue (new default)
-// against the indexed 4-ary heap (the fallback, standing in for the old
-// comparison-heap core) on identical single-destination SPF computations.
+// BenchmarkTreeQueue compares the monotone bucket queue (the default)
+// against the indexed 4-ary heap (the fallback) on identical
+// single-destination SPF computations, over two series: random weights,
+// where a distance class is a node or two, and the tie-heavy unit-weight
+// 8×25 hier, where one class is most of a tier.
 func BenchmarkTreeQueue(b *testing.B) {
-	for _, mode := range []string{"bucket", "heap"} {
-		b.Run(mode, func(b *testing.B) {
-			g, w, _ := benchSetup(b)
-			c := NewComputer(g)
-			c.SetForceHeap(mode == "heap")
-			var tr Tree
-			c.Tree(0, w, &tr)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Tree(0, w, &tr)
-			}
-		})
+	hier, err := topo.Generate("hier", topo.Params{Pops: 8, RoutersPerPop: 25}, rand.New(rand.NewPCG(3, 3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	random, randomW, _ := benchSetup(b)
+	for _, series := range []struct {
+		name string
+		g    *graph.Graph
+		w    Weights
+	}{
+		{"", random, randomW},
+		{"ties/", hier, Uniform(hier.NumEdges())},
+	} {
+		for _, mode := range []string{"bucket", "heap"} {
+			b.Run(series.name+mode, func(b *testing.B) {
+				c := NewComputer(series.g)
+				c.SetForceHeap(mode == "heap")
+				var tr Tree
+				c.Tree(0, series.w, &tr)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Tree(0, series.w, &tr)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package spf
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -266,6 +267,43 @@ func TestPlanReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestMultiPlanReusableAfterNoPath guards the invariant the support-sized
+// fold rests on: the staging buffer is all-zero between destinations, also
+// when a sequential Route stops at a disconnected one. Cutting node x off
+// from every in-arc fails the route at destination x, after the earlier
+// destinations have been folded; the next Route on the same plan must equal
+// a fresh plan's bitwise.
+func TestMultiPlanReusableAfterNoPath(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 29))
+	n := 24
+	g, err := topo.Random(n, 60, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, tm2 := traffic.Gravity(n, rng), traffic.Gravity(n, rng)
+	good := randomWeights(g.NumEdges(), 30, rng)
+	fresh := NewMultiPlan(g, tm, tm2)
+	if err := fresh.Route(good, tm, tm2); err != nil {
+		t.Fatal(err)
+	}
+	p := NewMultiPlan(g, tm, tm2)
+	for _, x := range []graph.NodeID{0, graph.NodeID(n / 2), graph.NodeID(n - 1)} {
+		if err := p.Route(good.WithFailedArcs(g.In(x)...), tm, tm2); !errors.Is(err, ErrNoPath) {
+			t.Fatalf("node %d cut off: Route error %v, want ErrNoPath", x, err)
+		}
+		if err := p.Route(good, tm, tm2); err != nil {
+			t.Fatal(err)
+		}
+		for mi := range p.Loads {
+			for a, v := range p.Loads[mi] {
+				if v != fresh.Loads[mi][a] {
+					t.Fatalf("after failing at node %d: matrix %d arc %d load %v, fresh plan %v", x, mi, a, v, fresh.Loads[mi][a])
+				}
+			}
+		}
+	}
+}
+
 func TestPlanPairDelay(t *testing.T) {
 	g := line()
 	tm := traffic.NewMatrix(4)
@@ -434,7 +472,7 @@ func bellmanFord(g *graph.Graph, w Weights, dest graph.NodeID) []int32 {
 	for iter := 0; iter < n; iter++ {
 		changed := false
 		for _, e := range g.Edges() {
-			if dist[e.To] == unreachable {
+			if dist[e.To] == unreachable || w[e.ID] == Disabled {
 				continue
 			}
 			if alt := dist[e.To] + int32(w[e.ID]); alt < dist[e.From] {
