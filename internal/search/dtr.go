@@ -2,7 +2,7 @@ package search
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dualtopo/internal/cost"
@@ -567,8 +567,8 @@ func (s *dtrSearch) sortLinks(linkCost func(graph.EdgeID) cost.Lex) {
 	for i := range s.order {
 		s.order[i] = graph.EdgeID(i)
 	}
-	sort.SliceStable(s.order, func(i, j int) bool {
-		return linkCost(s.order[j]).Less(linkCost(s.order[i]))
+	slices.SortStableFunc(s.order, func(a, b graph.EdgeID) int {
+		return linkCost(b).Compare(linkCost(a))
 	})
 }
 

@@ -1,7 +1,8 @@
 package search
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
@@ -54,8 +55,8 @@ func (s *dtrSearch) sortLinksGuided(score []float64) {
 	for i := range s.order {
 		s.order[i] = graph.EdgeID(i)
 	}
-	sort.SliceStable(s.order, func(i, j int) bool {
-		return score[s.order[i]] > score[s.order[j]]
+	slices.SortStableFunc(s.order, func(a, b graph.EdgeID) int {
+		return cmp.Compare(score[b], score[a])
 	})
 }
 

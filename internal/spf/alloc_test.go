@@ -136,25 +136,31 @@ func TestCheckpointRevertZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestTreeIncreaseZeroSteadyStateAllocs(t *testing.T) {
+// TestTreeUpdateZeroSteadyStateAllocs toggles one arc between a lowered
+// weight and Disabled, with a second arc moving the other way in the same
+// transition, so every warm run exercises classification, both seedings, the
+// heap, the Order merge and the flat-DAG double buffer.
+func TestTreeUpdateZeroSteadyStateAllocs(t *testing.T) {
 	g, w, _ := allocInstance(t)
 	c := NewComputer(g)
+	w1, w2 := w.Clone(), w.Clone()
+	w1[3], w1[8] = 1, Disabled
+	w2[3], w2[8] = Disabled, 1
+	a, b := []graph.EdgeID{3}, []graph.EdgeID{8}
 	var tr Tree
-	c.Tree(0, w, &tr)
-	w2 := w.Clone()
-	w2[3] = Disabled
-	changed := []graph.EdgeID{3}
-	// Warm both directions of the toggle.
-	c.TreeIncrease(w2, &tr, changed)
-	c.Tree(0, w, &tr)
-	c.TreeIncrease(w2, &tr, changed)
-	c.Tree(0, w, &tr)
-	if allocs := testing.AllocsPerRun(50, func() {
-		c.TreeIncrease(w2, &tr, changed)
-		c.Tree(0, w, &tr) // restore the pre-increase tree for the next run
-	}); allocs != 0 {
-		t.Fatalf("TreeIncrease+Tree allocates %.1f objects per warm run, want 0", allocs)
+	c.Tree(0, w1, &tr)
+	toggle := func() {
+		c.TreeUpdate(w2, &tr, a, b) // raise 3, repair 8
+		c.TreeUpdate(w1, &tr, b, a) // lower 3, fail 8
 	}
+	toggle() // warm both directions
+	toggle()
+	if allocs := testing.AllocsPerRun(50, toggle); allocs != 0 {
+		t.Fatalf("TreeUpdate toggle allocates %.1f objects per warm run, want 0", allocs)
+	}
+	var want Tree
+	c.Tree(0, w1, &want)
+	requireTreeEqual(t, &tr, &want, "tree drifted over the toggles")
 }
 
 // TestScaleRouteZeroSteadyStateAllocs pins the compact-layout acceptance

@@ -48,7 +48,7 @@ func TestBlockShardingBitwiseEquality(t *testing.T) {
 						}
 					}
 					for _, dest := range seq.Destinations() {
-						assertSameTree(t, seed, int(dest), par.Tree(dest), seq.Tree(dest))
+						requireTreeEqual(t, par.Tree(dest), seq.Tree(dest), "seed %d dest %d: parallel vs sequential", seed, dest)
 					}
 				}
 			}

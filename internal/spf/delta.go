@@ -19,8 +19,9 @@ type DeltaStats struct {
 	// across incremental Applies.
 	TreesRecomputed int64
 	TreesReused     int64
-	// TreesPartial counts recomputed trees served by the pure-increase
-	// partial path (TreeIncrease) instead of a full Dijkstra.
+	// TreesPartial counts recomputed trees served by the dynamic update
+	// (TreeUpdate) instead of a full Dijkstra — every one of them, since
+	// Apply has no other path.
 	TreesPartial int64
 	// Reverts counts Checkpoint rollbacks.
 	Reverts int64
@@ -31,8 +32,8 @@ type DeltaStats struct {
 // evolving weight setting.
 //
 // A full Route computes every destination tree. Apply takes the set of arcs
-// whose weights changed and recomputes only the trees the change can
-// invalidate, per the dynamic-SPF rule:
+// whose weights changed and updates (Computer.TreeUpdate) only the trees the
+// change can invalidate, per the dynamic-SPF rule:
 //
 //   - a changed arc lying on the stored ECMP DAG (Dist[to]+w_old == Dist[from])
 //     invalidates the tree, whatever the direction of the change;
@@ -76,6 +77,8 @@ type DeltaRouter struct {
 	Loads [][]float64
 
 	changedBuf []graph.EdgeID
+	raised     []graph.EdgeID // changedBuf split by direction, for TreeUpdate
+	lowered    []graph.EdgeID
 	moved      []graph.EdgeID
 	movedMark  []bool
 	touched    []bool
@@ -302,20 +305,21 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		}
 		return r.allArcs, nil
 	}
-	// Keep only arcs that actually changed, noting whether every change is
-	// an increase (Disabled counts as +inf) — the precondition for the
-	// partial-recompute path.
-	actual := r.changedBuf[:0]
-	pureInc := true
+	// Keep only arcs that actually changed, split by direction against the
+	// old weights (Disabled is the largest weight, so a failure is a raise
+	// and a repair a lower).
+	actual, raised, lowered := r.changedBuf[:0], r.raised[:0], r.lowered[:0]
 	for _, id := range changed {
-		if w[id] != r.w[id] {
+		switch {
+		case w[id] > r.w[id]:
 			actual = append(actual, id)
-			if w[id] < r.w[id] {
-				pureInc = false
-			}
+			raised = append(raised, id)
+		case w[id] < r.w[id]:
+			actual = append(actual, id)
+			lowered = append(lowered, id)
 		}
 	}
-	r.changedBuf = actual
+	r.changedBuf, r.raised, r.lowered = actual, raised, lowered
 	r.stats.Applies++
 	met.applies.Inc()
 	for di := range r.dirty {
@@ -350,23 +354,22 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		r.w[id] = w[id]
 	}
 	r.stats.TreesRecomputed += int64(len(r.dirtyList))
+	r.stats.TreesPartial += int64(len(r.dirtyList))
 	r.stats.TreesReused += int64(len(r.dests) - len(r.dirtyList))
 	met.recomputed.Add(int64(len(r.dirtyList)))
+	met.treePartial.Add(int64(len(r.dirtyList)))
 	met.reused.Add(int64(len(r.dests) - len(r.dirtyList)))
-	sampleApplySizes(len(r.dirtyList), len(actual))
+	sampled := sampleApplySizes(len(r.dirtyList), len(actual))
 	if len(r.dirtyList) == 0 {
 		r.moved = r.moved[:0]
 		return r.moved, nil
 	}
 
-	// Recompute dirty trees and their per-destination load vectors. Every
-	// arc in the union of old and new supports is "touched"; all passes are
-	// support-sized, never arc-count-sized. One weight scan serves both the
-	// bucket-width selection of full recomputes and the int32 distance-range
-	// guard (which the pure-increase path needs too: increases lengthen
-	// distances).
-	maxW := maxWeight(r.w)
-	if err := checkDistRange(r.g.NumNodes(), maxW); err != nil {
+	// Update dirty trees and their per-destination load vectors. Every arc
+	// in the union of old and new supports is "touched"; all passes are
+	// support-sized, never arc-count-sized. The int32 distance-range guard
+	// comes first: raises lengthen distances.
+	if err := CheckDistRange(r.g.NumNodes(), r.w); err != nil {
 		r.valid = false
 		return nil, err
 	}
@@ -390,12 +393,9 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 			}
 		}
 		t := &r.trees[di]
-		if pureInc {
-			r.comp.TreeIncrease(r.w, t, actual)
-			r.stats.TreesPartial++
-			met.treePartial.Inc()
-		} else {
-			r.comp.tree(r.dests[di], r.w, t, maxW)
+		resettled := r.comp.TreeUpdate(r.w, t, raised, lowered)
+		if sampled {
+			met.resettled.Observe(float64(resettled))
 		}
 		for mi := range r.tms {
 			dem := r.demands[di][mi]

@@ -45,34 +45,7 @@ func randomInstance(rng *rand.Rand, nodes, chords, matrices int) (*graph.Graph, 
 func assertTreesEqual(t *testing.T, step int, dr *DeltaRouter, ref *MultiPlan) {
 	t.Helper()
 	for _, dest := range dr.Destinations() {
-		dt, rt := dr.Tree(dest), ref.Tree(dest)
-		if len(dt.Dist) != len(rt.Dist) {
-			t.Fatalf("step %d dest %d: dist length %d != %d", step, dest, len(dt.Dist), len(rt.Dist))
-		}
-		for u := range dt.Dist {
-			if dt.Dist[u] != rt.Dist[u] {
-				t.Fatalf("step %d dest %d: Dist[%d] = %d, want %d", step, dest, u, dt.Dist[u], rt.Dist[u])
-			}
-		}
-		if len(dt.Order) != len(rt.Order) {
-			t.Fatalf("step %d dest %d: order length %d != %d", step, dest, len(dt.Order), len(rt.Order))
-		}
-		for i := range dt.Order {
-			if dt.Order[i] != rt.Order[i] {
-				t.Fatalf("step %d dest %d: Order[%d] = %d, want %d", step, dest, i, dt.Order[i], rt.Order[i])
-			}
-		}
-		for u := range dt.Dist {
-			du, ru := dt.Next(graph.NodeID(u)), rt.Next(graph.NodeID(u))
-			if len(du) != len(ru) {
-				t.Fatalf("step %d dest %d: Next(%d) = %v, want %v", step, dest, u, du, ru)
-			}
-			for i := range du {
-				if du[i] != ru[i] {
-					t.Fatalf("step %d dest %d: Next(%d) = %v, want %v", step, dest, u, du, ru)
-				}
-			}
-		}
+		requireTreeEqual(t, dr.Tree(dest), ref.Tree(dest), "step %d dest %d: delta vs full", step, dest)
 	}
 }
 
@@ -200,6 +173,9 @@ func TestDeltaRouterMatchesFullRoute(t *testing.T) {
 			}
 			if st.TreesRecomputed == 0 {
 				t.Fatalf("delta router never recomputed a tree: %+v", st)
+			}
+			if st.TreesPartial != st.TreesRecomputed {
+				t.Fatalf("%d of %d dirty trees took the dynamic update; Apply has no other path: %+v", st.TreesPartial, st.TreesRecomputed, st)
 			}
 			t.Logf("stats: %+v (reuse ratio %.2f)", st,
 				float64(st.TreesReused)/float64(st.TreesReused+st.TreesRecomputed))

@@ -7,13 +7,13 @@ import "dualtopo/internal/obs"
 // resolved here at init — no allocation, no branching on configuration — so
 // the instrumented Tree/Apply/Route paths keep their AllocsPerRun == 0 pins.
 //
-// Dirty-set and affected-set size distributions are sampled (1 in
-// metricsSampleRate observations) to keep histogram traffic negligible next
-// to the counters.
+// Dirty-set and re-settled-set size distributions are sampled (1 Apply in
+// metricsSampleRate) to keep histogram traffic negligible next to the
+// counters.
 var met = struct {
 	treeBucket  *obs.Counter // trees settled through the monotone bucket queue
 	treeHeap    *obs.Counter // trees settled through the indexed-heap fallback
-	treePartial *obs.Counter // trees served by the pure-increase partial path
+	treePartial *obs.Counter // trees served by the dynamic update (TreeUpdate)
 	fullRoutes  *obs.Counter
 	applies     *obs.Counter
 	recomputed  *obs.Counter
@@ -23,6 +23,7 @@ var met = struct {
 	sampleTick  obs.Counter    // local sampling clock, not exported
 	dirtySize   *obs.Histogram // sampled: dirty destinations per Apply
 	changedArcs *obs.Histogram // sampled: changed arcs per Apply
+	resettled   *obs.Histogram // sampled: nodes re-settled per tree update
 
 	// Parallel-route shape of the last block-sharded MultiPlan.Route:
 	// the destination-block claim granularity and how many pool workers
@@ -34,7 +35,7 @@ var met = struct {
 }{
 	treeBucket:  obs.Default().CounterVec("spf_trees_total", "SPF trees computed from scratch, by queue implementation.", "queue").With("bucket"),
 	treeHeap:    obs.Default().CounterVec("spf_trees_total", "SPF trees computed from scratch, by queue implementation.", "queue").With("heap"),
-	treePartial: obs.Default().Counter("spf_trees_partial_total", "Trees served by the pure-increase partial SPF path instead of a full Dijkstra."),
+	treePartial: obs.Default().Counter("spf_trees_partial_total", "Trees served by the dynamic SPF update (raises, lowers, failures, repairs) instead of a full Dijkstra."),
 	fullRoutes:  obs.Default().Counter("spf_delta_full_routes_total", "DeltaRouter from-scratch recomputations (initial Route, error recovery)."),
 	applies:     obs.Default().Counter("spf_delta_applies_total", "DeltaRouter.Apply calls served incrementally."),
 	recomputed:  obs.Default().CounterVec("spf_delta_trees_total", "Per-destination tree outcomes across incremental Applies.", "outcome").With("recomputed"),
@@ -43,6 +44,7 @@ var met = struct {
 	reverts:     obs.Default().Counter("spf_delta_reverts_total", "DeltaRouter.Revert rollbacks."),
 	dirtySize:   obs.Default().Histogram("spf_delta_dirty_trees", "Sampled dirty-destination count per incremental Apply.", obs.ExpBuckets(1, 2, 12)),
 	changedArcs: obs.Default().Histogram("spf_delta_changed_arcs", "Sampled changed-arc count per incremental Apply.", obs.ExpBuckets(1, 2, 12)),
+	resettled:   obs.Default().Histogram("spf_update_resettled_nodes", "Sampled count of nodes re-settled per dynamic tree update (the affected-set size a slow Apply is attributed to).", obs.ExpBuckets(1, 2, 12)),
 
 	routeBlockSize:       obs.Default().Gauge("spf_route_block_size", "Destination-block claim granularity of the last parallel MultiPlan.Route."),
 	routeWorkerOccupancy: obs.Default().Gauge("spf_route_worker_occupancy", "Workers that claimed at least one destination block in the last parallel MultiPlan.Route."),
@@ -53,11 +55,15 @@ var met = struct {
 // mask, not a division.
 const metricsSampleRate = 8
 
-// sampleApplySizes feeds the sampled histograms from one incremental Apply.
-func sampleApplySizes(dirty, changed int) {
-	if met.sampleTick.Value()&(metricsSampleRate-1) == 0 {
+// sampleApplySizes feeds the sampled histograms from one incremental Apply
+// and reports whether this Apply is a sampled one, so its tree updates
+// observe their re-settled-set sizes on the same clock.
+func sampleApplySizes(dirty, changed int) bool {
+	sampled := met.sampleTick.Value()&(metricsSampleRate-1) == 0
+	if sampled {
 		met.dirtySize.Observe(float64(dirty))
 		met.changedArcs.Observe(float64(changed))
 	}
 	met.sampleTick.Inc()
+	return sampled
 }

@@ -3,6 +3,7 @@ package spf
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dualtopo/internal/graph"
@@ -37,7 +38,7 @@ func TestBucketHeapTreesBitwiseEqual(t *testing.T) {
 		for dest := 0; dest < g.NumNodes(); dest++ {
 			bucket.Tree(graph.NodeID(dest), w, &bt)
 			heap.Tree(graph.NodeID(dest), w, &ht)
-			assertSameTree(t, seed, dest, &bt, &ht)
+			requireTreeEqual(t, &bt, &ht, "seed %d dest %d: bucket vs heap", seed, dest)
 		}
 	}
 }
@@ -71,32 +72,9 @@ func TestWideWeightsFallBackToHeap(t *testing.T) {
 			}
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			if !equalArcs(ts.Next(graph.NodeID(u)), tw.Next(graph.NodeID(u))) {
+			if !slices.Equal(ts.Next(graph.NodeID(u)), tw.Next(graph.NodeID(u))) {
 				t.Fatalf("dest %d: scaled DAG differs at node %d", dest, u)
 			}
-		}
-	}
-}
-
-func assertSameTree(t *testing.T, seed uint64, dest int, a, b *Tree) {
-	t.Helper()
-	for u := range a.Dist {
-		if a.Dist[u] != b.Dist[u] {
-			t.Fatalf("seed %d dest %d: Dist[%d] = %d vs %d", seed, dest, u, a.Dist[u], b.Dist[u])
-		}
-	}
-	if len(a.Order) != len(b.Order) {
-		t.Fatalf("seed %d dest %d: order lengths %d vs %d", seed, dest, len(a.Order), len(b.Order))
-	}
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] {
-			t.Fatalf("seed %d dest %d: Order[%d] = %d vs %d", seed, dest, i, a.Order[i], b.Order[i])
-		}
-	}
-	for u := 0; u < len(a.Dist); u++ {
-		if !equalArcs(a.Next(graph.NodeID(u)), b.Next(graph.NodeID(u))) {
-			t.Fatalf("seed %d dest %d: Next(%d) = %v vs %v", seed, dest, u,
-				a.Next(graph.NodeID(u)), b.Next(graph.NodeID(u)))
 		}
 	}
 }
@@ -134,7 +112,7 @@ func TestParallelRouteBitwiseEqualsSequential(t *testing.T) {
 					}
 				}
 				for _, dest := range seq.Destinations() {
-					assertSameTree(t, seed, int(dest), par.Tree(dest), seq.Tree(dest))
+					requireTreeEqual(t, par.Tree(dest), seq.Tree(dest), "seed %d dest %d: parallel vs sequential", seed, dest)
 				}
 			}
 		}

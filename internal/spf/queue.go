@@ -15,9 +15,21 @@ import (
 //     drains one whole distance class at a time, sorted by node ID.
 //   - heap4 is an indexed 4-ary min-heap with decrease-key, keyed on
 //     (distance, node ID): the fallback when the weight range is too wide
-//     for buckets, and the engine behind the boundary Dijkstra of
-//     TreeIncrease, whose seed distances span the whole distance range rather
-//     than one arc weight.
+//     for buckets, and the engine behind TreeUpdate, whose seed labels span
+//     the whole distance range rather than one arc weight.
+//
+// TreeUpdate runs heap4 over labels that are all upper bounds on the new
+// distances, where a label that is still too high is queued or upstream of
+// a queued one: unqueued nodes satisfy the triangle inequality among
+// themselves (the old tree did, and the seeds absorbed the lowered arcs). A
+// shorter path from the minimum-key node would pass a queued node with a
+// smaller label, so the minimum is final; what its relaxation pushes is
+// larger (weights >= 1), so pop keys never decrease. A final label is set by
+// a seed or by a pop of a strictly smaller key: all nodes of one distance
+// are queued before the first of them pops and leave in node-ID order, so
+// the popped run is canonical. Untouched nodes kept their distances, hence
+// their relative place in the old Tree.Order, and merging the two sorted
+// runs by (distance, node ID) is the canonical order of the whole tree.
 //
 // Distances and the ECMP DAG are pure functions of (graph, weights,
 // destination), so with the order canonical too the tree produced is

@@ -171,9 +171,9 @@ type Computer struct {
 	csr   *graph.CSR // flat adjacency snapshot, the traversal hot path
 	bq    bucketQueue
 	hp    heap4
-	stage []graph.EdgeID  // ECMP-DAG staging buffer, one slot per arc; idle between tree builds
-	flow  []float64       // buffer for load aggregation
-	inc   increaseScratch // TreeIncrease buffers
+	stage []graph.EdgeID // ECMP-DAG staging buffer, one slot per arc; idle between tree builds
+	flow  []float64      // buffer for load aggregation
+	upd   updateScratch  // TreeUpdate buffers
 
 	forceHeap bool
 }
