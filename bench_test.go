@@ -277,14 +277,22 @@ func BenchmarkEvaluateSTR(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateDTR carries a route-worker dimension: on 30 nodes the
+// parallel series measures the fork/join overhead, not a speed-up.
 func BenchmarkEvaluateDTR(b *testing.B) {
-	ev := benchInstance(b, dualtopo.LoadBased)
-	w := dualtopo.UniformWeights(150)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateDTR(w, w); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ev := benchInstance(b, dualtopo.LoadBased)
+			ev.SetRouteWorkers(workers)
+			w := dualtopo.UniformWeights(150)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.EvaluateDTR(w, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

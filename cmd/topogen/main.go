@@ -11,7 +11,6 @@
 //	topogen gen -topo waxman -o w.json
 //	topogen gen -topo torus -params '{"rows":6,"cols":6}'
 //	topogen gen -topo import -path zoo.gml -o zoo.json   # GML -> JSON export
-//	topogen -topo random -nodes 30 -links 75 -o r.json   # legacy spelling of gen
 //
 // gen flags override fields of -params; unset parameters resolve to the
 // family's registered defaults.
@@ -49,16 +48,15 @@ func main() {
 			return
 		}
 	}
-	// Legacy spelling: bare flags mean gen.
-	cmdGen(args)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   topogen list [-q]            list registered topology families
   topogen describe <family>    show a family's description and default params
-  topogen gen [flags]          generate a topology as JSON (also the default
-                               subcommand: 'topogen -topo ...' works)
+  topogen gen [flags]          generate a topology as JSON
 
 gen flags:
 `)

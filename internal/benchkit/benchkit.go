@@ -1,7 +1,5 @@
 // Package benchkit holds the canonical benchmark instances and metric
-// extraction shared by the root benchmark suite (bench_test.go) and
-// cmd/dtrbench, so the committed BENCH_*.json reports always measure
-// exactly what `go test -bench` measures — the two cannot drift.
+// extraction of the root benchmark suite (bench_test.go).
 package benchkit
 
 import (
@@ -86,7 +84,7 @@ func Step(w, base dualtopo.Weights, i, m int) int {
 // hierarchical ISP (20 PoPs x 25 routers, ~1000 bidirectional links) with
 // gravity low-priority demand plus random high-priority pairs, scaled to the
 // paper's 60% average utilization. This is the workload the guided-search
-// acceptance numbers (the committed baseline's dtr_search series) are measured on.
+// acceptance numbers (BenchmarkDTRSearchGuided) are measured on.
 func SearchInstance(kind dualtopo.ObjectiveKind) (*dualtopo.Evaluator, error) {
 	spec := scenario.InstanceSpec{
 		Topology:   "hier",

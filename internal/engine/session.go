@@ -48,13 +48,6 @@ func (s *Session) EvaluateDTR(wH, wL spf.Weights) (*eval.Result, error) {
 	return s.ev.EvaluateDTR(wH, wL)
 }
 
-// ScoreSTR is the allocation-free warm path: ObjectiveSTR by value. It is
-// what a serving benchmark should measure.
-func (s *Session) ScoreSTR(w spf.Weights) (eval.STRObjective, error) {
-	met.routes.Inc()
-	return s.ev.ObjectiveSTR(w)
-}
-
 // checkpointArmed reports whether the session would fail the release-time
 // leak assertion: some routing state it owns — the sweeper's, which sit
 // between Checkpoint and Revert for every what-if state, or the evaluator's

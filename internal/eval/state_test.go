@@ -342,7 +342,8 @@ func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
 }
 
 // TestRoutingStateZeroSteadyStateAllocs pins the two warm paths every driver
-// sits on: apply + reduce, and checkpoint → apply → reduce → revert.
+// sits on: apply + reduce, and checkpoint → apply → reduce → revert — and the
+// full, non-incremental STR score, ObjectiveSTR.
 func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 	e, m, ring := deltaInstance(t, 6, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
 	for _, sc := range stateShapes[2:] {
@@ -397,5 +398,15 @@ func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(50, whatIf); n != 0 {
 			t.Errorf("%s: warm checkpoint → apply → reduce → revert allocates %v times per run", sc.name, n)
 		}
+	}
+	w := randomWeightsFor(rand.New(rand.NewPCG(6, 6)), m)
+	full := func() {
+		if _, err := e.ObjectiveSTR(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full()
+	if n := testing.AllocsPerRun(50, full); n != 0 {
+		t.Errorf("warm ObjectiveSTR allocates %v times per run", n)
 	}
 }

@@ -164,29 +164,26 @@ func TestTreeUpdateZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScaleRouteZeroSteadyStateAllocs pins the compact-layout acceptance
-// property at full scale: a warm sequential MultiPlan.Route over a 100k-node
-// hierarchical ISP (16 sink-limited gravity destinations) performs zero
-// allocations — the int32 tree arenas and support buffers never regrow.
+// property at full scale: a warm sequential MultiPlan.Route over each scale
+// instance — up to a 100k-node hierarchical ISP with 16 sink-limited gravity
+// destinations — performs zero allocations: the int32 tree arenas and support
+// buffers never regrow.
 func TestScaleRouteZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("100k-node instance; skipped with -short")
+		t.Skip("10k- and 100k-node instances; skipped with -short")
 	}
-	rng := rand.New(rand.NewPCG(100_000, 0x5ca1e))
-	g, err := topo.Generate("hier", topo.Params{Pops: 250, RoutersPerPop: 400}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := traffic.GravitySinks(g.NumNodes(), 16, rng)
-	w := randomWeights(g.NumEdges(), 20, rng)
-	p := NewMultiPlan(g, tm)
-	if err := p.Route(w, tm); err != nil { // warm
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(2, func() {
-		if err := p.Route(w, tm); err != nil {
+	for _, s := range scaleInstances {
+		g, w, tm := s.build(t)
+		p := NewMultiPlan(g, tm)
+		if err := p.Route(w, tm); err != nil { // warm
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("100k-node warm Route allocates %.1f objects per run, want 0", allocs)
+		if allocs := testing.AllocsPerRun(2, func() {
+			if err := p.Route(w, tm); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: warm Route allocates %.1f objects per run, want 0", s.name, allocs)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func TestBlockShardingBitwiseEquality(t *testing.T) {
 		for _, workers := range workerCounts {
 			for _, block := range blockSizes {
 				par.SetWorkers(workers)
-				par.SetBlockSize(block)
+				par.blockSize = block
 				for round := 0; round < 3; round++ {
 					w := randomWeights(g.NumEdges(), 30, rng)
 					if err := seq.Route(w, tms...); err != nil {
@@ -81,7 +81,7 @@ func TestBlockShardingDeterministicError(t *testing.T) {
 		for _, block := range []int{1, 64, 0} {
 			par := NewMultiPlan(g, tm)
 			par.SetWorkers(workers)
-			par.SetBlockSize(block)
+			par.blockSize = block
 			parErr := par.Route(w, tm)
 			if parErr == nil {
 				t.Fatalf("workers=%d block=%d: accepted partitioned demand", workers, block)
@@ -153,7 +153,7 @@ func TestRouteShapeGaugesExposed(t *testing.T) {
 	g, tms := randomInstance(rng, 20, 16, 1)
 	p := NewMultiPlan(g, tms...)
 	p.SetWorkers(2)
-	p.SetBlockSize(3)
+	p.blockSize = 3
 	if err := p.Route(randomWeights(g.NumEdges(), 20, rng), tms...); err != nil {
 		t.Fatal(err)
 	}

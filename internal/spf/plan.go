@@ -37,7 +37,7 @@ type MultiPlan struct {
 	// the pool size. Parallel state is built lazily.
 	workers int
 	// blockSize is the contiguous-destination claim granularity of the
-	// parallel path; 0 (default) auto-tunes from instance size.
+	// parallel path; 0 auto-tunes (autoBlockSize). Only tests set it.
 	blockSize int
 	par       *parRoute
 }
@@ -111,17 +111,6 @@ func (p *MultiPlan) SetWorkers(n int) {
 		n = 1
 	}
 	p.workers = n
-}
-
-// SetBlockSize overrides the contiguous-destination claim granularity of
-// the parallel path. n <= 0 restores auto-tuning (see autoBlockSize). Any
-// block size yields bitwise-identical loads; the knob only trades claim
-// contention against load balance.
-func (p *MultiPlan) SetBlockSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.blockSize = n
 }
 
 // autoWorkers picks the worker count for SetWorkers(0): sequential below a
@@ -447,10 +436,6 @@ func (p *Plan) CloneState() *Plan {
 // SetWorkers bounds the SPF worker pool used by Route; see
 // MultiPlan.SetWorkers (1 = sequential, 0 = auto, n > 1 = fixed).
 func (p *Plan) SetWorkers(n int) { p.mp.SetWorkers(n) }
-
-// SetBlockSize overrides the parallel path's destination-block granularity;
-// see MultiPlan.SetBlockSize.
-func (p *Plan) SetBlockSize(n int) { p.mp.SetBlockSize(n) }
 
 // Destinations returns the active destination set.
 func (p *Plan) Destinations() []graph.NodeID { return p.mp.Destinations() }

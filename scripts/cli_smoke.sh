@@ -2,11 +2,10 @@
 # CLI smoke test: build every command and drive its primary paths — every
 # registered topology family through topogen, the bundled campaign examples
 # through dtrscen validate, a 1-trial preset run, dtropt on an imported
-# graph, a dtrfail sweep, a dtrchurn generate/replay/compare cycle, a dtrd
-# serve/load/route/whatif/search/drain round-trip, and the benchgate
-# self-comparison — so no command, preset or generator family can rot
-# unnoticed. CI runs this as the cli-smoke job; it is equally runnable
-# locally.
+# graph, a dtrfail sweep, a dtrchurn generate/replay/compare cycle and a dtrd
+# serve/load/route/whatif/search/drain round-trip — so no command, preset or
+# generator family can rot unnoticed. CI runs this as the cli-smoke job; it
+# is equally runnable locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +20,8 @@ go build -o "$bin" ./cmd/...
 echo "== topogen: list, describe, generate every registered family"
 "$bin/topogen" list >/dev/null
 "$bin/topogen" describe waxman >/dev/null
+"$bin/topogen" -topo random >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: topogen without a subcommand exited $rc, want usage and 2"; exit 1; }
 for fam in $("$bin/topogen" list -q); do
   case "$fam" in
   import)
@@ -177,8 +178,5 @@ kill -TERM "$dtrd_pid"
 wait "$dtrd_pid" || { cat "$bin/dtrd.stderr"; echo "FAIL: dtrd exited non-zero on SIGTERM"; exit 1; }
 grep -q '^dtrd: stopped$' "$bin/dtrd.stderr" || {
   cat "$bin/dtrd.stderr"; echo "FAIL: dtrd did not drain to 'stopped'"; exit 1; }
-
-echo "== benchgate: committed baseline gates against itself"
-"$bin/benchgate" -baseline BENCH_PR10.json -current BENCH_PR10.json >/dev/null
 
 echo "ok: CLI smoke passed"
