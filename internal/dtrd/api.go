@@ -25,6 +25,8 @@
 // the property the golden tests pin.
 package dtrd
 
+import "dualtopo/internal/spf"
+
 // Error is the uniform failure envelope: every non-2xx response is
 // {"error":{"code":..., "message":...}}.
 type Error struct {
@@ -42,6 +44,7 @@ const (
 	CodeBadRequest    = "bad_request"    // malformed JSON, invalid parameters (400)
 	CodeNotFound      = "not_found"      // unknown topology or job ID (404)
 	CodeUnroutable    = "unroutable"     // evaluation failed on this instance (422)
+	CodeLimitExceeded = "limit_exceeded" // request body over the endpoint's cap (413)
 	CodePoolExhausted = "pool_exhausted" // every session leased past the timeout (503)
 	CodeDraining      = "draining"       // server is shutting down (503)
 	CodeInternal      = "internal"       // unexpected failure (500)
@@ -101,9 +104,9 @@ type TopologyList struct {
 // weights_low (DTR). Weights are per-arc, positive, in arc-ID order; use
 // 2147483647 (spf.Disabled) to exclude an arc.
 type RouteRequest struct {
-	Weights     []int `json:"weights,omitempty"`
-	WeightsHigh []int `json:"weights_high,omitempty"`
-	WeightsLow  []int `json:"weights_low,omitempty"`
+	Weights     spf.Weights `json:"weights,omitempty"`
+	WeightsHigh spf.Weights `json:"weights_high,omitempty"`
+	WeightsLow  spf.Weights `json:"weights_low,omitempty"`
 }
 
 // RouteResponse reports the evaluation of one weight setting.
@@ -139,9 +142,9 @@ type FailureModel struct {
 //   - weights_high + weights_low: DTR sweep
 //   - all three: STR-vs-DTR comparison over the same states
 type WhatIfRequest struct {
-	Weights     []int         `json:"weights,omitempty"`
-	WeightsHigh []int         `json:"weights_high,omitempty"`
-	WeightsLow  []int         `json:"weights_low,omitempty"`
+	Weights     spf.Weights   `json:"weights,omitempty"`
+	WeightsHigh spf.Weights   `json:"weights_high,omitempty"`
+	WeightsLow  spf.Weights   `json:"weights_low,omitempty"`
 	Failures    *FailureModel `json:"failures,omitempty"`
 }
 

@@ -55,8 +55,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid search request: "+err.Error())
+	if !decode(w, r, maxParamBody, "search", &req) {
 		return
 	}
 	if req.Budget == "" {

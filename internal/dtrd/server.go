@@ -1,12 +1,14 @@
 package dtrd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,11 +185,48 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: Error{Code: code, Message: msg}})
 }
 
-// decode strictly parses the request body into v.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request body caps, per endpoint. A body is read whole before it is parsed,
+// so these bound what one request can make the daemon hold.
+const (
+	// maxParamBody covers load and search: one flat object of scalars.
+	maxParamBody = 4 << 10
+	// maxWeightsBody covers route and whatif: up to three weight vectors at
+	// up to 11 bytes an arc ("2147483647,"), about 120 000 arcs.
+	maxWeightsBody = 4 << 20
+)
+
+// Per-request scratch, reused across requests: the body bytes and the two
+// request shapes whose weight vectors are worth keeping.
+var (
+	bodyPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	routePool  = sync.Pool{New: func() any { return new(RouteRequest) }}
+	whatIfPool = sync.Pool{New: func() any { return new(WhatIfRequest) }}
+)
+
+// decode reads the request body once, refusing more than limit bytes, and
+// strictly parses it into v. It reports whether it succeeded; when not, the
+// 413 or 400 is written. what names the request in error messages.
+func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(body)
+	body.Reset()
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, CodeLimitExceeded,
+				fmt.Sprintf("%s request body exceeds %d bytes", what, limit))
+		} else {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, "reading "+what+" request: "+err.Error())
+		}
+		return false
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid "+what+" request: "+err.Error())
+		return false
+	}
+	return true
 }
 
 // topo resolves {id}, writing 404 when unknown.
@@ -232,8 +271,7 @@ func (s *Server) release(t *topology, sess *engine.Session) {
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req LoadRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid load request: "+err.Error())
+	if !decode(w, r, maxParamBody, "load", &req) {
 		return
 	}
 	kind := eval.LoadBased
@@ -303,9 +341,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	list := TopologyList{Topologies: []TopologyInfo{}}
 	for _, id := range s.topoOrder {
-		if t, ok := s.topos[id]; ok {
-			list.Topologies = append(list.Topologies, t.info)
-		}
+		list.Topologies = append(list.Topologies, s.topos[id].info)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, list)
@@ -323,7 +359,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	t := s.topos[id]
-	delete(s.topos, id)
+	if t != nil {
+		delete(s.topos, id)
+		s.topoOrder = slices.DeleteFunc(s.topoOrder, func(o string) bool { return o == id })
+	}
 	s.mu.Unlock()
 	if t == nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, "unknown topology "+id)
@@ -337,15 +376,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // weightsFor validates the request's weight vectors against the topology,
 // returning (scheme, w, wH, wL). A scheme of "" means the request was
 // invalid and the response is written.
-func weightsFor(w http.ResponseWriter, t *topology, ws, wh, wl []int, allowCompare bool) (string, spf.Weights, spf.Weights, spf.Weights) {
+func weightsFor(w http.ResponseWriter, t *topology, ws, wh, wl spf.Weights, allowCompare bool) (string, spf.Weights, spf.Weights, spf.Weights) {
 	g := t.handle.Graph()
-	check := func(name string, v []int) spf.Weights {
-		if len(v) != g.NumEdges() {
+	check := func(name string, wt spf.Weights) spf.Weights {
+		if len(wt) != g.NumEdges() {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("%s: got %d weights, topology has %d arcs", name, len(v), g.NumEdges()))
+				fmt.Sprintf("%s: got %d weights, topology has %d arcs", name, len(wt), g.NumEdges()))
 			return nil
 		}
-		wt := spf.Weights(v)
 		if err := wt.Validate(g); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, name+": "+err.Error())
 			return nil
@@ -388,9 +426,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	var req RouteRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid route request: "+err.Error())
+	req := routePool.Get().(*RouteRequest)
+	defer routePool.Put(req)
+	*req = RouteRequest{Weights: req.Weights[:0], WeightsHigh: req.WeightsHigh[:0], WeightsLow: req.WeightsLow[:0]}
+	if !decode(w, r, maxWeightsBody, "route", req) {
 		return
 	}
 	scheme, ws, wh, wl := weightsFor(w, t, req.Weights, req.WeightsHigh, req.WeightsLow, false)
@@ -430,9 +469,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	var req WhatIfRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid whatif request: "+err.Error())
+	req := whatIfPool.Get().(*WhatIfRequest)
+	defer whatIfPool.Put(req)
+	*req = WhatIfRequest{Weights: req.Weights[:0], WeightsHigh: req.WeightsHigh[:0], WeightsLow: req.WeightsLow[:0]}
+	if !decode(w, r, maxWeightsBody, "whatif", req) {
 		return
 	}
 	scheme, ws, wh, wl := weightsFor(w, t, req.Weights, req.WeightsHigh, req.WeightsLow, true)
@@ -513,9 +553,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	list := JobList{Jobs: []JobInfo{}}
 	for _, id := range s.jobOrder {
-		if j, ok := s.jobs[id]; ok {
-			list.Jobs = append(list.Jobs, j.snapshot())
-		}
+		list.Jobs = append(list.Jobs, s.jobs[id].snapshot())
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, list)

@@ -699,3 +699,170 @@ func TestMetricsSurface(t *testing.T) {
 		t.Errorf("metrics output missing dtrd_topologies 1")
 	}
 }
+
+// TestGoldenBodyLimit pins the 413 limit_exceeded shape on the smallest cap,
+// and that the cap is exact: a body of maxParamBody bytes is still parsed.
+func TestGoldenBodyLimit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	loadTestTopo(t, ts)
+
+	req := marshalReq(t, "search_too_large_request.json", SearchRequest{Budget: strings.Repeat("x", maxParamBody)})
+	code, body := do(t, "POST", ts.URL+"/v1/topologies/t1/search", req)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized search code %d: %s", code, body)
+	}
+	golden(t, "search_too_large_response.json", body)
+
+	atCap := append([]byte(`{"budget":"galactic"}`), bytes.Repeat([]byte(" "), maxParamBody)...)[:maxParamBody]
+	code, body = do(t, "POST", ts.URL+"/v1/topologies/t1/search", atCap)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "galactic") {
+		t.Fatalf("search body at the cap: code %d: %s", code, body)
+	}
+
+	for _, endpoint := range []string{"route", "whatif"} {
+		code, body = do(t, "POST", ts.URL+"/v1/topologies/t1/"+endpoint, bytes.Repeat([]byte(" "), maxWeightsBody+1))
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || code != http.StatusRequestEntityTooLarge || e.Error.Code != CodeLimitExceeded {
+			t.Errorf("oversized %s: code %d, body %s", endpoint, code, body)
+		}
+	}
+}
+
+// TestDeleteFreesOrderSlot loads and deletes 1000 topologies: the listing
+// order must not keep a slot per topology that ever existed.
+func TestDeleteFreesOrderSlot(t *testing.T) {
+	srv, ts := testServer(t, Config{PoolSize: 1})
+	loadTestTopo(t, ts) // t1 stays, so the slice is not trivially empty
+	load, err := json.Marshal(LoadRequest{Topology: "ring", Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 1001; i++ {
+		if code, body := do(t, "POST", ts.URL+"/v1/topologies", load); code != http.StatusCreated {
+			t.Fatalf("load %d: code %d: %s", i, code, body)
+		}
+		if code, body := do(t, "DELETE", fmt.Sprintf("%s/v1/topologies/t%d", ts.URL, i), nil); code != http.StatusNoContent {
+			t.Fatalf("delete t%d: code %d: %s", i, code, body)
+		}
+	}
+	srv.mu.Lock()
+	order, topos := len(srv.topoOrder), len(srv.topos)
+	srv.mu.Unlock()
+	if order != 1 || topos != 1 {
+		t.Errorf("after 1000 load/delete pairs: %d order slots, %d topologies, want 1 and 1", order, topos)
+	}
+	code, body := do(t, "GET", ts.URL+"/v1/topologies", nil)
+	var list TopologyList
+	if err := json.Unmarshal(body, &list); err != nil || code != http.StatusOK || len(list.Topologies) != 1 || list.Topologies[0].ID != "t1" {
+		t.Errorf("list after deletes: code %d: %s", code, body)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps nothing but the
+// status, so an allocation count over it is the handler's own.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRouteHandlerAllocs pins the warm POST .../route path's allocation
+// count, decode to encode, for both request forms on a 150-arc topology (the
+// bench's route-small size). The ceilings are the counts measured when the
+// request path stopped allocating weight vectors and Results (21 and 22),
+// plus two. What is left is net/http's routing, encoding/json's Decoder (one
+// read-buffer doubling more for the two-vector body), its indenting Encoder,
+// the response value and the metrics label key; none of it grows with the
+// arc count. Giving back the per-vector growth costs 9 allocations a vector,
+// a fresh Result 6.
+func TestRouteHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	srv, ts := testServer(t, Config{PoolSize: 1})
+	load, err := json.Marshal(LoadRequest{Topology: "random", Nodes: 30, Links: 75, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := do(t, "POST", ts.URL+"/v1/topologies", load); code != http.StatusCreated {
+		t.Fatalf("load: code %d: %s", code, body)
+	}
+	const arcs = 150
+	for _, tc := range []struct {
+		name string
+		req  RouteRequest
+		max  float64
+	}{
+		{"str", RouteRequest{Weights: perturb(arcs, 1)}, 23},
+		{"dtr", RouteRequest{WeightsHigh: perturb(arcs, 2), WeightsLow: perturb(arcs, 3)}, 24},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest("POST", "/v1/topologies/t1/route", nil)
+		req.Body = io.NopCloser(rd)
+		w := &discardWriter{header: make(http.Header)}
+		serve := func() {
+			rd.Reset(body)
+			w.code = http.StatusOK
+			srv.Handler().ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s: status %d", tc.name, w.code)
+			}
+		}
+		serve() // warm: session routed once, pools primed
+		if allocs := testing.AllocsPerRun(200, serve); allocs > tc.max {
+			t.Errorf("%s: %v allocations per warm request, want <= %v", tc.name, allocs, tc.max)
+		} else {
+			t.Logf("%s: %v allocations per warm request", tc.name, allocs)
+		}
+	}
+}
+
+// TestPooledRequestsCarryNothingOver sends requests of different forms back
+// to back, so each is decoded into the struct the previous one left in the
+// pool: a field the body omits must read as absent, not as the last value.
+func TestPooledRequestsCarryNothingOver(t *testing.T) {
+	_, ts := testServer(t, Config{PoolSize: 1})
+	arcs := loadTestTopo(t, ts)
+	post := func(endpoint string, v any) (int, []byte) {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return do(t, "POST", ts.URL+"/v1/topologies/t1/"+endpoint, body)
+	}
+	for round := 0; round < 3; round++ {
+		var route RouteResponse
+		code, body := post("route", RouteRequest{Weights: perturb(arcs, 1)})
+		if err := json.Unmarshal(body, &route); err != nil || code != http.StatusOK || route.Scheme != "str" {
+			t.Fatalf("round %d: str route: code %d: %s", round, code, body)
+		}
+		code, body = post("route", RouteRequest{WeightsHigh: perturb(arcs, 2), WeightsLow: perturb(arcs, 3)})
+		if err := json.Unmarshal(body, &route); err != nil || code != http.StatusOK || route.Scheme != "dtr" {
+			t.Fatalf("round %d: dtr route after str: code %d: %s", round, code, body)
+		}
+		if code, body = post("route", RouteRequest{}); code != http.StatusBadRequest {
+			t.Fatalf("round %d: empty route after dtr: code %d: %s", round, code, body)
+		}
+
+		var sweep WhatIfResponse
+		code, body = post("whatif", WhatIfRequest{
+			WeightsHigh: perturb(arcs, 2), WeightsLow: perturb(arcs, 3),
+			Failures: &FailureModel{Kind: "link", Sample: 4, Seed: 1},
+		})
+		if err := json.Unmarshal(body, &sweep); err != nil || code != http.StatusOK || sweep.Scheme != "dtr" || sweep.States != 4 {
+			t.Fatalf("round %d: sampled dtr whatif: code %d: %s", round, code, body)
+		}
+		code, body = post("whatif", WhatIfRequest{Weights: perturb(arcs, 1)})
+		if err := json.Unmarshal(body, &sweep); err != nil || code != http.StatusOK || sweep.Scheme != "str" || sweep.States != arcs/2 {
+			t.Fatalf("round %d: default str whatif after sampled dtr: code %d, %d states, want %d: %s",
+				round, code, sweep.States, arcs/2, body)
+		}
+	}
+}

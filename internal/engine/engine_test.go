@@ -101,6 +101,78 @@ func TestSessionMatchesHandWiredEvaluator(t *testing.T) {
 	}
 }
 
+// TestSessionResultReuse pins the ownership rule of Session.EvaluateDTR: the
+// second call returns the same Result on the same backing arrays — nothing is
+// allocated for it — and what it holds is bitwise what a fresh
+// Evaluator.EvaluateDTR computes, every per-arc and per-pair vector included,
+// even though the first call left other numbers in place.
+func TestSessionResultReuse(t *testing.T) {
+	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
+		t.Run(kind.String(), func(t *testing.T) {
+			spec := testSpec()
+			spec.Kind = kind
+			h, err := Load(Spec{Name: "test", Instance: spec, Pool: DefaultPool()})
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			defer h.Close()
+			inst := h.Instance()
+			ref, err := eval.New(inst.G, inst.TH, inst.TL, inst.Opts)
+			if err != nil {
+				t.Fatalf("eval.New: %v", err)
+			}
+			s, err := h.Session(context.Background())
+			if err != nil {
+				t.Fatalf("Session: %v", err)
+			}
+			defer h.Release(s) //nolint:errcheck // no checkpoint is taken here
+
+			m := inst.G.NumEdges()
+			first, err := s.EvaluateDTR(perturb(m, 1), perturb(m, 2))
+			if err != nil {
+				t.Fatalf("first EvaluateDTR: %v", err)
+			}
+			vectors := func(r *eval.Result) [][]float64 {
+				return [][]float64{r.HLoads, r.LLoads, r.Residual, r.LinkPhiH, r.LinkPhiL, r.LinkDelay, r.PairDelays}
+			}
+			before := vectors(first)
+
+			wH, wL := perturb(m, 5), perturb(m, 8)
+			second, err := s.EvaluateDTR(wH, wL)
+			if err != nil {
+				t.Fatalf("second EvaluateDTR: %v", err)
+			}
+			want, err := ref.EvaluateDTR(wH, wL)
+			if err != nil {
+				t.Fatalf("ref EvaluateDTR: %v", err)
+			}
+			if second != first {
+				t.Errorf("second call returned a different *Result")
+			}
+			if !sameFloat(second.PhiH, want.PhiH) || !sameFloat(second.PhiL, want.PhiL) ||
+				!sameFloat(second.Lambda, want.Lambda) || !sameFloat(second.ViolationMass, want.ViolationMass) ||
+				second.Violations != want.Violations || second.Objective() != want.Objective() {
+				t.Errorf("reused result %+v != fresh %+v", second, want)
+			}
+			after, fresh := vectors(second), vectors(want)
+			for i := range after {
+				if len(after[i]) != len(fresh[i]) || (after[i] == nil) != (fresh[i] == nil) {
+					t.Fatalf("vector %d: len %d (nil %v), fresh len %d (nil %v)",
+						i, len(after[i]), after[i] == nil, len(fresh[i]), fresh[i] == nil)
+				}
+				if len(after[i]) > 0 && &after[i][0] != &before[i][0] {
+					t.Errorf("vector %d moved to a new backing array", i)
+				}
+				for j := range after[i] {
+					if !sameFloat(after[i][j], fresh[i][j]) {
+						t.Fatalf("vector %d[%d] = %v, fresh %v", i, j, after[i][j], fresh[i][j])
+					}
+				}
+			}
+		})
+	}
+}
+
 // routeKey and sweepKey are the bitwise fingerprints the concurrency
 // property test compares.
 type routeKey struct {

@@ -13,10 +13,17 @@ import (
 // use — concurrency comes from leasing several sessions off one Handle. All
 // routing inside a session is sequential (RouteWorkers = 1), so results are
 // bitwise-independent of which pooled session serves a request.
+//
+// The session owns the eval.Result its EvaluateSTR/EvaluateDTR return: each
+// call overwrites it in place, so the pointer and every slice behind it are
+// valid only until the session's next Evaluate call or its Release, whichever
+// comes first. Callers that keep numbers copy them out; callers that need a
+// Result of their own evaluate on Evaluator().
 type Session struct {
-	h  *Handle
-	ev *eval.Evaluator
-	sw *resilience.Sweeper // lazy; owns its per-scheme routing states
+	h   *Handle
+	ev  *eval.Evaluator
+	sw  *resilience.Sweeper // lazy; owns its per-scheme routing states
+	res eval.Result         // what EvaluateSTR/EvaluateDTR fill and return
 }
 
 func newSession(h *Handle) *Session {
@@ -36,16 +43,24 @@ func (s *Session) Evaluator() *eval.Evaluator { return s.ev }
 // parallel default. Results are bitwise-identical either way.
 func (s *Session) SetRouteWorkers(n int) { s.ev.SetRouteWorkers(n) }
 
-// EvaluateSTR scores single-topology routing under w.
+// EvaluateSTR scores single-topology routing under w. The Result is the
+// session's own (see Session).
 func (s *Session) EvaluateSTR(w spf.Weights) (*eval.Result, error) {
 	met.routes.Inc()
-	return s.ev.EvaluateSTR(w)
+	if err := s.ev.EvaluateSTRInto(&s.res, w); err != nil {
+		return nil, err
+	}
+	return &s.res, nil
 }
 
-// EvaluateDTR scores dual-topology routing under (wH, wL).
+// EvaluateDTR scores dual-topology routing under (wH, wL). The Result is the
+// session's own (see Session).
 func (s *Session) EvaluateDTR(wH, wL spf.Weights) (*eval.Result, error) {
 	met.routes.Inc()
-	return s.ev.EvaluateDTR(wH, wL)
+	if err := s.ev.EvaluateDTRInto(&s.res, wH, wL); err != nil {
+		return nil, err
+	}
+	return &s.res, nil
 }
 
 // checkpointArmed reports whether the session would fail the release-time

@@ -56,8 +56,11 @@ type Options struct {
 // DefaultOptions returns load-based evaluation.
 func DefaultOptions() Options { return Options{Kind: LoadBased, SLA: cost.DefaultSLA()} }
 
-// Result holds every metric of one evaluated routing. Slices are owned by
-// the Result and remain valid indefinitely.
+// Result holds every metric of one evaluated routing. Its slices belong to
+// the Result, not to the evaluator: a Result returned by an Evaluator method
+// is fresh and stays valid indefinitely; one handed to EvaluateSTRInto or
+// EvaluateDTRInto is overwritten in place, backing arrays included, so
+// whoever passes it in again decides how long the previous numbers live.
 type Result struct {
 	// PhiH and PhiL are the load-based class costs (Eq. 1 summed over arcs);
 	// PhiL is charged against residual capacity.
@@ -344,34 +347,67 @@ func (e *Evaluator) LPlan() *spf.Plan { return e.planL }
 
 // EvaluateSTR evaluates single-topology routing: both classes routed on w.
 func (e *Evaluator) EvaluateSTR(w spf.Weights) (*Result, error) {
-	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
+	r := new(Result)
+	if err := e.EvaluateSTRInto(r, w); err != nil {
 		return nil, err
 	}
-	return e.finish(e.planSTR.Loads[0], e.planSTR.Loads[1], e.planSTR)
+	return r, nil
+}
+
+// EvaluateSTRInto is EvaluateSTR writing into r, whose slices are reused
+// when large enough. On error r is left as it was.
+func (e *Evaluator) EvaluateSTRInto(r *Result, w spf.Weights) error {
+	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
+		return err
+	}
+	e.finish(r, e.planSTR.Loads[0], e.planSTR.Loads[1], e.planSTR)
+	return nil
 }
 
 // EvaluateDTR evaluates dual-topology routing: the high-priority class
 // follows wH, the low-priority class follows wL.
 func (e *Evaluator) EvaluateDTR(wH, wL spf.Weights) (*Result, error) {
-	if err := e.planH.Route(wH, e.th); err != nil {
+	r := new(Result)
+	if err := e.EvaluateDTRInto(r, wH, wL); err != nil {
 		return nil, err
 	}
-	if err := e.planL.Route(wL, e.tl); err != nil {
-		return nil, err
-	}
-	return e.finish(e.planH.Loads, e.planL.Loads, e.planH)
+	return r, nil
 }
 
-// finish derives all costs from routed per-arc loads. trees must be the
-// plan that routed the high-priority class (SLA delays follow its DAGs).
-func (e *Evaluator) finish(hLoads, lLoads []float64, trees treeSource) (*Result, error) {
+// EvaluateDTRInto is EvaluateDTR writing into r, whose slices are reused
+// when large enough. On error r is left as it was.
+func (e *Evaluator) EvaluateDTRInto(r *Result, wH, wL spf.Weights) error {
+	if err := e.planH.Route(wH, e.th); err != nil {
+		return err
+	}
+	if err := e.planL.Route(wL, e.tl); err != nil {
+		return err
+	}
+	e.finish(r, e.planH.Loads, e.planL.Loads, e.planH)
+	return nil
+}
+
+// sized returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func sized(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// finish derives all costs from routed per-arc loads into r, overwriting
+// everything r held and reusing its slices. trees must be the plan that
+// routed the high-priority class (SLA delays follow its DAGs).
+func (e *Evaluator) finish(r *Result, hLoads, lLoads []float64, trees treeSource) {
 	n := e.g.NumEdges()
-	r := &Result{
-		HLoads:   append([]float64(nil), hLoads...),
-		LLoads:   append([]float64(nil), lLoads...),
-		Residual: make([]float64, n),
-		LinkPhiH: make([]float64, n),
-		LinkPhiL: make([]float64, n),
+	linkDelay, pairDelays := r.LinkDelay, r.PairDelays
+	*r = Result{
+		HLoads:   append(r.HLoads[:0], hLoads...),
+		LLoads:   append(r.LLoads[:0], lLoads...),
+		Residual: sized(r.Residual, n),
+		LinkPhiH: sized(r.LinkPhiH, n),
+		LinkPhiL: sized(r.LinkPhiL, n),
 		kind:     e.opts.Kind,
 	}
 	for i := 0; i < n; i++ {
@@ -382,9 +418,9 @@ func (e *Evaluator) finish(hLoads, lLoads []float64, trees treeSource) (*Result,
 		r.PhiL += r.LinkPhiL[i]
 	}
 	if e.opts.Kind == SLABased {
-		r.LinkDelay = make([]float64, n)
+		r.LinkDelay = sized(linkDelay, n)
 		e.fillLinkDelays(hLoads, r.LinkPhiH, r.LinkDelay)
-		r.PairDelays = make([]float64, 0, len(e.pairs))
+		r.PairDelays = sized(pairDelays, len(e.pairs))[:0]
 		for i, dest := range e.hpDests {
 			xi := trees.DelaysTo(dest, r.LinkDelay)
 			for _, src := range e.hpSrcs[i] {
@@ -398,7 +434,6 @@ func (e *Evaluator) finish(hLoads, lLoads []float64, trees treeSource) (*Result,
 			}
 		}
 	}
-	return r, nil
 }
 
 // linkDelayAt computes the Eq. (3) delay of one arc from its high-priority
@@ -430,7 +465,9 @@ func (e *Evaluator) EvaluateHWithLLoads(wH spf.Weights, lLoads []float64) (*Resu
 	if err := e.planH.Route(wH, e.th); err != nil {
 		return nil, err
 	}
-	return e.finish(e.planH.Loads, lLoads, e.planH)
+	r := new(Result)
+	e.finish(r, e.planH.Loads, lLoads, e.planH)
+	return r, nil
 }
 
 // EvaluateLWithBase produces a full Result after a change to the
