@@ -37,6 +37,12 @@ func (j *job) snapshot() JobInfo {
 	}
 }
 
+func (j *job) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status != "running"
+}
+
 func (j *job) finish(res *SearchResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -71,13 +77,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	s.nextJob++
-	j := &job{id: fmt.Sprintf("j%d", s.nextJob), topoID: t.info.ID, status: "running"}
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	s.mu.Unlock()
-
+	j := s.addJob(t.info.ID)
 	s.jobsWG.Add(1)
 	s.met.jobsRunning.Add(1)
 	go func() {
@@ -86,6 +86,40 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		j.finish(s.runSearch(t, preset, req))
 	}()
 	writeJSON(w, http.StatusAccepted, j.snapshot())
+}
+
+// maxFinishedJobs bounds how many finished (done or failed) jobs the server
+// keeps for polling; each holds three weight vectors.
+const maxFinishedJobs = 64
+
+// addJob registers a new running job for topology topoID. To keep the
+// registry bounded it first evicts the oldest finished jobs, leaving room
+// for the new one once it finishes; running jobs are never evicted, and
+// polling an evicted job answers 404.
+func (s *Server) addJob(topoID string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	finished := 0
+	for _, id := range s.jobOrder {
+		if s.jobs[id].finished() {
+			finished++
+		}
+	}
+	kept := s.jobOrder[:0]
+	for _, id := range s.jobOrder {
+		if finished >= maxFinishedJobs && s.jobs[id].finished() {
+			delete(s.jobs, id)
+			finished--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	clear(s.jobOrder[len(kept):])
+	s.nextJob++
+	j := &job{id: fmt.Sprintf("j%d", s.nextJob), topoID: topoID, status: "running"}
+	s.jobs[j.id] = j
+	s.jobOrder = append(kept, j.id)
+	return j
 }
 
 // runSearch executes the dtropt pipeline on a pooled session: STR from unit

@@ -758,6 +758,46 @@ func TestDeleteFreesOrderSlot(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsEvicted drives the job insert path well past the
+// finished-job cap: the registry stays bounded, the listing shows only live
+// jobs, an evicted job polls as 404, and a job still running is never
+// evicted however old it is.
+func TestFinishedJobsEvicted(t *testing.T) {
+	srv, ts := testServer(t, Config{PoolSize: 1})
+	running := srv.addJob("t1")
+	const extra = 20
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		j := srv.addJob("t1")
+		var err error
+		if i%2 == 1 {
+			err = fmt.Errorf("search %d failed", i)
+		}
+		j.finish(&SearchResult{}, err)
+	}
+	srv.mu.Lock()
+	order, jobs := len(srv.jobOrder), len(srv.jobs)
+	srv.mu.Unlock()
+	if order > maxFinishedJobs+1 || order != jobs {
+		t.Fatalf("%d order slots, %d jobs; want both <= %d", order, jobs, maxFinishedJobs+1)
+	}
+	code, body := do(t, "GET", ts.URL+"/v1/jobs", nil)
+	var list JobList
+	if err := json.Unmarshal(body, &list); err != nil || code != http.StatusOK {
+		t.Fatalf("list: code %d: %s", code, body)
+	}
+	if len(list.Jobs) != order || list.Jobs[0].ID != running.id || list.Jobs[0].Status != "running" {
+		t.Fatalf("list has %d jobs (want %d) starting %+v; want the running %s first", len(list.Jobs), order, list.Jobs[0], running.id)
+	}
+	for _, ji := range list.Jobs {
+		if code, body := do(t, "GET", ts.URL+"/v1/jobs/"+ji.ID, nil); code != http.StatusOK {
+			t.Errorf("listed job %s: code %d: %s", ji.ID, code, body)
+		}
+	}
+	if code, _ := do(t, "GET", ts.URL+"/v1/jobs/j2", nil); code != http.StatusNotFound {
+		t.Errorf("oldest finished job j2: code %d, want 404 after eviction", code)
+	}
+}
+
 // discardWriter is a reusable http.ResponseWriter that keeps nothing but the
 // status, so an allocation count over it is the handler's own.
 type discardWriter struct {

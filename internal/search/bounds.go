@@ -1,6 +1,7 @@
 package search
 
 import (
+	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
 )
@@ -29,65 +30,64 @@ import (
 // TestPruneBoundSoundness).
 //
 // The bound is only consulted while the incumbent's plan trees are anchored
-// at the incumbent weights — which newDTRSearch guarantees for s.e in both
+// at the incumbent weights — which newLocalSearch guarantees for s.e in both
 // delta and full-evaluation mode — and never under Robust scoring, where
 // failure states re-route under candidate weights and intact-invariance
 // says nothing about the sweep.
 
 // pruneOn reports whether the routing-invariance prune is active.
-func (s *dtrSearch) pruneOn() bool { return s.p.Prune && !s.robust() }
+func (s *localSearch) pruneOn() bool { return s.p.Prune && !s.robust() }
 
-// arcsInvariant reports whether changing w to cw on the given arcs provably
-// leaves every destination tree of plan intact.
-func arcsInvariant(plan *spf.Plan, csr *graph.CSR, w, cw spf.Weights, arcs []graph.EdgeID) bool {
-	dests := plan.Destinations()
-	for _, a := range arcs {
-		oldW, newW := int64(w[a]), int64(cw[a])
-		if oldW == newW {
-			continue
+// arcInvariant reports whether changing arc a's weight from oldW to newW
+// provably leaves every destination tree of plan intact.
+func arcInvariant(plan *spf.Plan, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
+	if oldW == newW {
+		return true
+	}
+	u, v := csr.From[a], csr.To[a]
+	for _, dest := range plan.Destinations() {
+		t := plan.Tree(dest)
+		dv := int64(t.Dist[v])
+		if dv == spf.Unreachable {
+			continue // the arc leads nowhere useful for this destination
 		}
-		u, v := csr.From[a], csr.To[a]
-		for _, dest := range dests {
-			t := plan.Tree(dest)
-			dv := int64(t.Dist[v])
-			if dv == spf.Unreachable {
-				continue // the arc leads nowhere useful for this destination
-			}
-			// Widen to int64: Disabled weights exceed any finite int32
-			// distance, so the sums below must not wrap.
-			du := int64(t.Dist[u])
-			if du == oldW+dv {
-				return false // on the DAG; its weight moves
-			}
-			if newW < oldW && du >= newW+dv {
-				return false // decrease creates a competitive path
-			}
+		// Widen to int64: Disabled weights exceed any finite int32
+		// distance, so the sums below must not wrap.
+		du := int64(t.Dist[u])
+		if du == int64(oldW)+dv {
+			return false // on the DAG; its weight moves
+		}
+		if newW < oldW && du >= int64(newW)+dv {
+			return false // decrease creates a competitive path
 		}
 	}
 	return true
 }
 
-// pruneCandidates drops the provably routing-invariant candidates from
-// cands (and keeps s.candArcs aligned), counting what it discarded. The
-// filter consumes no randomness and touches no evaluator or pending state,
-// so the surviving trajectory is identical to the unpruned one.
-func (s *dtrSearch) pruneCandidates(cands []spf.Weights, plan *spf.Plan, w spf.Weights) []spf.Weights {
-	if !s.pruneOn() || len(cands) == 0 {
-		return cands
+// pruneMoves drops the provably routing-invariant moves of class c,
+// reading each moved arc's new weight from the move itself, and counts what
+// it discarded. The filter consumes no randomness and touches no evaluator
+// or pending state, so the surviving trajectory is identical to the
+// unpruned one.
+func (s *localSearch) pruneMoves(c int, moves []move) []move {
+	if !s.pruneOn() || len(moves) == 0 {
+		return moves
+	}
+	plan := s.e.HPlan()
+	if c == eval.Low {
+		plan = s.e.LPlan()
 	}
 	csr := s.e.Graph().CSR()
-	kept := cands[:0]
-	keptArcs := s.candArcs[:0]
-	for i, cw := range cands {
-		if arcsInvariant(plan, csr, w, cw, s.candArcs[i][:]) {
-			s.stepPruned++
+	w := s.w[c]
+	kept := moves[:0]
+	for _, mv := range moves {
+		if arcInvariant(plan, csr, mv.up, w[mv.up], mv.wUp) && arcInvariant(plan, csr, mv.down, w[mv.down], mv.wDown) {
+			s.tally.pruned++
 			continue
 		}
-		kept = append(kept, cw)
-		keptArcs = append(keptArcs, s.candArcs[i])
+		kept = append(kept, mv)
 	}
-	s.candArcs = keptArcs
-	if n := len(cands) - len(kept); n > 0 {
+	if n := len(moves) - len(kept); n > 0 {
 		s.pruned += int64(n)
 		searchMet.candPruned.Add(int64(n))
 		if gen := searchMet.candGenerated.Value(); gen > 0 {

@@ -1,12 +1,6 @@
 package search
 
-import (
-	"cmp"
-	"slices"
-
-	"dualtopo/internal/graph"
-	"dualtopo/internal/spf"
-)
+import "dualtopo/internal/spf"
 
 // Link-guided candidate generation: a guided step ranks arcs by the
 // incumbent's arc attribution (per-arc ΦH / SLA violation mass for FindH,
@@ -18,7 +12,7 @@ import (
 //
 // Only the ordering changes — guided steps draw the same k1/k2 ranks and
 // build candidates through the same pairing and clamping rules as blind
-// steps (buildNeighbors/neighborOf), so every guided candidate is a legal
+// steps (buildNeighbors/newMove), so every guided candidate is a legal
 // Algorithm 2 move (pinned by TestGuidedCandidatesAreLegalMoves) and the
 // sampler keeps proposing fresh pairs between accepts. (An earlier design
 // that pinned k1 = k2 = 1 on guided steps re-proposed the same extreme pairs
@@ -30,7 +24,7 @@ import (
 
 // useGuided draws the per-step guidance decision. The draw happens only when
 // guidance is enabled, keeping the Guide == 0 rng stream untouched.
-func (s *dtrSearch) useGuided() bool {
+func (s *localSearch) useGuided() bool {
 	if s.p.Guide <= 0 {
 		return false
 	}
@@ -41,23 +35,11 @@ func (s *dtrSearch) useGuided() bool {
 // cache is invalidated whenever the incumbent solution moves (accepts,
 // diversification refreshes); s.e's plans are anchored at the incumbent at
 // those points, which is the Attribute contract.
-func (s *dtrSearch) ensureAttr() {
+func (s *localSearch) ensureAttr() {
 	if !s.attrFresh {
 		s.e.Attribute(s.cur, &s.attr)
 		s.attrFresh = true
 	}
-}
-
-// sortLinksGuided fills s.order with all arcs by decreasing attribution
-// score, ties broken by ascending arc ID (stable sort over the identity
-// ordering) — fully deterministic.
-func (s *dtrSearch) sortLinksGuided(score []float64) {
-	for i := range s.order {
-		s.order[i] = graph.EdgeID(i)
-	}
-	slices.SortStableFunc(s.order, func(a, b graph.EdgeID) int {
-		return cmp.Compare(score[b], score[a])
-	})
 }
 
 // Portfolio start-weight builders (see portfolio.go).

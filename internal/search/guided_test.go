@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/graph"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/spf"
 )
 
 // TestGuidedCandidatesAreLegalMoves pins the guided generator to Algorithm
 // 2's move set: a guided step only swaps in the attribution ordering — every
-// candidate must still be neighborOf(w, up, down) for a distinct (up, down)
+// candidate must still be the move newMove builds for a distinct (up, down)
 // pair produced by the paper's rank sampler over that ordering — one weight
 // raised by at most Step (clamped to WMax), one lowered by at most Step
-// (clamped to 1), everything else untouched.
+// (clamped to 1), at least one of them changed — and a worker must
+// materialize it as exactly that vector.
 func TestGuidedCandidatesAreLegalMoves(t *testing.T) {
 	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -27,9 +29,9 @@ func TestGuidedCandidatesAreLegalMoves(t *testing.T) {
 			}
 			n := e.Graph().NumEdges()
 			m := p.Neighbors
+			wH := s.w[eval.High]
 			for trial := 0; trial < 25; trial++ {
-				s.ensureAttr()
-				s.sortLinksGuided(s.attr.HScore)
+				s.rankLinks(eval.High, true)
 				// The guided ordering must rank by decreasing score with
 				// arc-ID tie-breaks — fully deterministic.
 				for i := 1; i < n; i++ {
@@ -39,34 +41,39 @@ func TestGuidedCandidatesAreLegalMoves(t *testing.T) {
 						t.Fatalf("guided order not (score desc, id asc) at %d: %v/%v", i, a, b)
 					}
 				}
-				cands := s.buildNeighbors(s.wH, true)
-				if len(cands) > m {
-					t.Fatalf("guided step built %d candidates, sampler pairs at most %d", len(cands), m)
+				moves := s.buildNeighbors(eval.High, true)
+				if len(moves) > m {
+					t.Fatalf("guided step built %d candidates, sampler pairs at most %d", len(moves), m)
 				}
-				if len(s.candArcs) != len(cands) {
-					t.Fatalf("candArcs misaligned: %d vs %d", len(s.candArcs), len(cands))
-				}
-				for ci, cw := range cands {
-					up, down := s.candArcs[ci][0], s.candArcs[ci][1]
-					if up == down {
-						t.Fatalf("candidate %d raises and lowers the same arc %d", ci, up)
+				for ci, mv := range moves {
+					if mv.up == mv.down {
+						t.Fatalf("candidate %d raises and lowers the same arc %d", ci, mv.up)
 					}
-					want, changed := neighborOf(s.wH, up, down, p.Step, p.WMax)
-					if !changed {
-						t.Fatalf("candidate %d recorded for a no-op move", ci)
+					if want, changed := newMove(wH, mv.up, mv.down, p.Step, p.WMax); !changed || mv != want {
+						t.Fatalf("candidate %d is %+v, the legal move is %+v (changed=%v)", ci, mv, want, changed)
 					}
+					if mv.wUp < wH[mv.up] || mv.wUp > min(wH[mv.up]+p.Step, p.WMax) ||
+						mv.wDown > wH[mv.down] || mv.wDown < max(wH[mv.down]-p.Step, 1) {
+						t.Fatalf("candidate %d moves outside ±Step within [1,%d]: %+v from (%d,%d)",
+							ci, p.WMax, mv, wH[mv.up], wH[mv.down])
+					}
+					cw, _ := s.candidate(eval.High, 0, mv)
 					for a := 0; a < n; a++ {
-						if cw[a] != want[a] {
-							t.Fatalf("candidate %d differs from the legal move at arc %d: %d vs %d", ci, a, cw[a], want[a])
+						want := wH[a]
+						switch graph.EdgeID(a) {
+						case mv.up:
+							want = mv.wUp
+						case mv.down:
+							want = mv.wDown
 						}
-						if cw[a] < 1 || cw[a] > p.WMax {
-							t.Fatalf("candidate %d weight %d outside [1,%d]", ci, cw[a], p.WMax)
+						if cw[a] != want {
+							t.Fatalf("candidate %d materialized %d at arc %d, want %d", ci, cw[a], a, want)
 						}
 					}
 				}
 				// Move the incumbent so later trials exercise fresh
-				// attributions and orderings.
-				s.noteHChange(s.perturb(s.wH, 0.2))
+				// attributions, orderings and scratch resyncs.
+				s.noteChange(eval.High, s.perturb(wH, 0.2))
 				if err := s.refreshFull(); err != nil {
 					t.Fatal(err)
 				}

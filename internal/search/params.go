@@ -2,10 +2,18 @@
 // three-routine search of Algorithm 1 with the FindH/FindL neighborhoods of
 // Algorithm 2 (§4), and the Fortz–Thorup "single weight change" local search
 // used as the STR baseline, including the ε-relaxed record keeping of §5.3.
+//
+// Both run on one local-search loop (search.go): a routine proposes moves —
+// one arc for STR, a raised/lowered arc pair for FindH and FindL, which are
+// one step parameterised by traffic class — the worker pool scores them on
+// per-worker scratch weights and incremental routers, the best strict
+// improvement is accepted, and M idle iterations trigger a diversification.
+// STR is a single routine on that loop; DTR is Algorithm 1's three.
 package search
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"dualtopo/internal/resilience"
@@ -34,8 +42,8 @@ func (rp RobustParams) enabled() bool { return len(rp.States) > 0 }
 
 // validate reports the first invalid robust field.
 func (rp RobustParams) validate() error {
-	if rp.Alpha < 0 || rp.Beta < 0 {
-		return fmt.Errorf("search: negative robust weights (alpha=%g, beta=%g)", rp.Alpha, rp.Beta)
+	if !(rp.Alpha >= 0) || !(rp.Beta >= 0) || math.IsInf(rp.Alpha, 1) || math.IsInf(rp.Beta, 1) {
+		return fmt.Errorf("search: robust weights (alpha=%g, beta=%g) not finite and >= 0", rp.Alpha, rp.Beta)
 	}
 	if rp.enabled() && rp.Alpha == 0 && rp.Beta == 0 {
 		return fmt.Errorf("search: robust failure set given but alpha and beta are both 0")
@@ -147,15 +155,15 @@ func (p Params) Validate() error {
 		return fmt.Errorf("search: diversification interval M=%d < 1", p.M)
 	case p.Neighbors < 1:
 		return fmt.Errorf("search: neighborhood size m=%d < 1", p.Neighbors)
-	case p.G1 < 0 || p.G1 > 1 || p.G2 < 0 || p.G2 > 1 || p.G3 < 0 || p.G3 > 1:
+	case !unit(p.G1) || !unit(p.G2) || !unit(p.G3):
 		return fmt.Errorf("search: perturbation fractions (%g,%g,%g) outside [0,1]", p.G1, p.G2, p.G3)
-	case p.Tau < 0:
-		return fmt.Errorf("search: tau=%g < 0", p.Tau)
+	case !(p.Tau >= 0) || math.IsInf(p.Tau, 1):
+		return fmt.Errorf("search: tau=%g not finite and >= 0", p.Tau)
 	case p.WMax < 2:
 		return fmt.Errorf("search: WMax=%d < 2", p.WMax)
 	case p.Step < 1:
 		return fmt.Errorf("search: step=%d < 1", p.Step)
-	case p.Guide < 0 || p.Guide > 1:
+	case !unit(p.Guide):
 		return fmt.Errorf("search: guide=%g outside [0,1]", p.Guide)
 	case p.Workers < 0:
 		return fmt.Errorf("search: workers=%d < 0", p.Workers)
@@ -164,6 +172,9 @@ func (p Params) Validate() error {
 	}
 	return p.Robust.validate()
 }
+
+// unit reports whether x lies in [0, 1]; NaN does not.
+func unit(x float64) bool { return x >= 0 && x <= 1 }
 
 func (p Params) workers() int {
 	if p.Workers > 0 {
@@ -226,7 +237,7 @@ func (p STRParams) Validate() error {
 		return fmt.Errorf("search: STR candidates %d < 1", p.Candidates)
 	case p.M < 1:
 		return fmt.Errorf("search: STR diversification interval M=%d < 1", p.M)
-	case p.Perturb < 0 || p.Perturb > 1:
+	case !unit(p.Perturb):
 		return fmt.Errorf("search: STR perturbation %g outside [0,1]", p.Perturb)
 	case p.WMax < 2:
 		return fmt.Errorf("search: STR WMax=%d < 2", p.WMax)
@@ -236,16 +247,24 @@ func (p STRParams) Validate() error {
 		return fmt.Errorf("search: STR route workers=%d < 0", p.RouteWorkers)
 	}
 	for _, e := range p.Epsilons {
-		if e < 0 {
-			return fmt.Errorf("search: negative epsilon %g", e)
+		if !(e >= 0) || math.IsInf(e, 1) {
+			return fmt.Errorf("search: epsilon %g not finite and >= 0", e)
 		}
 	}
 	return nil
 }
 
-func (p STRParams) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
+// params maps STR's knobs onto the shared loop's Params: Candidates is the
+// neighborhood size (and so bounds the worker pool).
+func (p STRParams) params() Params {
+	return Params{
+		M:            p.M,
+		Neighbors:    p.Candidates,
+		WMax:         p.WMax,
+		Seed:         p.Seed,
+		Workers:      p.Workers,
+		RouteWorkers: p.RouteWorkers,
+		FullEval:     p.FullEval,
+		VerifyDelta:  p.VerifyDelta,
 	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dualtopo/internal/eval"
 	"dualtopo/internal/spf"
@@ -141,32 +140,6 @@ type PortfolioResult struct {
 	Trajectories []TrajectoryResult
 }
 
-// sharedBound is the portfolio's cross-trajectory best-known ΦL, shared
-// through an atomic. It is advisory: running trajectories publish every new
-// personal best into it (live-visible through the portfolio_best_phi_l
-// gauge and to any custom OnEvent sink), but no trajectory's decisions read
-// it — consuming it would make one trajectory's path depend on scheduling,
-// destroying the bitwise determinism the portfolio guarantees at any
-// Concurrency.
-type sharedBound struct{ bits atomic.Uint64 }
-
-func (b *sharedBound) init(v float64) { b.bits.Store(math.Float64bits(v)) }
-
-func (b *sharedBound) note(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	for {
-		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Portfolio runs every strategy as an independent seeded DTR trajectory on
 // a clone of e, at most Concurrency at a time, and returns the
 // deterministically selected winner plus all per-trajectory results. wH0
@@ -209,8 +182,6 @@ func Portfolio(e *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams) (*Po
 		}
 	}
 
-	var bound sharedBound
-	bound.init(math.Inf(1))
 	portfolioMet.bestPhiL.Set(math.Inf(1))
 
 	results := make([]*DTRResult, nStrat)
@@ -223,7 +194,7 @@ func Portfolio(e *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams) (*Po
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = runTrajectory(evs[i], wH0, wL0, pp, i, st, workers, &bound)
+			results[i], errs[i] = runTrajectory(evs[i], wH0, wL0, pp, i, st, workers)
 		}(i, st)
 	}
 	wg.Wait()
@@ -249,14 +220,13 @@ func Portfolio(e *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams) (*Po
 }
 
 // runTrajectory executes one strategy on its own evaluator clone.
-func runTrajectory(ev *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams, idx int, st Strategy, workers int, bound *sharedBound) (*DTRResult, error) {
+func runTrajectory(ev *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams, idx int, st Strategy, workers int) (*DTRResult, error) {
 	p := pp.Base
 	p.Seed += st.SeedDelta
 	p.Guide, p.Prune = st.Guide, st.Prune
 	p.Workers = workers
 	p.OnEvent = func(te TraceEvent) {
 		te.Trajectory = idx
-		bound.note(te.BestPhiL)
 		portfolioMet.bestPhiL.SetMin(te.BestPhiL)
 		if pp.OnEvent != nil {
 			pp.OnEvent(te)
@@ -290,7 +260,6 @@ func runTrajectory(ev *eval.Evaluator, wH0, wL0 spf.Weights, pp PortfolioParams,
 	if err != nil {
 		return nil, fmt.Errorf("search: portfolio trajectory %d (%s): %w", idx, st.Name, err)
 	}
-	bound.note(res.Best.Secondary)
 	portfolioMet.bestPhiL.SetMin(res.Best.Secondary)
 	return res, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+
+	"dualtopo/internal/graph"
 )
 
 // rankSampler draws ranks k ∈ [1, max] from the truncated heavy-tail
@@ -36,4 +38,18 @@ func newRankSampler(max int, tau float64) *rankSampler {
 func (s *rankSampler) sample(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(s.cum, u) + 1
+}
+
+// rng wraps math/rand/v2 with the small helpers the searches need.
+type rng struct {
+	*rand.Rand
+}
+
+func newRNG(seed uint64) *rng {
+	return &rng{rand.New(rand.NewPCG(seed, 0x64756c746f706f))} // "dultopo"
+}
+
+// shuffleEdges permutes a slice of edge IDs in place.
+func (r *rng) shuffleEdges(s []graph.EdgeID) {
+	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }

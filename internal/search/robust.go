@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dualtopo/internal/cost"
+	"dualtopo/internal/eval"
 	"dualtopo/internal/resilience"
 	"dualtopo/internal/spf"
 )
@@ -40,13 +41,13 @@ type RobustScore struct {
 }
 
 // robust reports whether failure-aware scoring is active.
-func (s *dtrSearch) robust() bool { return len(s.rStates) > 0 }
+func (s *localSearch) robust() bool { return len(s.rStates) > 0 }
 
 // initRobust builds one sweeper per worker and filters the configured
 // failure set down to states that keep every demand connected. Reachability
 // under a failure depends only on the surviving arcs — never on the weights
 // — so the filter holds for every candidate the search will visit.
-func (s *dtrSearch) initRobust(wH0, wL0 spf.Weights) error {
+func (s *localSearch) initRobust(wH0, wL0 spf.Weights) error {
 	s.sweep = make([]*resilience.Sweeper, len(s.pool))
 	for i, e := range s.pool {
 		// Pool sweepers run concurrently during candidate evaluation, so
@@ -70,7 +71,7 @@ func (s *dtrSearch) initRobust(wH0, wL0 spf.Weights) error {
 
 // robustStats sweeps (wH, wL) over the filtered states on the given worker's
 // engines and reduces to (mean, worst, worst index).
-func (s *dtrSearch) robustStats(worker int, wH, wL spf.Weights) (mean, worst float64, worstIdx int, err error) {
+func (s *localSearch) robustStats(worker int, wH, wL spf.Weights) (mean, worst float64, worstIdx int, err error) {
 	res, err := s.sweep[worker].SweepDTR(wH, wL, s.rStates)
 	if err != nil {
 		return 0, 0, 0, err
@@ -90,7 +91,7 @@ func (s *dtrSearch) robustStats(worker int, wH, wL spf.Weights) (mean, worst flo
 }
 
 // robustTerm is the additive failure penalty of one candidate routing.
-func (s *dtrSearch) robustTerm(worker int, wH, wL spf.Weights) (float64, error) {
+func (s *localSearch) robustTerm(worker int, wH, wL spf.Weights) (float64, error) {
 	mean, worst, _, err := s.robustStats(worker, wH, wL)
 	if err != nil {
 		return 0, err
@@ -100,44 +101,16 @@ func (s *dtrSearch) robustTerm(worker int, wH, wL spf.Weights) (float64, error) 
 
 // composite folds a robust penalty into a nominal objective for candidate
 // and incumbent comparisons. Without robust scoring it is the identity.
-func (s *dtrSearch) composite(lex cost.Lex, rob float64) cost.Lex {
+func (s *localSearch) composite(lex cost.Lex, rob float64) cost.Lex {
 	if !s.robust() {
 		return lex
 	}
 	return cost.Lex{Primary: lex.Primary, Secondary: lex.Secondary + rob}
 }
 
-// curRobIfOn returns the incumbent's robust penalty (0 when scoring is off;
-// curRob already is 0 then, but keep the off-path explicit).
-func (s *dtrSearch) curRobIfOn() float64 {
-	if !s.robust() {
-		return 0
-	}
-	return s.curRob
-}
-
-// robAdd returns candidate i's robust penalty (0 when scoring is off).
-func (s *dtrSearch) robAdd(i int) float64 {
-	if !s.robust() {
-		return 0
-	}
-	return s.robustAdd[i]
-}
-
-// prepRobustAdd sizes the per-candidate penalty scratch.
-func (s *dtrSearch) prepRobustAdd(n int) {
-	if !s.robust() {
-		return
-	}
-	if cap(s.robustAdd) < n {
-		s.robustAdd = make([]float64, n)
-	}
-	s.robustAdd = s.robustAdd[:n]
-}
-
 // finalRobust scores the best-found weights for reporting.
-func (s *dtrSearch) finalRobust(nominalPhiL float64) (*RobustScore, error) {
-	mean, worst, worstIdx, err := s.robustStats(0, s.bestWH, s.bestWL)
+func (s *localSearch) finalRobust(nominalPhiL float64) (*RobustScore, error) {
+	mean, worst, worstIdx, err := s.robustStats(0, s.best[eval.High], s.best[eval.Low])
 	if err != nil {
 		return nil, err
 	}

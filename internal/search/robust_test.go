@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -97,6 +98,17 @@ func TestRobustValidation(t *testing.T) {
 	p.Robust = RobustParams{States: states, Alpha: -1}
 	if err := p.Validate(); err == nil {
 		t.Error("negative alpha accepted")
+	}
+	for _, bad := range []RobustParams{
+		{States: states, Alpha: math.NaN(), Beta: 1},
+		{States: states, Alpha: 1, Beta: math.NaN()},
+		{States: states, Alpha: math.Inf(1)},
+		{States: states, Alpha: 1, Beta: math.Inf(-1)},
+	} {
+		p.Robust = bad
+		if err := p.Validate(); err == nil {
+			t.Errorf("non-finite robust weights accepted: alpha=%g beta=%g", bad.Alpha, bad.Beta)
+		}
 	}
 	p.Robust = RobustParams{States: states}
 	if err := p.Validate(); err == nil {

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualtopo/internal/eval"
@@ -95,6 +96,12 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.Guide = -0.1 },
 		func(p *Params) { p.Guide = 1.01 },
 		func(p *Params) { p.Workers = -2 },
+		func(p *Params) { p.G2 = math.NaN() },
+		func(p *Params) { p.G3 = math.Inf(1) },
+		func(p *Params) { p.Tau = math.NaN() },
+		func(p *Params) { p.Tau = math.Inf(1) },
+		func(p *Params) { p.Guide = math.NaN() },
+		func(p *Params) { p.Guide = math.Inf(-1) },
 	}
 	for i, mutate := range bad {
 		p := Defaults()
@@ -117,6 +124,10 @@ func TestSTRParamsValidate(t *testing.T) {
 		func(p *STRParams) { p.WMax = 0 },
 		func(p *STRParams) { p.Epsilons = []float64{-0.05} },
 		func(p *STRParams) { p.Workers = -1 },
+		func(p *STRParams) { p.Perturb = math.NaN() },
+		func(p *STRParams) { p.Perturb = math.Inf(1) },
+		func(p *STRParams) { p.Epsilons = []float64{0.05, math.NaN()} },
+		func(p *STRParams) { p.Epsilons = []float64{math.Inf(1)} },
 	}
 	for i, mutate := range bad {
 		p := STRDefaults()
@@ -176,26 +187,57 @@ func TestRankSamplerDegenerate(t *testing.T) {
 	}
 }
 
+// neighborOf is the weight vector newMove's move produces on a copy of w.
+func neighborOf(w spf.Weights, up, down graph.EdgeID, step, wMax int) (spf.Weights, bool) {
+	mv, changed := newMove(w, up, down, step, wMax)
+	nw := w.Clone()
+	mv.apply(nw)
+	return nw, changed
+}
+
+// arcsInvariant is the prune's per-arc bound over an explicit candidate
+// vector cw: every listed arc must be certified against plan.
+func arcsInvariant(plan *spf.Plan, csr *graph.CSR, w, cw spf.Weights, arcs []graph.EdgeID) bool {
+	for _, a := range arcs {
+		if !arcInvariant(plan, csr, a, w[a], cw[a]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNeighborOf(t *testing.T) {
 	w := spf.Weights{5, 30, 1, 10}
-	nw, changed := neighborOf(w, 0, 2, 1, 30)
-	if !changed || nw[0] != 6 || nw[2] != 1 {
-		t.Fatalf("basic move: %v changed=%v (down already at floor)", nw, changed)
+	mv, changed := newMove(w, 0, 2, 1, 30)
+	if !changed || mv != (move{up: 0, down: 2, wUp: 6, wDown: 1}) {
+		t.Fatalf("basic move: %+v changed=%v (down already at floor)", mv, changed)
 	}
 	// Saturated both ends: no change.
 	w2 := spf.Weights{30, 1}
-	if _, changed := neighborOf(w2, 0, 1, 1, 30); changed {
+	if _, changed := newMove(w2, 0, 1, 1, 30); changed {
 		t.Fatal("saturated move reported change")
 	}
 	// Step overshoot clamps.
 	w3 := spf.Weights{29, 2}
-	nw3, changed := neighborOf(w3, 0, 1, 5, 30)
-	if !changed || nw3[0] != 30 || nw3[1] != 1 {
-		t.Fatalf("clamped move: %v changed=%v", nw3, changed)
+	mv3, changed := newMove(w3, 0, 1, 5, 30)
+	if !changed || mv3.wUp != 30 || mv3.wDown != 1 {
+		t.Fatalf("clamped move: %+v changed=%v", mv3, changed)
 	}
-	// Original untouched.
-	if w[0] != 5 {
-		t.Fatal("neighborOf mutated input")
+	// A weight above wMax is clamped down to it, which counts as a change.
+	if mv4, changed := newMove(spf.Weights{35, 1}, 0, 1, 1, 30); !changed || mv4.wUp != 30 {
+		t.Fatalf("over-range move: %+v changed=%v", mv4, changed)
+	}
+	// Applying writes exactly the two arcs; building reads w only.
+	nw := w.Clone()
+	mv.apply(nw)
+	if want := (spf.Weights{6, 30, 1, 10}); !slices.Equal(nw, want) || w[0] != 5 {
+		t.Fatalf("apply: %v (input %v), want %v", nw, w, want)
+	}
+	if got := mv.appendArcs(nil); !slices.Equal(got, []graph.EdgeID{0, 2}) {
+		t.Fatalf("two-arc move arcs %v", got)
+	}
+	if got := (move{up: 3, down: 3, wUp: 7, wDown: 7}).appendArcs(nil); !slices.Equal(got, []graph.EdgeID{3}) {
+		t.Fatalf("single-arc move arcs %v", got)
 	}
 }
 

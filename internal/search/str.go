@@ -2,7 +2,7 @@ package search
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"dualtopo/internal/cost"
 	"dualtopo/internal/eval"
@@ -43,7 +43,8 @@ func STR(e *eval.Evaluator, p STRParams) (*STRResult, error) {
 }
 
 // STRFrom runs the STR search from the given initial weights. The input is
-// not modified.
+// not modified. It is one routine on the shared local-search loop: stepSTR
+// moves, Perturb-fraction diversification.
 func STRFrom(e *eval.Evaluator, w0 spf.Weights, p STRParams) (*STRResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -51,270 +52,158 @@ func STRFrom(e *eval.Evaluator, w0 spf.Weights, p STRParams) (*STRResult, error)
 	if err := w0.Validate(e.Graph()); err != nil {
 		return nil, fmt.Errorf("search: initial W: %w", err)
 	}
-	s := &strSearch{
-		e:       e,
-		p:       p,
-		rng:     newRNG(p.Seed),
-		w:       w0.Clone(),
-		relaxed: make(map[float64]RelaxedRecord, len(p.Epsilons)),
+	s := newLocalSearch(e, p.params(), w0)
+	inf := math.Inf(1) // a best the initial evaluation always beats
+	s.str = &strState{
+		epsilons: p.Epsilons,
+		relaxed:  make(map[float64]RelaxedRecord, len(p.Epsilons)),
+		best:     eval.STRObjective{Lex: cost.Lex{Primary: inf, Secondary: inf}, PhiH: inf},
 	}
-	workers := p.workers()
-	if workers > p.Candidates {
-		workers = p.Candidates
-	}
-	e.ResetDelta() // a reused evaluator must not leak a prior run's router position
-	s.pool = make([]*eval.Evaluator, workers)
-	s.pool[0] = e
-	for i := 1; i < workers; i++ {
-		s.pool[i] = e.Clone()
-	}
-	s.pending = make([][]graph.EdgeID, workers)
-	s.mergeBuf = make([][]graph.EdgeID, workers)
-
-	s.parallelRouting(true)
-	first, err := e.ObjectiveSTR(s.w)
-	s.parallelRouting(false)
-	if err != nil {
+	if err := s.refreshSTR(); err != nil {
 		return nil, err
 	}
-	s.evals++
-	s.cur = first
-	s.bestW = s.w.Clone()
-	s.bestObj = first
-	s.record(s.w, first)
-
-	sinceImprove := 0
-	for iter := 0; iter < p.Iterations; iter++ {
-		improved, err := s.step()
-		if err != nil {
-			return nil, err
-		}
-		if improved {
-			sinceImprove = 0
-		} else {
-			sinceImprove++
-		}
-		if sinceImprove >= p.M {
-			s.noteChange(s.perturb())
-			s.parallelRouting(true)
-			obj, err := e.ObjectiveSTR(s.w)
-			s.parallelRouting(false)
-			if err != nil {
-				return nil, err
-			}
-			s.evals++
-			s.cur = obj
-			s.record(s.w, obj)
-			if obj.Lex.Less(s.bestObj.Lex) {
-				copy(s.bestW, s.w)
-				s.bestObj = obj
-			}
-			sinceImprove = 0
-		}
+	s.runRoutine(0, "str", p.Iterations, s.stepSTR, func() error {
+		s.noteChange(eval.High, s.perturb(s.w[eval.High], p.Perturb))
+		return s.refreshSTR()
+	})
+	if s.err != nil {
+		return nil, s.err
 	}
 
 	s.parallelRouting(true)
-	best, err := e.EvaluateSTR(s.bestW)
+	best, err := e.EvaluateSTR(s.best[eval.High])
 	s.parallelRouting(false)
 	if err != nil {
 		return nil, err
 	}
 	return &STRResult{
-		W:           s.bestW,
+		W:           s.best[eval.High],
 		Result:      best,
 		Best:        best.Objective(),
-		Relaxed:     s.relaxed,
+		Relaxed:     s.str.relaxed,
 		Evaluations: s.evals,
 	}, nil
 }
 
-type strSearch struct {
-	e    *eval.Evaluator
-	p    STRParams
-	rng  *rng
-	pool []*eval.Evaluator
-
-	w   spf.Weights
-	cur eval.STRObjective
-
-	bestW   spf.Weights
-	bestObj eval.STRObjective
-
-	// pending[wk] lists arcs on which worker wk's incremental router may
-	// differ from the incumbent w; see dtrSearch for the protocol.
-	pending  [][]graph.EdgeID
-	mergeBuf [][]graph.EdgeID
-
-	relaxed map[float64]RelaxedRecord
-	evals   int64
+// strState is the STR-only part of a localSearch: both classes' costs of the
+// incumbent and best solutions (the ε-records read ΦH), per-candidate
+// objectives, and the records themselves.
+type strState struct {
+	cur, best eval.STRObjective
+	objs      []eval.STRObjective
+	epsilons  []float64
+	relaxed   map[float64]RelaxedRecord
 }
 
-// parallelRouting toggles the parallel full-route on the primary evaluator;
-// see dtrSearch.parallelRouting for the scoping rationale.
-func (s *strSearch) parallelRouting(on bool) {
-	if s.p.RouteWorkers != 1 {
-		w := 1
-		if on {
-			w = s.p.RouteWorkers // 0 = block-aware auto
-		}
-		s.e.SetRouteWorkers(w)
+// refreshSTR evaluates the incumbent from scratch (at start and after each
+// diversification), feeds it to the ε-records, and keeps it as the best if
+// it improves on it.
+func (s *localSearch) refreshSTR() error {
+	w := s.w[eval.High]
+	s.parallelRouting(true)
+	obj, err := s.e.ObjectiveSTR(w)
+	s.parallelRouting(false)
+	if err != nil {
+		return err
 	}
-}
-
-// noteChange records an incumbent move on the given arcs for every worker's
-// delta bookkeeping.
-func (s *strSearch) noteChange(arcs []graph.EdgeID) {
-	if !s.p.FullEval {
-		notePending(s.pending, arcs)
+	s.evals++
+	s.str.cur = obj
+	s.record(obj, nil)
+	if obj.Lex.Less(s.str.best.Lex) {
+		copy(s.best[eval.High], w)
+		s.str.best = obj
 	}
+	return nil
 }
 
-// step samples Candidates single-weight changes, evaluates them, feeds the
+// stepSTR samples Candidates single-weight changes, scores them, feeds the
 // relaxation records, and moves to the best candidate if it improves the
-// current solution. Reports whether the incumbent improved.
-func (s *strSearch) step() (bool, error) {
-	n := len(s.w)
-	type candidate struct {
-		arc       int
-		newWeight int
-	}
-	cands := make([]candidate, 0, s.p.Candidates)
-	for len(cands) < s.p.Candidates {
-		arc := s.rng.IntN(n)
+// current solution. Reports whether the best-known solution improved.
+func (s *localSearch) stepSTR() bool {
+	w, st := s.w[eval.High], s.str
+	s.moves = s.moves[:0]
+	for len(s.moves) < s.p.Neighbors {
+		arc := graph.EdgeID(s.rng.IntN(len(w)))
 		nw := 1 + s.rng.IntN(s.p.WMax)
-		if nw == s.w[arc] {
-			continue
+		if nw != w[arc] {
+			s.moves = append(s.moves, move{up: arc, down: arc, wUp: nw, wDown: nw})
 		}
-		cands = append(cands, candidate{arc, nw})
 	}
-
-	objs := make([]eval.STRObjective, len(cands))
-	errs := make([]error, len(cands))
-	weights := make([]spf.Weights, len(cands))
-	for i, c := range cands {
-		weights[i] = s.w.Clone()
-		weights[i][c.arc] = c.newWeight
-	}
-	// evalOne routes candidate i on worker wk: incrementally — the changed
-	// set is the worker's stale arcs plus the candidate's single arc —
-	// unless FullEval forces a from-scratch evaluation.
-	evalOne := func(wk, i int) (eval.STRObjective, error) {
+	st.objs = append(st.objs[:0], make([]eval.STRObjective, len(s.moves))...)
+	lexes := s.evalCandidates(eval.High, s.moves, func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
+		var err error
 		if s.p.FullEval {
-			return s.pool[wk].ObjectiveSTR(weights[i])
+			st.objs[i], err = s.pool[wk].ObjectiveSTR(w)
+		} else {
+			st.objs[i], err = s.pool[wk].ObjectiveSTRDelta(w, changed)
 		}
-		cand := [1]graph.EdgeID{graph.EdgeID(cands[i].arc)}
-		changed := takePending(s.pending, s.mergeBuf, wk, cand[:])
-		return s.pool[wk].ObjectiveSTRDelta(weights[i], changed)
+		return st.objs[i].Lex, err
+	})
+	if s.err != nil {
+		return false
 	}
-	workers := len(s.pool)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for i := range cands {
-			objs[i], errs[i] = evalOne(0, i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				for i := wk; i < len(cands); i += workers {
-					objs[i], errs[i] = evalOne(wk, i)
-				}
-			}(wk)
-		}
-		wg.Wait()
-	}
-	s.evals += int64(len(cands))
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
-	}
-
 	bestIdx := -1
-	bestLex := s.cur.Lex
-	for i, obj := range objs {
-		s.record(weights[i], obj)
-		if obj.Lex.Less(bestLex) {
-			bestLex = obj.Lex
+	bestLex := st.cur.Lex
+	for i, lx := range lexes {
+		s.record(st.objs[i], &s.moves[i])
+		if lx.Less(bestLex) {
+			bestLex = lx
 			bestIdx = i
 		}
 	}
 	if bestIdx < 0 {
-		return false, nil
+		return false
 	}
-	copy(s.w, weights[bestIdx])
-	s.noteChange([]graph.EdgeID{graph.EdgeID(cands[bestIdx].arc)})
-	s.cur = objs[bestIdx]
+	s.moves[bestIdx].apply(w)
+	s.noteChange(eval.High, s.moves[bestIdx].appendArcs(nil))
+	st.cur = st.objs[bestIdx]
 	if s.p.VerifyDelta && !s.p.FullEval {
-		full, err := s.e.ObjectiveSTR(s.w)
+		full, err := s.e.ObjectiveSTR(w)
+		if err == nil && full != st.cur {
+			err = fmt.Errorf("search: delta/full mismatch on STR accept: delta %+v, full %+v", st.cur, full)
+		}
 		if err != nil {
-			return false, err
-		}
-		if full != s.cur {
-			return false, fmt.Errorf("search: delta/full mismatch on STR accept: delta %+v, full %+v", s.cur, full)
+			s.err = err
+			return false
 		}
 	}
-	if s.cur.Lex.Less(s.bestObj.Lex) {
-		copy(s.bestW, s.w)
-		s.bestObj = s.cur
-		return true, nil
+	if st.cur.Lex.Less(st.best.Lex) {
+		copy(s.best[eval.High], w)
+		st.best = st.cur
+		return true
 	}
-	return false, nil
+	return false
 }
 
-// record feeds one evaluated setting into the ε-relaxation bookkeeping of
+// record feeds one evaluated setting — the incumbent with mv applied, or the
+// incumbent itself when mv is nil — into the ε-relaxation bookkeeping of
 // §5.3.1: for each ε, keep the lowest-ΦL setting whose ΦH is within (1+ε)
 // of the running optimum Φ*H(n). The rule is online, exactly as the paper
 // describes: records are not re-filtered when Φ*H later improves. It covers
 // every evaluated candidate (a superset of the visited-solution sequence).
+// The setting's weights are materialized only when a record is stored.
 //
 // ε-relaxation is a load-based concept; for SLA-based runs the analogous
 // relaxation is a looser delay bound, applied at the evaluator (§5.3.2).
-func (s *strSearch) record(w spf.Weights, obj eval.STRObjective) {
-	if len(s.p.Epsilons) == 0 || s.e.Options().Kind != eval.LoadBased {
+func (s *localSearch) record(obj eval.STRObjective, mv *move) {
+	st := s.str
+	if len(st.epsilons) == 0 || s.e.Options().Kind != eval.LoadBased {
 		return
 	}
 	// Φ*H(n): the lowest ΦH seen so far, including this candidate. For
 	// load-based runs the lexicographic primary is ΦH itself.
-	bestPhiH := s.bestObj.PhiH
-	if s.cur.PhiH < bestPhiH {
-		bestPhiH = s.cur.PhiH
-	}
-	if obj.PhiH < bestPhiH {
-		bestPhiH = obj.PhiH
-	}
-	for _, epsilon := range s.p.Epsilons {
+	bestPhiH := min(st.best.PhiH, st.cur.PhiH, obj.PhiH)
+	for _, epsilon := range st.epsilons {
 		if obj.PhiH > (1+epsilon)*bestPhiH {
 			continue
 		}
-		rec, ok := s.relaxed[epsilon]
+		rec, ok := st.relaxed[epsilon]
 		if !ok || !rec.Found || obj.PhiL < rec.PhiL {
-			s.relaxed[epsilon] = RelaxedRecord{
-				W:     w.Clone(),
-				PhiH:  obj.PhiH,
-				PhiL:  obj.PhiL,
-				Found: true,
+			w := s.w[eval.High].Clone()
+			if mv != nil {
+				mv.apply(w)
 			}
+			st.relaxed[epsilon] = RelaxedRecord{W: w, PhiH: obj.PhiH, PhiL: obj.PhiL, Found: true}
 		}
 	}
-}
-
-// perturb re-randomizes a Perturb fraction (at least one) of the weights,
-// returning the changed arcs for the delta bookkeeping.
-func (s *strSearch) perturb() []graph.EdgeID {
-	count := int(s.p.Perturb*float64(len(s.w)) + 0.5)
-	if count < 1 {
-		count = 1
-	}
-	perm := s.rng.Perm(len(s.w))[:count]
-	arcs := make([]graph.EdgeID, 0, count)
-	for _, i := range perm {
-		s.w[i] = 1 + s.rng.IntN(s.p.WMax)
-		arcs = append(arcs, graph.EdgeID(i))
-	}
-	return arcs
 }

@@ -81,9 +81,7 @@ func (t *TraceWriter) Err() error { return t.err }
 // Search-level telemetry, shared by every search in the process. Handles
 // are pre-resolved so the per-iteration updates are pure atomic adds.
 var searchMet = struct {
-	iterFindH  *obs.Counter
-	iterFindL  *obs.Counter
-	iterRefine *obs.Counter
+	iterations map[string]*obs.Counter // by DTR routine kind
 	accepts    *obs.Counter
 	perturbs   *obs.Counter
 	evalsDelta *obs.Counter
@@ -96,9 +94,11 @@ var searchMet = struct {
 	candGuided    *obs.Counter
 	pruneRate     *obs.Gauge
 }{
-	iterFindH:  obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("findH"),
-	iterFindL:  obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("findL"),
-	iterRefine: obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("refine"),
+	iterations: map[string]*obs.Counter{
+		"findH":  obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("findH"),
+		"findL":  obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("findL"),
+		"refine": obs.Default().CounterVec("search_iterations_total", "DTR search iterations, by move kind.", "kind").With("refine"),
+	},
 	accepts:    obs.Default().Counter("search_accepts_total", "DTR search moves accepted into the incumbent."),
 	perturbs:   obs.Default().Counter("search_perturbations_total", "DTR search diversification perturbations."),
 	evalsDelta: obs.Default().CounterVec("search_evaluations_total", "Objective evaluations, by path.", "path").With("delta"),
@@ -118,16 +118,4 @@ var portfolioMet = struct {
 }{
 	trajectories: obs.Default().CounterVec("portfolio_trajectories_total", "Completed portfolio trajectories, by start strategy.", "strategy"),
 	bestPhiL:     obs.Default().Gauge("portfolio_best_phi_l", "Best low-priority cost seen by any portfolio trajectory (running minimum)."),
-}
-
-// iterCounter maps a move kind to its pre-resolved iteration counter.
-func iterCounter(kind string) *obs.Counter {
-	switch kind {
-	case "findH":
-		return searchMet.iterFindH
-	case "findL":
-		return searchMet.iterFindL
-	default:
-		return searchMet.iterRefine
-	}
 }
