@@ -40,8 +40,10 @@ import (
 
 	"dualtopo/internal/churn"
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/scenario"
+	"dualtopo/internal/search"
 	"dualtopo/internal/topo"
 )
 
@@ -99,15 +101,15 @@ func (c *instanceConfig) register(fs *flag.FlagSet) {
 	fs.Float64Var(&c.load, "load", 0.6, "target average link utilization")
 	fs.StringVar(&c.objective, "objective", "sla", "objective kind: load|sla")
 	fs.Uint64Var(&c.seed, "seed", 1, "instance seed")
-	fs.StringVar(&c.budget, "budget", "tiny", "search budget tier: tiny|small|paper")
+	fs.StringVar(&c.budget, "budget", "tiny", "search budget tier: smoke|tiny|small|paper")
 }
 
-func (c *instanceConfig) spec() (scenario.InstanceSpec, error) {
-	kind, ok := map[string]eval.Kind{"load": eval.LoadBased, "sla": eval.SLABased}[c.objective]
-	if !ok {
-		return scenario.InstanceSpec{}, fmt.Errorf("unknown objective %q (load|sla)", c.objective)
+func (c *instanceConfig) spec() (instance.Spec, error) {
+	kind, err := eval.ParseKind(c.objective)
+	if err != nil {
+		return instance.Spec{}, err
 	}
-	return scenario.InstanceSpec{
+	return instance.Spec{
 		Topology:   c.topology,
 		Nodes:      c.nodes,
 		Links:      c.links,
@@ -159,7 +161,7 @@ func (c *genConfig) genSpec() churn.GenSpec {
 
 // timeline produces the events to replay on g: a read-and-validated trace
 // file when -trace is set, a generated timeline otherwise.
-func (c *genConfig) timeline(inst *scenario.Instance) (*churn.Timeline, error) {
+func (c *genConfig) timeline(inst *instance.Instance) (*churn.Timeline, error) {
 	if c.trace != "" {
 		f, err := os.Open(c.trace)
 		if err != nil {
@@ -259,7 +261,7 @@ func optimize(inst instanceConfig) (*scenario.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := scenario.BudgetByName(inst.budget)
+	b, err := search.BudgetByName(inst.budget)
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ import (
 
 	"dualtopo/internal/engine"
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/render"
 	"dualtopo/internal/resilience"
@@ -51,7 +52,7 @@ func main() {
 	load := flag.Float64("load", 0.6, "target average link utilization")
 	objective := flag.String("objective", "load", "objective kind: load|sla")
 	seed := flag.Uint64("seed", 1, "instance seed")
-	budget := flag.String("budget", "tiny", "search budget tier: tiny|small|paper")
+	budget := flag.String("budget", "tiny", "search budget tier: smoke|tiny|small|paper")
 	kind := flag.String("kind", "link", "failure model: link|node|srlg")
 	count := flag.Int("count", 1, "simultaneous link failures for -kind link (1 or 2)")
 	srlgs := flag.String("srlgs", "", `SRLG groups as link indexes, e.g. "0,1,2;3,4"`)
@@ -77,12 +78,11 @@ func main() {
 		}
 	}()
 
-	kindName := map[string]eval.Kind{"load": eval.LoadBased, "sla": eval.SLABased}
-	objKind, ok := kindName[*objective]
-	if !ok {
-		log.Fatalf("unknown objective %q (load|sla)", *objective)
+	objKind, err := eval.ParseKind(*objective)
+	if err != nil {
+		log.Fatal(err)
 	}
-	b, err := scenario.BudgetByName(*budget)
+	b, err := search.BudgetByName(*budget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func main() {
 	}
 	opts.RouteWorkers = *routeWorkers
 
-	spec := scenario.InstanceSpec{
+	spec := instance.Spec{
 		Topology:   *topology,
 		Nodes:      *nodes,
 		Links:      *links,
@@ -127,7 +127,7 @@ func main() {
 	}
 
 	manifest.SpecHash = obs.SpecHash(struct {
-		Spec  scenario.InstanceSpec
+		Spec  instance.Spec
 		Model resilience.Model
 		Mode  string
 	}{spec, model, *mode})

@@ -12,22 +12,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/topo"
 	"dualtopo/internal/traffic"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/graph_instances.json")
-
-// graphCase is one -graph invocation, in flag terms.
-type graphCase struct {
-	Name        string
-	Kind, HP    string
-	Theta, F, K float64
-	Util        float64
-	Sinks       int
-	LPSinks     int
-	Seed        uint64
-}
 
 // goldenInstance pins what the -graph path synthesizes on a fixed topology:
 // both matrices (every active destination column, in order) and the
@@ -68,25 +59,25 @@ func TestGraphInstanceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := graphCase{Kind: "load", HP: "random", Theta: 25, F: 0.30, K: 0.10, Util: 0.6, Seed: 1}
-	dense := base
-	dense.Name = "dense-load"
+	// The flag defaults, then each case's overrides.
+	base := instance.Spec{Kind: eval.LoadBased, ThetaMs: 25, F: 0.30, K: 0.10, HPModel: "random", TargetUtil: 0.6, Seed: 1}
 	sinks := base
-	sinks.Name, sinks.LPSinks = "lp-sinks-4", 4
+	sinks.LPSinks = 4
 	sla := base
-	sla.Name, sla.Kind, sla.HP = "sla-sink-uniform", "sla", "sink-uniform"
+	sla.Kind, sla.HPModel = eval.SLABased, "sink-uniform"
+	cases := map[string]instance.Spec{"dense-load": base, "lp-sinks-4": sinks, "sla-sink-uniform": sla}
 
 	got := map[string]goldenInstance{}
-	for _, c := range []graphCase{dense, sinks, sla} {
-		inst, err := instanceFromFile(path, c.Kind, c.HP, c.Theta, c.F, c.K, c.Util, c.Sinks, c.LPSinks, c.Seed)
+	for name, spec := range cases {
+		inst, err := graphInstance(path, spec)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		opts, err := json.Marshal(inst.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[c.Name] = goldenInstance{TH: hashMatrix(inst.TH), TL: hashMatrix(inst.TL), Opts: opts}
+		got[name] = goldenInstance{TH: hashMatrix(inst.TH), TL: hashMatrix(inst.TL), Opts: opts}
 	}
 
 	data, err := json.MarshalIndent(got, "", "  ")

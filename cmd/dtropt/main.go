@@ -17,14 +17,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand/v2"
 	"os"
 
-	"dualtopo"
 	"dualtopo/internal/engine"
 	"dualtopo/internal/eval"
-	"dualtopo/internal/experiments"
 	"dualtopo/internal/graph"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/search"
 	"dualtopo/internal/spf"
@@ -71,21 +69,25 @@ func main() {
 		}
 	}()
 
-	preset, err := experiments.PresetByName(*budget)
+	tier, err := search.BudgetByName(*budget)
+	if err != nil {
+		log.Fatal(err)
+	}
+	objective, err := eval.ParseKind(*kind)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var inst *experiments.Instance
+	spec := instance.Spec{
+		Topology: *topoName, Nodes: *nodes, Links: *links,
+		Kind: objective, ThetaMs: *theta,
+		F: *f, K: *k, HPModel: *hpModel, Sinks: *sinks,
+		LPSinks: *lpSinks, TargetUtil: *util, Seed: *seed,
+	}
+	var inst *instance.Instance
 	if *graphFile != "" {
-		inst, err = instanceFromFile(*graphFile, *kind, *hpModel, *theta, *f, *k, *util, *sinks, *lpSinks, *seed)
+		inst, err = graphInstance(*graphFile, spec)
 	} else {
-		spec := experiments.InstanceSpec{
-			Topology: *topoName, Nodes: *nodes, Links: *links,
-			Kind: parseKind(*kind), ThetaMs: *theta,
-			F: *f, K: *k, HPModel: *hpModel, Sinks: *sinks,
-			LPSinks: *lpSinks, TargetUtil: *util, Seed: *seed,
-		}
 		inst, err = spec.Build()
 	}
 	if err != nil {
@@ -112,13 +114,13 @@ func main() {
 		Seed                      uint64
 	}{*topoName, *graphFile, *kind, *budget, *nodes, *links, *theta, *f, *k, *util, *seed})
 
-	strParams := preset.STR
+	strParams := tier.STR
 	strParams.Seed = *seed
 	str, err := search.STR(ev, strParams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dtrParams := preset.DTR
+	dtrParams := tier.DTR
 	dtrParams.Seed = *seed + 1
 	dtrParams.Guide = *guide
 	dtrParams.Prune = *prune
@@ -243,16 +245,9 @@ type trajectorySummary struct {
 	Best        bool    `json:"best"`
 }
 
-func parseKind(s string) eval.Kind {
-	if s == "sla" {
-		return eval.SLABased
-	}
-	return eval.LoadBased
-}
-
-// instanceFromFile loads a JSON topology and synthesizes traffic for it with
-// the same models the generated instances use.
-func instanceFromFile(path, kind, hpModel string, theta, f, k, util float64, sinks, lpSinks int, seed uint64) (*experiments.Instance, error) {
+// graphInstance reads a JSON topology and builds spec's traffic on it with
+// the same recipe the generated instances use.
+func graphInstance(path string, spec instance.Spec) (*instance.Instance, error) {
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -265,36 +260,5 @@ func instanceFromFile(path, kind, hpModel string, theta, f, k, util float64, sin
 	if err := g.RequireStronglyConnected(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xf11e))
-	var tl *traffic.Matrix
-	if lpSinks > 0 {
-		tl = traffic.GravitySinks(g.NumNodes(), lpSinks, rng)
-	} else {
-		tl = traffic.Gravity(g.NumNodes(), rng)
-	}
-	hp := traffic.Params{}.WithShorthand(f, k, sinks)
-	th, err := traffic.GenerateHighPriority(hpModel, g, tl.Total(), hp, rng)
-	if err != nil {
-		return nil, err
-	}
-	// Scale to the target utilization under unit-weight routing.
-	loads, err := spf.Loads(g, spf.Uniform(g.NumEdges()), tl)
-	if err != nil {
-		return nil, err
-	}
-	hLoads, err := spf.Loads(g, spf.Uniform(g.NumEdges()), th)
-	if err != nil {
-		return nil, err
-	}
-	sum := 0.0
-	for i := range loads {
-		sum += (loads[i] + hLoads[i]) / g.Edge(graph.EdgeID(i)).Capacity
-	}
-	avg := sum / float64(g.NumEdges())
-	th.Scale(util / avg)
-	tl.Scale(util / avg)
-
-	opts := eval.Options{Kind: parseKind(kind), SLA: dualtopo.DefaultSLA()}
-	opts.SLA.ThetaMs = theta
-	return &experiments.Instance{G: g, TH: th, TL: tl, Opts: opts}, nil
+	return spec.FromGraph(g)
 }

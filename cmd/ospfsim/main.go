@@ -16,7 +16,7 @@ import (
 	"math/rand/v2"
 
 	"dualtopo"
-	"dualtopo/internal/experiments"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/search"
 	"dualtopo/internal/topo"
 )
@@ -33,7 +33,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := experiments.InstanceSpec{
+	spec := instance.Spec{
 		Topology: *topoName, Nodes: *nodes, Links: *links,
 		TargetUtil: 0.6, Seed: *seed,
 	}

@@ -66,6 +66,7 @@ import (
 	"dualtopo/internal/eval"
 	"dualtopo/internal/experiments"
 	"dualtopo/internal/graph"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/ospf"
 	"dualtopo/internal/qsim"
 	"dualtopo/internal/resilience"
@@ -94,9 +95,9 @@ type (
 	EngineSpec = engine.Spec
 	// InstanceSpec is the declarative problem-instance description shared
 	// by the engine, the scenario campaigns and the batch CLIs.
-	InstanceSpec = scenario.InstanceSpec
+	InstanceSpec = instance.Spec
 	// Instance is a fully built problem: topology, matrices, options.
-	Instance = scenario.Instance
+	Instance = instance.Instance
 )
 
 // Engine session-lifecycle errors.
@@ -120,7 +121,7 @@ func LoadTopology(spec EngineSpec) (*TopologyHandle, error) { return engine.Load
 // hand-constructed matrices) in a handle. The inputs must not be mutated
 // afterwards: every session reads them.
 func NewTopologyHandle(name string, g *Graph, th, tl *TrafficMatrix, opts Options, pool SessionPool) (*TopologyHandle, error) {
-	return engine.New(name, &scenario.Instance{G: g, TH: th, TL: tl, Opts: opts}, pool)
+	return engine.New(name, &instance.Instance{G: g, TH: th, TL: tl, Opts: opts}, pool)
 }
 
 // Graph types.

@@ -8,7 +8,7 @@ import (
 
 	"dualtopo"
 	"dualtopo/internal/eval"
-	"dualtopo/internal/scenario"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/topo"
 )
 
@@ -86,7 +86,7 @@ func Step(w, base dualtopo.Weights, i, m int) int {
 // paper's 60% average utilization. This is the workload the guided-search
 // acceptance numbers (BenchmarkDTRSearchGuided) are measured on.
 func SearchInstance(kind dualtopo.ObjectiveKind) (*dualtopo.Evaluator, error) {
-	spec := scenario.InstanceSpec{
+	spec := instance.Spec{
 		Topology:   "hier",
 		Kind:       kind,
 		TargetUtil: 0.6,

@@ -50,8 +50,8 @@ const (
 	CodeInternal      = "internal"       // unexpected failure (500)
 )
 
-// LoadRequest describes a topology to generate through the scenario
-// registries — the same parameter set dtropt/dtrfail accept, so a daemon
+// LoadRequest describes an instance to build through internal/instance —
+// the same parameter set dtropt/dtrfail accept, so a daemon
 // load is bitwise the instance the equivalent batch invocation builds.
 type LoadRequest struct {
 	// Name is an optional caller label echoed in responses.
@@ -181,8 +181,8 @@ type WhatIfResponse struct {
 // followed by the paper's DTR heuristic warm-started from it, exactly the
 // dtropt pipeline (STR seed = seed, DTR seed = seed+1).
 type SearchRequest struct {
-	// Budget names a search preset: smoke, tiny, small or paper. Default
-	// tiny.
+	// Budget names a search.BudgetByName tier: smoke, tiny, small or
+	// paper. Default tiny.
 	Budget string `json:"budget,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
 	// Guide biases DTR moves toward cost-attributed arcs; Prune skips

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dualtopo/internal/engine"
-	"dualtopo/internal/experiments"
 	"dualtopo/internal/search"
 )
 
@@ -67,9 +66,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Budget == "" {
 		req.Budget = "tiny"
 	}
-	preset, err := experiments.PresetByName(req.Budget)
+	budget, err := search.BudgetByName(req.Budget)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		// The message predates the budget table's move into search and is
+		// part of the API (testdata/search_bad_response.json).
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Sprintf("experiments: unknown preset %q (smoke|tiny|small|paper)", req.Budget))
 		return
 	}
 	if req.Guide < 0 || req.Guide > 1 {
@@ -83,7 +85,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.jobsWG.Done()
 		defer s.met.jobsRunning.Add(-1)
-		j.finish(s.runSearch(t, preset, req))
+		j.finish(s.runSearch(t, budget, req))
 	}()
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
@@ -126,7 +128,7 @@ func (s *Server) addJob(topoID string) *job {
 // weights (seed = request seed), then the paper's DTR heuristic warm-started
 // from the STR setting (seed+1). Budgets and seeding match dtropt exactly,
 // so a daemon search reproduces the batch CLI bit for bit.
-func (s *Server) runSearch(t *topology, preset experiments.Preset, req SearchRequest) (*SearchResult, error) {
+func (s *Server) runSearch(t *topology, budget search.Budget, req SearchRequest) (*SearchResult, error) {
 	sess, err := t.handle.Session(context.Background())
 	if err != nil {
 		if err == engine.ErrLeaseTimeout {
@@ -140,13 +142,13 @@ func (s *Server) runSearch(t *topology, preset experiments.Preset, req SearchReq
 	}()
 
 	ev := sess.Evaluator()
-	strParams := preset.STR
+	strParams := budget.STR
 	strParams.Seed = req.Seed
 	str, err := search.STR(ev, strParams)
 	if err != nil {
 		return nil, err
 	}
-	dtrParams := preset.DTR
+	dtrParams := budget.DTR
 	dtrParams.Seed = req.Seed + 1
 	dtrParams.Guide = req.Guide
 	dtrParams.Prune = req.Prune

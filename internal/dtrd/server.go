@@ -15,9 +15,9 @@ import (
 
 	"dualtopo/internal/engine"
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/resilience"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/spf"
 )
 
@@ -274,15 +274,12 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, maxParamBody, "load", &req) {
 		return
 	}
-	kind := eval.LoadBased
-	switch req.Objective {
-	case "", "load":
+	if req.Objective == "" {
 		req.Objective = "load"
-	case "sla":
-		kind = eval.SLABased
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("unknown objective %q (load|sla)", req.Objective))
+	}
+	kind, err := eval.ParseKind(req.Objective)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	poolSize := req.PoolSize
@@ -291,7 +288,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := engine.Spec{
 		Name: req.Name,
-		Instance: scenario.InstanceSpec{
+		Instance: instance.Spec{
 			Topology:   req.Topology,
 			Nodes:      req.Nodes,
 			Links:      req.Links,
@@ -315,7 +312,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	family := req.Topology
 	if family == "" {
-		family = scenario.TopoRandom
+		family = instance.TopoRandom
 	}
 	s.mu.Lock()
 	s.nextTopo++

@@ -18,10 +18,9 @@ import (
 	"time"
 
 	"dualtopo/internal/eval"
-	"dualtopo/internal/experiments"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/resilience"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/search"
 	"dualtopo/internal/spf"
 )
@@ -118,8 +117,8 @@ func testLoad() LoadRequest {
 	}
 }
 
-func testSpec() scenario.InstanceSpec {
-	return scenario.InstanceSpec{
+func testSpec() instance.Spec {
+	return instance.Spec{
 		Topology:   "random",
 		Nodes:      12,
 		Links:      30,
@@ -473,17 +472,17 @@ func TestSearchParityWithBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preset, err := experiments.PresetByName("smoke")
+	budget, err := search.BudgetByName("smoke")
 	if err != nil {
 		t.Fatal(err)
 	}
-	strParams := preset.STR
+	strParams := budget.STR
 	strParams.Seed = 9
 	str, err := search.STR(ev, strParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtrParams := preset.DTR
+	dtrParams := budget.DTR
 	dtrParams.Seed = 10
 	dtr, err := search.DTRFrom(ev, str.W, str.W, dtrParams)
 	if err != nil {

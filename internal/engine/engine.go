@@ -40,8 +40,8 @@ import (
 
 	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/traffic"
 )
 
@@ -82,7 +82,7 @@ func (p PoolConfig) leaseTimeout() time.Duration {
 // instance the equivalent dtropt/dtrfail invocation would construct.
 type Spec struct {
 	Name     string
-	Instance scenario.InstanceSpec
+	Instance instance.Spec
 	Pool     PoolConfig
 }
 
@@ -110,7 +110,7 @@ var (
 // number of goroutines.
 type Handle struct {
 	name string
-	inst *scenario.Instance
+	inst *instance.Instance
 	base *eval.Evaluator // template all sessions clone from; never routed on
 
 	pool    chan *Session
@@ -124,7 +124,7 @@ type Handle struct {
 
 // Load builds the instance described by spec through the generator
 // registries and returns its handle. The build is exactly
-// scenario.InstanceSpec.Build — same defaults, same seeded RNG streams — so
+// instance.Spec.Build — same defaults, same seeded RNG streams — so
 // engine-served results are comparable (bitwise) to batch runs of the same
 // spec.
 func Load(spec Spec) (*Handle, error) {
@@ -138,7 +138,7 @@ func Load(spec Spec) (*Handle, error) {
 // New wraps a pre-built instance (an imported graph, a programmatically
 // constructed problem) in a handle. The instance — graph, matrices, options
 // — must not be mutated afterwards: every session reads it.
-func New(name string, inst *scenario.Instance, pool PoolConfig) (*Handle, error) {
+func New(name string, inst *instance.Instance, pool PoolConfig) (*Handle, error) {
 	base, err := eval.New(inst.G, inst.TH, inst.TL, inst.Opts)
 	if err != nil {
 		return nil, err
@@ -170,7 +170,7 @@ func (h *Handle) Options() eval.Options { return h.inst.Opts }
 
 // Instance returns the underlying problem instance. Callers must not mutate
 // it.
-func (h *Handle) Instance() *scenario.Instance { return h.inst }
+func (h *Handle) Instance() *instance.Instance { return h.inst }
 
 // PoolSize returns the maximum number of concurrently leased sessions.
 func (h *Handle) PoolSize() int { return h.maxSize }

@@ -10,17 +10,17 @@ import (
 
 	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/resilience"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/spf"
 )
 
 // testSpec is the instance every engine test loads: small enough that the
 // full suite stays fast, irregular enough (random topology, seeded traffic)
 // that routing results are not trivially symmetric.
-func testSpec() scenario.InstanceSpec {
-	return scenario.InstanceSpec{
-		Topology:   scenario.TopoRandom,
+func testSpec() instance.Spec {
+	return instance.Spec{
+		Topology:   instance.TopoRandom,
 		Nodes:      14,
 		Links:      35,
 		TargetUtil: 0.6,

@@ -43,6 +43,18 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind is the inverse of Kind.String: "load" or "sla".
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "load":
+		return LoadBased, nil
+	case "sla":
+		return SLABased, nil
+	default:
+		return 0, fmt.Errorf("unknown objective %q (load|sla)", s)
+	}
+}
+
 // Options configures an Evaluator.
 type Options struct {
 	Kind Kind

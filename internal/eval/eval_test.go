@@ -523,3 +523,20 @@ func randomW(n int, rng *rand.Rand) spf.Weights {
 	}
 	return w
 }
+
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{LoadBased, SLABased} {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"", "fastest", "LOAD", "Kind(2)"} {
+		if _, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) accepted", s)
+		}
+	}
+	if _, err := ParseKind("fastest"); err == nil || err.Error() != `unknown objective "fastest" (load|sla)` {
+		t.Errorf("ParseKind(fastest) error = %v", err)
+	}
+}

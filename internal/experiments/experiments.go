@@ -3,9 +3,12 @@
 // paper's topology/traffic configuration, runs the STR baseline and the DTR
 // heuristic, and reports the same series or rows the paper plots.
 //
-// Search budgets scale with a Preset: Tiny keeps integration tests fast,
-// Small is the default for regenerating results on a laptop, and Paper uses
-// the publication budgets (N=300000, K=800000).
+// Effort scales with a Preset: the search budgets of one search.Budget tier
+// (Tiny keeps integration tests fast, Small is the default for regenerating
+// results on a laptop, Paper uses the publication budgets N=300000,
+// K=800000) plus the sweep shape (load points, parallelism, trials).
+// Instances are built by internal/instance and optimized through the
+// scenario engine's point runner.
 package experiments
 
 import (
@@ -14,7 +17,6 @@ import (
 	"strings"
 
 	"dualtopo/internal/render"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/search"
 )
 
@@ -32,53 +34,34 @@ type Preset struct {
 	Trials int
 }
 
-// Tiny returns the preset used by integration tests: real topologies, small
-// search budgets, two load points.
-func Tiny() Preset {
-	b := scenario.TinyBudget()
-	return Preset{Name: "tiny", DTR: b.DTR, STR: b.STR, Points: 2, Parallel: 2, Trials: 1}
-}
+// Tiny returns the preset used by integration tests: two load points.
+func Tiny() Preset { return newPreset("tiny", search.TinyBudget(), 2, 2) }
 
-// Smoke returns the minimal budget for exercising CLI paths on very large
-// (10k-node-class) instances: just enough iterations to drive both searches'
-// accept and diversification machinery, so a smoke run finishes in seconds
-// where the tiny preset would take minutes.
-func Smoke() Preset {
-	b := scenario.TinyBudget()
-	b.DTR.N, b.DTR.K, b.DTR.M, b.DTR.Neighbors = 12, 8, 6, 2
-	b.STR.Iterations, b.STR.Candidates, b.STR.M = 30, 2, 10
-	return Preset{Name: "smoke", DTR: b.DTR, STR: b.STR, Points: 1, Parallel: 1, Trials: 1}
-}
+// Smoke returns the preset for exercising CLI paths on very large
+// (10k-node-class) instances: one load point.
+func Smoke() Preset { return newPreset("smoke", search.SmokeBudget(), 1, 1) }
 
 // Small returns the default preset for regenerating results: a few minutes
 // per figure on commodity hardware.
-func Small() Preset {
-	b := scenario.SmallBudget()
-	return Preset{Name: "small", DTR: b.DTR, STR: b.STR, Points: 5, Parallel: 2, Trials: 1}
-}
+func Small() Preset { return newPreset("small", search.SmallBudget(), 5, 2) }
 
 // PaperPreset returns the publication budgets of §5.1.3 (N=300000, K=800000
 // as published). Expect very long runtimes; results in EXPERIMENTS.md use
 // Small.
-func PaperPreset() Preset {
-	b := scenario.PaperBudget()
-	return Preset{Name: "paper", DTR: b.DTR, STR: b.STR, Points: 7, Parallel: 2, Trials: 1}
+func PaperPreset() Preset { return newPreset("paper", search.PaperBudget(), 7, 2) }
+
+func newPreset(name string, b search.Budget, points, parallel int) Preset {
+	return Preset{Name: name, DTR: b.DTR, STR: b.STR, Points: points, Parallel: parallel, Trials: 1}
 }
 
-// PresetByName resolves "smoke", "tiny", "small" or "paper".
+// PresetByName resolves "smoke", "tiny", "small" or "paper", in any case.
 func PresetByName(name string) (Preset, error) {
-	switch strings.ToLower(name) {
-	case "smoke":
-		return Smoke(), nil
-	case "tiny":
-		return Tiny(), nil
-	case "small":
-		return Small(), nil
-	case "paper":
-		return PaperPreset(), nil
-	default:
-		return Preset{}, fmt.Errorf("experiments: unknown preset %q (smoke|tiny|small|paper)", name)
+	for _, p := range []Preset{Smoke(), Tiny(), Small(), PaperPreset()} {
+		if strings.EqualFold(name, p.Name) {
+			return p, nil
+		}
 	}
+	return Preset{}, fmt.Errorf("experiments: unknown preset %q (smoke|tiny|small|paper)", name)
 }
 
 // TableBlock is a rendered-as-table result section.

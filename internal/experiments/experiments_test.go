@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/scenario"
 )
 
@@ -31,7 +32,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestPresetByName(t *testing.T) {
-	for _, name := range []string{"tiny", "small", "paper", "TINY"} {
+	for _, name := range []string{"smoke", "tiny", "small", "paper", "TINY"} {
 		if _, err := PresetByName(name); err != nil {
 			t.Errorf("PresetByName(%q): %v", name, err)
 		}
@@ -71,7 +72,7 @@ func TestLinspace(t *testing.T) {
 }
 
 func TestInstanceBuildScalesToTarget(t *testing.T) {
-	spec := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 5}
+	spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 5}
 	inst, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -96,19 +97,19 @@ func TestInstanceBuildScalesToTarget(t *testing.T) {
 }
 
 func TestInstanceBuildErrors(t *testing.T) {
-	if _, err := (InstanceSpec{Topology: "mesh"}).Build(); err == nil {
+	if _, err := (instance.Spec{Topology: "mesh"}).Build(); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := (InstanceSpec{HPModel: "flood"}).Build(); err == nil {
+	if _, err := (instance.Spec{HPModel: "flood"}).Build(); err == nil {
 		t.Error("unknown HP model accepted")
 	}
-	if _, err := (InstanceSpec{TargetUtil: -1}).Build(); err == nil {
+	if _, err := (instance.Spec{TargetUtil: -1}).Build(); err == nil {
 		t.Error("negative target util accepted")
 	}
 }
 
 func TestInstanceBuildDeterministic(t *testing.T) {
-	spec := InstanceSpec{Seed: 9, TargetUtil: 0.5}
+	spec := instance.Spec{Seed: 9, TargetUtil: 0.5}
 	a, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +136,9 @@ func TestFig2aMatchesScenarioEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased}
+	base := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased}
 	specs := loadSweepSpecs(base, linspace(0.50, 0.90, p.Points), 201)
-	points, err := scenario.RunPoints(specs, scenario.Budget{DTR: p.DTR, STR: p.STR}, 2, nil)
+	points, err := scenario.RunPoints(specs, p.budget(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

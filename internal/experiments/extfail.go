@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/resilience"
 	"dualtopo/internal/stats"
 )
@@ -23,7 +24,7 @@ func init() {
 // routing core; this runner reports the distribution of low-priority cost
 // degradation.
 func runExtFail(p Preset) (*Report, error) {
-	spec := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 1101}
+	spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 1101}
 	pt, err := runPoint(spec, p)
 	if err != nil {
 		return nil, err

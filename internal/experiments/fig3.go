@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/render"
 	"dualtopo/internal/stats"
 )
@@ -18,7 +19,7 @@ func fig3Case(id, title string, kind eval.Kind, k float64, seed uint64) {
 			// The paper does not state the load point for Fig. 3; a
 			// moderately-high 0.7 average utilization matches the regime in
 			// which the text discusses it.
-			spec := InstanceSpec{Topology: TopoRandom, Kind: kind, K: k, TargetUtil: 0.7, Seed: seed}
+			spec := instance.Spec{Topology: instance.TopoRandom, Kind: kind, K: k, TargetUtil: 0.7, Seed: seed}
 			pt, err := runPoint(spec, p)
 			if err != nil {
 				return nil, err

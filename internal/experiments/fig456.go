@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/render"
 	"dualtopo/internal/stats"
 )
@@ -35,7 +36,7 @@ func init() {
 func runFig4(p Preset) (*Report, error) {
 	var series []render.Series
 	for i, f := range []float64{0.20, 0.40} {
-		base := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased, F: f, K: 0.10}
+		base := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, F: f, K: 0.10}
 		specs := loadSweepSpecs(base, linspace(0.40, 0.80, p.Points), 401+uint64(i))
 		points, err := runSweep(specs, p)
 		if err != nil {
@@ -57,7 +58,7 @@ func runFig4(p Preset) (*Report, error) {
 func runFig5(p Preset, id string, kind eval.Kind, loLoad, hiLoad float64, seed uint64) (*Report, error) {
 	var series []render.Series
 	for i, k := range []float64{0.10, 0.30} {
-		base := InstanceSpec{Topology: TopoRandom, Kind: kind, F: 0.30, K: k}
+		base := instance.Spec{Topology: instance.TopoRandom, Kind: kind, F: 0.30, K: k}
 		specs := loadSweepSpecs(base, linspace(loLoad, hiLoad, p.Points), seed+10*uint64(i))
 		points, err := runSweep(specs, p)
 		if err != nil {
@@ -84,7 +85,7 @@ func runFig5(p Preset, id string, kind eval.Kind, loLoad, hiLoad float64, seed u
 func runFig6(p Preset) (*Report, error) {
 	var series []render.Series
 	for i, k := range []float64{0.10, 0.30} {
-		spec := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased, F: 0.30, K: k, TargetUtil: 0.7, Seed: 601 + uint64(i)}
+		spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, F: 0.30, K: k, TargetUtil: 0.7, Seed: 601 + uint64(i)}
 		pt, err := runPoint(spec, p)
 		if err != nil {
 			return nil, err

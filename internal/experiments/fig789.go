@@ -6,6 +6,7 @@ import (
 
 	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/render"
 )
 
@@ -36,7 +37,7 @@ func init() {
 // the STR and DTR solutions of one SLA-based instance (k=30%, where the
 // low-delay-link concentration is strongest).
 func runFig7(p Preset) (*Report, error) {
-	spec := InstanceSpec{Topology: TopoRandom, Kind: eval.SLABased, F: 0.30, K: 0.30, TargetUtil: 0.7, Seed: 701}
+	spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.SLABased, F: 0.30, K: 0.30, TargetUtil: 0.7, Seed: 701}
 	pt, err := runPoint(spec, p)
 	if err != nil {
 		return nil, err
@@ -75,8 +76,8 @@ func runFig7(p Preset) (*Report, error) {
 // sink-local clients on the power-law topology (f=20%, k=10%, 3 sinks).
 func runFig8(p Preset, id string, kind eval.Kind, loLoad, hiLoad float64, seed uint64) (*Report, error) {
 	var series []render.Series
-	for i, model := range []string{HPSinkLocal, HPSinkUniform} {
-		base := InstanceSpec{Topology: TopoPowerLaw, Kind: kind, F: 0.20, K: 0.10, HPModel: model}
+	for i, model := range []string{instance.HPSinkLocal, instance.HPSinkUniform} {
+		base := instance.Spec{Topology: instance.TopoPowerLaw, Kind: kind, F: 0.20, K: 0.10, HPModel: model}
 		specs := loadSweepSpecs(base, linspace(loLoad, hiLoad, p.Points), seed+10*uint64(i))
 		points, err := runSweep(specs, p)
 		if err != nil {
@@ -84,7 +85,7 @@ func runFig8(p Preset, id string, kind eval.Kind, loLoad, hiLoad float64, seed u
 		}
 		xs, ys := targetRatioSeries(points, func(pt *Point) float64 { return pt.RL })
 		name := "Local"
-		if model == HPSinkUniform {
+		if model == instance.HPSinkUniform {
 			name = "Uniform"
 		}
 		series = append(series, render.Series{Name: name, X: xs, Y: ys})
@@ -106,8 +107,8 @@ func runFig9(p Preset) (*Report, error) {
 	var rows [][]string
 	var vioSTR, vioDTR, costSTR, costDTR, maxSTR, maxDTR []float64
 	for i, theta := range thetas {
-		spec := InstanceSpec{
-			Topology: TopoRandom, Kind: eval.SLABased,
+		spec := instance.Spec{
+			Topology: instance.TopoRandom, Kind: eval.SLABased,
 			F: 0.30, K: 0.30, ThetaMs: theta, TargetUtil: 0.5,
 			Seed: 901 + uint64(i)*0, // same instance across θ, as in the paper
 		}

@@ -1,34 +1,38 @@
 package experiments
 
-import "dualtopo/internal/scenario"
+import (
+	"dualtopo/internal/instance"
+	"dualtopo/internal/scenario"
+	"dualtopo/internal/search"
+)
 
 // The sweep machinery runs on the scenario engine: experiments contribute
-// curated InstanceSpecs and figure-shaping, the engine contributes instance
-// construction, dual optimization and the worker pool.
+// curated instance.Specs and figure-shaping, the engine contributes dual
+// optimization and the worker pool.
 
 // Point is the outcome of optimizing one instance with both schemes.
 type Point = scenario.Point
 
-// budget extracts the preset's search budgets in engine form.
-func (p Preset) budget() scenario.Budget {
-	return scenario.Budget{DTR: p.DTR, STR: p.STR}
+// budget extracts the preset's search budgets.
+func (p Preset) budget() search.Budget {
+	return search.Budget{DTR: p.DTR, STR: p.STR}
 }
 
 // runPoint builds the instance and runs both searches through the scenario
 // engine (DTR warm-started from the STR solution).
-func runPoint(spec InstanceSpec, p Preset) (*Point, error) {
+func runPoint(spec instance.Spec, p Preset) (*Point, error) {
 	return scenario.RunPoint(spec, p.budget())
 }
 
 // runSweep executes one point per spec, Preset.Parallel at a time,
 // preserving spec order in the result.
-func runSweep(specs []InstanceSpec, p Preset) ([]*Point, error) {
+func runSweep(specs []instance.Spec, p Preset) ([]*Point, error) {
 	return scenario.RunPoints(specs, p.budget(), p.Parallel, nil)
 }
 
 // loadSweepSpecs builds one spec per target utilization.
-func loadSweepSpecs(base InstanceSpec, targets []float64, seedBase uint64) []InstanceSpec {
-	specs := make([]InstanceSpec, len(targets))
+func loadSweepSpecs(base instance.Spec, targets []float64, seedBase uint64) []instance.Spec {
+	specs := make([]instance.Spec, len(targets))
 	for i, target := range targets {
 		s := base
 		s.TargetUtil = target

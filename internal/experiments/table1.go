@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 )
 
 func init() {
@@ -19,14 +20,14 @@ func init() {
 func runTable1(p Preset) (*Report, error) {
 	configs := []struct {
 		name string
-		base InstanceSpec
+		base instance.Spec
 		lo   float64
 		hi   float64
 		seed uint64
 	}{
-		{"30-node, 150-link random topology", InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased}, 0.45, 0.85, 1001},
-		{"30-node, 162-link power-law topology", InstanceSpec{Topology: TopoPowerLaw, Kind: eval.LoadBased}, 0.40, 0.85, 1002},
-		{"ISP topology", InstanceSpec{Topology: TopoISP, Kind: eval.LoadBased}, 0.35, 0.85, 1003},
+		{"30-node, 150-link random topology", instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased}, 0.45, 0.85, 1001},
+		{"30-node, 162-link power-law topology", instance.Spec{Topology: instance.TopoPowerLaw, Kind: eval.LoadBased}, 0.40, 0.85, 1002},
+		{"ISP topology", instance.Spec{Topology: instance.TopoISP, Kind: eval.LoadBased}, 0.35, 0.85, 1003},
 	}
 	epsilons := []float64{0.05, 0.30}
 	report := &Report{

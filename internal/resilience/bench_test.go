@@ -4,7 +4,7 @@ package resilience_test
 // single-link failure of the paper's 30-node instance through the
 // incremental engine (disable → delta objective → repair) versus full
 // re-evaluation per state. The external test package lets the benchmark
-// build its instance through the scenario machinery without an import
+// build its instance through internal/instance without an import
 // cycle.
 
 import (
@@ -12,14 +12,14 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/resilience"
-	"dualtopo/internal/scenario"
 	"dualtopo/internal/spf"
 )
 
 func benchSetup(b *testing.B) (*eval.Evaluator, []resilience.State, [3]spf.Weights) {
 	b.Helper()
-	spec := scenario.InstanceSpec{Topology: scenario.TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 1101}
+	spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 1101}
 	inst, err := spec.Build()
 	if err != nil {
 		b.Fatal(err)

@@ -263,7 +263,7 @@ func Run(spec Spec, opts Options) (*CampaignResult, error) {
 
 // runTrial optimizes one work item and condenses it into a TrialResult.
 // routeWorkers sizes the SPF pool of the trial's full evaluations.
-func runTrial(spec Spec, it WorkItem, b Budget, routeWorkers int) (TrialResult, error) {
+func runTrial(spec Spec, it WorkItem, b search.Budget, routeWorkers int) (TrialResult, error) {
 	met.busy.Add(1)
 	defer met.busy.Add(-1)
 	start := time.Now()

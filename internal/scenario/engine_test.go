@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dualtopo/internal/instance"
 )
 
 // fastSpec is a campaign small enough for unit tests: a real 30-node
@@ -155,10 +157,10 @@ func TestRunShapeAndCallbacks(t *testing.T) {
 // aggregates, for the legacy single-link toggle and a sampled modern model.
 func TestRunWithFailures(t *testing.T) {
 	spec := fastSpec()
-	spec.Topology.Family = TopoISP // small: 35 link failures per trial
+	spec.Topology.Family = instance.TopoISP // small: 35 link failures per trial
 	spec.Loads = []float64{0.5}
 	spec.Trials = 1
-	spec.Failures = FailureSpec{SingleLink: true, MaxLinks: 6}
+	spec.Failures = FailureSpec{Kind: "link", Sample: 6}
 	res, err := Run(spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +209,11 @@ func TestRunWithFailures(t *testing.T) {
 // worker counts.
 func TestRunWithRobustSearch(t *testing.T) {
 	spec := fastSpec()
-	spec.Topology.Family = TopoISP
+	spec.Topology.Family = instance.TopoISP
 	spec.Loads = []float64{0.5}
 	spec.Trials = 2
 	spec.Budget = BudgetSpec{Tier: "tiny", DTRIters: 15, DTRRefine: 10, STRIters: 30}
-	spec.Failures = FailureSpec{SingleLink: true, Sample: 4, Robust: true}
+	spec.Failures = FailureSpec{Kind: "link", Sample: 4, Robust: true}
 	var blobs [][]byte
 	for _, workers := range []int{1, 3} {
 		res, err := Run(spec, Options{Workers: workers})

@@ -14,7 +14,7 @@ import (
 	"strings"
 	"testing"
 
-	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/topo"
 	"dualtopo/internal/traffic"
 )
@@ -56,24 +56,24 @@ func TestSpecValidateParams(t *testing.T) {
 		name   string
 		mutate func(*Spec)
 	}{
-		{"waxman defaults", func(s *Spec) { s.Topology = TopologySpec{Family: TopoWaxman} }},
+		{"waxman defaults", func(s *Spec) { s.Topology = TopologySpec{Family: instance.TopoWaxman} }},
 		{"waxman tuned", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoWaxman, Params: &topo.Params{Nodes: 20, Alpha: 0.5, Beta: 0.4}}
+			s.Topology = TopologySpec{Family: instance.TopoWaxman, Params: &topo.Params{Nodes: 20, Alpha: 0.5, Beta: 0.4}}
 		}},
 		{"torus sized", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoTorus, Params: &topo.Params{Rows: 4, Cols: 4}}
+			s.Topology = TopologySpec{Family: instance.TopoTorus, Params: &topo.Params{Rows: 4, Cols: 4}}
 		}},
 		{"hier fan-out", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoHier, Params: &topo.Params{Pops: 4, RoutersPerPop: 3}}
+			s.Topology = TopologySpec{Family: instance.TopoHier, Params: &topo.Params{Pops: 4, RoutersPerPop: 3}}
 		}},
 		{"import path", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoImport, Params: &topo.Params{Path: good}}
+			s.Topology = TopologySpec{Family: instance.TopoImport, Params: &topo.Params{Path: good}}
 		}},
 		{"hotspot traffic", func(s *Spec) {
-			s.Traffic = TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{HotspotFraction: 0.2, HotspotBoost: 4}}
+			s.Traffic = TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{HotspotFraction: 0.2, HotspotBoost: 4}}
 		}},
 		{"legacy shorthand still wins over nothing", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoRandom, Nodes: 20, Links: 40}
+			s.Topology = TopologySpec{Family: instance.TopoRandom, Nodes: 20, Links: 40}
 		}},
 	}
 	for _, tc := range valid {
@@ -87,32 +87,32 @@ func TestSpecValidateParams(t *testing.T) {
 		mutate func(*Spec)
 	}{
 		{"waxman alpha out of range", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoWaxman, Params: &topo.Params{Alpha: 1.5}}
+			s.Topology = TopologySpec{Family: instance.TopoWaxman, Params: &topo.Params{Alpha: 1.5}}
 		}},
 		{"waxman links budget", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoWaxman, Links: 40}
+			s.Topology = TopologySpec{Family: instance.TopoWaxman, Links: 40}
 		}},
-		{"import without path", func(s *Spec) { s.Topology = TopologySpec{Family: TopoImport} }},
+		{"import without path", func(s *Spec) { s.Topology = TopologySpec{Family: instance.TopoImport} }},
 		{"import bad path", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoImport, Params: &topo.Params{Path: "/nonexistent/x.gml"}}
+			s.Topology = TopologySpec{Family: instance.TopoImport, Params: &topo.Params{Path: "/nonexistent/x.gml"}}
 		}},
 		{"grid size contradiction", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoGrid, Nodes: 30, Params: &topo.Params{Rows: 4, Cols: 4}}
+			s.Topology = TopologySpec{Family: instance.TopoGrid, Nodes: 30, Params: &topo.Params{Rows: 4, Cols: 4}}
 		}},
 		{"bad delay model", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoRandom, Params: &topo.Params{DelayModel: "gaussian"}}
+			s.Topology = TopologySpec{Family: instance.TopoRandom, Params: &topo.Params{DelayModel: "gaussian"}}
 		}},
 		{"hotspot fraction out of range", func(s *Spec) {
-			s.Traffic = TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{HotspotFraction: 2}}
+			s.Traffic = TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{HotspotFraction: 2}}
 		}},
 		{"hotspot boost too low", func(s *Spec) {
-			s.Traffic = TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{HotspotBoost: 0.5}}
+			s.Traffic = TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{HotspotBoost: 0.5}}
 		}},
 		{"negative capacity in params", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoRandom, Params: &topo.Params{CapacityMbps: -100}}
+			s.Topology = TopologySpec{Family: instance.TopoRandom, Params: &topo.Params{CapacityMbps: -100}}
 		}},
 		{"negative nodes in params", func(s *Spec) {
-			s.Topology = TopologySpec{Family: TopoRandom, Params: &topo.Params{Nodes: -3}}
+			s.Topology = TopologySpec{Family: instance.TopoRandom, Params: &topo.Params{Nodes: -3}}
 		}},
 	}
 	for _, tc := range invalid {
@@ -124,8 +124,8 @@ func TestSpecValidateParams(t *testing.T) {
 
 func TestSpecJSONRoundTripWithParams(t *testing.T) {
 	s := validSpec()
-	s.Topology = TopologySpec{Family: TopoWaxman, Params: &topo.Params{Nodes: 24, Alpha: 0.4, Beta: 0.3, DelayModel: topo.DelayUniform}}
-	s.Traffic = TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{F: 0.2, HotspotFraction: 0.15, HotspotBoost: 5}}
+	s.Topology = TopologySpec{Family: instance.TopoWaxman, Params: &topo.Params{Nodes: 24, Alpha: 0.4, Beta: 0.3, DelayModel: topo.DelayUniform}}
+	s.Traffic = TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{F: 0.2, HotspotFraction: 0.15, HotspotBoost: 5}}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestSpecJSONRoundTripWithParams(t *testing.T) {
 
 func TestWorkListThreadsParams(t *testing.T) {
 	s := validSpec()
-	s.Topology = TopologySpec{Family: TopoHier, Params: &topo.Params{Pops: 4, RoutersPerPop: 3}}
-	s.Traffic = TrafficSpec{HighModel: HPHotspot, F: 0.2}
+	s.Topology = TopologySpec{Family: instance.TopoHier, Params: &topo.Params{Pops: 4, RoutersPerPop: 3}}
+	s.Traffic = TrafficSpec{HighModel: instance.HPHotspot, F: 0.2}
 	items := s.WorkList()
 	if len(items) == 0 {
 		t.Fatal("empty work list")
@@ -158,38 +158,38 @@ func TestWorkListThreadsParams(t *testing.T) {
 		if it.Spec.HPParams == nil || it.Spec.HPParams.F != 0.2 {
 			t.Fatalf("work item lost traffic params: %+v", it.Spec.HPParams)
 		}
-		if it.Spec.HPModel != HPHotspot {
+		if it.Spec.HPModel != instance.HPHotspot {
 			t.Fatalf("work item lost HP model: %q", it.Spec.HPModel)
 		}
 	}
 }
 
 // TestBuildNewFamilies builds one instance per new generator pairing to
-// prove every family is reachable end to end from an InstanceSpec.
+// prove every family is reachable end to end from an instance.Spec.
 func TestBuildNewFamilies(t *testing.T) {
 	cases := []struct {
 		name string
-		spec InstanceSpec
+		spec instance.Spec
 	}{
-		{"waxman+uniform", InstanceSpec{
-			Topology: TopoWaxman, TopoParams: &topo.Params{Nodes: 16},
-			HPModel: HPUniform, TargetUtil: 0.5, Seed: 21,
+		{"waxman+uniform", instance.Spec{
+			Topology: instance.TopoWaxman, TopoParams: &topo.Params{Nodes: 16},
+			HPModel: instance.HPUniform, TargetUtil: 0.5, Seed: 21,
 		}},
-		{"ring+random", InstanceSpec{
-			Topology: TopoRing, TopoParams: &topo.Params{Nodes: 12, Chords: 3},
-			HPModel: HPRandom, TargetUtil: 0.5, Seed: 22,
+		{"ring+random", instance.Spec{
+			Topology: instance.TopoRing, TopoParams: &topo.Params{Nodes: 12, Chords: 3},
+			HPModel: instance.HPRandom, TargetUtil: 0.5, Seed: 22,
 		}},
-		{"grid+gravity", InstanceSpec{
-			Topology: TopoGrid, TopoParams: &topo.Params{Rows: 3, Cols: 4},
-			HPModel: HPGravity, TargetUtil: 0.5, Seed: 23,
+		{"grid+gravity", instance.Spec{
+			Topology: instance.TopoGrid, TopoParams: &topo.Params{Rows: 3, Cols: 4},
+			HPModel: instance.HPGravity, TargetUtil: 0.5, Seed: 23,
 		}},
-		{"torus+hotspot", InstanceSpec{
-			Topology: TopoTorus, TopoParams: &topo.Params{Rows: 3, Cols: 4},
-			HPModel: HPHotspot, TargetUtil: 0.5, Seed: 24,
+		{"torus+hotspot", instance.Spec{
+			Topology: instance.TopoTorus, TopoParams: &topo.Params{Rows: 3, Cols: 4},
+			HPModel: instance.HPHotspot, TargetUtil: 0.5, Seed: 24,
 		}},
-		{"hier+gravity", InstanceSpec{
-			Topology: TopoHier, TopoParams: &topo.Params{Pops: 3, RoutersPerPop: 3},
-			HPModel: HPGravity, TargetUtil: 0.5, Seed: 25,
+		{"hier+gravity", instance.Spec{
+			Topology: instance.TopoHier, TopoParams: &topo.Params{Pops: 3, RoutersPerPop: 3},
+			HPModel: instance.HPGravity, TargetUtil: 0.5, Seed: 25,
 		}},
 	}
 	for _, tc := range cases {
@@ -216,8 +216,8 @@ func TestBuildNewFamilies(t *testing.T) {
 func TestNewFamilyCampaignDeterministicAcrossWorkers(t *testing.T) {
 	spec := Spec{
 		Name:      "waxman-hotspot-determinism",
-		Topology:  TopologySpec{Family: TopoWaxman, Params: &topo.Params{Nodes: 14, Alpha: 0.4}},
-		Traffic:   TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{F: 0.2}},
+		Topology:  TopologySpec{Family: instance.TopoWaxman, Params: &topo.Params{Nodes: 14, Alpha: 0.4}},
+		Traffic:   TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{F: 0.2}},
 		Objective: ObjectiveSpec{Kind: "load"},
 		Loads:     []float64{0.6},
 		Trials:    3,
@@ -260,12 +260,12 @@ func TestPresetsCoverNewGenerators(t *testing.T) {
 		families[n.Topology.Family] = true
 		models[n.Traffic.HighModel] = true
 	}
-	for _, f := range []string{TopoWaxman, TopoHier, TopoTorus} {
+	for _, f := range []string{instance.TopoWaxman, instance.TopoHier, instance.TopoTorus} {
 		if !families[f] {
 			t.Errorf("no preset uses new family %q", f)
 		}
 	}
-	for _, m := range []string{HPHotspot, HPGravity} {
+	for _, m := range []string{instance.HPHotspot, instance.HPGravity} {
 		if !models[m] {
 			t.Errorf("no preset uses new HP model %q", m)
 		}
@@ -285,13 +285,5 @@ func TestPresetParamsAreDeepCopies(t *testing.T) {
 	b, _ := PresetByName("waxman-load")
 	if b.Topology.Params.Alpha != orig {
 		t.Fatal("mutating a preset's params corrupted the library")
-	}
-}
-
-// TestObjectiveKindsMatchEval guards the kind-name mapping used by params
-// resolution against drift in eval.Kind.String().
-func TestObjectiveKindsMatchEval(t *testing.T) {
-	if objectiveKinds["load"] != eval.LoadBased || objectiveKinds["sla"] != eval.SLABased {
-		t.Fatal("objectiveKinds out of sync with eval")
 	}
 }

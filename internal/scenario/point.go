@@ -3,68 +3,21 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/resilience"
 	"dualtopo/internal/search"
 )
 
-// Budget bundles the search budgets applied to every optimized instance.
-type Budget struct {
-	DTR search.Params
-	STR search.STRParams
-}
-
-// TinyBudget returns the integration-test budgets: real topologies, small
-// search budgets, single-threaded (and therefore bitwise-deterministic)
-// searches.
-func TinyBudget() Budget {
-	d := search.Defaults()
-	d.N, d.K, d.M, d.Neighbors, d.Workers = 120, 80, 40, 4, 1
-	s := search.STRDefaults()
-	s.Iterations, s.Candidates, s.M, s.Workers = 300, 4, 60, 1
-	return Budget{DTR: d, STR: s}
-}
-
-// SmallBudget returns the default laptop-scale budgets: a few minutes per
-// sweep on commodity hardware.
-func SmallBudget() Budget {
-	d := search.Defaults()
-	d.N, d.K, d.M, d.Workers = 2000, 1200, 300, 1
-	s := search.STRDefaults()
-	s.Iterations, s.Candidates, s.M, s.Workers = 6000, 5, 300, 1
-	return Budget{DTR: d, STR: s}
-}
-
-// PaperBudget returns the publication budgets of §5.1.3 (N=300000,
-// K=800000). Expect very long runtimes.
-func PaperBudget() Budget {
-	return Budget{DTR: search.Defaults(), STR: search.STRDefaults()}
-}
-
-// BudgetByName resolves "tiny", "small" or "paper".
-func BudgetByName(name string) (Budget, error) {
-	switch strings.ToLower(name) {
-	case "tiny":
-		return TinyBudget(), nil
-	case "small":
-		return SmallBudget(), nil
-	case "paper":
-		return PaperBudget(), nil
-	default:
-		return Budget{}, fmt.Errorf("scenario: unknown budget tier %q (tiny|small|paper)", name)
-	}
-}
-
 // Point is the outcome of optimizing one instance with both schemes.
 type Point struct {
-	Spec InstanceSpec
+	Spec instance.Spec
 	// Inst is the built problem instance the searches ran on; kept so
 	// downstream analyses (histograms, failure sweeps) need not rebuild it.
-	Inst *Instance
+	Inst *instance.Instance
 	// MeasuredUtil is the average link utilization of the final STR
 	// solution, the paper's network-load reference (footnote 4).
 	MeasuredUtil float64
@@ -80,7 +33,7 @@ type Point struct {
 // search can only improve on the baseline lexicographically. This removes
 // search-budget artifacts from the STR/DTR comparison (the paper's premise
 // is that DTR strictly generalizes STR).
-func RunPoint(spec InstanceSpec, b Budget) (*Point, error) {
+func RunPoint(spec instance.Spec, b search.Budget) (*Point, error) {
 	buildSpan := obs.Time(met.phaseBuild)
 	inst, err := spec.Build()
 	if err != nil {
@@ -130,7 +83,7 @@ func RunPoint(spec InstanceSpec, b Budget) (*Point, error) {
 // goroutines, preserving spec order in the result. onDone, when non-nil, is
 // called from worker goroutines as each point completes (in completion
 // order, not spec order).
-func RunPoints(specs []InstanceSpec, b Budget, workers int, onDone func(i int, pt *Point)) ([]*Point, error) {
+func RunPoints(specs []instance.Spec, b search.Budget, workers int, onDone func(i int, pt *Point)) ([]*Point, error) {
 	points := make([]*Point, len(specs))
 	errs := make([]error, len(specs))
 	if workers < 1 {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"dualtopo/internal/instance"
 	"dualtopo/internal/topo"
 	"dualtopo/internal/traffic"
 )
@@ -17,8 +18,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "tiny",
 		Description: "smoke test: 30-node random topology, random HP traffic, load objective, 2 loads x 2 trials",
-		Topology:    TopologySpec{Family: TopoRandom},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoRandom},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.5, 0.7},
 		Trials:      2,
@@ -27,8 +28,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "random-load",
 		Description: "paper Fig 2(a) family: random topology, load objective, 5-point load sweep",
-		Topology:    TopologySpec{Family: TopoRandom},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoRandom},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.5, 0.6, 0.7, 0.8, 0.9},
 		Trials:      3,
@@ -37,8 +38,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "powerlaw-load",
 		Description: "paper Fig 2(b) family: power-law topology, load objective",
-		Topology:    TopologySpec{Family: TopoPowerLaw},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoPowerLaw},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.4, 0.5, 0.6, 0.7, 0.8},
 		Trials:      3,
@@ -47,8 +48,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "isp-load",
 		Description: "paper Fig 2(c) family: 16-node ISP backbone, load objective",
-		Topology:    TopologySpec{Family: TopoISP},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoISP},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.4, 0.5, 0.6, 0.7, 0.8},
 		Trials:      3,
@@ -57,8 +58,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "random-sla",
 		Description: "paper Fig 2(d) family: random topology, SLA objective (theta=25ms)",
-		Topology:    TopologySpec{Family: TopoRandom},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoRandom},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "sla", ThetaMs: 25},
 		Loads:       []float64{0.5, 0.6, 0.7},
 		Trials:      3,
@@ -67,8 +68,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "sink-uniform-load",
 		Description: "paper Fig 8 family: sink HP model with uniformly placed clients, power-law topology",
-		Topology:    TopologySpec{Family: TopoPowerLaw},
-		Traffic:     TrafficSpec{HighModel: HPSinkUniform, F: 0.20, Sinks: 3},
+		Topology:    TopologySpec{Family: instance.TopoPowerLaw},
+		Traffic:     TrafficSpec{HighModel: instance.HPSinkUniform, F: 0.20, Sinks: 3},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.4, 0.6, 0.8},
 		Trials:      3,
@@ -77,30 +78,30 @@ var presetLibrary = []Spec{
 	{
 		Name:        "sink-local-isp-failures",
 		Description: "what-if: sink HP model with sink-local clients on the ISP backbone, plus every single-link failure",
-		Topology:    TopologySpec{Family: TopoISP},
-		Traffic:     TrafficSpec{HighModel: HPSinkLocal, F: 0.20, Sinks: 3},
+		Topology:    TopologySpec{Family: instance.TopoISP},
+		Traffic:     TrafficSpec{HighModel: instance.HPSinkLocal, F: 0.20, Sinks: 3},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.5, 0.7},
 		Trials:      3,
 		Seed:        7,
-		Failures:    FailureSpec{SingleLink: true},
+		Failures:    FailureSpec{Kind: "link"},
 	},
 	{
 		Name:        "powerlaw-sla-failures",
 		Description: "what-if: SLA objective on the power-law topology under every single-link failure",
-		Topology:    TopologySpec{Family: TopoPowerLaw},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoPowerLaw},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "sla", ThetaMs: 25},
 		Loads:       []float64{0.5, 0.6},
 		Trials:      3,
 		Seed:        8,
-		Failures:    FailureSpec{SingleLink: true},
+		Failures:    FailureSpec{Kind: "link"},
 	},
 	{
 		Name:        "isp-robust-dual-link",
 		Description: "resilience: failure-aware (robust) DTR search on the ISP backbone, swept over sampled dual-link failures",
-		Topology:    TopologySpec{Family: TopoISP},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoISP},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.6},
 		Trials:      2,
@@ -110,8 +111,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "waxman-load",
 		Description: "generator family: Waxman geometric topology with distance delays, random HP traffic",
-		Topology:    TopologySpec{Family: TopoWaxman, Params: &topo.Params{Nodes: 30, Alpha: 0.3, Beta: 0.5}},
-		Traffic:     TrafficSpec{HighModel: HPRandom},
+		Topology:    TopologySpec{Family: instance.TopoWaxman, Params: &topo.Params{Nodes: 30, Alpha: 0.3, Beta: 0.5}},
+		Traffic:     TrafficSpec{HighModel: instance.HPRandom},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.5, 0.7},
 		Trials:      2,
@@ -120,8 +121,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "hier-hotspot",
 		Description: "generator family: two-tier hierarchical ISP with fat core, bimodal hotspot HP traffic",
-		Topology:    TopologySpec{Family: TopoHier, Params: &topo.Params{Pops: 5, RoutersPerPop: 4, CoreCapacityX: 4}},
-		Traffic:     TrafficSpec{HighModel: HPHotspot, Params: &traffic.Params{F: 0.25, HotspotFraction: 0.15, HotspotBoost: 6}},
+		Topology:    TopologySpec{Family: instance.TopoHier, Params: &topo.Params{Pops: 5, RoutersPerPop: 4, CoreCapacityX: 4}},
+		Traffic:     TrafficSpec{HighModel: instance.HPHotspot, Params: &traffic.Params{F: 0.25, HotspotFraction: 0.15, HotspotBoost: 6}},
 		Objective:   ObjectiveSpec{Kind: "load"},
 		Loads:       []float64{0.5, 0.7},
 		Trials:      2,
@@ -130,8 +131,8 @@ var presetLibrary = []Spec{
 	{
 		Name:        "torus-gravity-sla",
 		Description: "generator family: torus lattice under SLA objective, capacity-weighted gravity HP traffic",
-		Topology:    TopologySpec{Family: TopoTorus, Params: &topo.Params{Rows: 4, Cols: 5}},
-		Traffic:     TrafficSpec{HighModel: HPGravity, F: 0.20},
+		Topology:    TopologySpec{Family: instance.TopoTorus, Params: &topo.Params{Rows: 4, Cols: 5}},
+		Traffic:     TrafficSpec{HighModel: instance.HPGravity, F: 0.20},
 		Objective:   ObjectiveSpec{Kind: "sla", ThetaMs: 30},
 		Loads:       []float64{0.5, 0.6},
 		Trials:      2,

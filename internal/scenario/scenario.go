@@ -5,10 +5,11 @@
 // them on a bounded worker pool, and aggregates the paper's metrics (ΦH, ΦL,
 // RH, RL, max utilization, SLA violations) into mean/p50/p95 summaries.
 //
-// The package generalizes the hard-coded runners of internal/experiments:
-// those runners are now curated campaigns expressed on top of this engine
-// (see experiments' sweep machinery), while arbitrary new campaigns arrive
-// as JSON specs through cmd/dtrscen or the bundled preset library.
+// Each trial is one instance.Spec, built by internal/instance and optimized
+// at a search.Budget tier (RunPoint). The curated runners of
+// internal/experiments sweep points through RunPoints too, while arbitrary
+// new campaigns arrive as JSON specs through cmd/dtrscen or the bundled
+// preset library.
 //
 // Determinism is a contract, not an accident: every trial derives its own
 // sub-seed from the campaign seed via a splittable SplitMix64 scheme (no
@@ -17,234 +18,19 @@
 package scenario
 
 import (
-	"fmt"
-	"math/rand/v2"
-
-	"dualtopo/internal/cost"
-	"dualtopo/internal/eval"
-	"dualtopo/internal/graph"
-	"dualtopo/internal/resilience"
-	"dualtopo/internal/spf"
-	"dualtopo/internal/stats"
-	"dualtopo/internal/topo"
-	"dualtopo/internal/traffic"
+	"dualtopo/internal/instance"
+	"dualtopo/internal/search"
 )
 
-// Topology family names accepted by InstanceSpec and TopologySpec. Any
-// name registered in internal/topo works (topo.Families() enumerates them);
-// these constants cover the bundled families.
-const (
-	TopoRandom   = "random"
-	TopoPowerLaw = "powerlaw"
-	TopoISP      = "isp"
-	TopoWaxman   = "waxman"
-	TopoRing     = "ring"
-	TopoGrid     = "grid"
-	TopoTorus    = "torus"
-	TopoHier     = "hier"
-	TopoImport   = "import"
+type (
+	// InstanceSpec is instance.Spec, kept for bench/; the next benchmark PR
+	// retargets it and deletes this.
+	InstanceSpec = instance.Spec
+	// Instance is instance.Instance, kept for bench/; the next benchmark PR
+	// retargets it and deletes this.
+	Instance = instance.Instance
 )
 
-// High-priority traffic model names accepted by InstanceSpec and
-// TrafficSpec. Any name registered in internal/traffic works
-// (traffic.Models() enumerates them); these constants cover the bundled
-// models.
-const (
-	HPRandom      = "random"
-	HPSinkUniform = "sink-uniform"
-	HPSinkLocal   = "sink-local"
-	HPGravity     = "gravity"
-	HPHotspot     = "hotspot"
-	HPUniform     = "uniform"
-)
-
-// InstanceSpec describes one problem instance, mirroring the evaluation
-// settings of the paper's §5.1. It is the unit a campaign Spec expands into:
-// one InstanceSpec per (load point, trial).
-type InstanceSpec struct {
-	Topology     string
-	Nodes, Links int     // legacy shorthand for TopoParams.Nodes/Links
-	Capacity     float64 // per-arc capacity in Mbps; 0 means the paper's 500
-	Kind         eval.Kind
-	ThetaMs      float64 // SLA bound; 0 means the paper default (25 ms)
-	F            float64 // high-priority volume fraction (f)
-	K            float64 // high-priority SD-pair density (k)
-	HPModel      string
-	Sinks        int // sink-model sink count; 0 means 3
-	TargetUtil   float64
-	Seed         uint64
-	// TopoParams, when non-nil, carries the topology family's full
-	// parameter set (Waxman alpha/beta, lattice rows/cols, import path,
-	// delay model, ...). The flat Nodes/Links/Capacity shorthand fills its
-	// zero values; family defaults fill the rest.
-	TopoParams *topo.Params
-	// HPParams, when non-nil, carries the high-priority model's full
-	// parameter set; the flat F/K/Sinks shorthand fills its zero values.
-	HPParams *traffic.Params
-	// LPSinks, when positive, replaces the dense n×n gravity low-priority
-	// matrix with a sink-limited one (traffic.GravitySinks): every source
-	// sends to LPSinks destinations spread evenly over the ID space. Dense
-	// gravity is O(n²) memory and infeasible past a few thousand nodes;
-	// sink-limited instances stay O(LPSinks·n). 0 keeps dense gravity.
-	LPSinks int
-	// Robust, when non-nil, makes the DTR search failure-aware: candidates
-	// are scored on the nominal objective plus mean and worst-case ΦL over
-	// the model's (sampled, seeded) failure set.
-	Robust *resilience.Model
-}
-
-// Instance is a fully built problem: topology, matrices, evaluator options.
-type Instance struct {
-	G      *graph.Graph
-	TH, TL *traffic.Matrix
-	Opts   eval.Options
-}
-
-// paperDefaults fills unset spec fields with §5.1 values. Sizing defaults
-// apply only to the paper's synthetic families; every other family gets its
-// sizes from the topo registry defaults, where a flat Nodes/Links shorthand
-// may not even be meaningful (lattices, import).
-func (s *InstanceSpec) paperDefaults() {
-	if s.Topology == "" {
-		s.Topology = TopoRandom
-	}
-	switch s.Topology {
-	case TopoRandom, TopoPowerLaw:
-		if s.Nodes == 0 {
-			s.Nodes = 30
-		}
-		if s.Links == 0 {
-			if s.Topology == TopoPowerLaw {
-				s.Links = 81 // 162 arcs
-			} else {
-				s.Links = 75 // 150 arcs
-			}
-		}
-	}
-	if s.Capacity == 0 {
-		s.Capacity = topo.DefaultCapacity
-	}
-	if s.ThetaMs == 0 {
-		s.ThetaMs = 25
-	}
-	if s.F == 0 {
-		s.F = 0.30
-	}
-	if s.K == 0 {
-		s.K = 0.10
-	}
-	if s.HPModel == "" {
-		s.HPModel = HPRandom
-	}
-	if s.Sinks == 0 {
-		s.Sinks = 3
-	}
-	if s.TargetUtil == 0 {
-		s.TargetUtil = 0.6
-	}
-}
-
-// Describe renders the spec's effective (defaulted) parameters for report
-// notes, folding any params object the same way Build does.
-func (s InstanceSpec) Describe() string {
-	s.paperDefaults()
-	hp := s.hpParams()
-	return fmt.Sprintf("topology=%s kind=%v f=%.0f%% k=%.0f%%",
-		s.Topology, s.Kind, hp.F*100, hp.K*100)
-}
-
-// topoParams folds the spec's flat sizing shorthand into its params object
-// (explicit params win; family defaults are merged by topo.Resolve).
-func (s InstanceSpec) topoParams() topo.Params {
-	var p topo.Params
-	if s.TopoParams != nil {
-		p = *s.TopoParams
-	}
-	return p.WithSizes(s.Nodes, s.Links, s.Capacity)
-}
-
-// hpParams folds the spec's flat traffic shorthand into its params object.
-func (s InstanceSpec) hpParams() traffic.Params {
-	var p traffic.Params
-	if s.HPParams != nil {
-		p = *s.HPParams
-	}
-	return p.WithShorthand(s.F, s.K, s.Sinks)
-}
-
-// Build constructs the instance through the generator registries: topology
-// with capacities and delays, gravity low-priority matrix, high-priority
-// matrix per model, and both matrices scaled so the unit-weight routing has
-// the target average link utilization (the paper "varies total traffic
-// demand by scaling the traffic matrix").
-func (s InstanceSpec) Build() (*Instance, error) {
-	s.paperDefaults()
-	rng := rand.New(rand.NewPCG(s.Seed, 0xd7a1))
-
-	g, err := topo.Generate(s.Topology, s.topoParams(), rng)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-
-	n := g.NumNodes()
-	if s.LPSinks < 0 {
-		return nil, fmt.Errorf("scenario: lp sinks=%d < 0", s.LPSinks)
-	}
-	if s.LPSinks > n {
-		return nil, fmt.Errorf("scenario: lp sinks=%d > %d nodes", s.LPSinks, n)
-	}
-	var tl *traffic.Matrix
-	if s.LPSinks > 0 {
-		tl = traffic.GravitySinks(n, s.LPSinks, rng)
-	} else {
-		tl = traffic.Gravity(n, rng)
-	}
-	th, err := traffic.GenerateHighPriority(s.HPModel, g, tl.Total(), s.hpParams(), rng)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-
-	if err := scaleToUtilization(g, th, tl, s.TargetUtil); err != nil {
-		return nil, err
-	}
-
-	opts := eval.Options{Kind: s.Kind, SLA: cost.DefaultSLA()}
-	opts.SLA.ThetaMs = s.ThetaMs
-	return &Instance{G: g, TH: th, TL: tl, Opts: opts}, nil
-}
-
-// Evaluator builds the instance's evaluator.
-func (inst *Instance) Evaluator() (*eval.Evaluator, error) {
-	return eval.New(inst.G, inst.TH, inst.TL, inst.Opts)
-}
-
-// scaleToUtilization scales both matrices so the average link utilization
-// under unit-weight (hop count) routing equals target. Optimized routings
-// shift load but barely change the average, so the measured utilization of
-// the final STR solution — which experiments report as the paper does —
-// lands near the target.
-func scaleToUtilization(g *graph.Graph, th, tl *traffic.Matrix, target float64) error {
-	if target <= 0 {
-		return fmt.Errorf("scenario: target utilization %g <= 0", target)
-	}
-	w := spf.Uniform(g.NumEdges())
-	hLoads, err := spf.Loads(g, w, th)
-	if err != nil {
-		return err
-	}
-	lLoads, err := spf.Loads(g, w, tl)
-	if err != nil {
-		return err
-	}
-	utils := make([]float64, g.NumEdges())
-	for i := range utils {
-		utils[i] = (hLoads[i] + lLoads[i]) / g.Edge(graph.EdgeID(i)).Capacity
-	}
-	avg := stats.Mean(utils)
-	if avg <= 0 {
-		return fmt.Errorf("scenario: zero baseline utilization")
-	}
-	th.Scale(target / avg)
-	tl.Scale(target / avg)
-	return nil
-}
+// TinyBudget is search.TinyBudget, kept for bench/; the next benchmark PR
+// retargets it and deletes this.
+func TinyBudget() search.Budget { return search.TinyBudget() }

@@ -5,30 +5,12 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/spf"
 )
 
-func TestInstanceSpecDefaults(t *testing.T) {
-	s := InstanceSpec{}
-	s.paperDefaults()
-	if s.Topology != TopoRandom || s.Nodes != 30 || s.Links != 75 {
-		t.Fatalf("defaults = %+v", s)
-	}
-	if s.F != 0.30 || s.K != 0.10 || s.ThetaMs != 25 {
-		t.Fatalf("defaults = %+v", s)
-	}
-	if s.Capacity != 500 {
-		t.Fatalf("default capacity = %g, want 500", s.Capacity)
-	}
-	pl := InstanceSpec{Topology: TopoPowerLaw}
-	pl.paperDefaults()
-	if pl.Links != 81 {
-		t.Fatalf("power-law default links = %d, want 81", pl.Links)
-	}
-}
-
 func TestInstanceBuildScalesToTarget(t *testing.T) {
-	spec := InstanceSpec{Topology: TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 5}
+	spec := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased, TargetUtil: 0.6, Seed: 5}
 	inst, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +35,7 @@ func TestInstanceBuildScalesToTarget(t *testing.T) {
 }
 
 func TestInstanceBuildCustomCapacity(t *testing.T) {
-	spec := InstanceSpec{Topology: TopoISP, Capacity: 1000, TargetUtil: 0.5, Seed: 1}
+	spec := instance.Spec{Topology: instance.TopoISP, Capacity: 1000, TargetUtil: 0.5, Seed: 1}
 	inst, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -66,19 +48,19 @@ func TestInstanceBuildCustomCapacity(t *testing.T) {
 }
 
 func TestInstanceBuildErrors(t *testing.T) {
-	if _, err := (InstanceSpec{Topology: "mesh"}).Build(); err == nil {
+	if _, err := (instance.Spec{Topology: "mesh"}).Build(); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := (InstanceSpec{HPModel: "flood"}).Build(); err == nil {
+	if _, err := (instance.Spec{HPModel: "flood"}).Build(); err == nil {
 		t.Error("unknown HP model accepted")
 	}
-	if _, err := (InstanceSpec{TargetUtil: -1}).Build(); err == nil {
+	if _, err := (instance.Spec{TargetUtil: -1}).Build(); err == nil {
 		t.Error("negative target util accepted")
 	}
 }
 
 func TestInstanceBuildDeterministic(t *testing.T) {
-	spec := InstanceSpec{Seed: 9, TargetUtil: 0.5}
+	spec := instance.Spec{Seed: 9, TargetUtil: 0.5}
 	a, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)

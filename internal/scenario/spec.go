@@ -8,7 +8,9 @@ import (
 	"os"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/resilience"
+	"dualtopo/internal/search"
 	"dualtopo/internal/topo"
 	"dualtopo/internal/traffic"
 )
@@ -110,7 +112,8 @@ type ObjectiveSpec struct {
 
 // BudgetSpec scales the search effort spent on every trial.
 type BudgetSpec struct {
-	// Tier is "tiny", "small" or "paper"; empty means "tiny".
+	// Tier is "smoke", "tiny", "small" or "paper" (search.BudgetByName);
+	// empty means "tiny".
 	Tier string `json:"tier,omitempty"`
 	// DTRIters, DTRRefine and STRIters override the tier's N, K and
 	// Iterations budgets when positive.
@@ -131,11 +134,8 @@ type BudgetSpec struct {
 // the DTR search itself failure-aware.
 type FailureSpec struct {
 	// Kind selects the failure model: "link" (Count simultaneous link
-	// failures), "node", or "srlg". Empty (with SingleLink false) disables
-	// failure evaluation.
+	// failures), "node", or "srlg". Empty disables failure evaluation.
 	Kind string `json:"kind,omitempty"`
-	// SingleLink is the legacy toggle, equivalent to {Kind: "link", Count: 1}.
-	SingleLink bool `json:"single_link,omitempty"`
 	// Count is the number of simultaneously failed links for the "link"
 	// kind: 1 or 2. 0 means 1.
 	Count int `json:"count,omitempty"`
@@ -152,9 +152,6 @@ type FailureSpec struct {
 	// nominal ΦL plus mean and worst-case ΦL over the trial's failure set
 	// (capped at RobustDefaultSample states when Sample is 0).
 	Robust bool `json:"robust,omitempty"`
-	// MaxLinks is a deprecated alias for Sample; unlike the old prefix
-	// truncation it now selects a seeded uniform sample.
-	MaxLinks int `json:"max_links,omitempty"`
 }
 
 // RobustDefaultSample bounds the per-candidate sweep cost of robust
@@ -171,28 +168,20 @@ const (
 )
 
 // Enabled reports whether any failure evaluation is configured.
-func (f FailureSpec) Enabled() bool { return f.Kind != "" || f.SingleLink }
+func (f FailureSpec) Enabled() bool { return f.Kind != "" }
 
-// Model derives the trial-level resilience model, resolving the legacy
-// aliases and deriving a per-trial sampling seed when none is pinned.
+// Model derives the trial-level resilience model, deriving a per-trial
+// sampling seed when none is pinned.
 func (f FailureSpec) Model(trialSeed uint64) resilience.Model {
-	kind := f.Kind
-	if kind == "" {
-		kind = resilience.KindLink
-	}
-	sample := f.Sample
-	if sample == 0 {
-		sample = f.MaxLinks
-	}
 	seed := f.Seed
 	if seed == 0 {
 		seed = splitmix64(trialSeed ^ 0x6661696c75726573) // "failures"
 	}
 	return resilience.Model{
-		Kind:   kind,
+		Kind:   f.Kind,
 		Count:  f.Count,
 		SRLGs:  f.SRLGs,
-		Sample: sample,
+		Sample: f.Sample,
 		Seed:   seed,
 	}.Normalize()
 }
@@ -207,22 +196,15 @@ func (f FailureSpec) robustModel(trialSeed uint64) resilience.Model {
 	return m
 }
 
-// objectiveKinds maps the JSON kind names onto eval.Kind (matching
-// eval.Kind.String()).
-var objectiveKinds = map[string]eval.Kind{
-	"load": eval.LoadBased,
-	"sla":  eval.SLABased,
-}
-
 // Normalize returns a copy of s with every optional field resolved to its
 // default, so that Validate, WorkList and Run all see the same effective
 // campaign.
 func (s Spec) Normalize() Spec {
 	if s.Topology.Family == "" {
-		s.Topology.Family = TopoRandom
+		s.Topology.Family = instance.TopoRandom
 	}
 	if s.Traffic.HighModel == "" {
-		s.Traffic.HighModel = HPRandom
+		s.Traffic.HighModel = instance.HPRandom
 	}
 	if s.Objective.Kind == "" {
 		s.Objective.Kind = "load"
@@ -256,8 +238,8 @@ func (s Spec) Validate() error {
 	if _, _, err := traffic.ResolveModel(s.Traffic.HighModel, s.Traffic.params()); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if _, ok := objectiveKinds[s.Objective.Kind]; !ok {
-		return fmt.Errorf("scenario: unknown objective kind %q (load|sla)", s.Objective.Kind)
+	if _, err := eval.ParseKind(s.Objective.Kind); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if s.Objective.ThetaMs < 0 {
 		return fmt.Errorf("scenario: negative SLA bound %g ms", s.Objective.ThetaMs)
@@ -270,13 +252,13 @@ func (s Spec) Validate() error {
 	if s.Trials < 1 || s.Trials > 10000 {
 		return fmt.Errorf("scenario: %d trials outside [1,10000]", s.Trials)
 	}
-	if _, err := BudgetByName(s.Budget.Tier); err != nil {
+	if _, err := search.BudgetByName(s.Budget.Tier); err != nil {
 		return err
 	}
 	if s.Budget.DTRIters < 0 || s.Budget.DTRRefine < 0 || s.Budget.STRIters < 0 || s.Budget.SearchWorkers < 0 {
 		return fmt.Errorf("scenario: negative budget override")
 	}
-	if s.Failures.MaxLinks < 0 || s.Failures.Sample < 0 {
+	if s.Failures.Sample < 0 {
 		return fmt.Errorf("scenario: negative failure sample cap")
 	}
 	if s.Failures.Enabled() {
@@ -284,7 +266,7 @@ func (s Spec) Validate() error {
 			return err
 		}
 	} else if s.Failures.Robust {
-		return fmt.Errorf("scenario: robust search requires a failure model (set kind or single_link)")
+		return fmt.Errorf("scenario: robust search requires a failure model (set kind)")
 	}
 	if s.Churn != nil {
 		if err := s.Churn.Validate(); err != nil {
@@ -295,11 +277,11 @@ func (s Spec) Validate() error {
 }
 
 // ResolveBudget materializes the spec's budget tier plus overrides.
-func (s Spec) ResolveBudget() (Budget, error) {
+func (s Spec) ResolveBudget() (search.Budget, error) {
 	s = s.Normalize()
-	b, err := BudgetByName(s.Budget.Tier)
+	b, err := search.BudgetByName(s.Budget.Tier)
 	if err != nil {
-		return Budget{}, err
+		return search.Budget{}, err
 	}
 	if s.Budget.DTRIters > 0 {
 		b.DTR.N = s.Budget.DTRIters
@@ -325,21 +307,21 @@ type WorkItem struct {
 	// Point indexes Spec.Loads; Trial counts repetitions within the point.
 	Point, Trial int
 	// Spec is the fully derived problem instance, including its sub-seed.
-	Spec InstanceSpec
+	Spec instance.Spec
 }
 
 // WorkList expands the normalized spec into its deterministic work-list:
 // one item per (load point, trial), each with a SplitMix64-derived sub-seed.
 func (s Spec) WorkList() []WorkItem {
 	s = s.Normalize()
-	kind := objectiveKinds[s.Objective.Kind]
+	kind, _ := eval.ParseKind(s.Objective.Kind) // Validate rejects unknown kinds
 	topoParams := s.Topology.params()
 	hpParams := s.Traffic.params()
 	items := make([]WorkItem, 0, len(s.Loads)*s.Trials)
 	for p, load := range s.Loads {
 		for t := 0; t < s.Trials; t++ {
 			seed := SubSeed(s.Seed, p, t)
-			is := InstanceSpec{
+			is := instance.Spec{
 				Topology:   s.Topology.Family,
 				TopoParams: &topoParams,
 				Kind:       kind,

@@ -5,13 +5,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dualtopo/internal/instance"
+	"dualtopo/internal/search"
 )
 
 func validSpec() Spec {
 	return Spec{
 		Name:      "t",
-		Topology:  TopologySpec{Family: TopoRandom},
-		Traffic:   TrafficSpec{HighModel: HPRandom},
+		Topology:  TopologySpec{Family: instance.TopoRandom},
+		Traffic:   TrafficSpec{HighModel: instance.HPRandom},
 		Objective: ObjectiveSpec{Kind: "load"},
 		Loads:     []float64{0.5, 0.7},
 		Trials:    2,
@@ -43,11 +46,16 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Fatal("typo field accepted")
 	}
+	// The removed single_link alias is an unknown field too.
+	_, err = Load(strings.NewReader(`{"name":"x","failures":{"single_link":true}}`))
+	if err == nil || !strings.Contains(err.Error(), "single_link") {
+		t.Fatalf("single_link: err = %v, want an unknown-field error", err)
+	}
 }
 
 func TestSpecNormalizeDefaults(t *testing.T) {
 	s := Spec{Name: "d"}.Normalize()
-	if s.Topology.Family != TopoRandom || s.Traffic.HighModel != HPRandom {
+	if s.Topology.Family != instance.TopoRandom || s.Traffic.HighModel != instance.HPRandom {
 		t.Fatalf("normalize = %+v", s)
 	}
 	if s.Objective.Kind != "load" || s.Budget.Tier != "tiny" {
@@ -78,7 +86,6 @@ func TestSpecValidate(t *testing.T) {
 		{"bad tier", func(s *Spec) { s.Budget.Tier = "huge" }},
 		{"negative theta", func(s *Spec) { s.Objective.ThetaMs = -1 }},
 		{"negative override", func(s *Spec) { s.Budget.STRIters = -5 }},
-		{"negative failure cap", func(s *Spec) { s.Failures.MaxLinks = -1 }},
 		{"negative failure sample", func(s *Spec) { s.Failures.Sample = -1 }},
 		{"bad failure kind", func(s *Spec) { s.Failures.Kind = "meteor" }},
 		{"bad link count", func(s *Spec) { s.Failures = FailureSpec{Kind: "link", Count: 3} }},
@@ -141,20 +148,9 @@ func TestResolveBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := TinyBudget()
+	want := search.TinyBudget()
 	if b.DTR.N != want.DTR.N || b.STR.Iterations != want.STR.Iterations {
 		t.Fatalf("tier budget = %+v, want %+v", b, want)
-	}
-}
-
-func TestBudgetByName(t *testing.T) {
-	for _, name := range []string{"tiny", "small", "paper", "TINY"} {
-		if _, err := BudgetByName(name); err != nil {
-			t.Errorf("BudgetByName(%q): %v", name, err)
-		}
-	}
-	if _, err := BudgetByName("nope"); err == nil {
-		t.Error("unknown tier accepted")
 	}
 }
 
@@ -190,12 +186,12 @@ func TestPresetsLibrary(t *testing.T) {
 		}
 	}
 	// The library must span the paper's evaluation axes.
-	for _, f := range []string{TopoRandom, TopoPowerLaw, TopoISP} {
+	for _, f := range []string{instance.TopoRandom, instance.TopoPowerLaw, instance.TopoISP} {
 		if !families[f] {
 			t.Errorf("no preset uses topology %q", f)
 		}
 	}
-	for _, m := range []string{HPRandom, HPSinkUniform, HPSinkLocal} {
+	for _, m := range []string{instance.HPRandom, instance.HPSinkUniform, instance.HPSinkLocal} {
 		if !models[m] {
 			t.Errorf("no preset uses HP model %q", m)
 		}
@@ -233,17 +229,17 @@ func TestPresetsAreDeepCopies(t *testing.T) {
 }
 
 func TestFailureSpecModelDerivation(t *testing.T) {
-	// Legacy aliases: SingleLink → link kind, MaxLinks → sample.
-	legacy := FailureSpec{SingleLink: true, MaxLinks: 5}
-	m := legacy.Model(7)
+	// The link kind defaults to one failed link.
+	link := FailureSpec{Kind: "link", Sample: 5}
+	m := link.Model(7)
 	if m.Kind != "link" || m.Count != 1 || m.Sample != 5 {
-		t.Fatalf("legacy model = %+v", m)
+		t.Fatalf("link model = %+v", m)
 	}
 	// A derived seed is per-trial but reproducible; a pinned seed wins.
-	if legacy.Model(7).Seed != m.Seed {
+	if link.Model(7).Seed != m.Seed {
 		t.Fatal("derived sampling seed not reproducible")
 	}
-	if legacy.Model(8).Seed == m.Seed {
+	if link.Model(8).Seed == m.Seed {
 		t.Fatal("derived sampling seed ignores the trial seed")
 	}
 	pinned := FailureSpec{Kind: "node", Seed: 42}
@@ -251,10 +247,10 @@ func TestFailureSpecModelDerivation(t *testing.T) {
 		t.Fatalf("pinned seed = %d, want 42", got)
 	}
 	// Robust model caps an unbounded sweep at the default sample.
-	if got := legacy.robustModel(7).Sample; got != 5 {
+	if got := link.robustModel(7).Sample; got != 5 {
 		t.Fatalf("robust sample = %d, want the spec's 5", got)
 	}
-	unbounded := FailureSpec{SingleLink: true}
+	unbounded := FailureSpec{Kind: "link"}
 	if got := unbounded.robustModel(7).Sample; got != RobustDefaultSample {
 		t.Fatalf("robust sample = %d, want default %d", got, RobustDefaultSample)
 	}
@@ -262,7 +258,7 @@ func TestFailureSpecModelDerivation(t *testing.T) {
 
 func TestWorkListCarriesRobustModel(t *testing.T) {
 	s := validSpec()
-	s.Failures = FailureSpec{SingleLink: true, Robust: true}
+	s.Failures = FailureSpec{Kind: "link", Robust: true}
 	items := s.WorkList()
 	for i, it := range items {
 		if it.Spec.Robust == nil {

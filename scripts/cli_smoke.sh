@@ -106,6 +106,13 @@ grep -q '"manifest"' "$bin/portfolio.json" || {
 grep -q '"trajectory"' "$bin/ptrace.jsonl" || {
   echo "FAIL: dtropt -multistart trace events lack trajectory indexes"; exit 1; }
 
+echo "== dtropt: an unknown objective fails instead of running load-based"
+if "$bin/dtropt" -budget smoke -kind fastest >/dev/null 2>"$bin/kind.err"; then
+  echo "FAIL: dtropt -kind fastest exited 0"; exit 1
+fi
+grep -q 'unknown objective "fastest" (load|sla)' "$bin/kind.err" || {
+  cat "$bin/kind.err"; echo "FAIL: dtropt -kind fastest did not name the bad objective"; exit 1; }
+
 echo "== dtropt: 10k-node hier topology with sink-limited traffic (scale path)"
 "$bin/topogen" gen -topo hier -params '{"pops":100,"routers_per_pop":100}' -quiet \
   -o "$bin/hier10k.json"
