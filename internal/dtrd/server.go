@@ -122,9 +122,6 @@ func (s *Server) Close() {
 // endpoints) keep working.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // WaitIdle blocks until every in-flight request and background job has
 // finished, or ctx expires.
 func (s *Server) WaitIdle(ctx context.Context) error {
@@ -193,6 +190,11 @@ const (
 	// maxWeightsBody covers route and whatif: up to three weight vectors at
 	// up to 11 bytes an arc ("2147483647,"), about 120 000 arcs.
 	maxWeightsBody = 4 << 20
+	// maxWhatIfStates caps the full enumeration of a what-if's failure
+	// model, which is built before any sampling: it admits a single-link
+	// sweep of every graph a body can name (about 60 000 links) and refuses,
+	// say, dual-link failures of a 392-link ISP (76 636 states).
+	maxWhatIfStates = 1 << 16
 )
 
 // Per-request scratch, reused across requests: the body bytes and the two
@@ -483,6 +485,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	model := resilience.Model{
 		Kind: fm.Kind, Count: fm.Count, SRLGs: fm.SRLGs,
 		Sample: fm.Sample, Seed: fm.Seed,
+	}
+	if n := model.Size(t.handle.Graph()); n > maxWhatIfStates {
+		writeError(w, http.StatusUnprocessableEntity, CodeLimitExceeded,
+			fmt.Sprintf("failure model %s has %d states, over the what-if cap of %d", model, n, maxWhatIfStates))
+		return
 	}
 	states, err := resilience.Enumerate(t.handle.Graph(), model)
 	if err != nil {

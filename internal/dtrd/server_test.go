@@ -286,6 +286,35 @@ func TestGoldenWhatIf(t *testing.T) {
 	golden(t, "whatif_bad_response.json", body)
 }
 
+// TestGoldenWhatIfLimit pins the 422 limit_exceeded answer to a failure
+// model whose full enumeration is over maxWhatIfStates: 363 links have
+// 65 703 link pairs, refused before any state is built even though only 4
+// are sampled. The request is stored compact: it carries 726 weights.
+func TestGoldenWhatIfLimit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	load, err := json.Marshal(LoadRequest{Topology: "random", Nodes: 150, Links: 363, TargetUtil: 0.6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, "POST", ts.URL+"/v1/topologies", load)
+	if code != http.StatusCreated {
+		t.Fatalf("load: code %d: %s", code, body)
+	}
+	req, err := json.Marshal(WhatIfRequest{
+		Weights:  perturb(2*363, 3),
+		Failures: &FailureModel{Kind: "link", Count: 2, Sample: 4, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "whatif_too_large_request.json", append(req, '\n'))
+	code, body = do(t, "POST", ts.URL+"/v1/topologies/t1/whatif", req)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized failure model code %d: %s", code, body)
+	}
+	golden(t, "whatif_too_large_response.json", body)
+}
+
 func TestGoldenSearchJob(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	loadTestTopo(t, ts)

@@ -16,13 +16,13 @@
 //
 // The engine makes the split explicit. Load (or New) builds the immutable
 // side once and returns a Handle. Handle.Session leases a Session — a
-// pooled evaluator clone plus a lazily-created failure sweeper, each owning
-// the routing states it drives — whose mutations are invisible to every
-// other session. Releasing
-// the session returns its warm routing state to the pool for the next
-// lease, so a long-lived server answers "route this", "what if link X
-// fails" queries in milliseconds without per-request construction, while
-// thousands of concurrent clients share one copy of the instance data.
+// pooled evaluator clone, owning the session's routing states, plus a
+// lazily-created failure sweeper that drives them — whose mutations are
+// invisible to every other session. Releasing the session returns its warm
+// routing state to the pool for the next lease, so a long-lived server
+// answers "route this", "what if link X fails" queries in milliseconds
+// without per-request construction, while thousands of concurrent clients
+// share one copy of the instance data.
 //
 // Determinism carries through: pooled sessions route sequentially
 // (RouteWorkers = 1), so the same query on any session of a handle — or on

@@ -12,6 +12,7 @@ import (
 	"dualtopo/internal/graph"
 	"dualtopo/internal/instance"
 	"dualtopo/internal/resilience"
+	"dualtopo/internal/search"
 	"dualtopo/internal/spf"
 )
 
@@ -557,5 +558,118 @@ func TestCompareUnderFailuresMatchesDirect(t *testing.T) {
 			t.Fatalf("sample %d differs: got (%g,%g) want (%g,%g)",
 				i, got.STR[i], got.DTR[i], want.STR[i], want.DTR[i])
 		}
+	}
+}
+
+// TestSweepsShareTheSessionStates pins router sharing on one session: a
+// search leaves the evaluator without routing states, and the sweeps that
+// follow run on Evaluator().State(RouteSTR/RouteDTR) — every state is one
+// checkpoint → apply → revert on exactly those routers — with results
+// bitwise-equal to a hand-wired sweeper's. An abandoned sweep on the shared
+// state still trips ErrLeakedCheckpoint.
+func TestSweepsShareTheSessionStates(t *testing.T) {
+	h := loadTestHandle(t, PoolConfig{Size: 1})
+	inst := h.Instance()
+	states, err := resilience.Enumerate(inst.G, resilience.Model{Kind: "link", Sample: 8, Seed: 3})
+	if err != nil {
+		t.Fatalf("Enumerate: %v", err)
+	}
+	s, err := h.Session(context.Background())
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	ev := s.Evaluator()
+
+	b := search.SmokeBudget()
+	str, err := search.STR(ev, b.STR)
+	if err != nil {
+		t.Fatalf("STR search: %v", err)
+	}
+	dtr, err := search.DTRFrom(ev, str.W, str.W, b.DTR)
+	if err != nil {
+		t.Fatalf("DTR search: %v", err)
+	}
+	stSTR, stDTR := ev.State(eval.RouteSTR), ev.State(eval.RouteDTR)
+	for _, st := range []*eval.RoutingState{stSTR, stDTR} {
+		if st.Valid() || st.Router(eval.High).Stats() != (spf.DeltaStats{}) {
+			t.Fatal("the search left a routing state on the evaluator")
+		}
+	}
+
+	ref, err := eval.New(inst.G, inst.TH, inst.TL, inst.Opts)
+	if err != nil {
+		t.Fatalf("eval.New: %v", err)
+	}
+	ref.SetRouteWorkers(1)
+	refSweep := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1})
+	same := func(what string, got, want *resilience.Sweep) {
+		t.Helper()
+		if !sameSweep(sweepFingerprint(got), sweepFingerprint(want)) {
+			t.Fatalf("%s on the shared state differs from a hand-wired sweeper's", what)
+		}
+	}
+	// reverts checks that every swept state so far was rolled back on the
+	// evaluator's own routers: n per router of each scheme.
+	reverts := func(what string, nSTR, nDTR int) {
+		t.Helper()
+		if ev.State(eval.RouteSTR) != stSTR || ev.State(eval.RouteDTR) != stDTR {
+			t.Fatalf("%s: the evaluator's states were replaced", what)
+		}
+		for _, r := range []struct {
+			dr   *spf.DeltaRouter
+			want int
+		}{{stSTR.Router(eval.High), nSTR}, {stDTR.Router(eval.High), nDTR}, {stDTR.Router(eval.Low), nDTR}} {
+			if got := r.dr.Stats().Reverts; got != int64(r.want) {
+				t.Fatalf("%s: %d reverts on an evaluator router, want %d", what, got, r.want)
+			}
+		}
+	}
+
+	got, err := s.SweepSTR(str.W, states)
+	if err != nil {
+		t.Fatalf("SweepSTR: %v", err)
+	}
+	want, err := refSweep.SweepSTR(str.W, states)
+	if err != nil {
+		t.Fatalf("ref SweepSTR: %v", err)
+	}
+	same("SweepSTR", got, want)
+	reverts("SweepSTR", len(states), 0)
+
+	got, err = s.SweepDTR(dtr.WH, dtr.WL, states)
+	if err != nil {
+		t.Fatalf("SweepDTR: %v", err)
+	}
+	want, err = refSweep.SweepDTR(dtr.WH, dtr.WL, states)
+	if err != nil {
+		t.Fatalf("ref SweepDTR: %v", err)
+	}
+	same("SweepDTR", got, want)
+	reverts("SweepDTR", len(states), len(states))
+
+	cmp, err := s.CompareUnderFailures(str.W, dtr.WH, dtr.WL, states)
+	if err != nil {
+		t.Fatalf("CompareUnderFailures: %v", err)
+	}
+	wantCmp, err := resilience.CompareSchemes(refSweep, str.W, dtr.WH, dtr.WL, states)
+	if err != nil {
+		t.Fatalf("ref CompareSchemes: %v", err)
+	}
+	if !sameFloat(cmp.BaseSTR, wantCmp.BaseSTR) || !sameFloat(cmp.BaseDTR, wantCmp.BaseDTR) || len(cmp.DTR) != len(wantCmp.DTR) {
+		t.Fatal("CompareUnderFailures on the shared states differs from a hand-wired comparison")
+	}
+	for i := range cmp.DTR {
+		if !sameFloat(cmp.STR[i], wantCmp.STR[i]) || !sameFloat(cmp.DTR[i], wantCmp.DTR[i]) {
+			t.Fatalf("compare sample %d differs from a hand-wired comparison", i)
+		}
+	}
+	reverts("CompareUnderFailures", 2*len(states), 2*len(states))
+
+	abandonSweep(t, s, dtr.WH, dtr.WL)
+	if !ev.DeltaCheckpointArmed() {
+		t.Fatal("abandoned sweep left no armed checkpoint on the evaluator's state")
+	}
+	if err := h.Release(s); !errors.Is(err, ErrLeakedCheckpoint) {
+		t.Fatalf("Release err = %v, want ErrLeakedCheckpoint", err)
 	}
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // Session is the mutable half of a topology lease: a private evaluator
-// clone (with its lazily-built incremental objective states) and a
-// lazily-built failure sweeper. Each owns the eval.RoutingStates it drives;
-// the session itself holds no router. Sessions are NOT safe for concurrent
-// use — concurrency comes from leasing several sessions off one Handle. All
-// routing inside a session is sequential (RouteWorkers = 1), so results are
+// clone, which owns the session's routing states (at most one STR and one
+// DTR eval.RoutingState, built lazily), and a lazily-built failure sweeper
+// that drives those same states. Neither the sweeper nor the session holds
+// a router of its own. Sessions are NOT safe for concurrent use —
+// concurrency comes from leasing several sessions off one Handle. All routing
+// inside a session is sequential (RouteWorkers = 1), so results are
 // bitwise-independent of which pooled session serves a request.
 //
 // The session owns the eval.Result its EvaluateSTR/EvaluateDTR return: each
@@ -22,7 +23,7 @@ import (
 type Session struct {
 	h   *Handle
 	ev  *eval.Evaluator
-	sw  *resilience.Sweeper // lazy; owns its per-scheme routing states
+	sw  *resilience.Sweeper // lazy; drives ev's routing states
 	res eval.Result         // what EvaluateSTR/EvaluateDTR fill and return
 }
 
@@ -64,15 +65,12 @@ func (s *Session) EvaluateDTR(wH, wL spf.Weights) (*eval.Result, error) {
 }
 
 // checkpointArmed reports whether the session would fail the release-time
-// leak assertion: some routing state it owns — the sweeper's, which sit
-// between Checkpoint and Revert for every what-if state, or the evaluator's
-// — still holds an armed checkpoint.
-func (s *Session) checkpointArmed() bool {
-	return s.ev.DeltaCheckpointArmed() || (s.sw != nil && s.sw.CheckpointArmed())
-}
+// leak assertion: one of the evaluator's routing states, which a sweep holds
+// between Checkpoint and Revert for every what-if state, is still armed.
+func (s *Session) checkpointArmed() bool { return s.ev.DeltaCheckpointArmed() }
 
-// Reset discards every piece of incremental state — the evaluator's delta
-// states and the sweeper, with their routers and any armed checkpoint — so
+// Reset discards every piece of incremental state — the evaluator's routing
+// states, with their routers and any armed checkpoint, and the sweeper — so
 // the next operation recomputes from scratch. Use it when a request failed
 // midway and the session's state can no longer be trusted; Release invokes
 // it automatically on a leaked checkpoint.
@@ -97,7 +95,7 @@ func (s *Session) SweepSTR(w spf.Weights, states []resilience.State) (*resilienc
 	met.whatifs.Add(int64(len(states)))
 	sw, err := s.sweeper().SweepSTR(w, states)
 	if err != nil {
-		s.sw = nil // sweep state is suspect after a failure; rebuild next time
+		s.ev.ResetDelta() // the swept state is suspect after a failure
 	}
 	return sw, err
 }
@@ -108,7 +106,7 @@ func (s *Session) SweepDTR(wH, wL spf.Weights, states []resilience.State) (*resi
 	met.whatifs.Add(int64(len(states)))
 	sw, err := s.sweeper().SweepDTR(wH, wL, states)
 	if err != nil {
-		s.sw = nil
+		s.ev.ResetDelta()
 	}
 	return sw, err
 }
@@ -120,7 +118,7 @@ func (s *Session) CompareUnderFailures(wSTR, wH, wL spf.Weights, states []resili
 	met.whatifs.Add(2 * int64(len(states)))
 	out, err := resilience.CompareSchemes(s.sweeper(), wSTR, wH, wL, states)
 	if err != nil {
-		s.sw = nil
+		s.ev.ResetDelta()
 	}
 	return out, err
 }

@@ -1,10 +1,10 @@
 // Incremental objective evaluation: the Objective*Delta methods mirror
 // ObjectiveH / ObjectiveL / ObjectiveSTR but take the set of arcs whose
-// weights changed since the previous call and drive a RoutingState (see
-// state.go), which routes incrementally, re-scores only the arcs whose loads
-// — or caller-supplied inputs — moved, and re-reduces in the order the full
-// paths sum. Delta and full evaluation therefore agree bitwise, which the
-// search's VerifyDelta debug mode and the equivalence tests assert.
+// weights changed since the previous call and drive one of the evaluator's
+// two RoutingStates (see state.go), which route incrementally, re-score only
+// the arcs whose loads moved, and re-reduce in the order the full paths sum.
+// Delta and full evaluation therefore agree bitwise, which the search's
+// VerifyDelta debug mode and the equivalence tests assert.
 package eval
 
 import (
@@ -13,20 +13,24 @@ import (
 	"dualtopo/internal/spf"
 )
 
-// deltaState returns the evaluator's lazily built state of the given shape.
-func (e *Evaluator) deltaState(shape Shape) *RoutingState {
-	if e.delta[shape] == nil {
-		e.delta[shape] = NewRoutingState(e, shape)
+// State returns the evaluator's routing state of the given shape, building
+// it on first use. The evaluator owns at most one state per shape: the
+// Objective*Delta paths and a resilience.Sweeper built on this evaluator all
+// drive these two, so a caller's changed set must cover every arc where its
+// weights differ from wherever the last driver left the state. ResetDelta
+// drops both.
+func (e *Evaluator) State(shape Shape) *RoutingState {
+	if e.states[shape] == nil {
+		e.states[shape] = NewRoutingState(e, shape)
 	}
-	return e.delta[shape]
+	return e.states[shape]
 }
 
-// DeltaCheckpointArmed reports whether any of the evaluator's incremental
-// states holds an armed checkpoint. The Objective*Delta paths never arm one,
-// so true means the state was corrupted from outside; session pools check it
-// before reuse.
+// DeltaCheckpointArmed reports whether either of the evaluator's routing
+// states holds an armed checkpoint — a failure sweep abandoned between a
+// state's Checkpoint and its Revert. Session pools check it before reuse.
 func (e *Evaluator) DeltaCheckpointArmed() bool {
-	for _, s := range e.delta {
+	for _, s := range e.states {
 		if s != nil && s.CheckpointArmed() {
 			return true
 		}
@@ -35,45 +39,50 @@ func (e *Evaluator) DeltaCheckpointArmed() bool {
 }
 
 // ObjectiveHDelta is the incremental FindH fast path: wH must differ from
-// the weights of the previous ObjectiveHDelta call only on the listed arcs
-// (a superset is fine). The high-priority class is re-routed incrementally
-// and only arcs whose H load moved — plus arcs where lLoads differs from the
-// previous call — are re-scored. The first call (or any call after an
-// error) routes from scratch. The result is bitwise-equal to
-// ObjectiveH(wH, lLoads).
+// the high-priority weights the evaluator's DTR state last routed — those of
+// the previous ObjectiveHDelta call — only on the listed arcs (a superset is
+// fine). Only the high-priority router moves, and only arcs whose H load
+// moved are re-scored; ΦL is summed against lLoads directly. The first call
+// (or any call after an error) routes from scratch. The result is
+// bitwise-equal to ObjectiveH(wH, lLoads).
 func (e *Evaluator) ObjectiveHDelta(wH spf.Weights, changed []graph.EdgeID, lLoads []float64) (cost.Lex, error) {
-	s := e.deltaState(RouteH)
-	s.SetInput(lLoads)
+	s := e.State(RouteDTR)
 	if _, err := s.Apply([2]spf.Weights{High: wH}, changed); err != nil {
 		return cost.Lex{}, err
 	}
+	phiL := 0.0
+	for a, l := range lLoads {
+		phiL += cost.Phi(l, s.residual[a])
+	}
 	if e.opts.Kind != SLABased {
-		return cost.Lex{Primary: s.PhiH(), Secondary: s.PhiL()}, nil
+		return cost.Lex{Primary: s.PhiH(), Secondary: phiL}, nil
 	}
 	lambda, _, _ := s.Penalties()
-	return cost.Lex{Primary: lambda, Secondary: s.PhiL()}, nil
+	return cost.Lex{Primary: lambda, Secondary: phiL}, nil
 }
 
 // ObjectiveLDelta is the incremental FindL fast path: wL must differ from
-// the previous ObjectiveLDelta call's weights only on the listed arcs. The
-// low-priority class is re-routed incrementally and ΦL re-scored only where
-// the L load — or the externally supplied residual — moved. Bitwise-equal to
-// ObjectiveL(wL, residual).
+// the low-priority weights the evaluator's DTR state last routed only on the
+// listed arcs. Only the low-priority router moves; ΦL is summed against the
+// caller's residual capacities. Bitwise-equal to ObjectiveL(wL, residual).
 func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, residual []float64) (float64, error) {
-	s := e.deltaState(RouteL)
-	s.SetInput(residual)
+	s := e.State(RouteDTR)
 	if _, err := s.Apply([2]spf.Weights{Low: wL}, changed); err != nil {
 		return 0, err
 	}
-	return s.PhiL(), nil
+	phiL := 0.0
+	for a, l := range s.loads[Low] {
+		phiL += cost.Phi(l, residual[a])
+	}
+	return phiL, nil
 }
 
 // ObjectiveSTRDelta is the incremental STR fast path: w must differ from the
-// previous ObjectiveSTRDelta call's weights only on the listed arcs. Both
-// classes are re-routed incrementally over one tree set. Bitwise-equal to
-// ObjectiveSTR(w).
+// weights the evaluator's STR state last routed only on the listed arcs.
+// Both classes are re-routed incrementally over one tree set. Bitwise-equal
+// to ObjectiveSTR(w).
 func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (STRObjective, error) {
-	s := e.deltaState(RouteSTR)
+	s := e.State(RouteSTR)
 	if _, err := s.Apply([2]spf.Weights{High: w}, changed); err != nil {
 		return STRObjective{}, err
 	}

@@ -219,14 +219,13 @@ type Evaluator struct {
 	planL   *spf.Plan      // routes TL (DTR low topology)
 	planSTR *spf.MultiPlan // routes both under one weight set
 
-	// scratch buffers for the fast Objective* paths
-	scratchResidual []float64
-	scratchDelay    []float64
+	// scratch is what the score-only paths ObjectiveSTR and ObjectiveH
+	// fill through finish; only the numbers they return are read from it.
+	scratch Result
 
-	// Incremental states backing ObjectiveHDelta, ObjectiveLDelta and
-	// ObjectiveSTRDelta, in that order; created lazily so full-evaluation
-	// users pay nothing. Never shared by Clone.
-	delta [3]*RoutingState
+	// states[shape] is the routing state State(shape) returns; built lazily
+	// so full-evaluation users pay nothing. Never shared by Clone.
+	states [2]*RoutingState
 }
 
 // treeSource is any routed plan that can hand back per-destination trees.
@@ -278,9 +277,6 @@ func New(g *graph.Graph, th, tl *traffic.Matrix, opts Options) (*Evaluator, erro
 		planH:   spf.NewPlan(g, th),
 		planL:   spf.NewPlan(g, tl),
 		planSTR: spf.NewMultiPlan(g, th, tl),
-
-		scratchResidual: make([]float64, g.NumEdges()),
-		scratchDelay:    make([]float64, g.NumEdges()),
 	}, nil
 }
 
@@ -297,9 +293,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		planH:   e.planH.CloneState(),
 		planL:   e.planL.CloneState(),
 		planSTR: e.planSTR.CloneState(),
-
-		scratchResidual: make([]float64, e.g.NumEdges()),
-		scratchDelay:    make([]float64, e.g.NumEdges()),
 	}
 }
 
@@ -319,12 +312,13 @@ func (e *Evaluator) SetRouteWorkers(n int) {
 	e.planSTR.SetWorkers(n)
 }
 
-// ResetDelta discards the incremental evaluation state backing the
-// Objective*Delta paths, forcing the next delta call to re-prime with a full
-// route. Searches call this when they start so that a reused Evaluator
-// cannot leak a previous run's router position into the changed-arc
-// contract (which would silently desynchronize delta from full evaluation).
-func (e *Evaluator) ResetDelta() { e.delta = [3]*RoutingState{} }
+// ResetDelta drops both routing states, forcing the next delta call or sweep
+// to re-prime with a full route. Searches call this when they start, so that
+// a reused Evaluator cannot leak a previous run's router position into the
+// changed-arc contract (which would silently desynchronize delta from full
+// evaluation), and again when they return, so that a later failure sweep
+// does not keep maintaining the ΦH and delay vectors only FindH reads.
+func (e *Evaluator) ResetDelta() { e.states = [2]*RoutingState{} }
 
 // Graph returns the underlying graph.
 func (e *Evaluator) Graph() *graph.Graph { return e.g }
@@ -431,7 +425,9 @@ func (e *Evaluator) finish(r *Result, hLoads, lLoads []float64, trees treeSource
 	}
 	if e.opts.Kind == SLABased {
 		r.LinkDelay = sized(linkDelay, n)
-		e.fillLinkDelays(hLoads, r.LinkPhiH, r.LinkDelay)
+		for i := range r.LinkDelay {
+			r.LinkDelay[i] = e.linkDelayAt(i, hLoads[i], r.LinkPhiH[i])
+		}
 		r.PairDelays = sized(pairDelays, len(e.pairs))[:0]
 		for i, dest := range e.hpDests {
 			xi := trees.DelaysTo(dest, r.LinkDelay)
@@ -462,13 +458,6 @@ func (e *instance) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
 	return e.sla.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
 }
 
-// fillLinkDelays computes Eq. (3) per-arc delays into out.
-func (e *Evaluator) fillLinkDelays(hLoads, linkPhiH, out []float64) {
-	for i := range out {
-		out[i] = e.linkDelayAt(i, hLoads[i], linkPhiH[i])
-	}
-}
-
 // EvaluateHWithLLoads produces a full Result after a change to the
 // high-priority weights only: the high-priority class is re-routed under wH
 // while the low-priority per-arc loads are taken from lLoads (valid because
@@ -492,15 +481,16 @@ func (e *Evaluator) EvaluateLWithBase(wL spf.Weights, base *Result) (*Result, er
 	}
 	n := e.g.NumEdges()
 	r := &Result{
-		PhiH:       base.PhiH,
-		Lambda:     base.Lambda,
-		Violations: base.Violations,
-		HLoads:     append([]float64(nil), base.HLoads...),
-		LLoads:     append([]float64(nil), e.planL.Loads...),
-		Residual:   append([]float64(nil), base.Residual...),
-		LinkPhiH:   append([]float64(nil), base.LinkPhiH...),
-		LinkPhiL:   make([]float64, n),
-		kind:       e.opts.Kind,
+		PhiH:          base.PhiH,
+		Lambda:        base.Lambda,
+		Violations:    base.Violations,
+		ViolationMass: base.ViolationMass,
+		HLoads:        append([]float64(nil), base.HLoads...),
+		LLoads:        append([]float64(nil), e.planL.Loads...),
+		Residual:      append([]float64(nil), base.Residual...),
+		LinkPhiH:      append([]float64(nil), base.LinkPhiH...),
+		LinkPhiL:      make([]float64, n),
+		kind:          e.opts.Kind,
 	}
 	if base.LinkDelay != nil {
 		r.LinkDelay = append([]float64(nil), base.LinkDelay...)
@@ -524,38 +514,15 @@ type STRObjective struct {
 	Violations int
 }
 
-// ObjectiveSTR evaluates w for both classes without building a full Result.
+// ObjectiveSTR evaluates w for both classes into the evaluator's scratch
+// Result and returns only the solution costs.
 func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
 	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
 		return STRObjective{}, err
 	}
-	hLoads, lLoads := e.planSTR.Loads[0], e.planSTR.Loads[1]
-	var o STRObjective
-	for i := range hLoads {
-		linkPhiH := cost.Phi(hLoads[i], e.capacity[i])
-		o.PhiH += linkPhiH
-		resid := cost.Residual(e.capacity[i], hLoads[i])
-		o.PhiL += cost.Phi(lLoads[i], resid)
-		if e.opts.Kind == SLABased {
-			e.scratchResidual[i] = linkPhiH
-		}
-	}
-	if e.opts.Kind == SLABased {
-		e.fillLinkDelays(hLoads, e.scratchResidual, e.scratchDelay)
-		for i, dest := range e.hpDests {
-			xi := e.planSTR.DelaysTo(dest, e.scratchDelay)
-			for _, src := range e.hpSrcs[i] {
-				if pen := e.opts.SLA.PairPenalty(xi[src]); pen > 0 {
-					o.Lambda += pen
-					o.Violations++
-				}
-			}
-		}
-		o.Lex = cost.Lex{Primary: o.Lambda, Secondary: o.PhiL}
-	} else {
-		o.Lex = cost.Lex{Primary: o.PhiH, Secondary: o.PhiL}
-	}
-	return o, nil
+	r := &e.scratch
+	e.finish(r, e.planSTR.Loads[0], e.planSTR.Loads[1], e.planSTR)
+	return STRObjective{Lex: r.Objective(), PhiH: r.PhiH, PhiL: r.PhiL, Lambda: r.Lambda, Violations: r.Violations}, nil
 }
 
 // ObjectiveH is the FindH fast path: route only the high-priority class
@@ -566,29 +533,8 @@ func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, erro
 	if err := e.planH.Route(wH, e.th); err != nil {
 		return cost.Lex{}, err
 	}
-	hLoads := e.planH.Loads
-	phiH, phiL := 0.0, 0.0
-	for i := range hLoads {
-		linkPhiH := cost.Phi(hLoads[i], e.capacity[i])
-		phiH += linkPhiH
-		resid := cost.Residual(e.capacity[i], hLoads[i])
-		phiL += cost.Phi(lLoads[i], resid)
-		if e.opts.Kind == SLABased {
-			e.scratchResidual[i] = linkPhiH // stash per-arc ΦH for delays
-		}
-	}
-	if e.opts.Kind != SLABased {
-		return cost.Lex{Primary: phiH, Secondary: phiL}, nil
-	}
-	e.fillLinkDelays(hLoads, e.scratchResidual, e.scratchDelay)
-	lambda := 0.0
-	for i, dest := range e.hpDests {
-		xi := e.planH.DelaysTo(dest, e.scratchDelay)
-		for _, src := range e.hpSrcs[i] {
-			lambda += e.opts.SLA.PairPenalty(xi[src])
-		}
-	}
-	return cost.Lex{Primary: lambda, Secondary: phiL}, nil
+	e.finish(&e.scratch, e.planH.Loads, lLoads, e.planH)
+	return e.scratch.Objective(), nil
 }
 
 // ObjectiveL is the FindL fast path: route only the low-priority class under

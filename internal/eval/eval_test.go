@@ -413,9 +413,13 @@ func TestPartialRefreshMatchesFull(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, kind := range []Kind{LoadBased, SLABased} {
-			opts := DefaultOptions()
-			opts.Kind = kind
+		tight := cost.DefaultSLA()
+		tight.ThetaMs = 8 // a bound most pairs violate: ViolationMass must carry over
+		for _, opts := range []Options{
+			DefaultOptions(),
+			{Kind: SLABased, SLA: cost.DefaultSLA()},
+			{Kind: SLABased, SLA: tight},
+		} {
 			e, err := New(g, th, tl, opts)
 			if err != nil {
 				return false
@@ -424,6 +428,10 @@ func TestPartialRefreshMatchesFull(t *testing.T) {
 			wL1, wL2 := randomW(g.NumEdges(), rng), randomW(g.NumEdges(), rng)
 			base, err := e.EvaluateDTR(wH1, wL1)
 			if err != nil {
+				return false
+			}
+			if opts.SLA == tight && base.ViolationMass == 0 {
+				t.Errorf("seed %d: the tight SLA left no pair violating", seed)
 				return false
 			}
 			// H-side refresh vs full evaluation.
@@ -458,23 +466,13 @@ func TestPartialRefreshMatchesFull(t *testing.T) {
 	}
 }
 
+// resultsEqual compares every field of two Results bitwise.
 func resultsEqual(a, b *Result) bool {
-	const tol = 1e-9
-	if math.Abs(a.PhiH-b.PhiH) > tol || math.Abs(a.PhiL-b.PhiL) > tol {
-		return false
-	}
-	if math.Abs(a.Lambda-b.Lambda) > tol || a.Violations != b.Violations {
-		return false
-	}
-	for i := range a.HLoads {
-		if math.Abs(a.HLoads[i]-b.HLoads[i]) > tol || math.Abs(a.LLoads[i]-b.LLoads[i]) > tol {
-			return false
-		}
-		if math.Abs(a.LinkPhiH[i]-b.LinkPhiH[i]) > tol || math.Abs(a.LinkPhiL[i]-b.LinkPhiL[i]) > tol {
-			return false
-		}
-	}
-	return true
+	scalars := func(r *Result) []float64 { return []float64{r.PhiH, r.PhiL, r.Lambda, r.ViolationMass} }
+	return a.Violations == b.Violations && a.kind == b.kind && bitsEqual(scalars(a), scalars(b)) &&
+		bitsEqual(a.HLoads, b.HLoads) && bitsEqual(a.LLoads, b.LLoads) && bitsEqual(a.Residual, b.Residual) &&
+		bitsEqual(a.LinkPhiH, b.LinkPhiH) && bitsEqual(a.LinkPhiL, b.LinkPhiL) &&
+		bitsEqual(a.LinkDelay, b.LinkDelay) && bitsEqual(a.PairDelays, b.PairDelays)
 }
 
 func TestObjectiveSTRMatchesEvaluateSTR(t *testing.T) {

@@ -15,18 +15,12 @@ const (
 	Low
 )
 
-// Shape selects which classes a RoutingState routes itself.
+// Shape selects how a RoutingState routes the two classes.
 type Shape int
 
 const (
-	// RouteH routes the high-priority class only; the caller supplies the
-	// low-priority per-arc loads through SetInput (FindH: WL is fixed).
-	RouteH Shape = iota
-	// RouteL routes the low-priority class only; the caller supplies the
-	// per-arc residual capacities through SetInput (FindL: WH is fixed).
-	RouteL
 	// RouteSTR routes both classes on one router under one weight setting.
-	RouteSTR
+	RouteSTR Shape = iota
 	// RouteDTR routes each class on its own router under its own setting.
 	RouteDTR
 )
@@ -40,9 +34,11 @@ const (
 // weights — the property the Verify modes of the search, the failure sweeper
 // and the churn replayer assert.
 //
-// A class whose transition fails with spf.ErrNoPath is left invalid; the
-// other class is still moved and re-scored, and the failed class's next
-// successful transition routes from scratch and re-scores every arc.
+// A RouteDTR transition may move one class and leave the other where it is
+// — FindH's and FindL's moves. A class whose transition fails with
+// spf.ErrNoPath is left invalid; the other class is still moved and
+// re-scored, and the failed class's next successful transition routes from
+// scratch and re-scores every arc.
 //
 // Only what is read is paid for. The per-arc ΦH and delay vectors come into
 // being at the first PhiH or Penalties call and are maintained from then on,
@@ -55,16 +51,11 @@ const (
 type RoutingState struct {
 	in *instance
 
-	// dr[c] routes class c. A RouteSTR state carries both matrices on
-	// dr[High]; the entry of a class the state does not route is nil.
+	// dr[c] routes class c; a RouteSTR state carries both matrices on
+	// dr[High] and has no dr[Low].
 	dr [2]*spf.DeltaRouter
-	// loads[c] is class c's per-arc load vector: a router's aggregate, or on
-	// a RouteH state the snapshot of the caller's low-priority loads. A
-	// RouteL state has no high-priority loads (its residuals are supplied).
+	// loads[c] is class c's per-arc load vector, a router's aggregate.
 	loads [2][]float64
-	// ext aliases the vector SetInput maintains — loads[Low] on a RouteH
-	// state, residual on a RouteL state — and is nil otherwise.
-	ext []float64
 
 	residual []float64
 	linkPhiL []float64
@@ -91,19 +82,10 @@ func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
 	in := e.instance
 	m := in.g.NumEdges()
 	s := &RoutingState{in: in, residual: make([]float64, m), linkPhiL: make([]float64, m)}
-	switch shape {
-	case RouteH:
-		s.dr[High] = spf.NewDeltaRouter(in.g, in.th)
-		s.ext = make([]float64, m)
-		s.loads = [2][]float64{s.dr[High].Loads[0], s.ext}
-	case RouteL:
-		s.dr[Low] = spf.NewDeltaRouter(in.g, in.tl)
-		s.ext = s.residual
-		s.loads[Low] = s.dr[Low].Loads[0]
-	case RouteSTR:
+	if shape == RouteSTR {
 		s.dr[High] = spf.NewDeltaRouter(in.g, in.th, in.tl)
 		s.loads = [2][]float64{s.dr[High].Loads[0], s.dr[High].Loads[1]}
-	case RouteDTR:
+	} else {
 		s.dr = [2]*spf.DeltaRouter{spf.NewDeltaRouter(in.g, in.th), spf.NewDeltaRouter(in.g, in.tl)}
 		s.loads = [2][]float64{s.dr[High].Loads[0], s.dr[Low].Loads[0]}
 	}
@@ -127,10 +109,12 @@ func (s *RoutingState) Valid() bool {
 }
 
 // Apply transitions the state to w, where changed lists every arc on which
-// any routed class's weights differ from its router's current setting (a
+// any moved class's weights differ from its router's current setting (a
 // superset is fine). w[c] is read only for classes with a router of their
-// own; a RouteSTR state reads w[High]. It returns the number of arcs whose
-// loads moved, summed over the routers that succeeded. An spf.ErrNoPath
+// own; a RouteSTR state reads w[High]. A nil w[c] leaves class c's router
+// where it is, and the re-score touches only what the moved class drives: a
+// low-priority transition re-scores ΦL alone. It returns the number of arcs
+// whose loads moved, summed over the routers that succeeded. An spf.ErrNoPath
 // error means some class is disconnected (see the type comment for what
 // state that leaves); any other error leaves the state unusable.
 func (s *RoutingState) Apply(w [2]spf.Weights, changed []graph.EdgeID) (int, error) {
@@ -147,7 +131,8 @@ func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff
 	total := 0
 	var noPath error
 	for c, dr := range s.dr {
-		if dr == nil {
+		s.moved[c] = nil
+		if dr == nil || w[c] == nil {
 			continue
 		}
 		if diff {
@@ -167,7 +152,7 @@ func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff
 			}
 			continue
 		}
-		s.rescore(moved)
+		s.rescore(c, moved)
 		if c == High && s.linkDelay != nil {
 			s.markStale(moved)
 		}
@@ -176,13 +161,14 @@ func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff
 	return total, noPath
 }
 
-// rescore recomputes the per-arc vectors of the listed arcs from the current
-// loads — the per-arc expressions of Evaluator.finish.
-func (s *RoutingState) rescore(arcs []graph.EdgeID) {
+// rescore recomputes the per-arc vectors that class c's loads drive on the
+// listed arcs — the per-arc expressions of Evaluator.finish. The high class
+// drives every vector (through the residual); the low class drives ΦL only.
+func (s *RoutingState) rescore(c int, arcs []graph.EdgeID) {
 	in := s.in
 	h, l := s.loads[High], s.loads[Low]
 	for _, a := range arcs {
-		if h != nil {
+		if c == High {
 			s.residual[a] = cost.Residual(in.capacity[a], h[a])
 			if s.linkPhiH != nil {
 				s.linkPhiH[a] = cost.Phi(h[a], in.capacity[a])
@@ -192,19 +178,6 @@ func (s *RoutingState) rescore(arcs []graph.EdgeID) {
 			}
 		}
 		s.linkPhiL[a] = cost.Phi(l[a], s.residual[a])
-	}
-}
-
-// SetInput supplies the per-arc input of the class a one-class state does
-// not route — low-priority loads for RouteH, residual capacities for RouteL —
-// and re-scores ΦL on the arcs where it differs from the previous call's.
-func (s *RoutingState) SetInput(v []float64) {
-	l := s.loads[Low]
-	for i, x := range v {
-		if x != s.ext[i] {
-			s.ext[i] = x
-			s.linkPhiL[i] = cost.Phi(l[i], s.residual[i])
-		}
 	}
 }
 
@@ -356,8 +329,8 @@ func (s *RoutingState) Revert() {
 			dr.Revert()
 		}
 	}
-	for _, moved := range s.moved {
-		s.rescore(moved)
+	for c, moved := range s.moved {
+		s.rescore(c, moved)
 	}
 	for _, di := range s.cpDests {
 		s.stale[di] = true

@@ -21,30 +21,42 @@ var stateOptions = []struct {
 	{"sla-exact", Options{Kind: SLABased, SLA: cost.DefaultSLA(), ExactDelay: true}},
 }
 
-var stateShapes = []struct {
+// stateCase is one way of driving a state: its shape, and the classes a
+// transition moves while the others stay where they are. "H" and "L" are
+// FindH's and FindL's one-class transitions of a dual-topology state.
+type stateCase struct {
 	name  string
 	shape Shape
-}{{"H", RouteH}, {"L", RouteL}, {"STR", RouteSTR}, {"DTR", RouteDTR}}
+	moves []int
+}
+
+var stateShapes = []stateCase{
+	{"H", RouteDTR, []int{High}},
+	{"L", RouteDTR, []int{Low}},
+	{"STR", RouteSTR, []int{High}},
+	{"DTR", RouteDTR, []int{High, Low}},
+}
+
+// bothClasses moves every class a state routes.
+var bothClasses = []int{High, Low}
 
 // stateHarness drives one RoutingState through random transitions next to a
 // from-scratch oracle. The oracle is always SLA-based: on a load-based
 // instance the state scores delays against the default SLA, which is what an
 // SLA-based evaluator with default parameters computes.
 type stateHarness struct {
-	t     *testing.T
-	rng   *rand.Rand
-	e     *Evaluator // the instance the state is built over
-	ref   *Evaluator // oracle
-	shape Shape
-	st    *RoutingState
-	m     int
+	t   *testing.T
+	rng *rand.Rand
+	e   *Evaluator // the instance the state is built over
+	ref *Evaluator // oracle
+	stateCase
+	st *RoutingState
+	m  int
 
-	w     [2]spf.Weights // requested weights of the routed classes
-	fixed spf.Weights    // weights of the class a one-class state does not route
-	input []float64      // what SetInput was last given
+	w [2]spf.Weights // requested weights of both classes (aliased on STR)
 }
 
-func newStateHarness(t *testing.T, seed uint64, opts Options, shape Shape) *stateHarness {
+func newStateHarness(t *testing.T, seed uint64, opts Options, sc stateCase) *stateHarness {
 	e, m, _ := deltaInstance(t, seed, opts)
 	refOpts := opts
 	if opts.Kind != SLABased {
@@ -55,73 +67,47 @@ func newStateHarness(t *testing.T, seed uint64, opts Options, shape Shape) *stat
 		t.Fatal(err)
 	}
 	h := &stateHarness{
-		t: t, rng: rand.New(rand.NewPCG(seed, 77)), e: e, ref: ref, shape: shape,
-		st: NewRoutingState(e, shape), m: m,
+		t: t, rng: rand.New(rand.NewPCG(seed, 77)), e: e, ref: ref, stateCase: sc,
+		st: NewRoutingState(e, sc.shape), m: m,
 	}
 	h.w[High] = randomWeightsFor(h.rng, m)
 	h.w[Low] = randomWeightsFor(h.rng, m)
-	if shape == RouteSTR {
+	if sc.shape == RouteSTR {
 		h.w[Low] = h.w[High]
-	}
-	if h.st.ext != nil {
-		h.setFixed(randomWeightsFor(h.rng, m))
 	}
 	return h
 }
 
-// setFixed re-routes the class the state does not route and hands the state
-// the resulting per-arc input.
-func (h *stateHarness) setFixed(w spf.Weights) {
-	h.fixed = w
-	unit := spf.Uniform(h.m)
-	if h.shape == RouteH {
-		r, err := h.ref.EvaluateDTR(unit, w)
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		h.input = r.LLoads
-	} else {
-		r, err := h.ref.EvaluateDTR(w, unit)
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		h.input = r.Residual
+// fixed is the class a one-class case's transitions leave where they are,
+// or -1 when they move every class the state routes.
+func (h *stateHarness) fixed() int {
+	if h.shape == RouteDTR && len(h.moves) == 1 {
+		return 1 - h.moves[0]
 	}
-	h.st.SetInput(h.input)
-}
-
-// routed lists the classes whose weights the harness may change.
-func (h *stateHarness) routed() []int {
-	switch h.shape {
-	case RouteH, RouteSTR:
-		return []int{High}
-	case RouteL:
-		return []int{Low}
-	}
-	return []int{High, Low}
+	return -1
 }
 
 func (h *stateHarness) full() (*Result, error) {
-	switch h.shape {
-	case RouteH:
-		return h.ref.EvaluateDTR(h.w[High], h.fixed)
-	case RouteL:
-		return h.ref.EvaluateDTR(h.fixed, h.w[Low])
-	case RouteSTR:
+	if h.shape == RouteSTR {
 		return h.ref.EvaluateSTR(h.w[High])
 	}
 	return h.ref.EvaluateDTR(h.w[High], h.w[Low])
 }
 
-// transition moves the state to h.w — by trusted changed set or exact diff,
-// at random — and holds every reduction to the oracle's.
-func (h *stateHarness) transition(what string, changed []graph.EdgeID) {
+// transition moves the listed classes of the state to h.w — by trusted
+// changed set or exact diff, at random — leaving the others where they are,
+// and holds every reduction to the oracle's.
+func (h *stateHarness) transition(what string, classes []int, changed []graph.EdgeID) {
 	h.t.Helper()
+	var req [2]spf.Weights
+	for _, c := range classes {
+		req[c] = h.w[c]
+	}
 	var err error
 	if h.rng.IntN(2) == 0 {
-		_, err = h.st.Apply(h.w, changed)
+		_, err = h.st.Apply(req, changed)
 	} else {
-		_, err = h.st.Move(h.w)
+		_, err = h.st.Move(req)
 	}
 	want, fullErr := h.full()
 	if (err != nil) != (fullErr != nil) {
@@ -147,9 +133,6 @@ func (h *stateHarness) compare(what string, want *Result) {
 	if got := h.st.PhiL(); got != want.PhiL {
 		h.t.Fatalf("%s: ΦL %v != full %v", what, got, want.PhiL)
 	}
-	if h.shape == RouteL {
-		return
-	}
 	if got := h.st.PhiH(); got != want.PhiH {
 		h.t.Fatalf("%s: ΦH %v != full %v", what, got, want.PhiH)
 	}
@@ -168,7 +151,7 @@ func (h *stateHarness) compare(what string, want *Result) {
 // everything failed, or a node isolated in one class (which disconnects it
 // whenever the node sources demand).
 func (h *stateHarness) mutate(base [2]spf.Weights) (string, []graph.EdgeID) {
-	classes := h.routed()
+	classes := h.moves
 	switch op := h.rng.IntN(8); {
 	case op < 4:
 		c := classes[h.rng.IntN(len(classes))]
@@ -226,16 +209,11 @@ func bitsEqual(a, b []float64) bool {
 func (h *stateHarness) sameAsFresh(what string) {
 	h.t.Helper()
 	fresh := NewRoutingState(h.e, h.shape)
-	if fresh.ext != nil {
-		fresh.SetInput(h.input)
-	}
 	if _, err := fresh.Move(h.w); err != nil {
 		h.t.Fatalf("%s: fresh state: %v", what, err)
 	}
-	if h.shape != RouteL {
-		h.st.Penalties()
-		fresh.Penalties()
-	}
+	h.st.Penalties()
+	fresh.Penalties()
 	vec := func(name string, a, b []float64) {
 		if !bitsEqual(a, b) {
 			h.t.Fatalf("%s: %s differs from a fresh state's", what, name)
@@ -264,9 +242,10 @@ func (h *stateHarness) sameAsFresh(what string) {
 }
 
 // TestRoutingStateMatchesFullEvaluation is the property test of the one
-// incremental routing state: over random graphs, every shape and every
-// objective, a random interleaving of weight steps, arc failures, repairs,
-// disconnections with recovery, input changes and checkpointed what-ifs
+// incremental routing state: over random graphs, both shapes, one-class and
+// both-class transitions and every objective, a random interleaving of weight
+// steps, arc failures, repairs, disconnections with recovery, moves of the
+// class a one-class driver holds fixed, and checkpointed what-ifs
 // keeps every reduction bitwise-equal to EvaluateSTR / EvaluateDTR at the
 // same weights, and every revert leaves all vectors equal to a fresh state's.
 func TestRoutingStateMatchesFullEvaluation(t *testing.T) {
@@ -274,28 +253,34 @@ func TestRoutingStateMatchesFullEvaluation(t *testing.T) {
 		for _, sc := range stateShapes {
 			t.Run(oc.name+"/"+sc.name, func(t *testing.T) {
 				for seed := uint64(1); seed <= 3; seed++ {
-					h := newStateHarness(t, seed, oc.opts, sc.shape)
+					h := newStateHarness(t, seed, oc.opts, sc)
 					base := [2]spf.Weights{h.w[High].Clone(), h.w[Low].Clone()}
 					if sc.shape == RouteSTR {
 						base[Low] = base[High]
 					}
-					h.transition("initial route", nil)
+					h.transition("initial route", bothClasses, nil)
 					for step := 0; step < 80; step++ {
 						at := fmt.Sprintf("seed %d step %d", seed, step)
 						switch op := h.rng.IntN(10); {
 						case op < 6 || !h.st.Valid():
 							what, changed := h.mutate(base)
-							h.transition(at+": "+what, changed)
-						case op < 7 && h.st.ext != nil:
-							h.setFixed(randomWeightsFor(h.rng, h.m))
-							h.transition(at+": new input", nil)
+							h.transition(at+": "+what, h.moves, changed)
+						case op < 7 && h.fixed() >= 0:
+							c := h.fixed()
+							h.w[c] = randomWeightsFor(h.rng, h.m)
+							base[c] = h.w[c].Clone()
+							every := make([]graph.EdgeID, h.m)
+							for a := range every {
+								every[a] = graph.EdgeID(a)
+							}
+							h.transition(at+": move the fixed class", []int{c}, every)
 						default:
 							saved := [2]spf.Weights{h.w[High].Clone(), h.w[Low].Clone()}
 							if err := h.st.Checkpoint(); err != nil {
 								t.Fatalf("%s: Checkpoint: %v", at, err)
 							}
 							what, changed := h.mutate(base)
-							h.transition(at+": what-if "+what, changed)
+							h.transition(at+": what-if "+what, h.moves, changed)
 							h.st.Revert()
 							if h.st.CheckpointArmed() {
 								t.Fatalf("%s: Revert left a checkpoint armed", at)
@@ -322,7 +307,7 @@ func TestRoutingStateMatchesFullEvaluation(t *testing.T) {
 // to a fresh state's.
 func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
 	for _, sc := range stateShapes[2:] {
-		h := newStateHarness(t, 4, Options{Kind: SLABased, SLA: cost.DefaultSLA()}, sc.shape)
+		h := newStateHarness(t, 4, Options{Kind: SLABased, SLA: cost.DefaultSLA()}, sc)
 		if _, err := h.st.Move(h.w); err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +318,7 @@ func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
 		for a := 0; a < 4; a++ {
 			h.w[High][a], h.w[Low][a] = h.w[High][a]%30+1, h.w[Low][a]%30+1
 		}
-		h.transition(sc.name+": what-if", []graph.EdgeID{0, 1, 2, 3})
+		h.transition(sc.name+": what-if", bothClasses, []graph.EdgeID{0, 1, 2, 3})
 		h.st.Revert()
 		copy(h.w[High], saved[High])
 		copy(h.w[Low], saved[Low])

@@ -154,15 +154,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // ExpBuckets returns n ascending bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	b := make([]float64, n)

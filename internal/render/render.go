@@ -1,5 +1,5 @@
-// Package render turns experiment results into aligned text tables and
-// ASCII charts, the terminal equivalents of the paper's figures.
+// Package render turns experiment results into aligned text tables, the
+// terminal equivalents of the paper's figures.
 package render
 
 import (
@@ -87,71 +87,4 @@ func SeriesTable(xLabel string, series []Series, format string) string {
 		rows = append(rows, row)
 	}
 	return Table(header, rows)
-}
-
-// Bars renders a labeled horizontal ASCII bar chart. Values must be
-// non-negative; the longest bar spans width characters.
-func Bars(labels []string, values []float64, width int) string {
-	if width < 1 {
-		width = 40
-	}
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	labelWidth := 0
-	for _, l := range labels {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s | %s %g\n", labelWidth, labels[i], strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
-
-// SideBySideBars renders two aligned bar groups per label (e.g. STR vs DTR
-// link-count histograms, Fig. 3).
-func SideBySideBars(labels []string, a, b []float64, nameA, nameB string, width int) string {
-	if width < 1 {
-		width = 30
-	}
-	max := 0.0
-	for _, v := range a {
-		if v > max {
-			max = v
-		}
-	}
-	for _, v := range b {
-		if v > max {
-			max = v
-		}
-	}
-	labelWidth := len("bucket")
-	for _, l := range labels {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-*s | %-*s | %s\n", labelWidth, "bucket", width+6, nameA, nameB)
-	for i := range labels {
-		bar := func(v float64) string {
-			n := 0
-			if max > 0 {
-				n = int(v / max * float64(width))
-			}
-			return fmt.Sprintf("%s %g", strings.Repeat("#", n), v)
-		}
-		fmt.Fprintf(&sb, "%-*s | %-*s | %s\n", labelWidth, labels[i], width+6, bar(a[i]), bar(b[i]))
-	}
-	return sb.String()
 }

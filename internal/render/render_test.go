@@ -51,38 +51,3 @@ func TestSeriesTableDefaultFormat(t *testing.T) {
 		t.Fatalf("default %%.4g format not applied:\n%s", out)
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars([]string{"one", "two"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[1], "#") != 10 {
-		t.Fatalf("max bar not full width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "#") != 5 {
-		t.Fatalf("half bar wrong: %q", lines[0])
-	}
-}
-
-func TestBarsZeroAndDefaults(t *testing.T) {
-	out := Bars([]string{"z"}, []float64{0}, 0)
-	if strings.Contains(out, "#") {
-		t.Fatalf("zero value drew a bar: %q", out)
-	}
-}
-
-func TestSideBySideBars(t *testing.T) {
-	out := SideBySideBars([]string{"0.1", "0.2"}, []float64{4, 0}, []float64{2, 2}, "STR", "DTR", 8)
-	if !strings.Contains(out, "STR") || !strings.Contains(out, "DTR") {
-		t.Fatalf("missing group names:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[1], "########") {
-		t.Fatalf("max bar not full width:\n%s", out)
-	}
-}

@@ -151,6 +151,32 @@ func Links(g *graph.Graph) []Link {
 	return links
 }
 
+// Size returns the number of states in the model's full enumeration over g
+// — what Enumerate builds before it samples — so a caller can bound a
+// request before paying for it. It is 0 for a model that does not validate.
+func (m Model) Size(g *graph.Graph) int {
+	m = m.Normalize()
+	switch {
+	case m.Validate() != nil:
+		return 0
+	case m.Kind == KindNode:
+		n := 0
+		for u := range graph.NodeID(g.NumNodes()) {
+			if len(g.Out(u))+len(g.In(u)) > 0 {
+				n++
+			}
+		}
+		return n
+	case m.Kind == KindSRLG:
+		return len(m.SRLGs)
+	}
+	l := len(Links(g))
+	if m.Count == 2 {
+		return l * (l - 1) / 2
+	}
+	return l
+}
+
 // Enumerate expands the model into its deterministic state list over g,
 // applying the model's seeded uniform sampling when configured. The result
 // depends only on (g, m) — never on scheduling or prior calls.

@@ -40,6 +40,36 @@ func TestLinksCanonical(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesEnumerate pins Size to the full enumeration it bounds, for
+// every kind, whether or not the model samples, and 0 for an invalid model.
+func TestSizeMatchesEnumerate(t *testing.T) {
+	g := testTopology(t, 2)
+	for _, m := range []Model{
+		{},
+		{Kind: KindLink, Count: 2, Sample: 5, Seed: 1},
+		{Kind: KindNode},
+		{Kind: KindSRLG, SRLGs: [][]int{{0, 1}, {2}, {3, 4, 5}}},
+	} {
+		full := m
+		full.Sample = 0
+		states, err := Enumerate(g, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Size(g); got != len(states) {
+			t.Errorf("%s: Size %d, full enumeration %d", m, got, len(states))
+		}
+	}
+	if n := (Model{Kind: "meteor"}).Size(g); n != 0 {
+		t.Errorf("invalid model: Size %d, want 0", n)
+	}
+	isolated := graph.New(3) // node 2 has no arcs, so it is no failure state
+	isolated.AddLink(0, 1, 100, 1)
+	if n := (Model{Kind: KindNode}).Size(isolated); n != 2 {
+		t.Errorf("node model with an isolated node: Size %d, want 2", n)
+	}
+}
+
 func TestEnumerateCounts(t *testing.T) {
 	g := testTopology(t, 2)
 	nLinks := len(Links(g))

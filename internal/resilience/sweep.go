@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
 )
 
@@ -30,34 +31,32 @@ type Options struct {
 // Sweeper evaluates routings under failure states for one problem instance.
 // It owns what is specific to failure sweeps — the state list, the Disabled
 // masks over a pinned base weight setting, the FullEval/Verify oracles — and
-// drives one eval.RoutingState per scheme for everything else: per state it
-// checkpoints, applies the mask (a pure weight increase, served by the
-// partial SPF path), reads ΦL off the maintained per-arc vector, and reverts
-// — a support-sized rollback that never recomputes, even when the failure
-// disconnected a demand. Results are bitwise-identical to evaluating each
-// surviving topology from scratch; states whose failure leaves some demand
-// unreachable are marked disconnecting (NaN).
+// holds no router: it drives its evaluator's eval.RoutingState of each scheme
+// (Evaluator.State) for everything else. Per state it checkpoints, applies
+// the mask (a pure weight increase, served by the partial SPF path), reads ΦL
+// off the maintained per-arc vector, and reverts — a support-sized rollback
+// that never recomputes, even when the failure disconnected a demand. Results
+// are bitwise-identical to evaluating each surviving topology from scratch;
+// states whose failure leaves some demand unreachable are marked
+// disconnecting (NaN).
 //
 // A Sweeper is not safe for concurrent use; give each goroutine its own.
 type Sweeper struct {
-	e    *eval.Evaluator // backs the full/verify paths
-	opts Options
-
-	str, dtr *scheme // lazy: both classes on one router / one router per class
+	e       *eval.Evaluator // owns the routing states; backs the full/verify paths
+	opts    Options
+	schemes [2]scheme // indexed by eval.Shape
 }
 
-// scheme is the per-scheme sweep state: the routing state pinned to a base
-// weight setting, the base itself, and the working copy that states mask to
-// Disabled and back.
+// scheme is one routing scheme's sweep bookkeeping: the base weight setting
+// its state is pinned to, the working copy that states mask to Disabled and
+// back, and the buffer behind Sweep.PhiL.
 type scheme struct {
-	dual      bool
-	st        *eval.RoutingState
 	base, buf [2]spf.Weights
 	phiBuf    []float64
 }
 
 // NewSweeper builds a sweeper over e's problem instance. The evaluator is
-// cloned, so e's own routing plans are never disturbed.
+// cloned, so e's own routing plans and states are never disturbed.
 func NewSweeper(e *eval.Evaluator, opts Options) *Sweeper {
 	return NewSweeperFrom(e.Clone(), opts)
 }
@@ -65,9 +64,10 @@ func NewSweeper(e *eval.Evaluator, opts Options) *Sweeper {
 // NewSweeperFrom builds a sweeper that drives e directly instead of cloning
 // it — the handle-friendly constructor for pooled engine sessions that
 // already own a private evaluator clone and want one per-session sweeper
-// without a second copy of the routing plans. The caller must not use e
-// concurrently with the sweeper (full/verify sweeps route on it), and must
-// accept that those modes leave e's plans at the last swept state.
+// without a second copy of the routing plans or states. The caller must not
+// use e concurrently with the sweeper, and must accept that a sweep leaves
+// e's routing state of the swept scheme at the swept routing (and the
+// full/verify modes e's plans at the last swept state).
 func NewSweeperFrom(e *eval.Evaluator, opts Options) *Sweeper {
 	s := &Sweeper{e: e, opts: opts}
 	// The sweeper's evaluator is driven sequentially, so it can keep the
@@ -76,18 +76,6 @@ func NewSweeperFrom(e *eval.Evaluator, opts Options) *Sweeper {
 		s.e.SetRouteWorkers(opts.RouteWorkers)
 	}
 	return s
-}
-
-// CheckpointArmed reports whether a sweep was abandoned between a state's
-// checkpoint and its revert (a panic unwound through it). Session pools check
-// it before reusing the sweeper.
-func (s *Sweeper) CheckpointArmed() bool {
-	for _, sc := range [2]*scheme{s.str, s.dtr} {
-		if sc != nil && sc.st.CheckpointArmed() {
-			return true
-		}
-	}
-	return false
 }
 
 // Sweep is the outcome of evaluating one routing under a state set.
@@ -102,23 +90,6 @@ type Sweep struct {
 	Survivors, Disconnecting int
 }
 
-func (s *Sweeper) scheme(dual bool) *scheme {
-	slot, shape := &s.str, eval.RouteSTR
-	if dual {
-		slot, shape = &s.dtr, eval.RouteDTR
-	}
-	if *slot == nil {
-		m := s.e.Graph().NumEdges()
-		sc := &scheme{dual: dual, st: eval.NewRoutingState(s.e, shape)}
-		for c := range sc.base {
-			sc.base[c] = make(spf.Weights, m)
-			sc.buf[c] = make(spf.Weights, m)
-		}
-		*slot = sc
-	}
-	return *slot
-}
-
 // SweepSTR evaluates the single-topology routing w under every state,
 // returning per-state ΦL. The result's PhiL slice is reused by the next
 // SweepSTR call.
@@ -126,7 +97,7 @@ func (s *Sweeper) SweepSTR(w spf.Weights, states []State) (*Sweep, error) {
 	if s.opts.FullEval {
 		return s.sweepFull(states, w, nil, false)
 	}
-	return s.sweepDelta(s.scheme(false), w, w, states)
+	return s.sweepDelta(eval.RouteSTR, w, w, states)
 }
 
 // SweepDTR evaluates the dual-topology routing (wH, wL) under every state.
@@ -136,23 +107,34 @@ func (s *Sweeper) SweepDTR(wH, wL spf.Weights, states []State) (*Sweep, error) {
 	if s.opts.FullEval {
 		return s.sweepFull(states, wH, wL, true)
 	}
-	return s.sweepDelta(s.scheme(true), wH, wL, states)
+	return s.sweepDelta(eval.RouteDTR, wH, wL, states)
 }
 
-// fullPhiL evaluates one (possibly failed) weight setting from scratch.
-func (s *Sweeper) fullPhiL(dual bool, wH, wL spf.Weights) (float64, error) {
+// fullPhiL evaluates the routing (wH, wL) — wH alone for STR — from scratch
+// with the failed arcs down in every topology.
+func (s *Sweeper) fullPhiL(dual bool, wH, wL spf.Weights, failed ...graph.EdgeID) (float64, error) {
+	var r *eval.Result
+	var err error
 	if dual {
-		r, err := s.e.EvaluateDTR(wH, wL)
-		if err != nil {
-			return 0, err
-		}
-		return r.PhiL, nil
+		r, err = s.e.EvaluateDTR(wH.WithFailedArcs(failed...), wL.WithFailedArcs(failed...))
+	} else {
+		r, err = s.e.EvaluateSTR(wH.WithFailedArcs(failed...))
 	}
-	r, err := s.e.EvaluateSTR(wH)
 	if err != nil {
 		return 0, err
 	}
 	return r.PhiL, nil
+}
+
+// record stores state i's outcome: its ΦL, or NaN if it disconnected.
+func (sw *Sweep) record(i int, phiL float64, ok bool) {
+	if !ok {
+		sw.PhiL[i] = math.NaN()
+		sw.Disconnecting++
+		return
+	}
+	sw.PhiL[i] = phiL
+	sw.Survivors++
 }
 
 // sweepFull is the opt-out path: every state is a from-scratch evaluation on
@@ -165,43 +147,33 @@ func (s *Sweeper) sweepFull(states []State, wH, wL spf.Weights, dual bool) (*Swe
 	}
 	sw := &Sweep{Base: base, PhiL: make([]float64, len(states))}
 	for i, st := range states {
-		fwH := wH.WithFailedArcs(st.Arcs...)
-		var fwL spf.Weights
-		if dual {
-			fwL = wL.WithFailedArcs(st.Arcs...)
-		}
-		phiL, err := s.fullPhiL(dual, fwH, fwL)
-		if err != nil {
-			sw.PhiL[i] = math.NaN()
-			sw.Disconnecting++
-			continue
-		}
-		sw.PhiL[i] = phiL
-		sw.Survivors++
+		phiL, err := s.fullPhiL(dual, wH, wL, st.Arcs...)
+		sw.record(i, phiL, err == nil)
 	}
 	recordSweep(sw, time.Since(start).Seconds())
 	return sw, nil
 }
 
-// sweepDelta is the fast path: pin the base routing (incrementally, from
-// wherever the state currently sits), then per state mask the arcs, read ΦL,
-// and revert.
-func (s *Sweeper) sweepDelta(sc *scheme, wH, wL spf.Weights, states []State) (*Sweep, error) {
+// sweepDelta is the fast path on the evaluator's state of the given shape:
+// pin the base routing (incrementally, from wherever the state currently
+// sits), then per state mask the arcs, read ΦL, and revert.
+func (s *Sweeper) sweepDelta(shape eval.Shape, wH, wL spf.Weights, states []State) (*Sweep, error) {
 	start := time.Now()
+	sc, st, dual := &s.schemes[shape], s.e.State(shape), shape == eval.RouteDTR
 	w := [2]spf.Weights{wH, wL}
-	if _, err := sc.st.Move(w); err != nil {
+	if _, err := st.Move(w); err != nil {
 		return nil, err
 	}
 	for c := range w {
-		copy(sc.base[c], w[c])
-		copy(sc.buf[c], w[c])
+		sc.base[c] = append(sc.base[c][:0], w[c]...)
+		sc.buf[c] = append(sc.buf[c][:0], w[c]...)
 	}
 	if cap(sc.phiBuf) < len(states) {
 		sc.phiBuf = make([]float64, len(states))
 	}
-	sw := &Sweep{Base: sc.st.PhiL(), PhiL: sc.phiBuf[:len(states)]}
+	sw := &Sweep{Base: st.PhiL(), PhiL: sc.phiBuf[:len(states)]}
 	if s.opts.Verify {
-		full, err := s.fullPhiL(sc.dual, wH, wL)
+		full, err := s.fullPhiL(dual, wH, wL)
 		if err != nil {
 			return nil, fmt.Errorf("resilience: verify: intact network failed full evaluation: %w", err)
 		}
@@ -209,20 +181,14 @@ func (s *Sweeper) sweepDelta(sc *scheme, wH, wL spf.Weights, states []State) (*S
 			return nil, fmt.Errorf("resilience: verify: intact ΦL delta %v != full %v", sw.Base, full)
 		}
 	}
-	for i, st := range states {
-		phiL, ok, err := sc.evalState(st)
+	for i, fs := range states {
+		phiL, ok, err := sc.evalState(st, fs)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			sw.PhiL[i] = math.NaN()
-			sw.Disconnecting++
-		} else {
-			sw.PhiL[i] = phiL
-			sw.Survivors++
-		}
+		sw.record(i, phiL, ok)
 		if s.opts.Verify {
-			if err := s.verifyState(sc, st, phiL, ok); err != nil {
+			if err := s.verifyState(sc, dual, fs, phiL, ok); err != nil {
 				return nil, err
 			}
 		}
@@ -231,20 +197,21 @@ func (s *Sweeper) sweepDelta(sc *scheme, wH, wL spf.Weights, states []State) (*S
 	return sw, nil
 }
 
-// evalState scores one failure state and restores the scheme to its base
-// routing. ok reports whether the state left every demand connected.
-func (sc *scheme) evalState(st State) (phiL float64, ok bool, err error) {
-	if err := sc.st.Checkpoint(); err != nil {
+// evalState scores failure state fs on the routing state st and restores st
+// to the scheme's base routing. ok reports whether the state left every
+// demand connected.
+func (sc *scheme) evalState(st *eval.RoutingState, fs State) (phiL float64, ok bool, err error) {
+	if err := st.Checkpoint(); err != nil {
 		return 0, false, err
 	}
-	for _, a := range st.Arcs {
+	for _, a := range fs.Arcs {
 		sc.buf[eval.High][a], sc.buf[eval.Low][a] = spf.Disabled, spf.Disabled
 	}
-	if _, err := sc.st.Apply(sc.buf, st.Arcs); err == nil {
-		phiL, ok = sc.st.PhiL(), true
+	if _, err := st.Apply(sc.buf, fs.Arcs); err == nil {
+		phiL, ok = st.PhiL(), true
 	}
-	sc.st.Revert()
-	for _, a := range st.Arcs {
+	st.Revert()
+	for _, a := range fs.Arcs {
 		sc.buf[eval.High][a], sc.buf[eval.Low][a] = sc.base[eval.High][a], sc.base[eval.Low][a]
 	}
 	return phiL, ok, nil
@@ -252,13 +219,8 @@ func (sc *scheme) evalState(st State) (phiL float64, ok bool, err error) {
 
 // verifyState asserts the delta outcome of one state — its ΦL and its
 // disconnection verdict — against a from-scratch evaluation.
-func (s *Sweeper) verifyState(sc *scheme, st State, phiL float64, ok bool) error {
-	fwH := sc.base[eval.High].WithFailedArcs(st.Arcs...)
-	var fwL spf.Weights
-	if sc.dual {
-		fwL = sc.base[eval.Low].WithFailedArcs(st.Arcs...)
-	}
-	full, err := s.fullPhiL(sc.dual, fwH, fwL)
+func (s *Sweeper) verifyState(sc *scheme, dual bool, st State, phiL float64, ok bool) error {
+	full, err := s.fullPhiL(dual, sc.base[eval.High], sc.base[eval.Low], st.Arcs...)
 	switch {
 	case err != nil && ok:
 		return fmt.Errorf("resilience: verify %q: delta survived, full evaluation disconnected: %v", st.Label, err)

@@ -51,6 +51,7 @@ func DTRFrom(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*DTRResult, err
 	if err := wL0.Validate(g); err != nil {
 		return nil, fmt.Errorf("search: initial WL: %w", err)
 	}
+	defer e.ResetDelta() // see newLocalSearch
 	s, err := newDTRSearch(e, wH0, wL0, p)
 	if err != nil {
 		return nil, err

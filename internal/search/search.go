@@ -112,7 +112,10 @@ func (m move) appendArcs(dst []graph.EdgeID) []graph.EdgeID {
 
 // newLocalSearch sets up the worker pool and one scratch vector per worker
 // for each incumbent class in w0 (one for STR, two for DTR). The inputs are
-// not modified.
+// not modified. It drops e's routing states, and STRFrom and DTRFrom drop
+// them again on return: a state the search leaves behind would make a later
+// failure sweep on e keep maintaining the ΦH and delay vectors only FindH
+// reads.
 func newLocalSearch(e *eval.Evaluator, p Params, w0 ...spf.Weights) *localSearch {
 	s := &localSearch{e: e, p: p, rng: newRNG(p.Seed)}
 	workers := min(p.workers(), p.Neighbors)

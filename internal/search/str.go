@@ -52,6 +52,7 @@ func STRFrom(e *eval.Evaluator, w0 spf.Weights, p STRParams) (*STRResult, error)
 	if err := w0.Validate(e.Graph()); err != nil {
 		return nil, fmt.Errorf("search: initial W: %w", err)
 	}
+	defer e.ResetDelta() // see newLocalSearch
 	s := newLocalSearch(e, p.params(), w0)
 	inf := math.Inf(1) // a best the initial evaluation always beats
 	s.str = &strState{

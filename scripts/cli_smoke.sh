@@ -124,6 +124,13 @@ grep -q '10000 nodes' "$bin/hier10k.out" || {
 echo "== dtrfail: sampled single-link sweep at the tiny budget"
 "$bin/dtrfail" -budget tiny -kind link -sample 4 >/dev/null
 
+# The other two sweep modes, after a robust search: verify holds every delta
+# state to a from-scratch evaluation, full runs only the from-scratch path.
+for mode in verify full; do
+  echo "== dtrfail: robust search, then a $mode-mode sweep"
+  "$bin/dtrfail" -budget tiny -kind link -sample 4 -robust -mode "$mode" >/dev/null
+done
+
 echo "== dtrchurn: generate a trace, replay it cumulatively and verified"
 "$bin/dtrchurn" generate -horizon 120 -link-mtbf 60 -link-mttr 4 \
   -weight-rate 0.05 -o "$bin/churn.jsonl" 2>/dev/null
