@@ -31,6 +31,18 @@ import (
 	"dualtopo/internal/obs"
 )
 
+// Connection timeouts. No write timeout: a what-if sweep or a pprof profile
+// may take longer than any fixed bound to answer.
+const (
+	// readHeaderTimeout bounds how long a client may take to send headers.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds the whole request read, headers and body: 4 MiB,
+	// the largest body any endpoint accepts, in 30 s is about 1 Mbit/s.
+	readTimeout = 30 * time.Second
+	// idleTimeout closes keep-alive connections that stay silent this long.
+	idleTimeout = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dtrd: ")
@@ -54,7 +66,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	// The stderr announcement is the machine-readable handle scripts grep
 	// for, matching the obs metrics server's convention.
 	log.Printf("listening on http://%s", lis.Addr())

@@ -108,7 +108,6 @@ func main() {
 	default:
 		log.Fatalf("unknown mode %q (delta|full|verify)", *mode)
 	}
-	opts.RouteWorkers = *routeWorkers
 
 	spec := instance.Spec{
 		Topology:   *topology,
@@ -146,8 +145,8 @@ func main() {
 	}
 	// Lease the sweep's evaluator through the engine — the same entry point
 	// the dtrd daemon serves what-ifs from — keeping batch and served sweeps
-	// bitwise-identical. The custom Options (mode, route workers) still apply:
-	// the sweeper is wired around the leased session's evaluator.
+	// bitwise-identical. The mode still applies: the sweeper drives the
+	// leased session's evaluator, which the route-workers flag bounds.
 	h, err := engine.New("dtrfail", pt.Inst, engine.PoolConfig{Size: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -158,7 +157,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer h.Release(sess) //nolint:errcheck // process exits right after
-	sw := resilience.NewSweeperFrom(sess.Evaluator(), opts)
+	sess.SetRouteWorkers(*routeWorkers)
+	sw := resilience.NewSweeper(sess.Evaluator(), opts)
 	start := time.Now()
 	fs, err := resilience.CompareSchemes(sw, pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 	if err != nil {

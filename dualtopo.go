@@ -327,23 +327,7 @@ type (
 	STRResult = search.STRResult
 	// RelaxedRecord is the ε-relaxed best low-priority solution (§5.3.1).
 	RelaxedRecord = search.RelaxedRecord
-	// PortfolioParams configures a multi-start portfolio of DTR searches.
-	PortfolioParams = search.PortfolioParams
-	// PortfolioResult is the outcome of a portfolio run.
-	PortfolioResult = search.PortfolioResult
-	// SearchStrategy describes one portfolio trajectory.
-	SearchStrategy = search.Strategy
 )
-
-// DefaultSearchPortfolio returns s diverse portfolio strategies; see
-// search.DefaultPortfolio.
-func DefaultSearchPortfolio(s int) []SearchStrategy { return search.DefaultPortfolio(s) }
-
-// OptimizePortfolio runs a multi-start portfolio of DTR searches and returns
-// the deterministically selected best trajectory.
-func OptimizePortfolio(e *Evaluator, wH0, wL0 Weights, pp PortfolioParams) (*PortfolioResult, error) {
-	return search.Portfolio(e, wH0, wL0, pp)
-}
 
 // DTRDefaults returns the paper's Algorithm 1 parameters (§5.1.3).
 func DTRDefaults() DTRParams { return search.Defaults() }
@@ -402,21 +386,6 @@ const (
 // SimulateQueue runs the discrete-event priority-queue simulation.
 func SimulateQueue(cfg QueueConfig) (*QueueResult, error) { return qsim.Run(cfg) }
 
-// Path-level queueing validation.
-type (
-	// PathLink is one hop of a tandem priority-queue path.
-	PathLink = qsim.PathLink
-	// PathConfig simulates a probe flow through a chain of priority queues.
-	PathConfig = qsim.PathConfig
-	// PathResult reports simulated vs analytic end-to-end delay.
-	PathResult = qsim.PathResult
-)
-
-// SimulatePath validates the additive end-to-end delay model (ξ = Σ Dl)
-// behind the SLA cost function by simulating a probe flow across a chain of
-// two-priority queues.
-func SimulatePath(cfg PathConfig) (*PathResult, error) { return qsim.SimulatePath(cfg) }
-
 // Scenario engine: declarative, parallel, deterministic what-if campaigns.
 type (
 	// Scenario is a declarative campaign spec (JSON-encodable).
@@ -438,9 +407,6 @@ func RunScenario(spec Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	return scenario.Run(spec, opts)
 }
 
-// ScenarioPresets returns the bundled campaign library.
-func ScenarioPresets() []Scenario { return scenario.Presets() }
-
 // ScenarioPreset resolves one bundled campaign by name.
 func ScenarioPreset(name string) (Scenario, bool) { return scenario.PresetByName(name) }
 
@@ -460,19 +426,6 @@ type (
 	// RobustScore reports a robust search's failure-aware solution metrics.
 	RobustScore = search.RobustScore
 )
-
-// Failure-model kinds.
-const (
-	FailLink = resilience.KindLink
-	FailNode = resilience.KindNode
-	FailSRLG = resilience.KindSRLG
-)
-
-// EnumerateFailures expands a failure model into its deterministic
-// (optionally seeded-sampled) state list over g.
-func EnumerateFailures(g *Graph, m FailureModel) ([]FailureState, error) {
-	return resilience.Enumerate(g, m)
-}
 
 // Experiments (§5).
 type (

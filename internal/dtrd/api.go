@@ -44,7 +44,7 @@ const (
 	CodeBadRequest    = "bad_request"    // malformed JSON, invalid parameters (400)
 	CodeNotFound      = "not_found"      // unknown topology or job ID (404)
 	CodeUnroutable    = "unroutable"     // evaluation failed on this instance (422)
-	CodeLimitExceeded = "limit_exceeded" // request body over the endpoint's cap (413), or a what-if failure family over its cap (422)
+	CodeLimitExceeded = "limit_exceeded" // request body over the endpoint's cap (413), or a load size or what-if state count over its cap (422)
 	CodePoolExhausted = "pool_exhausted" // every session leased past the timeout (503)
 	CodeDraining      = "draining"       // server is shutting down (503)
 	CodeInternal      = "internal"       // unexpected failure (500)

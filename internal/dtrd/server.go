@@ -190,11 +190,23 @@ const (
 	// maxWeightsBody covers route and whatif: up to three weight vectors at
 	// up to 11 bytes an arc ("2147483647,"), about 120 000 arcs.
 	maxWeightsBody = 4 << 20
-	// maxWhatIfStates caps the full enumeration of a what-if's failure
-	// model, which is built before any sampling: it admits a single-link
-	// sweep of every graph a body can name (about 60 000 links) and refuses,
-	// say, dual-link failures of a 392-link ISP (76 636 states).
+	// maxWhatIfStates caps the failure states one what-if sweeps: the whole
+	// family, or min(family, sample) when the model samples. Sampling builds
+	// only the sampled states, so it admits a single-link sweep of every
+	// graph a body can name (about 60 000 links) and a sampled dual-link
+	// sweep of any of them, and refuses, say, every dual-link failure of a
+	// 392-link ISP (76 636 states).
 	maxWhatIfStates = 1 << 16
+)
+
+// Topology load caps. A 4 KiB load body can name any size, and the build
+// holds the graph plus dense n×n traffic matrices, so the sizes are bounded
+// at the edge — well above the paper's 30-node instances and the 200-node
+// hierarchy the benchmark loads.
+const (
+	maxLoadNodes    = 2000
+	maxLoadLinks    = 20000
+	maxLoadPoolSize = 256
 )
 
 // Per-request scratch, reused across requests: the body bytes and the two
@@ -282,6 +294,12 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	kind, err := eval.ParseKind(req.Objective)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
+	if req.Nodes > maxLoadNodes || req.Links > maxLoadLinks || req.PoolSize > maxLoadPoolSize {
+		writeError(w, http.StatusUnprocessableEntity, CodeLimitExceeded,
+			fmt.Sprintf("load of nodes=%d, links=%d, pool_size=%d is over the caps of %d, %d and %d",
+				req.Nodes, req.Links, req.PoolSize, maxLoadNodes, maxLoadLinks, maxLoadPoolSize))
 		return
 	}
 	poolSize := req.PoolSize
@@ -486,9 +504,13 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		Kind: fm.Kind, Count: fm.Count, SRLGs: fm.SRLGs,
 		Sample: fm.Sample, Seed: fm.Seed,
 	}
-	if n := model.Size(t.handle.Graph()); n > maxWhatIfStates {
+	n := model.Size(t.handle.Graph())
+	if model.Sample > 0 {
+		n = min(n, model.Sample)
+	}
+	if n > maxWhatIfStates {
 		writeError(w, http.StatusUnprocessableEntity, CodeLimitExceeded,
-			fmt.Sprintf("failure model %s has %d states, over the what-if cap of %d", model, n, maxWhatIfStates))
+			fmt.Sprintf("failure model %s sweeps %d states, over the what-if cap of %d", model, n, maxWhatIfStates))
 		return
 	}
 	states, err := resilience.Enumerate(t.handle.Graph(), model)

@@ -175,6 +175,14 @@ func TestGoldenTopologyLifecycle(t *testing.T) {
 	}
 	golden(t, "load_bad_response.json", body)
 
+	// POST a size over the load caps — 422, refused before any build
+	huge := marshalReq(t, "load_too_large_request.json", LoadRequest{Topology: "random", Nodes: 2000000000})
+	code, body = do(t, "POST", ts.URL+"/v1/topologies", huge)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized load code %d: %s", code, body)
+	}
+	golden(t, "load_too_large_response.json", body)
+
 	// GET /v1/topologies
 	code, body = do(t, "GET", ts.URL+"/v1/topologies", nil)
 	if code != http.StatusOK {
@@ -286,10 +294,11 @@ func TestGoldenWhatIf(t *testing.T) {
 	golden(t, "whatif_bad_response.json", body)
 }
 
-// TestGoldenWhatIfLimit pins the 422 limit_exceeded answer to a failure
-// model whose full enumeration is over maxWhatIfStates: 363 links have
-// 65 703 link pairs, refused before any state is built even though only 4
-// are sampled. The request is stored compact: it carries 726 weights.
+// TestGoldenWhatIfLimit pins how maxWhatIfStates bounds the states a what-if
+// sweeps, not the family it samples from: 363 links have 65 703 link pairs,
+// so a 4-state sample of them is answered and the whole family is refused
+// with 422 limit_exceeded before any state is built. The requests are stored
+// compact: each carries 726 weights.
 func TestGoldenWhatIfLimit(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	load, err := json.Marshal(LoadRequest{Topology: "random", Nodes: 150, Links: 363, TargetUtil: 0.6, Seed: 5})
@@ -300,19 +309,28 @@ func TestGoldenWhatIfLimit(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("load: code %d: %s", code, body)
 	}
-	req, err := json.Marshal(WhatIfRequest{
-		Weights:  perturb(2*363, 3),
-		Failures: &FailureModel{Kind: "link", Count: 2, Sample: 4, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		sample int
+		code   int
+	}{
+		{"whatif_sampled", 4, http.StatusOK},
+		{"whatif_too_large", 0, http.StatusUnprocessableEntity},
+	} {
+		req, err := json.Marshal(WhatIfRequest{
+			Weights:  perturb(2*363, 3),
+			Failures: &FailureModel{Kind: "link", Count: 2, Sample: c.sample, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden(t, c.name+"_request.json", append(req, '\n'))
+		code, body = do(t, "POST", ts.URL+"/v1/topologies/t1/whatif", req)
+		if code != c.code {
+			t.Fatalf("%s: code %d, want %d: %s", c.name, code, c.code, body)
+		}
+		golden(t, c.name+"_response.json", body)
 	}
-	golden(t, "whatif_too_large_request.json", append(req, '\n'))
-	code, body = do(t, "POST", ts.URL+"/v1/topologies/t1/whatif", req)
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("oversized failure model code %d: %s", code, body)
-	}
-	golden(t, "whatif_too_large_response.json", body)
 }
 
 func TestGoldenSearchJob(t *testing.T) {

@@ -247,7 +247,7 @@ func TestConcurrentSessionsBitwiseEqualSequential(t *testing.T) {
 		t.Fatalf("eval.New: %v", err)
 	}
 	ref.SetRouteWorkers(1)
-	refSweep := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1})
+	refSweep := resilience.NewSweeper(ref, resilience.Options{})
 
 	wantRoute := make([]routeKey, queries)
 	wantSweep := make([]sweepKey, queries)
@@ -412,7 +412,7 @@ func TestLeakedCheckpointDetectedOnRelease(t *testing.T) {
 	if routeFingerprint(got) != routeFingerprint(want) {
 		t.Fatalf("post-leak session result differs from hand-wired evaluator")
 	}
-	wantSweep, err := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1}).SweepDTR(wH, wL, states)
+	wantSweep, err := resilience.NewSweeper(ref, resilience.Options{}).SweepDTR(wH, wL, states)
 	if err != nil {
 		t.Fatalf("ref SweepDTR: %v", err)
 	}
@@ -534,7 +534,7 @@ func TestCompareUnderFailuresMatchesDirect(t *testing.T) {
 		t.Fatalf("eval.New: %v", err)
 	}
 	ref.SetRouteWorkers(1)
-	refSweep := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1})
+	refSweep := resilience.NewSweeper(ref, resilience.Options{})
 	want, err := resilience.CompareSchemes(refSweep, wSTR, wH, wL, states)
 	if err != nil {
 		t.Fatalf("direct CompareSchemes: %v", err)
@@ -601,7 +601,7 @@ func TestSweepsShareTheSessionStates(t *testing.T) {
 		t.Fatalf("eval.New: %v", err)
 	}
 	ref.SetRouteWorkers(1)
-	refSweep := resilience.NewSweeperFrom(ref, resilience.Options{RouteWorkers: 1})
+	refSweep := resilience.NewSweeper(ref, resilience.Options{})
 	same := func(what string, got, want *resilience.Sweep) {
 		t.Helper()
 		if !sameSweep(sweepFingerprint(got), sweepFingerprint(want)) {

@@ -84,7 +84,7 @@ func (s *Session) Reset() {
 // evaluator (no clone: the session is single-user by contract).
 func (s *Session) sweeper() *resilience.Sweeper {
 	if s.sw == nil {
-		s.sw = resilience.NewSweeperFrom(s.ev, resilience.Options{RouteWorkers: 1})
+		s.sw = resilience.NewSweeper(s.ev, resilience.Options{})
 	}
 	return s.sw
 }

@@ -68,11 +68,13 @@ type RoutingState struct {
 	stale     []bool
 
 	// moved[c] is the moved-arc set of class c's router in the last
-	// transition (nil if it failed); cpDests lists the destinations whose
-	// delays were recomputed under the armed checkpoint. Revert needs both.
-	moved   [2][]graph.EdgeID
-	cpDests []int
-	diffBuf []graph.EdgeID
+	// transition (nil if it failed). Under an armed checkpoint, cpMarked
+	// lists the destinations a transition marked stale and cpDests those
+	// whose delays were recomputed. Revert needs all three.
+	moved    [2][]graph.EdgeID
+	cpMarked []int
+	cpDests  []int
+	diffBuf  []graph.EdgeID
 }
 
 // NewRoutingState builds an unrouted state of the given shape over e's
@@ -187,7 +189,7 @@ func (s *RoutingState) rescore(c int, arcs []graph.EdgeID) {
 // destinations' delays are bitwise-unchanged because Tree.Delays reads only
 // DAG arcs.
 func (s *RoutingState) markStale(moved []graph.EdgeID) {
-	dr := s.dr[High]
+	dr, armed := s.dr[High], s.CheckpointArmed()
 	for di, dest := range s.in.hpDests {
 		if s.stale[di] {
 			continue
@@ -197,6 +199,9 @@ func (s *RoutingState) markStale(moved []graph.EdgeID) {
 			dirty = dr.TreeUsesArc(dest, moved[i])
 		}
 		s.stale[di] = dirty
+		if dirty && armed {
+			s.cpMarked = append(s.cpMarked, di)
+		}
 	}
 }
 
@@ -215,6 +220,7 @@ func (s *RoutingState) refreshDelays() {
 			s.pairDelay[di] = make([]float64, len(in.hpSrcs[di]))
 			s.stale[di] = true
 		}
+		s.cpMarked = make([]int, 0, len(in.hpDests))
 		s.cpDests = make([]int, 0, len(in.hpDests))
 	}
 	armed := s.CheckpointArmed()
@@ -320,9 +326,11 @@ func (s *RoutingState) CheckpointArmed() bool {
 // Revert rolls every router back to the armed checkpoint — recovering even a
 // class the transition disconnected — and restores the score vectors bitwise:
 // the rolled-back loads are the checkpointed loads again, so re-scoring the
-// arcs the transition moved puts every per-arc value back, and the
-// destinations whose delays were read in between are marked for recomputation.
-// At most one transition may sit between Checkpoint and Revert.
+// arcs the transition moved puts every per-arc value back. The stale marks
+// come back too: a destination the transition marked but nobody read still
+// holds its checkpointed delays, while one whose delays were read in between
+// stays marked for recomputation. At most one transition may sit between
+// Checkpoint and Revert.
 func (s *RoutingState) Revert() {
 	for _, dr := range s.dr {
 		if dr != nil {
@@ -332,8 +340,11 @@ func (s *RoutingState) Revert() {
 	for c, moved := range s.moved {
 		s.rescore(c, moved)
 	}
+	for _, di := range s.cpMarked {
+		s.stale[di] = false
+	}
 	for _, di := range s.cpDests {
 		s.stale[di] = true
 	}
-	s.cpDests = s.cpDests[:0]
+	s.cpMarked, s.cpDests = s.cpMarked[:0], s.cpDests[:0]
 }

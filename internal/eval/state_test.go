@@ -395,3 +395,61 @@ func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm ObjectiveSTR allocates %v times per run", n)
 	}
 }
+
+// TestRevertRestoresStaleMarks pins what Revert does to the delay marks when
+// the delays are armed (an SLA search's FindH reads them) and a failure sweep
+// shares the state: a destination the what-if marked stale but nobody read
+// keeps its checkpointed delays and is unmarked again, so the sweep leaves no
+// recomputation behind, while one read under the checkpoint stays marked.
+// Either way the next read is bitwise the checkpointed one.
+func TestRevertRestoresStaleMarks(t *testing.T) {
+	e, m, ring := deltaInstance(t, 8, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
+	stale := func(st *RoutingState) int {
+		n := 0
+		for _, s := range st.stale {
+			if s {
+				n++
+			}
+		}
+		return n
+	}
+	for _, sc := range stateShapes[2:] {
+		st := NewRoutingState(e, sc.shape)
+		w := [2]spf.Weights{randomWeightsFor(rand.New(rand.NewPCG(8, 8)), m), nil}
+		if w[Low] = w[High]; sc.shape == RouteDTR {
+			w[Low] = randomWeightsFor(rand.New(rand.NewPCG(9, 9)), m)
+		}
+		if _, err := st.Move(w); err != nil {
+			t.Fatal(err)
+		}
+		lambda, viol, mass := st.Penalties()
+		failed := [2]spf.Weights{w[High].Clone(), w[Low].Clone()}
+		failed[High][ring], failed[Low][ring] = spf.Disabled, spf.Disabled
+		whatIf := func(read bool) (marked int) {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Apply(failed, []graph.EdgeID{graph.EdgeID(ring)}); err != nil {
+				t.Fatal(err)
+			}
+			marked = stale(st)
+			if read {
+				st.Penalties()
+			}
+			st.Revert()
+			return marked
+		}
+		if whatIf(false) == 0 {
+			t.Fatalf("%s: the failure marked no destination stale; the test is vacuous", sc.name)
+		}
+		if n := stale(st); n != 0 {
+			t.Errorf("%s: %d destinations left stale by an unread what-if", sc.name, n)
+		}
+		if marked := whatIf(true); stale(st) != marked {
+			t.Errorf("%s: %d destinations stale after a read what-if, want the %d it recomputed", sc.name, stale(st), marked)
+		}
+		if l, v, ms := st.Penalties(); math.Float64bits(l) != math.Float64bits(lambda) || v != viol || math.Float64bits(ms) != math.Float64bits(mass) {
+			t.Errorf("%s: penalties after revert (%v, %d, %v), want (%v, %d, %v)", sc.name, l, v, ms, lambda, viol, mass)
+		}
+	}
+}

@@ -37,8 +37,7 @@ func runExtFail(p Preset) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := resilience.NewSweeper(e, resilience.Options{})
-	fs, err := resilience.CompareSchemes(sw, pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
+	fs, err := resilience.CompareSchemes(resilience.NewSweeper(e, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 	if err != nil {
 		return nil, err
 	}

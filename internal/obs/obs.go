@@ -305,19 +305,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.resolve(values, func() any { return new(Counter) }).(*Counter)
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or resolves) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, typeGauge, labels, nil)}
-}
-
-// With resolves one label-value tuple to its gauge.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.resolve(values, func() any { return new(Gauge) }).(*Gauge)
-}
-
 // HistogramVec is a labeled histogram family; every child shares the
 // family's bucket bounds.
 type HistogramVec struct{ f *family }

@@ -25,32 +25,31 @@ type Samples struct {
 }
 
 // CompareSchemes sweeps both schemes' final weight settings over the same
-// state set and pairs the outcomes. It fails when every state disconnected
-// the network — there is nothing to compare — and on the (impossible by
-// construction) event of the schemes disagreeing about reachability.
+// state set and pairs the outcomes. It fails when there is nothing to
+// compare — no states, or every state disconnected the network — and on the
+// (impossible by construction) event of the schemes disagreeing about
+// reachability.
 func CompareSchemes(sw *Sweeper, wSTR, wH, wL spf.Weights, states []State) (*Samples, error) {
+	if len(states) == 0 {
+		return nil, fmt.Errorf("resilience: no failure states to compare")
+	}
 	strSweep, err := sw.SweepSTR(wSTR, states)
 	if err != nil {
 		return nil, err
 	}
-	// SweepDTR reuses a separate engine buffer, but copy the STR outcomes
-	// first anyway so this function never depends on engine internals.
+	// Copy the STR outcomes out of the buffer the sweeper reuses.
 	strPhiL := append([]float64(nil), strSweep.PhiL...)
 	dtrSweep, err := sw.SweepDTR(wH, wL, states)
 	if err != nil {
 		return nil, err
 	}
 	fs := &Samples{BaseSTR: strSweep.Base, BaseDTR: dtrSweep.Base}
-	firstDisc := -1
 	for i, st := range states {
 		sPhi, dPhi := strPhiL[i], dtrSweep.PhiL[i]
 		if math.IsNaN(sPhi) != math.IsNaN(dPhi) {
 			return nil, fmt.Errorf("resilience: schemes disagree on disconnection of state %q", st.Label)
 		}
 		if math.IsNaN(sPhi) {
-			if firstDisc < 0 {
-				firstDisc = i
-			}
 			fs.Disconnecting++
 			continue
 		}
@@ -59,10 +58,10 @@ func CompareSchemes(sw *Sweeper, wSTR, wH, wL spf.Weights, states []State) (*Sam
 		fs.DTR = append(fs.DTR, dPhi/fs.BaseDTR)
 	}
 	if len(fs.STR) == 0 {
-		// Name the offending states so the caller can fix the model or the
+		// Name an offending state so the caller can fix the model or the
 		// instance instead of guessing from a bare failure.
-		return nil, fmt.Errorf("resilience: all %d evaluated failure states disconnected the network (first: state %d %q)",
-			len(states), firstDisc, states[firstDisc].Label)
+		return nil, fmt.Errorf("resilience: all %d evaluated failure states disconnected the network (first: state 0 %q)",
+			len(states), states[0].Label)
 	}
 	return fs, nil
 }

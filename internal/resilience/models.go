@@ -1,11 +1,8 @@
 // Package resilience makes failure scenarios a structural layer of the
-// dual-topology routing system: deterministic enumerators and seeded
-// samplers over failure-state families (single link, dual link, node,
-// shared-risk link group), and a Sweeper that evaluates every state on an
-// eval.RoutingState (checkpoint → mask the arcs → read ΦL → revert) instead
-// of re-running a full evaluation per state. The routing and scoring are the
-// state's; this package owns the failure models, the Disabled masks and the
-// full-evaluation oracles the delta path is verified against.
+// dual-topology routing system: failure-state families (single link, dual
+// link, node, shared-risk link group) indexed so that a seeded sample costs
+// its own size, and a Sweeper that scores every state on its evaluator's
+// eval.RoutingState (checkpoint → mask the arcs → read ΦL → revert).
 //
 // The failure semantics follow the paper's §5 robustness study: link weights
 // stay fixed across failures (operators run between re-optimizations) and
@@ -17,8 +14,9 @@ package resilience
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strings"
 
 	"dualtopo/internal/graph"
@@ -151,132 +149,154 @@ func Links(g *graph.Graph) []Link {
 	return links
 }
 
-// Size returns the number of states in the model's full enumeration over g
-// — what Enumerate builds before it samples — so a caller can bound a
-// request before paying for it. It is 0 for a model that does not validate.
-func (m Model) Size(g *graph.Graph) int {
-	m = m.Normalize()
-	switch {
-	case m.Validate() != nil:
-		return 0
-	case m.Kind == KindNode:
-		n := 0
-		for u := range graph.NodeID(g.NumNodes()) {
-			if len(g.Out(u))+len(g.In(u)) > 0 {
-				n++
-			}
-		}
-		return n
-	case m.Kind == KindSRLG:
-		return len(m.SRLGs)
-	}
-	l := len(Links(g))
-	if m.Count == 2 {
-		return l * (l - 1) / 2
-	}
-	return l
+// family is a model resolved against one graph, the one definition of each
+// failure kind: Size counts it, Enumerate unranks its states from it.
+type family struct {
+	g     *graph.Graph
+	m     Model
+	links []Link         // the link kinds and SRLG: canonical link order
+	nodes []graph.NodeID // KindNode: the nodes with at least one arc
+	size  int
 }
 
-// Enumerate expands the model into its deterministic state list over g,
-// applying the model's seeded uniform sampling when configured. The result
-// depends only on (g, m) — never on scheduling or prior calls.
-func Enumerate(g *graph.Graph, m Model) ([]State, error) {
+func newFamily(g *graph.Graph, m Model) (family, error) {
 	m = m.Normalize()
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return family{}, err
 	}
-	links := Links(g)
-	var states []State
-	switch m.Kind {
-	case KindLink:
-		if m.Count == 1 {
-			states = make([]State, 0, len(links))
-			for _, l := range links {
-				states = append(states, State{
-					Label: fmt.Sprintf("link %s-%s", g.Name(l.A), g.Name(l.B)),
-					Arcs:  []graph.EdgeID{l.AB, l.BA},
-				})
-			}
-		} else {
-			states = make([]State, 0, len(links)*(len(links)-1)/2)
-			for i := 0; i < len(links); i++ {
-				for j := i + 1; j < len(links); j++ {
-					li, lj := links[i], links[j]
-					states = append(states, State{
-						Label: fmt.Sprintf("link %s-%s + link %s-%s",
-							g.Name(li.A), g.Name(li.B), g.Name(lj.A), g.Name(lj.B)),
-						Arcs: []graph.EdgeID{li.AB, li.BA, lj.AB, lj.BA},
-					})
-				}
+	f := family{g: g, m: m}
+	if m.Kind == KindNode {
+		f.nodes = make([]graph.NodeID, 0, g.NumNodes())
+		for u := range graph.NodeID(g.NumNodes()) {
+			if len(g.Out(u))+len(g.In(u)) > 0 {
+				f.nodes = append(f.nodes, u)
 			}
 		}
-	case KindNode:
-		for n := 0; n < g.NumNodes(); n++ {
-			u := graph.NodeID(n)
-			arcs := make([]graph.EdgeID, 0, len(g.Out(u))+len(g.In(u)))
-			arcs = append(arcs, g.Out(u)...)
-			arcs = append(arcs, g.In(u)...)
-			if len(arcs) == 0 {
-				continue
-			}
-			states = append(states, State{
-				Label: fmt.Sprintf("node %s", g.Name(u)),
-				Arcs:  arcs,
-			})
-		}
-	case KindSRLG:
-		states = make([]State, 0, len(m.SRLGs))
+		f.size = len(f.nodes)
+		return f, nil
+	}
+	f.links = Links(g)
+	l := len(f.links)
+	switch {
+	case m.Kind == KindSRLG:
 		for gi, grp := range m.SRLGs {
-			mark := make(map[graph.EdgeID]bool, 2*len(grp))
-			arcs := make([]graph.EdgeID, 0, 2*len(grp))
-			names := make([]string, 0, len(grp))
 			for _, li := range grp {
-				if li >= len(links) {
-					return nil, fmt.Errorf("resilience: srlg group %d references link %d, graph has %d links",
-						gi, li, len(links))
+				if li >= l {
+					return family{}, fmt.Errorf("resilience: srlg group %d references link %d, graph has %d links", gi, li, l)
 				}
-				l := links[li]
-				for _, a := range []graph.EdgeID{l.AB, l.BA} {
-					if !mark[a] {
-						mark[a] = true
-						arcs = append(arcs, a)
-					}
-				}
-				names = append(names, fmt.Sprintf("%s-%s", g.Name(l.A), g.Name(l.B)))
 			}
-			states = append(states, State{
-				Label: fmt.Sprintf("srlg %d (%s)", gi, strings.Join(names, ",")),
-				Arcs:  arcs,
-			})
 		}
+		f.size = len(m.SRLGs)
+	case m.Count == 2:
+		f.size = l * (l - 1) / 2
+	default:
+		f.size = l
 	}
-	return sampleStates(states, m.Sample, m.Seed), nil
+	return f, nil
 }
 
-// sampleStates draws a uniform sample of n states without replacement,
-// seeded and order-preserving: the selected states keep their enumeration
-// order, so downstream sweeps remain deterministic. Unlike a prefix
-// truncation, every state is equally likely to be evaluated regardless of
-// its edge IDs.
-func sampleStates(states []State, n int, seed uint64) []State {
-	if n <= 0 || n >= len(states) {
-		return states
+// state unranks state i of the family:
+//   - link: link i;
+//   - dual-link: the i-th link pair (a < b), a-major;
+//   - node: the i-th node with an arc, every arc out of and into it;
+//   - SRLG: group i, its links' arcs deduplicated in group order.
+func (f *family) state(i int) State {
+	g := f.g
+	switch {
+	case f.m.Kind == KindNode:
+		u := f.nodes[i]
+		arcs := make([]graph.EdgeID, 0, len(g.Out(u))+len(g.In(u)))
+		return State{Label: "node " + g.Name(u), Arcs: append(append(arcs, g.Out(u)...), g.In(u)...)}
+	case f.m.Kind == KindSRLG:
+		grp := f.m.SRLGs[i]
+		mark := make(map[graph.EdgeID]bool, 2*len(grp))
+		arcs := make([]graph.EdgeID, 0, 2*len(grp))
+		names := make([]string, len(grp))
+		for k, li := range grp {
+			l := f.links[li]
+			for _, a := range [2]graph.EdgeID{l.AB, l.BA} {
+				if !mark[a] {
+					mark[a] = true
+					arcs = append(arcs, a)
+				}
+			}
+			names[k] = g.Name(l.A) + "-" + g.Name(l.B)
+		}
+		return State{Label: fmt.Sprintf("srlg %d (%s)", i, strings.Join(names, ",")), Arcs: arcs}
+	case f.m.Count == 2:
+		a, b := pairAt(i, len(f.links))
+		la, lb := f.links[a], f.links[b]
+		return State{
+			Label: fmt.Sprintf("link %s-%s + link %s-%s", g.Name(la.A), g.Name(la.B), g.Name(lb.A), g.Name(lb.B)),
+			Arcs:  []graph.EdgeID{la.AB, la.BA, lb.AB, lb.BA},
+		}
 	}
-	rng := rand.New(rand.NewPCG(seed, 0x7265736c69656e63)) // "reslienc"
-	idx := make([]int, len(states))
-	for i := range idx {
-		idx[i] = i
+	l := f.links[i]
+	return State{Label: fmt.Sprintf("link %s-%s", g.Name(l.A), g.Name(l.B)), Arcs: []graph.EdgeID{l.AB, l.BA}}
+}
+
+// pairAt inverts the a-major rank start(a) + b−a−1 of the pairs a < b of n
+// items, start(a) = a(2n−a−1)/2 being the pairs before row a: the float root
+// of start(a) = k lands on a or next to it, and the loops settle it exactly.
+func pairAt(k, n int) (a, b int) {
+	start := func(a int) int { return a * (2*n - a - 1) / 2 }
+	c := float64(2*n - 1)
+	a = int((c - math.Sqrt(c*c-8*float64(k))) / 2)
+	for a > 0 && start(a) > k {
+		a--
 	}
-	// Partial Fisher–Yates: the first n entries become the sample.
-	for i := 0; i < n; i++ {
-		j := i + rng.IntN(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
+	for start(a+1) <= k {
+		a++
 	}
-	picked := idx[:n]
-	sort.Ints(picked)
-	out := make([]State, n)
-	for i, k := range picked {
-		out[i] = states[k]
+	return a, k - start(a) + a + 1
+}
+
+// Size returns the number of states in the model's family over g, before any
+// sampling and without building one; 0 for a model that does not validate.
+func (m Model) Size(g *graph.Graph) int {
+	f, err := newFamily(g, m)
+	if err != nil {
+		return 0
 	}
-	return out
+	return f.size
+}
+
+// Enumerate expands the model into its state list over g: the whole family,
+// or, when the model samples fewer states than that, a seeded uniform sample
+// without replacement, in enumeration order either way. Unlike a prefix,
+// every state is equally likely to be swept, and a sample costs memory in its
+// own size. The result depends only on (g, m).
+func Enumerate(g *graph.Graph, m Model) ([]State, error) {
+	f, err := newFamily(g, m)
+	if err != nil {
+		return nil, err
+	}
+	if m.Sample <= 0 || m.Sample >= f.size {
+		states := make([]State, f.size)
+		for i := range states {
+			states[i] = f.state(i)
+		}
+		return states, nil
+	}
+	// Partial Fisher–Yates over the identity permutation of the family's
+	// indexes; swapped holds the only positions that left the identity.
+	rng := rand.New(rand.NewPCG(m.Seed, 0x7265736c69656e63)) // "reslienc"
+	swapped := make(map[int]int, m.Sample)
+	at := func(k int) int {
+		if v, ok := swapped[k]; ok {
+			return v
+		}
+		return k
+	}
+	picks := make([]int, m.Sample)
+	for i := range picks {
+		j := i + rng.IntN(f.size-i)
+		picks[i], swapped[j] = at(j), at(i)
+	}
+	slices.Sort(picks)
+	states := make([]State, len(picks))
+	for k, i := range picks {
+		states[k] = f.state(i)
+	}
+	return states, nil
 }

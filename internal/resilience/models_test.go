@@ -209,3 +209,30 @@ func TestModelString(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleAllocsIndependentOfFamily pins the O(sample) sampler: a 4-state
+// dual-link sample allocates the same on the 392-link hierarchy as on one
+// four times its size, and a bounded amount on both — the links, the sparse
+// swap map, the picks and the 4 states, never the 76 636-state family.
+func TestSampleAllocsIndependentOfFamily(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	large, err := topo.Generate("hier", topo.Params{Pops: 16, RoutersPerPop: 50}, rand.New(rand.NewPCG(7, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Model{Kind: KindLink, Count: 2, Sample: 4, Seed: 1}
+	var allocs [2]float64
+	for i, g := range []*graph.Graph{goldenGraph(t, "hier-200"), large} {
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if states, err := Enumerate(g, m); err != nil || len(states) != 4 {
+				t.Fatalf("Enumerate: %d states, %v", len(states), err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[0] >= 100 {
+		t.Fatalf("sampled dual-link Enumerate allocates %v times on 392 links and %v on %d; want equal and < 100",
+			allocs[0], allocs[1], len(Links(large)))
+	}
+}

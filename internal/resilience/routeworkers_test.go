@@ -6,9 +6,9 @@ import (
 )
 
 // TestRouteWorkersSweepBitwiseTransparent runs the from-scratch sweep modes
-// with the parallel full-route enabled and requires bitwise-identical
-// sweeps: sharded routing must be invisible to FullEval results and to the
-// Verify oracle.
+// on an evaluator with the parallel full-route enabled and requires
+// bitwise-identical sweeps: sharded routing must be invisible to FullEval
+// results and to the Verify oracle.
 func TestRouteWorkersSweepBitwiseTransparent(t *testing.T) {
 	e := testEvaluator(t, 21)
 	g := e.Graph()
@@ -21,8 +21,11 @@ func TestRouteWorkersSweepBitwiseTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq := NewSweeper(e, Options{FullEval: true})
-	par := NewSweeper(e, Options{FullEval: true, RouteWorkers: 4})
+	seqE, parE := e.Clone(), e.Clone()
+	seqE.SetRouteWorkers(1)
+	parE.SetRouteWorkers(4)
+	seq := NewSweeper(seqE, Options{FullEval: true})
+	par := NewSweeper(parE, Options{FullEval: true})
 
 	ss, err := seq.SweepSTR(wSTR, states)
 	if err != nil {
@@ -46,7 +49,7 @@ func TestRouteWorkersSweepBitwiseTransparent(t *testing.T) {
 
 	// The Verify oracle compares the delta path against parallel full
 	// evaluations; any divergence fails the sweep internally.
-	verify := NewSweeper(e, Options{Verify: true, RouteWorkers: 4})
+	verify := NewSweeper(parE, Options{Verify: true})
 	if _, err := verify.SweepSTR(wSTR, states); err != nil {
 		t.Fatalf("verify STR with route workers: %v", err)
 	}

@@ -20,12 +20,6 @@ type Options struct {
 	// intact baseline) from scratch too, failing the sweep on any bitwise
 	// disagreement — including disagreement about disconnection. Debug mode.
 	Verify bool
-	// RouteWorkers bounds the SPF worker pool used by the from-scratch
-	// evaluations of the FullEval and Verify modes; 0 picks a block-aware
-	// automatic value from the instance size and GOMAXPROCS, 1 keeps them
-	// sequential. Parallel routing is bitwise-identical to sequential, so
-	// sweep results (and Verify verdicts) do not depend on this setting.
-	RouteWorkers int
 }
 
 // Sweeper evaluates routings under failure states for one problem instance.
@@ -40,7 +34,8 @@ type Options struct {
 // states whose failure leaves some demand unreachable are marked
 // disconnecting (NaN).
 //
-// A Sweeper is not safe for concurrent use; give each goroutine its own.
+// A Sweeper is not safe for concurrent use; give each goroutine its own, on
+// an evaluator of its own.
 type Sweeper struct {
 	e       *eval.Evaluator // owns the routing states; backs the full/verify paths
 	opts    Options
@@ -55,27 +50,14 @@ type scheme struct {
 	phiBuf    []float64
 }
 
-// NewSweeper builds a sweeper over e's problem instance. The evaluator is
-// cloned, so e's own routing plans and states are never disturbed.
+// NewSweeper builds a sweeper that drives e: its routing states for the
+// delta path, its plans for the FullEval and Verify modes, routed with e's
+// SetRouteWorkers bound. The caller must not use e concurrently with the
+// sweeper, and must accept that a sweep leaves e's state of the swept scheme
+// at the swept routing (and, in the full and verify modes, e's plans at the
+// last swept state). A caller that wants e left alone passes e.Clone().
 func NewSweeper(e *eval.Evaluator, opts Options) *Sweeper {
-	return NewSweeperFrom(e.Clone(), opts)
-}
-
-// NewSweeperFrom builds a sweeper that drives e directly instead of cloning
-// it — the handle-friendly constructor for pooled engine sessions that
-// already own a private evaluator clone and want one per-session sweeper
-// without a second copy of the routing plans or states. The caller must not
-// use e concurrently with the sweeper, and must accept that a sweep leaves
-// e's routing state of the swept scheme at the swept routing (and the
-// full/verify modes e's plans at the last swept state).
-func NewSweeperFrom(e *eval.Evaluator, opts Options) *Sweeper {
-	s := &Sweeper{e: e, opts: opts}
-	// The sweeper's evaluator is driven sequentially, so it can keep the
-	// parallel full-route enabled for its lifetime (0 = auto).
-	if opts.RouteWorkers != 1 {
-		s.e.SetRouteWorkers(opts.RouteWorkers)
-	}
-	return s
+	return &Sweeper{e: e, opts: opts}
 }
 
 // Sweep is the outcome of evaluating one routing under a state set.
@@ -90,9 +72,8 @@ type Sweep struct {
 	Survivors, Disconnecting int
 }
 
-// SweepSTR evaluates the single-topology routing w under every state,
-// returning per-state ΦL. The result's PhiL slice is reused by the next
-// SweepSTR call.
+// SweepSTR evaluates the single-topology routing w under every state. The
+// result's PhiL slice is reused by the next SweepSTR call.
 func (s *Sweeper) SweepSTR(w spf.Weights, states []State) (*Sweep, error) {
 	if s.opts.FullEval {
 		return s.sweepFull(states, w, nil, false)

@@ -315,3 +315,24 @@ func TestCompareSchemesBaselinesMatchEvaluator(t *testing.T) {
 		t.Fatalf("degradation quantiles out of order: %+v", sum.STR)
 	}
 }
+
+// TestCompareSchemesEmptyFamily covers a family with no states — dual-link
+// failures of a one-link graph — which must be refused, not swept.
+func TestCompareSchemesEmptyFamily(t *testing.T) {
+	g := graph.New(2)
+	g.AddLink(0, 1, 100, 1)
+	tl := traffic.NewMatrix(2)
+	tl.Set(0, 1, 5)
+	e, err := eval.New(g, traffic.NewMatrix(2), tl, eval.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := Enumerate(g, Model{Kind: KindLink, Count: 2})
+	if err != nil || len(states) != 0 {
+		t.Fatalf("dual-link family of one link: %d states, %v", len(states), err)
+	}
+	w := spf.Uniform(g.NumEdges())
+	if _, err := CompareSchemes(NewSweeper(e, Options{}), w, w, w, states); err == nil {
+		t.Fatal("CompareSchemes accepted an empty state list")
+	}
+}

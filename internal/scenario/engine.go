@@ -295,8 +295,7 @@ func runTrial(spec Spec, it WorkItem, b search.Budget, routeWorkers int) (TrialR
 		if err != nil {
 			return TrialResult{}, err
 		}
-		sw := resilience.NewSweeper(e, resilience.Options{RouteWorkers: routeWorkers})
-		fs, err := resilience.CompareSchemes(sw, pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
+		fs, err := resilience.CompareSchemes(resilience.NewSweeper(e, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 		if err != nil {
 			return TrialResult{}, err
 		}

@@ -16,8 +16,11 @@ import (
 //	ΦL + Alpha·mean_f ΦL(f) + Beta·max_f ΦL(f)
 //
 // over the fixed surviving states f, each evaluated through the resilience
-// sweep engine (disable → delta objective → repair) on the worker's own
-// router pair. The primary objective stays nominal: robustness is a
+// sweep engine (disable → delta objective → revert) on the DTR state of the
+// worker's own pool evaluator — the state its FindH/FindL delta scoring
+// drives. A sweep moves that state to the candidate's weights, and the
+// pending-arc bookkeeping only ever asks for a superset of the difference,
+// so the next delta score routes from there. The primary objective stays nominal: robustness is a
 // low-priority concern by the paper's construction (§5's robustness story is
 // about how gracefully ΦL degrades). Because every sweep is a pure function
 // of (candidate weights, states), robust scores — and therefore the search
@@ -43,16 +46,14 @@ type RobustScore struct {
 // robust reports whether failure-aware scoring is active.
 func (s *localSearch) robust() bool { return len(s.rStates) > 0 }
 
-// initRobust builds one sweeper per worker and filters the configured
+// initRobust builds one sweeper per pool evaluator and filters the configured
 // failure set down to states that keep every demand connected. Reachability
 // under a failure depends only on the surviving arcs — never on the weights
 // — so the filter holds for every candidate the search will visit.
 func (s *localSearch) initRobust(wH0, wL0 spf.Weights) error {
 	s.sweep = make([]*resilience.Sweeper, len(s.pool))
 	for i, e := range s.pool {
-		// Pool sweepers run concurrently during candidate evaluation, so
-		// each must route sequentially (RouteWorkers 0 would mean auto).
-		s.sweep[i] = resilience.NewSweeper(e, resilience.Options{RouteWorkers: 1})
+		s.sweep[i] = resilience.NewSweeper(e, resilience.Options{})
 	}
 	res, err := s.sweep[0].SweepDTR(wH0, wL0, s.p.Robust.States)
 	if err != nil {

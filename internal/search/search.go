@@ -68,7 +68,7 @@ type localSearch struct {
 	attrFresh bool
 	pruned    int64 // candidates the bound discarded, for DTRResult.Pruned
 
-	// Failure-aware scoring state (see robust.go): per-worker sweep engines,
+	// Failure-aware scoring state (see robust.go): a sweeper per pool evaluator,
 	// the filtered failure set, per-candidate penalties, and the additive
 	// penalties of the incumbent and best solutions.
 	sweep           []*resilience.Sweeper

@@ -34,20 +34,6 @@ func Max(xs []float64) float64 {
 	return max
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty slice.
 func Quantile(xs []float64, q float64) float64 {
