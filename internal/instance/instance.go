@@ -10,6 +10,7 @@ package instance
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"dualtopo/internal/cost"
@@ -168,6 +169,9 @@ func (s Spec) hpParams() traffic.Params {
 // for it from the same stream (see FromGraph for the rest of the recipe).
 func (s Spec) Build() (*Instance, error) {
 	s.paperDefaults()
+	if err := s.checkFinite(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewPCG(s.Seed, 0xd7a1))
 	g, err := topo.Generate(s.Topology, s.topoParams(), rng)
 	if err != nil {
@@ -181,7 +185,23 @@ func (s Spec) Build() (*Instance, error) {
 // fields are ignored; everything else applies as in Build.
 func (s Spec) FromGraph(g *graph.Graph) (*Instance, error) {
 	s.paperDefaults()
+	if err := s.checkFinite(); err != nil {
+		return nil, err
+	}
 	return s.synthesize(g, rand.New(rand.NewPCG(s.Seed, 0xf11e)))
+}
+
+// checkFinite rejects a defaulted spec whose real-valued parameters are not
+// finite: NaN slips past every range check written as a rejection (x <= 0).
+func (s Spec) checkFinite() error {
+	hp := s.hpParams()
+	names := [...]string{"TargetUtil", "ThetaMs", "Capacity", "F", "K"}
+	for i, v := range [...]float64{s.TargetUtil, s.ThetaMs, s.topoParams().CapacityMbps, hp.F, hp.K} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("instance: %s=%g is not a finite number", names[i], v)
+		}
+	}
+	return nil
 }
 
 // synthesize completes the recipe on g: gravity low-priority matrix (dense,
@@ -228,8 +248,8 @@ func (inst *Instance) Evaluator() (*eval.Evaluator, error) {
 // the final STR solution — which experiments report as the paper does —
 // lands near the target.
 func scaleToUtilization(g *graph.Graph, th, tl *traffic.Matrix, target float64) error {
-	if target <= 0 {
-		return fmt.Errorf("instance: target utilization %g <= 0", target)
+	if !(target > 0) {
+		return fmt.Errorf("instance: target utilization %g is not positive", target)
 	}
 	w := spf.Uniform(g.NumEdges())
 	hLoads, err := spf.Loads(g, w, th)
@@ -245,7 +265,7 @@ func scaleToUtilization(g *graph.Graph, th, tl *traffic.Matrix, target float64) 
 		utils[i] = (hLoads[i] + lLoads[i]) / g.Edge(graph.EdgeID(i)).Capacity
 	}
 	avg := stats.Mean(utils)
-	if avg <= 0 {
+	if !(avg > 0) {
 		return fmt.Errorf("instance: zero baseline utilization")
 	}
 	th.Scale(target / avg)

@@ -1,8 +1,10 @@
 package instance
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"dualtopo/internal/eval"
@@ -58,6 +60,42 @@ func TestFromGraph(t *testing.T) {
 	for _, sinks := range []int{-1, n + 1} {
 		if _, err := (Spec{LPSinks: sinks}).FromGraph(g); err == nil {
 			t.Errorf("lp sinks %d on %d nodes accepted", sinks, n)
+		}
+	}
+}
+
+// TestBuildRejectsNonFinite feeds NaN, +Inf and -Inf into every real-valued
+// spec field. Each must be refused with an error naming the field, on the
+// generated and on the caller-graph path alike; NaN in particular used to
+// pass every range check written as a rejection (x <= 0).
+func TestBuildRejectsNonFinite(t *testing.T) {
+	g, err := topo.Generate(TopoISP, topo.Params{}, rand.New(rand.NewPCG(1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		name string
+		set  func(*Spec, float64)
+	}{
+		{"TargetUtil", func(s *Spec, v float64) { s.TargetUtil = v }},
+		{"ThetaMs", func(s *Spec, v float64) { s.ThetaMs = v }},
+		{"Capacity", func(s *Spec, v float64) { s.Capacity = v }},
+		{"F", func(s *Spec, v float64) { s.F = v }},
+		{"K", func(s *Spec, v float64) { s.K = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := Spec{Kind: eval.SLABased, Seed: 1}
+			f.set(&s, v)
+			want := fmt.Sprintf("%s=%g", f.name, v)
+			for path, build := range map[string]func() (*Instance, error){
+				"Build":     s.Build,
+				"FromGraph": func() (*Instance, error) { return s.FromGraph(g) },
+			} {
+				if _, err := build(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with %s: err = %v, want one naming %q", path, want, err, want)
+				}
+			}
 		}
 	}
 }

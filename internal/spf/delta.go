@@ -2,6 +2,7 @@ package spf
 
 import (
 	"fmt"
+	"slices"
 
 	"dualtopo/internal/graph"
 	"dualtopo/internal/traffic"
@@ -44,9 +45,14 @@ type DeltaStats struct {
 //     routed loads are bitwise-unchanged (Tree.Order is canonical).
 //
 // Dirty destinations have their old load contribution subtracted exactly —
-// per-destination load vectors are retained, and touched arcs are
+// each destination's loads are retained as a support list (the arcs it
+// loads and their values, nothing per unloaded arc), and touched arcs are
 // re-aggregated in the same floating-point order MultiPlan.Route uses — so
 // incremental results are bitwise-equal to a fresh full Route.
+//
+// Demand columns are aliased, not copied: the router reads each matrix's
+// column in place (traffic.Matrix.Column), so the matrices it routes must
+// not be mutated once the router exists.
 //
 // A DeltaRouter is not safe for concurrent use. After any error the router
 // is invalid and the next Apply falls back to a full Route.
@@ -62,15 +68,17 @@ type DeltaRouter struct {
 	w     Weights
 	valid bool
 
-	// perDest[di][mi] is destination di's per-arc contribution to matrix
-	// mi's loads; nil when di receives no demand from mi.
-	perDest [][][]float64
-	// supports[di][mi] lists the arcs with nonzero perDest[di][mi] load, in
-	// load-discovery order — the key to support-sized (instead of
-	// arc-count-sized) zeroing, marking and re-aggregation passes.
+	// supports[di][mi] lists the arcs destination di loads for matrix mi,
+	// in load-discovery order, and vals[di][mi] their loads, parallel to it
+	// and sized to it; both are empty when di receives no demand from mi.
+	// Per-destination state is thus support-sized, never arc-count-sized,
+	// and so are the marking and re-aggregation passes.
 	supports [][][]graph.EdgeID
-	// demands[di][mi] caches the demand column toward di (nil when zero).
-	demands [][][]float64
+	vals     [][][]float64
+	// scratch is an all-zero per-arc vector between uses: a tree's loads
+	// are routed into it and compacted into vals, and re-aggregation sums
+	// touched arcs in it.
+	scratch []float64
 
 	// Loads[mi] is the aggregate per-arc load of matrix mi, maintained
 	// bitwise-equal to what MultiPlan.Route would produce.
@@ -85,7 +93,6 @@ type DeltaRouter struct {
 	touchList  []graph.EdgeID
 	dirty      []bool
 	dirtyList  []int
-	sumBuf     []float64
 	allArcs    []graph.EdgeID
 	xiBuf      []float64
 
@@ -115,9 +122,10 @@ type destSave struct {
 }
 
 // NewDeltaRouter prepares incremental routing state for the union of
-// destinations active in the given matrices. The matrices must not be
-// mutated afterwards (their demand columns are cached). Call Route before
-// the first Apply, or let Apply fall back to a full Route.
+// destinations active in the given matrices. The router reads demand
+// columns in place (traffic.Matrix.Column), so the matrices must not be
+// mutated while it exists. Call Route before the first Apply, or let Apply
+// fall back to a full Route.
 func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 	m := g.NumEdges()
 	r := &DeltaRouter{
@@ -141,35 +149,19 @@ func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 	}
 	nd := len(r.dests)
 	r.trees = make([]Tree, nd)
-	r.perDest = make([][][]float64, nd)
 	r.supports = make([][][]graph.EdgeID, nd)
-	r.demands = make([][][]float64, nd)
-	for di, dest := range r.dests {
-		r.perDest[di] = make([][]float64, len(tms))
+	r.vals = make([][][]float64, nd)
+	for di := range r.dests {
 		r.supports[di] = make([][]graph.EdgeID, len(tms))
-		r.demands[di] = make([][]float64, len(tms))
-		for mi, tm := range tms {
-			col := tm.DemandsTo(dest, nil)
-			any := false
-			for _, d := range col {
-				if d != 0 {
-					any = true
-					break
-				}
-			}
-			if any {
-				r.demands[di][mi] = col
-				r.perDest[di][mi] = make([]float64, m)
-			}
-		}
+		r.vals[di] = make([][]float64, len(tms))
 	}
 	r.Loads = make([][]float64, len(tms))
 	for mi := range r.Loads {
 		r.Loads[mi] = make([]float64, m)
 	}
+	r.scratch = make([]float64, m)
 	r.touched = make([]bool, m)
 	r.movedMark = make([]bool, m)
-	r.sumBuf = make([]float64, m)
 	r.dirty = make([]bool, nd)
 	r.allArcs = make([]graph.EdgeID, m)
 	for a := range r.allArcs {
@@ -262,30 +254,43 @@ func (r *DeltaRouter) Route(w Weights) error {
 	}
 	for di, dest := range r.dests {
 		r.dirty[di] = true
-		t := &r.trees[di]
-		r.comp.tree(dest, r.w, t, maxW)
+		r.comp.tree(dest, r.w, &r.trees[di], maxW)
 		for mi := range r.tms {
-			dem := r.demands[di][mi]
-			if dem == nil {
-				continue
-			}
-			pd := r.perDest[di][mi]
-			for _, a := range r.supports[di][mi] {
-				pd[a] = 0
-			}
-			sup, err := r.comp.addLoadsTracked(t, dem, pd, r.supports[di][mi][:0])
-			r.supports[di][mi] = sup
-			if err != nil {
+			if err := r.routeDest(di, mi); err != nil {
 				return err
 			}
-			loads := r.Loads[mi]
-			for _, a := range sup {
-				loads[a] += pd[a]
+			loads, vals := r.Loads[mi], r.vals[di][mi]
+			for k, a := range r.supports[di][mi] {
+				loads[a] += vals[k]
 			}
 		}
 	}
 	r.valid = true
 	return nil
+}
+
+// routeDest routes matrix mi's demand column toward destination di over its
+// current tree into the scratch vector and compacts the result into
+// supports[di][mi] and vals[di][mi], leaving the scratch vector all-zero.
+// The arcs are collected in the Computer's DAG staging buffer (idle between
+// tree builds, one slot per arc) and copied out, so a list first allocated
+// here fits its support exactly. Reachability is checked before any load is
+// written, so on error both lists are left empty.
+func (r *DeltaRouter) routeDest(di, mi int) error {
+	sup, vals := r.supports[di][mi][:0], r.vals[di][mi][:0]
+	var err error
+	if col := r.tms[mi].Column(r.dests[di]); col != nil {
+		var arcs []graph.EdgeID
+		arcs, err = r.comp.addLoadsTracked(&r.trees[di], col, r.scratch, r.comp.stage[:0])
+		sup = append(sup, arcs...)
+		vals = slices.Grow(vals, len(sup))
+		for _, a := range sup {
+			vals = append(vals, r.scratch[a])
+			r.scratch[a] = 0
+		}
+	}
+	r.supports[di][mi], r.vals[di][mi] = sup, vals
+	return err
 }
 
 // Apply transitions the router to w, where changed lists every arc whose
@@ -365,8 +370,8 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		return r.moved, nil
 	}
 
-	// Update dirty trees and their per-destination load vectors. Every arc
-	// in the union of old and new supports is "touched"; all passes are
+	// Update dirty trees and their per-destination loads. Every arc in the
+	// union of old and new supports is "touched"; all passes are
 	// support-sized, never arc-count-sized. The int32 distance-range guard
 	// comes first: raises lengthen distances.
 	if err := CheckDistRange(r.g.NumNodes(), r.w); err != nil {
@@ -374,78 +379,61 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		return nil, err
 	}
 	r.touchList = r.touchList[:0]
-	mark := func(a graph.EdgeID) {
-		if !r.touched[a] {
-			r.touched[a] = true
-			r.touchList = append(r.touchList, a)
+	mark := func(sup []graph.EdgeID) {
+		for _, a := range sup {
+			if !r.touched[a] {
+				r.touched[a] = true
+				r.touchList = append(r.touchList, a)
+			}
 		}
 	}
 	for _, di := range r.dirtyList {
 		r.saveDest(di)
 		for mi := range r.tms {
-			pd := r.perDest[di][mi]
-			if pd == nil {
-				continue
-			}
-			for _, a := range r.supports[di][mi] {
-				pd[a] = 0
-				mark(a)
-			}
+			mark(r.supports[di][mi])
 		}
-		t := &r.trees[di]
-		resettled := r.comp.TreeUpdate(r.w, t, raised, lowered)
+		resettled := r.comp.TreeUpdate(r.w, &r.trees[di], raised, lowered)
 		if sampled {
 			met.resettled.Observe(float64(resettled))
 		}
 		for mi := range r.tms {
-			dem := r.demands[di][mi]
-			if dem == nil {
-				continue
-			}
-			sup, err := r.comp.addLoadsTracked(t, dem, r.perDest[di][mi], r.supports[di][mi][:0])
-			r.supports[di][mi] = sup
-			if err != nil {
+			if err := r.routeDest(di, mi); err != nil {
 				r.valid = false
 				for _, a := range r.touchList {
 					r.touched[a] = false
 				}
 				return nil, err
 			}
-			for _, a := range sup {
-				mark(a)
-			}
+			mark(r.supports[di][mi])
 		}
 	}
 
 	// Re-aggregate touched arcs in full-Route order: per arc, sum every
-	// destination's contribution in ascending destination order, skipping
-	// zeros — the exact floating-point sequence MultiPlan.Route performs
-	// (the destination-outer loop fixes it; the iteration order of touched
-	// arcs is irrelevant to the per-arc sums, so touchList stays unsorted
-	// and the moved list is deterministic but unordered). The loop runs
-	// destination-outer over each destination's support list, so work
-	// scales with the loaded arcs, not the graph.
+	// destination's contribution in ascending destination order — the exact
+	// floating-point sequence Route and MultiPlan.Route perform (the
+	// destination-outer loop fixes it; the iteration order of touched arcs
+	// is irrelevant to the per-arc sums, so touchList stays unsorted and the
+	// moved list is deterministic but unordered). The loop reads each
+	// destination's supports and values sequentially, so work scales with
+	// the loaded arcs, not the graph. The sums accumulate in the scratch
+	// vector, which the compare pass zeroes again.
 	r.moved = r.moved[:0]
+	sums := r.scratch
 	for mi := range r.tms {
-		sums := r.sumBuf
-		for _, a := range r.touchList {
-			sums[a] = 0
-		}
 		for di := range r.dests {
-			pd := r.perDest[di][mi]
-			if pd == nil {
-				continue
-			}
-			for _, a := range r.supports[di][mi] {
+			vals := r.vals[di][mi]
+			for k, a := range r.supports[di][mi] {
 				if r.touched[a] {
-					sums[a] += pd[a]
+					sums[a] += vals[k]
 				}
 			}
 		}
 		loads := r.Loads[mi]
 		for _, a := range r.touchList {
-			if sums[a] != loads[a] {
-				loads[a] = sums[a]
+			sum := sums[a]
+			sums[a] = 0
+			if sum != loads[a] {
+				loads[a] = sum
 				if !r.movedMark[a] {
 					r.movedMark[a] = true
 					r.moved = append(r.moved, a)
@@ -518,14 +506,8 @@ func (r *DeltaRouter) saveDest(di int) {
 		ds.vals = make([][]float64, len(r.tms))
 	}
 	for mi := range r.tms {
-		sup := r.supports[di][mi]
-		ds.sup[mi] = append(ds.sup[mi][:0], sup...)
-		vals := ds.vals[mi][:0]
-		pd := r.perDest[di][mi]
-		for _, a := range sup {
-			vals = append(vals, pd[a])
-		}
-		ds.vals[mi] = vals
+		ds.sup[mi] = append(ds.sup[mi][:0], r.supports[di][mi]...)
+		ds.vals[mi] = append(ds.vals[mi][:0], r.vals[di][mi]...)
 	}
 }
 
@@ -566,17 +548,10 @@ func (r *DeltaRouter) Revert() {
 		t.NextArcs = append(t.NextArcs[:0], ds.nextArcs...)
 		t.Order = append(t.Order[:0], ds.order...)
 		for mi := range r.tms {
-			pd := r.perDest[di][mi]
-			if pd == nil {
-				continue
-			}
-			for _, a := range r.supports[di][mi] {
-				pd[a] = 0
-			}
-			for k, a := range ds.sup[mi] {
-				pd[a] = ds.vals[mi][k]
-			}
-			r.supports[di][mi] = append(r.supports[di][mi][:0], ds.sup[mi]...)
+			// The pre-image buffers are free until the next saveDest, so
+			// the restore is a swap, not a copy.
+			r.supports[di][mi], ds.sup[mi] = ds.sup[mi], r.supports[di][mi]
+			r.vals[di][mi], ds.vals[mi] = ds.vals[mi], r.vals[di][mi]
 		}
 		r.cpSaved[di] = false
 	}

@@ -1,6 +1,8 @@
 package spf
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -337,4 +339,147 @@ func TestCheckpointRevert(t *testing.T) {
 	if dr.Stats().Reverts == 0 {
 		t.Fatal("no reverts recorded")
 	}
+}
+
+// supportInvariant reports the first violation of the router's
+// support-sized load representation: for every (destination, matrix) pair,
+// vals is parallel to supports, every value is positive and no arc is listed
+// twice; the scratch vector is all-zero; and re-summing vals in destination
+// order reproduces Loads bitwise. Only meaningful on a valid router.
+func supportInvariant(dr *DeltaRouter) error {
+	for a, x := range dr.scratch {
+		if x != 0 {
+			return fmt.Errorf("scratch vector holds %v at arc %d", x, a)
+		}
+	}
+	seen := make([]bool, len(dr.scratch))
+	for mi, loads := range dr.Loads {
+		sums := make([]float64, len(loads))
+		for di, dest := range dr.dests {
+			sup, vals := dr.supports[di][mi], dr.vals[di][mi]
+			if len(vals) != len(sup) {
+				return fmt.Errorf("dest %d matrix %d: %d values for %d support arcs", dest, mi, len(vals), len(sup))
+			}
+			for k, a := range sup {
+				if seen[a] {
+					return fmt.Errorf("dest %d matrix %d: arc %d listed twice", dest, mi, a)
+				}
+				seen[a] = true
+				if !(vals[k] > 0) {
+					return fmt.Errorf("dest %d matrix %d: arc %d carries %v", dest, mi, a, vals[k])
+				}
+				sums[a] += vals[k]
+			}
+			for _, a := range sup {
+				seen[a] = false
+			}
+		}
+		for a := range loads {
+			if sums[a] != loads[a] {
+				return fmt.Errorf("matrix %d arc %d: supports sum to %v, Loads holds %v", mi, a, sums[a], loads[a])
+			}
+		}
+	}
+	return nil
+}
+
+// TestDeltaRouterSupportInvariant holds the support representation to
+// supportInvariant through every way the router's state changes: a full
+// Route, random Applies (raises, lowers, failures and repairs), a
+// Checkpoint→Apply→Revert cycle, and a disconnecting Apply (ErrNoPath)
+// undone by Revert.
+func TestDeltaRouterSupportInvariant(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 29))
+	g, tms := randomInstance(rng, 18, 24, 2)
+	m := g.NumEdges()
+	dr := NewDeltaRouter(g, tms...)
+	w := make(Weights, m)
+	for i := range w {
+		w[i] = 1 + rng.IntN(30)
+	}
+	check := func(what string) {
+		t.Helper()
+		if !dr.Valid() {
+			t.Fatalf("%s: router invalid", what)
+		}
+		if err := supportInvariant(dr); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	if err := dr.Route(w); err != nil {
+		t.Fatal(err)
+	}
+	check("route")
+
+	for step := 0; step < 200; step++ {
+		next := w.Clone()
+		var changed []graph.EdgeID
+		for k := 1 + rng.IntN(3); k > 0; k-- {
+			id := graph.EdgeID(rng.IntN(m))
+			if rng.IntN(8) == 0 {
+				next[id] = Disabled
+			} else {
+				next[id] = 1 + rng.IntN(30)
+			}
+			changed = append(changed, id)
+		}
+		if _, err := dr.Apply(next, changed); err != nil {
+			if !errors.Is(err, ErrNoPath) {
+				t.Fatal(err)
+			}
+			// Recover onto the last connected setting.
+			if err := dr.Route(w); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		w = next
+		check(fmt.Sprintf("apply step %d", step))
+	}
+
+	if err := dr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	trial := w.Clone()
+	id := graph.EdgeID(rng.IntN(m))
+	trial[id] = 1 + (w[id]+7)%30
+	if _, err := dr.Apply(trial, []graph.EdgeID{id}); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpointed apply")
+	dr.Revert()
+	check("revert")
+
+	// Cut every arc out of a demand source: the Apply must fail with
+	// ErrNoPath and the Revert must restore the pre-image.
+	src := graph.NodeID(-1)
+	for _, dest := range dr.Destinations() {
+		if col := tms[0].Column(dest); col != nil {
+			for u, d := range col {
+				if d > 0 {
+					src = graph.NodeID(u)
+				}
+			}
+		}
+	}
+	if src < 0 {
+		t.Fatal("instance has no demand")
+	}
+	if err := dr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut := w.Clone()
+	out := g.Out(src)
+	for _, a := range out {
+		cut[a] = Disabled
+	}
+	if _, err := dr.Apply(cut, out); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("cutting node %d off: err = %v, want ErrNoPath", src, err)
+	}
+	dr.Revert()
+	check("revert after ErrNoPath")
+	if _, err := dr.Apply(trial, []graph.EdgeID{id}); err != nil {
+		t.Fatal(err)
+	}
+	check("apply after reverted ErrNoPath")
 }

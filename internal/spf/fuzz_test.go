@@ -36,10 +36,11 @@ func (f *fuzzInput) weight() int {
 // [1, 30] ∪ {Disabled}. After every Apply the router must agree bitwise — the
 // aggregate Loads and every Tree — with a second router freshly Routed at the
 // same setting, fail exactly when that one fails, and come back to its
-// pre-image when the step ran between Checkpoint and Revert. The seed corpus
-// is testdata/fuzz/FuzzDeltaRouterApply: the planner's raise-one-lower-one
-// move, failures and repairs that cut demand off, an island leaving and
-// rejoining, and two unstructured streams.
+// pre-image when the step ran between Checkpoint and Revert; its
+// per-destination supports must satisfy supportInvariant throughout. The
+// seed corpus is testdata/fuzz/FuzzDeltaRouterApply: the planner's
+// raise-one-lower-one move, failures and repairs that cut demand off, an
+// island leaving and rejoining, and two unstructured streams.
 func FuzzDeltaRouterApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzInput{b: data}
@@ -89,6 +90,9 @@ func FuzzDeltaRouterApply(f *testing.F) {
 			}
 			for _, d := range dr.Destinations() {
 				requireTreeEqual(t, dr.Tree(d), fresh.Tree(d), "step %d dest %d", step, d)
+			}
+			if err := supportInvariant(dr); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
 		}
 		agree(-1, dr.Route(cur), cur)

@@ -25,7 +25,6 @@ type MultiPlan struct {
 	// Loads[i] is the per-arc volume of the i-th matrix after Route.
 	Loads [][]float64
 
-	demandBuf   []float64
 	destScratch []float64 // per-destination load staging buffer (kept zeroed)
 	xiBuf       []float64
 
@@ -67,7 +66,6 @@ func NewMultiPlan(g *graph.Graph, tms ...*traffic.Matrix) *MultiPlan {
 	for i := range p.Loads {
 		p.Loads[i] = make([]float64, g.NumEdges())
 	}
-	p.demandBuf = make([]float64, g.NumNodes())
 	p.destScratch = make([]float64, g.NumEdges())
 	p.workers = 1
 	return p
@@ -93,7 +91,6 @@ func (p *MultiPlan) CloneState() *MultiPlan {
 	for i := range c.Loads {
 		c.Loads[i] = make([]float64, p.g.NumEdges())
 	}
-	c.demandBuf = make([]float64, p.g.NumNodes())
 	c.destScratch = make([]float64, p.g.NumEdges())
 	c.workers = 1
 	return c
@@ -197,7 +194,7 @@ func (p *MultiPlan) Route(w Weights, tms ...*traffic.Matrix) error {
 		for mi := range p.tmsBuf {
 			// The computer's DAG staging buffer is idle between tree builds
 			// and holds one slot per arc, room for any support.
-			sup, err := p.destLoads(p.comp, di, mi, p.demandBuf, scratch, p.comp.stage[:0])
+			sup, err := p.destLoads(p.comp, di, mi, scratch, p.comp.stage[:0])
 			if err != nil {
 				return err
 			}
@@ -211,20 +208,19 @@ func (p *MultiPlan) Route(w Weights, tms ...*traffic.Matrix) error {
 	return nil
 }
 
-// destLoads routes matrix mi's demand toward destination di over its tree
-// into scratch, which must be all-zero, and appends the arcs it loaded to
-// sup: the one per-destination routine under the sequential and the parallel
-// path, each of which then drains scratch over sup its own way. demand is an
-// n-sized buffer for the demand column. Reachability is validated before any
-// load is written, so on error scratch is still all-zero and sup unchanged.
-func (p *MultiPlan) destLoads(comp *Computer, di, mi int, demand, scratch []float64, sup []graph.EdgeID) ([]graph.EdgeID, error) {
-	demand = p.tmsBuf[mi].DemandsTo(p.dests[di], demand)
-	for _, d := range demand {
-		if d != 0 {
-			return comp.addLoadsTracked(&p.trees[di], demand, scratch, sup)
-		}
+// destLoads routes matrix mi's demand column toward destination di over its
+// tree into scratch, which must be all-zero, and appends the arcs it loaded
+// to sup: the one per-destination routine under the sequential and the
+// parallel path, each of which then drains scratch over sup its own way. The
+// column is read in place (traffic.Matrix.Column). Reachability is validated
+// before any load is written, so on error scratch is still all-zero and sup
+// unchanged.
+func (p *MultiPlan) destLoads(comp *Computer, di, mi int, scratch []float64, sup []graph.EdgeID) ([]graph.EdgeID, error) {
+	col := p.tmsBuf[mi].Column(p.dests[di])
+	if col == nil {
+		return sup, nil
 	}
-	return sup, nil
+	return comp.addLoadsTracked(&p.trees[di], col, scratch, sup)
 }
 
 // parRoute is MultiPlan's parallel full-route state: per-worker computers
@@ -232,12 +228,11 @@ func (p *MultiPlan) destLoads(comp *Computer, di, mi int, demand, scratch []floa
 // and the pre-built worker closures the spawn loop reuses so a warm
 // parallel Route performs no closure allocations.
 type parRoute struct {
-	p          *MultiPlan
-	comps      []*Computer
-	scratch    [][]float64 // per worker, dense per-arc staging (kept zeroed)
-	demandBufs [][]float64 // per worker
-	fns        []func()
-	claimed    []int // per worker, destinations processed in the last Route
+	p       *MultiPlan
+	comps   []*Computer
+	scratch [][]float64 // per worker, dense per-arc staging (kept zeroed)
+	fns     []func()
+	claimed []int // per worker, destinations processed in the last Route
 
 	// supArcs/supVals[di][mi] hold destination di's contribution to matrix
 	// mi as a compacted support list, the input of the ordered reduction.
@@ -264,7 +259,6 @@ func (p *MultiPlan) ensurePar(nw, nmat int) *parRoute {
 		wk := len(pr.comps)
 		pr.comps = append(pr.comps, NewComputer(p.g))
 		pr.scratch = append(pr.scratch, make([]float64, p.g.NumEdges()))
-		pr.demandBufs = append(pr.demandBufs, make([]float64, p.g.NumNodes()))
 		pr.fns = append(pr.fns, func() { pr.worker(wk) })
 		pr.claimed = append(pr.claimed, 0)
 	}
@@ -374,7 +368,7 @@ func (pr *parRoute) routeDest(wk, di int) error {
 	comp.tree(dest, pr.w, &p.trees[di], pr.maxW)
 	scratch := pr.scratch[wk]
 	for mi := range p.tmsBuf {
-		sup, err := p.destLoads(comp, di, mi, pr.demandBufs[wk], scratch, pr.supArcs[di][mi][:0])
+		sup, err := p.destLoads(comp, di, mi, scratch, pr.supArcs[di][mi][:0])
 		vals := pr.supVals[di][mi][:0]
 		for _, a := range sup { // empty on error
 			vals = append(vals, scratch[a])

@@ -129,10 +129,12 @@ func heapInuseMB(gc bool) float64 {
 
 // BenchmarkRouteScale times one warm destination tree and the warm full route
 // of each scale instance: the route sequentially on all three, with 4
-// block-sharded workers on the 10k pair. The route series also report the
-// instance's heap footprint as a delta against the heap the sub-benchmark
-// started on: heap_peak_mb right after the cold build and first route, before
-// any collection, heap_mb after one.
+// block-sharded workers on the 10k pair, and through a DeltaRouter on
+// hier10k. The route series also report the instance's heap footprint as a
+// delta against the heap the sub-benchmark started on: heap_peak_mb right
+// after the cold build and first route, before any collection, heap_mb after
+// one. The delta series' heap_mb less the sequential series' is what the
+// incremental router's retained per-destination state costs.
 func BenchmarkRouteScale(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k- and 100k-node instances; skipped with -short")
@@ -154,26 +156,45 @@ func BenchmarkRouteScale(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("%s/workers=%d", s.name, workers), func(b *testing.B) {
-				base := heapInuseMB(true)
-				g, w, tm := s.build(b)
-				p := NewMultiPlan(g, tm)
-				p.SetWorkers(workers)
-				if err := p.Route(w, tm); err != nil {
-					b.Fatal(err)
-				}
-				peak := max(heapInuseMB(false)-base, 0)
-				steady := max(heapInuseMB(true)-base, 0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := p.Route(w, tm); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// After the loop: ResetTimer clears metrics reported earlier.
-				b.ReportMetric(peak, "heap_peak_mb")
-				b.ReportMetric(steady, "heap_mb")
+				benchScaleRoute(b, func() func() error {
+					g, w, tm := s.build(b)
+					p := NewMultiPlan(g, tm)
+					p.SetWorkers(workers)
+					return func() error { return p.Route(w, tm) }
+				})
+			})
+		}
+		if s.name == "hier10k" {
+			b.Run(s.name+"/delta", func(b *testing.B) {
+				benchScaleRoute(b, func() func() error {
+					g, w, tm := s.build(b)
+					dr := NewDeltaRouter(g, tm)
+					return func() error { return dr.Route(w) }
+				})
 			})
 		}
 	}
+}
+
+// benchScaleRoute times the warm route returned by build, which builds the
+// instance and its router, and reports their heap as heap_peak_mb and
+// heap_mb (see BenchmarkRouteScale).
+func benchScaleRoute(b *testing.B, build func() (route func() error)) {
+	base := heapInuseMB(true)
+	route := build()
+	if err := route(); err != nil {
+		b.Fatal(err)
+	}
+	peak := max(heapInuseMB(false)-base, 0)
+	steady := max(heapInuseMB(true)-base, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := route(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// After the loop: ResetTimer clears metrics reported earlier.
+	b.ReportMetric(peak, "heap_peak_mb")
+	b.ReportMetric(steady, "heap_mb")
 }

@@ -203,7 +203,7 @@ func Resolve(family string, p Params) (Params, *Generator, error) {
 	if p.Nodes < 0 || p.Links < 0 {
 		return Params{}, nil, fmt.Errorf("topo: %s: negative size (nodes=%d links=%d)", family, p.Nodes, p.Links)
 	}
-	if p.CapacityMbps <= 0 {
+	if !(p.CapacityMbps > 0) {
 		return Params{}, nil, fmt.Errorf("topo: %s: capacity_mbps=%g must be positive", family, p.CapacityMbps)
 	}
 	if gen.Validate != nil {

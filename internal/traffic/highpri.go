@@ -17,10 +17,10 @@ import (
 //
 // where etaL is the total low-priority volume (TL.Total()).
 func RandomHighPriority(n int, k, f, etaL float64, rng *rand.Rand) (*Matrix, error) {
-	if k <= 0 || k > 1 {
+	if !(k > 0 && k <= 1) {
 		return nil, fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", k)
 	}
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return nil, fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", f)
 	}
 	numPairs := int(float64(n*(n-1))*k + 0.5)
@@ -52,10 +52,10 @@ func SinkHighPriority(g *graph.Graph, numSinks int, k, f, etaL float64, placemen
 	if numSinks < 1 || numSinks >= n {
 		return nil, fmt.Errorf("traffic: numSinks=%d outside [1,%d)", numSinks, n)
 	}
-	if k <= 0 || k > 1 {
+	if !(k > 0 && k <= 1) {
 		return nil, fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", k)
 	}
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return nil, fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", f)
 	}
 	sinks := topDegreeNodes(g, numSinks)

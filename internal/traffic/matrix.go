@@ -7,6 +7,8 @@ package traffic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"dualtopo/internal/graph"
 )
@@ -17,6 +19,10 @@ import (
 // holds d·n float64s instead of n² — the difference between ~763 MB and a
 // few MB for a sink-pattern matrix on a 10k-node graph. A fully populated
 // matrix (gravity over every pair) costs the same as a dense layout.
+//
+// Routers read columns in place (Column) instead of copying them, so a
+// matrix is immutable once a router over it exists: build and scale it
+// first, then route.
 type Matrix struct {
 	n    int
 	cols [][]float64 // cols[t][s]; a nil column is all-zero
@@ -40,15 +46,16 @@ func (m *Matrix) At(s, t graph.NodeID) float64 {
 	return c[s]
 }
 
-// Set assigns the demand from s to t. Setting a diagonal entry or a negative
-// volume panics: both indicate a generator bug. Writing zero to an untouched
-// column is a no-op and allocates nothing.
+// Set assigns the demand from s to t. Setting a diagonal entry or a volume
+// that is not a finite non-negative number panics: both indicate a
+// generator bug. Writing zero to an untouched column is a no-op and
+// allocates nothing.
 func (m *Matrix) Set(s, t graph.NodeID, vol float64) {
 	if s == t && vol != 0 {
 		panic(fmt.Sprintf("traffic: self-demand at node %d", s))
 	}
-	if vol < 0 {
-		panic(fmt.Sprintf("traffic: negative demand %g for (%d,%d)", vol, s, t))
+	if !(vol >= 0 && vol <= math.MaxFloat64) {
+		panic(fmt.Sprintf("traffic: demand %g for (%d,%d) is not a finite non-negative volume", vol, s, t))
 	}
 	c := m.cols[t]
 	if c == nil {
@@ -75,10 +82,11 @@ func (m *Matrix) Total() float64 {
 	return sum
 }
 
-// Scale multiplies every demand by factor.
+// Scale multiplies every demand by factor, which must be a finite
+// non-negative number.
 func (m *Matrix) Scale(factor float64) {
-	if factor < 0 {
-		panic(fmt.Sprintf("traffic: negative scale %g", factor))
+	if !(factor >= 0 && factor <= math.MaxFloat64) {
+		panic(fmt.Sprintf("traffic: scale %g is not a finite non-negative factor", factor))
 	}
 	for _, c := range m.cols {
 		for i := range c {
@@ -135,20 +143,20 @@ func (m *Matrix) NumPairs() int {
 	return count
 }
 
-// DemandsTo returns the column of demands destined to t as a slice indexed
-// by source node (the layout SPF load aggregation consumes).
+// Column returns the demands destined to t, indexed by source node, or nil
+// when no demand toward t was ever written. The slice aliases the matrix's
+// storage: callers must not modify it (see Matrix on immutability).
+func (m *Matrix) Column(t graph.NodeID) []float64 { return m.cols[t] }
+
+// DemandsTo copies the column of demands destined to t into out (grown as
+// needed), zeros for a column never written. Routing reads columns in place
+// through Column; DemandsTo is for a caller that wants a private copy.
 func (m *Matrix) DemandsTo(t graph.NodeID, out []float64) []float64 {
-	if cap(out) < m.n {
-		out = make([]float64, m.n)
-	}
-	out = out[:m.n]
 	if c := m.cols[t]; c != nil {
-		copy(out, c)
-	} else {
-		for i := range out {
-			out[i] = 0
-		}
+		return append(out[:0], c...)
 	}
+	out = slices.Grow(out[:0], m.n)[:m.n]
+	clear(out)
 	return out
 }
 

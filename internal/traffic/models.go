@@ -18,10 +18,10 @@ import (
 // core) it concentrates demand on the high-capacity tier. No rng draw is
 // consumed: the matrix is a deterministic function of the topology.
 func GravityHighPriority(g *graph.Graph, k, f, etaL float64) (*Matrix, error) {
-	if k <= 0 || k > 1 {
+	if !(k > 0 && k <= 1) {
 		return nil, fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", k)
 	}
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return nil, fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", f)
 	}
 	n := g.NumNodes()
@@ -60,7 +60,7 @@ func GravityHighPriority(g *graph.Graph, k, f, etaL float64) (*Matrix, error) {
 	for _, p := range pairs {
 		totalW += p.weight
 	}
-	if totalW <= 0 {
+	if !(totalW > 0) {
 		return nil, fmt.Errorf("traffic: gravity masses are all zero")
 	}
 	m := NewMatrix(n)
@@ -79,13 +79,13 @@ func GravityHighPriority(g *graph.Graph, k, f, etaL float64) (*Matrix, error) {
 // flash-crowd and CDN-edge scenarios: a few nodes terminate most of the
 // high-priority volume.
 func HotspotHighPriority(g *graph.Graph, k, f, etaL, h, boost float64, rng *rand.Rand) (*Matrix, error) {
-	if k <= 0 || k > 1 {
+	if !(k > 0 && k <= 1) {
 		return nil, fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", k)
 	}
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return nil, fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", f)
 	}
-	if h <= 0 || h >= 1 {
+	if !(h > 0 && h < 1) {
 		return nil, fmt.Errorf("traffic: hotspot fraction %g outside (0,1)", h)
 	}
 	if boost <= 1 {
@@ -151,10 +151,10 @@ func HotspotHighPriority(g *graph.Graph, k, f, etaL, h, boost float64, rng *rand
 // It isolates the effect of pair placement from per-pair heterogeneity —
 // the control arm against the paper's U[1,4]-weighted random model.
 func UniformHighPriority(n int, k, f, etaL float64, rng *rand.Rand) (*Matrix, error) {
-	if k <= 0 || k > 1 {
+	if !(k > 0 && k <= 1) {
 		return nil, fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", k)
 	}
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return nil, fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", f)
 	}
 	numPairs := int(float64(n*(n-1))*k + 0.5)
@@ -196,10 +196,10 @@ func init() {
 			if err := validateFK(p); err != nil {
 				return err
 			}
-			if p.HotspotFraction <= 0 || p.HotspotFraction >= 1 {
+			if !(p.HotspotFraction > 0 && p.HotspotFraction < 1) {
 				return fmt.Errorf("traffic: hotspot_fraction=%g outside (0,1)", p.HotspotFraction)
 			}
-			if p.HotspotBoost <= 1 {
+			if !(p.HotspotBoost > 1) {
 				return fmt.Errorf("traffic: hotspot_boost=%g must exceed 1", p.HotspotBoost)
 			}
 			return nil

@@ -146,10 +146,10 @@ var paperHPDefaults = Params{F: 0.30, K: 0.10, Sinks: 3}
 
 // validateFK checks the shared f/k ranges.
 func validateFK(p Params) error {
-	if p.F <= 0 || p.F >= 1 {
+	if !(p.F > 0 && p.F < 1) {
 		return fmt.Errorf("traffic: high-priority fraction f=%g outside (0,1)", p.F)
 	}
-	if p.K <= 0 || p.K > 1 {
+	if !(p.K > 0 && p.K <= 1) {
 		return fmt.Errorf("traffic: SD-pair density k=%g outside (0,1]", p.K)
 	}
 	return nil

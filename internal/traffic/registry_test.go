@@ -96,6 +96,10 @@ func TestModelValidationErrors(t *testing.T) {
 		p     Params
 	}{
 		{"f too high", "random", Params{F: 1.2}},
+		{"f NaN", "random", Params{F: math.NaN()}},
+		{"k NaN", "uniform", Params{K: math.NaN()}},
+		{"hotspot fraction NaN", "hotspot", Params{HotspotFraction: math.NaN()}},
+		{"hotspot boost NaN", "hotspot", Params{HotspotBoost: math.NaN()}},
 		{"k too high", "uniform", Params{K: 2}},
 		{"negative sinks", "sink-uniform", Params{Sinks: -1}},
 		{"hotspot fraction high", "hotspot", Params{HotspotFraction: 1.5}},

@@ -44,6 +44,10 @@ func TestMatrixPanics(t *testing.T) {
 		"self-demand":     func() { m.Set(1, 1, 3) },
 		"negative demand": func() { m.Set(0, 1, -1) },
 		"negative scale":  func() { m.Scale(-1) },
+		"NaN demand":      func() { m.Set(0, 1, math.NaN()) },
+		"+Inf demand":     func() { m.Set(0, 1, math.Inf(1)) },
+		"NaN scale":       func() { m.Scale(math.NaN()) },
+		"+Inf scale":      func() { m.Scale(math.Inf(1)) },
 	} {
 		func() {
 			defer func() {
@@ -70,6 +74,12 @@ func TestDemandsAndColumns(t *testing.T) {
 	col := m.DemandsTo(2, nil)
 	if col[0] != 4 || col[1] != 6 || col[2] != 0 {
 		t.Fatalf("DemandsTo(2) = %v", col)
+	}
+	if c := m.Column(2); &c[0] != &m.cols[2][0] || c[0] != 4 || c[1] != 6 {
+		t.Fatalf("Column(2) = %v, want the stored column in place", c)
+	}
+	if c := m.Column(1); c != nil {
+		t.Fatalf("Column(1) = %v, want nil for a column never written", c)
 	}
 	active := m.ActiveDestinations()
 	if len(active) != 1 || active[0] != 2 {

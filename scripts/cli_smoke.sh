@@ -113,6 +113,16 @@ fi
 grep -q 'unknown objective "fastest" (load|sla)' "$bin/kind.err" || {
   cat "$bin/kind.err"; echo "FAIL: dtropt -kind fastest did not name the bad objective"; exit 1; }
 
+echo "== dtropt: non-finite instance parameters fail, naming the field"
+for pair in util:TargetUtil f:F; do
+  flag="${pair%%:*}" field="${pair#*:}"
+  if "$bin/dtropt" -budget smoke -"$flag" NaN >/dev/null 2>"$bin/nan.err"; then
+    echo "FAIL: dtropt -$flag NaN exited 0"; exit 1
+  fi
+  grep -q "$field=NaN" "$bin/nan.err" || {
+    cat "$bin/nan.err"; echo "FAIL: dtropt -$flag NaN did not name $field"; exit 1; }
+done
+
 echo "== dtropt: 10k-node hier topology with sink-limited traffic (scale path)"
 "$bin/topogen" gen -topo hier -params '{"pops":100,"routers_per_pop":100}' -quiet \
   -o "$bin/hier10k.json"
