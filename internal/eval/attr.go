@@ -2,6 +2,7 @@ package eval
 
 import (
 	"dualtopo/internal/graph"
+	"dualtopo/internal/spf"
 )
 
 // Attribution apportions an evaluated routing's objective onto individual
@@ -31,9 +32,12 @@ type Attribution struct {
 // Attribute fills a with per-arc scores for r. r must be the evaluator's
 // most recent full evaluation (so that, for SLA instances, the evaluator's
 // high-priority plan trees still sit at r's weights — the violation walk
-// follows those DAGs). The search maintains exactly this invariant for its
-// incumbent solution.
-func (e *Evaluator) Attribute(r *Result, a *Attribution) {
+// follows those DAGs).
+func (e *Evaluator) Attribute(r *Result, a *Attribution) { e.AttributeTrees(r, a, e.planH) }
+
+// AttributeTrees is Attribute over r's high-priority trees held elsewhere —
+// a search's incumbent lives in a RoutingState, whose router holds them.
+func (e *Evaluator) AttributeTrees(r *Result, a *Attribution, trees interface{ Tree(graph.NodeID) *spf.Tree }) {
 	n := e.g.NumEdges()
 	if cap(a.HScore) < n {
 		a.HScore = make([]float64, n)
@@ -66,7 +70,7 @@ func (e *Evaluator) Attribute(r *Result, a *Attribution) {
 	a.visited = a.visited[:e.g.NumNodes()]
 	pair := 0
 	for di, dest := range e.hpDests {
-		t := e.planH.Tree(dest)
+		t := trees.Tree(dest)
 		for _, src := range e.hpSrcs[di] {
 			pen := e.opts.SLA.PairPenalty(r.PairDelays[pair])
 			pair++

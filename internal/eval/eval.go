@@ -117,43 +117,25 @@ func (r *Result) LinkCost(id graph.EdgeID) cost.Lex {
 	return cost.Lex{Primary: r.LinkPhiH[id], Secondary: r.LinkPhiL[id]}
 }
 
-// UtilizationInto fills buf (reallocating only when too small) with per-arc
-// total utilization (H+L)/C and returns it. Aggregators running once per
-// trial per sweep point use this to avoid a per-call allocation.
-func (r *Result) UtilizationInto(g *graph.Graph, buf []float64) []float64 {
-	capacity := g.CSR().Capacity
-	if len(buf) < len(r.HLoads) {
-		buf = make([]float64, len(r.HLoads))
-	}
-	buf = buf[:len(r.HLoads)]
-	for i := range buf {
-		buf[i] = (r.HLoads[i] + r.LLoads[i]) / capacity[i]
-	}
-	return buf
-}
-
 // Utilization returns per-arc total utilization (H+L)/C in a fresh slice.
 func (r *Result) Utilization(g *graph.Graph) []float64 {
-	return r.UtilizationInto(g, nil)
-}
-
-// HUtilizationInto fills buf with per-arc high-priority utilization H/C.
-func (r *Result) HUtilizationInto(g *graph.Graph, buf []float64) []float64 {
 	capacity := g.CSR().Capacity
-	if len(buf) < len(r.HLoads) {
-		buf = make([]float64, len(r.HLoads))
+	u := make([]float64, len(r.HLoads))
+	for i := range u {
+		u[i] = (r.HLoads[i] + r.LLoads[i]) / capacity[i]
 	}
-	buf = buf[:len(r.HLoads)]
-	for i := range buf {
-		buf[i] = r.HLoads[i] / capacity[i]
-	}
-	return buf
+	return u
 }
 
 // HUtilization returns per-arc high-priority utilization H/C in a fresh
 // slice.
 func (r *Result) HUtilization(g *graph.Graph) []float64 {
-	return r.HUtilizationInto(g, nil)
+	capacity := g.CSR().Capacity
+	u := make([]float64, len(r.HLoads))
+	for i := range u {
+		u[i] = r.HLoads[i] / capacity[i]
+	}
+	return u
 }
 
 // AvgUtilization is the mean of Utilization — the paper's network-load
@@ -341,11 +323,8 @@ func (e *Evaluator) HighPriorityByDest() (dests []graph.NodeID, srcs [][]graph.N
 }
 
 // HPlan exposes the high-priority routing plan for read-only tree
-// inspection: after a full evaluation its per-destination trees sit at the
-// weights of that evaluation, which is what the search's routing-invariance
-// bounds and guided candidate generation consult. Callers must not route on
-// the returned plan; doing so desynchronizes it from the evaluator's next
-// fast-path evaluation.
+// inspection: after a full evaluation its trees sit at that evaluation's
+// weights. Callers must not route on it.
 func (e *Evaluator) HPlan() *spf.Plan { return e.planH }
 
 // LPlan is HPlan for the low-priority class.
@@ -456,53 +435,6 @@ func (e *instance) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
 		// back to the (always finite) approximation.
 	}
 	return e.sla.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
-}
-
-// EvaluateHWithLLoads produces a full Result after a change to the
-// high-priority weights only: the high-priority class is re-routed under wH
-// while the low-priority per-arc loads are taken from lLoads (valid because
-// WL did not change). This is the accept-refresh step of FindH.
-func (e *Evaluator) EvaluateHWithLLoads(wH spf.Weights, lLoads []float64) (*Result, error) {
-	if err := e.planH.Route(wH, e.th); err != nil {
-		return nil, err
-	}
-	r := new(Result)
-	e.finish(r, e.planH.Loads, lLoads, e.planH)
-	return r, nil
-}
-
-// EvaluateLWithBase produces a full Result after a change to the
-// low-priority weights only: the low-priority class is re-routed under wL
-// while all high-priority state (loads, residuals, delays, penalties) is
-// carried over from base. This is the accept-refresh step of FindL.
-func (e *Evaluator) EvaluateLWithBase(wL spf.Weights, base *Result) (*Result, error) {
-	if err := e.planL.Route(wL, e.tl); err != nil {
-		return nil, err
-	}
-	n := e.g.NumEdges()
-	r := &Result{
-		PhiH:          base.PhiH,
-		Lambda:        base.Lambda,
-		Violations:    base.Violations,
-		ViolationMass: base.ViolationMass,
-		HLoads:        append([]float64(nil), base.HLoads...),
-		LLoads:        append([]float64(nil), e.planL.Loads...),
-		Residual:      append([]float64(nil), base.Residual...),
-		LinkPhiH:      append([]float64(nil), base.LinkPhiH...),
-		LinkPhiL:      make([]float64, n),
-		kind:          e.opts.Kind,
-	}
-	if base.LinkDelay != nil {
-		r.LinkDelay = append([]float64(nil), base.LinkDelay...)
-	}
-	if base.PairDelays != nil {
-		r.PairDelays = append([]float64(nil), base.PairDelays...)
-	}
-	for i := 0; i < n; i++ {
-		r.LinkPhiL[i] = cost.Phi(r.LLoads[i], r.Residual[i])
-		r.PhiL += r.LinkPhiL[i]
-	}
-	return r, nil
 }
 
 // STRObjective is the STR-search fast path: both classes routed under w,

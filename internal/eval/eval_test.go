@@ -400,6 +400,10 @@ func TestExactDelayOption(t *testing.T) {
 	}
 }
 
+// TestPartialRefreshMatchesFull pins the search's incremental accept: a
+// dual-topology state moved by one class's weights (FindH's, then FindL's
+// accept) reads off an incumbent Result — refilled in place — that equals
+// EvaluateDTR at the state's weights in every field, bitwise.
 func TestPartialRefreshMatchesFull(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 71))
@@ -426,37 +430,36 @@ func TestPartialRefreshMatchesFull(t *testing.T) {
 			}
 			wH1, wH2 := randomW(g.NumEdges(), rng), randomW(g.NumEdges(), rng)
 			wL1, wL2 := randomW(g.NumEdges(), rng), randomW(g.NumEdges(), rng)
-			base, err := e.EvaluateDTR(wH1, wL1)
-			if err != nil {
-				return false
-			}
-			if opts.SLA == tight && base.ViolationMass == 0 {
-				t.Errorf("seed %d: the tight SLA left no pair violating", seed)
-				return false
-			}
-			// H-side refresh vs full evaluation.
-			viaH, err := e.EvaluateHWithLLoads(wH2, base.LLoads)
-			if err != nil {
-				return false
-			}
-			fullH, err := e.EvaluateDTR(wH2, wL1)
-			if err != nil {
-				return false
-			}
-			if !resultsEqual(viaH, fullH) {
-				return false
-			}
-			// L-side refresh vs full evaluation.
-			viaL, err := e.EvaluateLWithBase(wL2, base)
-			if err != nil {
-				return false
-			}
-			fullL, err := e.EvaluateDTR(wH1, wL2)
-			if err != nil {
-				return false
-			}
-			if !resultsEqual(viaL, fullL) {
-				return false
+			st := NewRoutingState(e, RouteDTR)
+			var inc Result
+			for _, step := range []struct {
+				class  int // the class moved; -1 for both
+				wH, wL spf.Weights
+			}{
+				{-1, wH1, wL1},   // the initial route
+				{High, wH2, wL1}, // a FindH accept
+				{Low, wH2, wL2},  // a FindL accept
+			} {
+				w := [2]spf.Weights{step.wH, step.wL}
+				if step.class >= 0 {
+					w[1-step.class] = nil // stays where it is
+				}
+				if _, err := st.Move(w); err != nil {
+					return false
+				}
+				st.ResultInto(&inc)
+				full, err := e.EvaluateDTR(step.wH, step.wL)
+				if err != nil {
+					return false
+				}
+				if opts.SLA == tight && full.ViolationMass == 0 {
+					t.Errorf("seed %d: the tight SLA left no pair violating", seed)
+					return false
+				}
+				if !resultsEqual(&inc, full) {
+					t.Errorf("seed %d, %v: the state's incumbent differs from EvaluateDTR", seed, opts.Kind)
+					return false
+				}
 			}
 		}
 		return true

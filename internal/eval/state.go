@@ -47,6 +47,10 @@ const (
 // have changed. A state that is only ever asked for ΦL (a failure sweep)
 // computes neither a ΦH nor a delay.
 //
+// A what-if (Checkpoint, one transition, reads, Revert) costs what the
+// transition changed, both ways: delays it recomputes keep their pre-images,
+// so what-if after what-if recomputes no delay twice.
+//
 // A RoutingState is not safe for concurrent use.
 type RoutingState struct {
 	in *instance
@@ -68,12 +72,14 @@ type RoutingState struct {
 	stale     []bool
 
 	// moved[c] is the moved-arc set of class c's router in the last
-	// transition (nil if it failed). Under an armed checkpoint, cpMarked
-	// lists the destinations a transition marked stale and cpDests those
-	// whose delays were recomputed. Revert needs all three.
+	// transition (nil if it failed or did not move c). Under an armed
+	// checkpoint, cpMarked lists the destinations a transition marked stale
+	// and cpDests those whose delays were recomputed, their previous delays
+	// kept in cpPair. Revert needs all four.
 	moved    [2][]graph.EdgeID
 	cpMarked []int
 	cpDests  []int
+	cpPair   [][]float64
 	diffBuf  []graph.EdgeID
 }
 
@@ -99,6 +105,16 @@ func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
 // Callers must not route on it.
 func (s *RoutingState) Router(c int) *spf.DeltaRouter { return s.dr[c] }
 
+// Reset disarms any checkpoint and makes the next transition route from
+// scratch.
+func (s *RoutingState) Reset() {
+	for _, dr := range s.dr {
+		if dr != nil {
+			dr.Reset()
+		}
+	}
+}
+
 // Valid reports whether every class the state routes holds a routed state;
 // false before the first transition and after a disconnecting one.
 func (s *RoutingState) Valid() bool {
@@ -114,8 +130,9 @@ func (s *RoutingState) Valid() bool {
 // any moved class's weights differ from its router's current setting (a
 // superset is fine). w[c] is read only for classes with a router of their
 // own; a RouteSTR state reads w[High]. A nil w[c] leaves class c's router
-// where it is, and the re-score touches only what the moved class drives: a
-// low-priority transition re-scores ΦL alone. It returns the number of arcs
+// where it is, as does a w[c] equal to its setting on every listed arc, and
+// the re-score touches only what the moved class drives: a low-priority
+// transition re-scores ΦL alone. It returns the number of arcs
 // whose loads moved, summed over the routers that succeeded. An spf.ErrNoPath
 // error means some class is disconnected (see the type comment for what
 // state that leaves); any other error leaves the state unusable.
@@ -141,6 +158,9 @@ func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff
 			s.diffBuf = spf.DiffArcs(dr.Weights(), w[c], s.diffBuf[:0])
 			changed = s.diffBuf
 		}
+		if dr.Valid() && !differs(dr.Weights(), w[c], changed) {
+			continue
+		}
 		// An invalid router routes from scratch here and reports every arc
 		// as moved, which makes the re-score below a full one.
 		moved, err := dr.Apply(w[c], changed)
@@ -161,6 +181,16 @@ func (s *RoutingState) transition(w [2]spf.Weights, changed []graph.EdgeID, diff
 		total += len(moved)
 	}
 	return total, noPath
+}
+
+// differs reports whether a and b differ on any listed arc.
+func differs(a, b spf.Weights, arcs []graph.EdgeID) bool {
+	for _, id := range arcs {
+		if a[id] != b[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // rescore recomputes the per-arc vectors that class c's loads drive on the
@@ -207,6 +237,8 @@ func (s *RoutingState) markStale(moved []graph.EdgeID) {
 
 // refreshDelays brings the pair delays of every stale destination up to
 // date. The first call allocates the delay state and computes all of it.
+// Under an armed checkpoint each recomputed destination's previous delays
+// change hands into cpPair for Revert.
 func (s *RoutingState) refreshDelays() {
 	in := s.in
 	if s.linkDelay == nil {
@@ -222,6 +254,7 @@ func (s *RoutingState) refreshDelays() {
 		}
 		s.cpMarked = make([]int, 0, len(in.hpDests))
 		s.cpDests = make([]int, 0, len(in.hpDests))
+		s.cpPair = make([][]float64, len(in.hpDests))
 	}
 	armed := s.CheckpointArmed()
 	for di, dest := range in.hpDests {
@@ -229,12 +262,16 @@ func (s *RoutingState) refreshDelays() {
 			continue
 		}
 		s.stale[di] = false
+		if armed {
+			if s.cpPair[di] == nil {
+				s.cpPair[di] = make([]float64, len(in.hpSrcs[di]))
+			}
+			s.pairDelay[di], s.cpPair[di] = s.cpPair[di], s.pairDelay[di]
+			s.cpDests = append(s.cpDests, di)
+		}
 		xi := s.dr[High].DelaysTo(dest, s.linkDelay)
 		for si, src := range in.hpSrcs[di] {
 			s.pairDelay[di][si] = xi[src]
-		}
-		if armed {
-			s.cpDests = append(s.cpDests, di)
 		}
 	}
 }
@@ -284,6 +321,32 @@ func (s *RoutingState) Penalties() (lambda float64, violations int, mass float64
 	return lambda, violations, mass
 }
 
+// ResultInto fills r, reusing its slices, with the full evaluation of the
+// state's routing read off the maintained vectors: every field is
+// bitwise-equal to what EvaluateSTRInto / EvaluateDTRInto writes at the
+// state's weights. The state must be Valid.
+func (s *RoutingState) ResultInto(r *Result) {
+	linkDelay, pairDelays := r.LinkDelay, r.PairDelays
+	*r = Result{
+		PhiH:     s.PhiH(),
+		PhiL:     s.PhiL(),
+		HLoads:   append(r.HLoads[:0], s.loads[High]...),
+		LLoads:   append(r.LLoads[:0], s.loads[Low]...),
+		Residual: append(r.Residual[:0], s.residual...),
+		LinkPhiH: append(r.LinkPhiH[:0], s.phiH()...),
+		LinkPhiL: append(r.LinkPhiL[:0], s.linkPhiL...),
+		kind:     s.in.opts.Kind,
+	}
+	if r.kind == SLABased {
+		r.Lambda, r.Violations, r.ViolationMass = s.Penalties()
+		r.LinkDelay = append(linkDelay[:0], s.linkDelay...)
+		r.PairDelays = pairDelays[:0]
+		for _, d := range s.pairDelay {
+			r.PairDelays = append(r.PairDelays, d...)
+		}
+	}
+}
+
 // MaxUtilization is the maximum per-arc total utilization (H+L)/C, equal to
 // Result.MaxUtilization.
 func (s *RoutingState) MaxUtilization() float64 {
@@ -298,9 +361,14 @@ func (s *RoutingState) MaxUtilization() float64 {
 }
 
 // Checkpoint arms a rollback point on every router so that one transition
-// can be scored and undone without recomputation. It fails on a state that
-// is not Valid.
+// can be scored and undone without recomputation. Live pair delays are
+// settled first, so that every delay the what-if recomputes has a pre-image.
+// It fails on a state that is not Valid.
 func (s *RoutingState) Checkpoint() error {
+	if s.linkDelay != nil && s.Valid() {
+		s.refreshDelays()
+	}
+	s.cpMarked, s.cpDests = s.cpMarked[:0], s.cpDests[:0]
 	for _, dr := range s.dr {
 		if dr == nil {
 			continue
@@ -326,11 +394,10 @@ func (s *RoutingState) CheckpointArmed() bool {
 // Revert rolls every router back to the armed checkpoint — recovering even a
 // class the transition disconnected — and restores the score vectors bitwise:
 // the rolled-back loads are the checkpointed loads again, so re-scoring the
-// arcs the transition moved puts every per-arc value back. The stale marks
-// come back too: a destination the transition marked but nobody read still
-// holds its checkpointed delays, while one whose delays were read in between
-// stays marked for recomputation. At most one transition may sit between
-// Checkpoint and Revert.
+// arcs the transition moved puts every per-arc value back. So do the pair
+// delays: recomputed ones get their pre-images swapped back, and no
+// destination is left stale that was not stale at Checkpoint. At most one
+// transition may sit between Checkpoint and Revert.
 func (s *RoutingState) Revert() {
 	for _, dr := range s.dr {
 		if dr != nil {
@@ -340,11 +407,14 @@ func (s *RoutingState) Revert() {
 	for c, moved := range s.moved {
 		s.rescore(c, moved)
 	}
+	// A recomputed destination the transition did not mark was stale at
+	// Checkpoint (the delays' first read): it stays stale.
+	for _, di := range s.cpDests {
+		s.pairDelay[di], s.cpPair[di] = s.cpPair[di], s.pairDelay[di]
+		s.stale[di] = true
+	}
 	for _, di := range s.cpMarked {
 		s.stale[di] = false
-	}
-	for _, di := range s.cpDests {
-		s.stale[di] = true
 	}
 	s.cpMarked, s.cpDests = s.cpMarked[:0], s.cpDests[:0]
 }

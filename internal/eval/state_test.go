@@ -396,12 +396,14 @@ func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRevertRestoresStaleMarks pins what Revert does to the delay marks when
-// the delays are armed (an SLA search's FindH reads them) and a failure sweep
-// shares the state: a destination the what-if marked stale but nobody read
-// keeps its checkpointed delays and is unmarked again, so the sweep leaves no
-// recomputation behind, while one read under the checkpoint stays marked.
-// Either way the next read is bitwise the checkpointed one.
+// TestRevertRestoresStaleMarks pins what a what-if leaves of the delays when
+// they are live (an SLA search's FindH reads them, and its candidates and a
+// failure sweep share the state): Checkpoint settles them, a destination the
+// what-if recomputed gets its pre-image back on Revert, and one it only
+// marked keeps its delays — so whether or not the what-if read Penalties, no
+// destination is stale after Revert unless it was stale at Checkpoint, and
+// the next reading is bitwise the pre-checkpoint one. A destination left
+// stale before Checkpoint is settled by it.
 func TestRevertRestoresStaleMarks(t *testing.T) {
 	e, m, ring := deltaInstance(t, 8, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
 	stale := func(st *RoutingState) int {
@@ -423,6 +425,12 @@ func TestRevertRestoresStaleMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda, viol, mass := st.Penalties()
+		same := func(what string) {
+			t.Helper()
+			if l, v, ms := st.Penalties(); math.Float64bits(l) != math.Float64bits(lambda) || v != viol || math.Float64bits(ms) != math.Float64bits(mass) {
+				t.Errorf("%s: %s: penalties (%v, %d, %v), want (%v, %d, %v)", sc.name, what, l, v, ms, lambda, viol, mass)
+			}
+		}
 		failed := [2]spf.Weights{w[High].Clone(), w[Low].Clone()}
 		failed[High][ring], failed[Low][ring] = spf.Disabled, spf.Disabled
 		whatIf := func(read bool) (marked int) {
@@ -439,17 +447,31 @@ func TestRevertRestoresStaleMarks(t *testing.T) {
 			st.Revert()
 			return marked
 		}
-		if whatIf(false) == 0 {
-			t.Fatalf("%s: the failure marked no destination stale; the test is vacuous", sc.name)
+		for _, read := range []bool{false, true, true} {
+			if whatIf(read) == 0 {
+				t.Fatalf("%s: the failure marked no destination stale; the test is vacuous", sc.name)
+			}
+			if n := stale(st); n != 0 {
+				t.Errorf("%s: %d destinations left stale by a what-if (read %v)", sc.name, n, read)
+			}
+			same(fmt.Sprintf("after a what-if (read %v)", read))
 		}
+
+		// Leave destinations stale, then what-if: Checkpoint settles them
+		// first, so Revert leaves none behind.
+		if _, err := st.Move(failed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Move(w); err != nil {
+			t.Fatal(err)
+		}
+		if stale(st) == 0 {
+			t.Fatalf("%s: a round trip through the failure marked nothing stale", sc.name)
+		}
+		whatIf(true)
 		if n := stale(st); n != 0 {
-			t.Errorf("%s: %d destinations left stale by an unread what-if", sc.name, n)
+			t.Errorf("%s: %d destinations stale after a what-if on a state left stale", sc.name, n)
 		}
-		if marked := whatIf(true); stale(st) != marked {
-			t.Errorf("%s: %d destinations stale after a read what-if, want the %d it recomputed", sc.name, stale(st), marked)
-		}
-		if l, v, ms := st.Penalties(); math.Float64bits(l) != math.Float64bits(lambda) || v != viol || math.Float64bits(ms) != math.Float64bits(mass) {
-			t.Errorf("%s: penalties after revert (%v, %d, %v), want (%v, %d, %v)", sc.name, l, v, ms, lambda, viol, mass)
-		}
+		same("after a what-if on a state left stale")
 	}
 }

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
 )
@@ -29,24 +28,30 @@ import (
 // order, and an objective bitwise-equal to the incumbent's (pinned by
 // TestPruneBoundSoundness).
 //
-// The bound is only consulted while the incumbent's plan trees are anchored
-// at the incumbent weights — which newLocalSearch guarantees for s.e in both
-// delta and full-evaluation mode — and never under Robust scoring, where
-// failure states re-route under candidate weights and intact-invariance
-// says nothing about the sweep.
+// The bound reads the incumbent's trees (incumbentTrees): the primary
+// routing state's, which sit at the incumbent between candidates, or s.e's
+// plans under FullEval, which every incumbent evaluation routes. It is never
+// consulted under Robust scoring, where failure states re-route under
+// candidate weights and intact-invariance says nothing about the sweep.
 
 // pruneOn reports whether the routing-invariance prune is active.
 func (s *localSearch) pruneOn() bool { return s.p.Prune && !s.robust() }
 
+// treeSet is a routed set of destination trees: a plan or a delta router.
+type treeSet interface {
+	Destinations() []graph.NodeID
+	Tree(graph.NodeID) *spf.Tree
+}
+
 // arcInvariant reports whether changing arc a's weight from oldW to newW
-// provably leaves every destination tree of plan intact.
-func arcInvariant(plan *spf.Plan, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
+// provably leaves every destination tree of trees intact.
+func arcInvariant(trees treeSet, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
 	if oldW == newW {
 		return true
 	}
 	u, v := csr.From[a], csr.To[a]
-	for _, dest := range plan.Destinations() {
-		t := plan.Tree(dest)
+	for _, dest := range trees.Destinations() {
+		t := trees.Tree(dest)
 		dv := int64(t.Dist[v])
 		if dv == spf.Unreachable {
 			continue // the arc leads nowhere useful for this destination
@@ -73,15 +78,12 @@ func (s *localSearch) pruneMoves(c int, moves []move) []move {
 	if !s.pruneOn() || len(moves) == 0 {
 		return moves
 	}
-	plan := s.e.HPlan()
-	if c == eval.Low {
-		plan = s.e.LPlan()
-	}
+	trees := s.incumbentTrees(c)
 	csr := s.e.Graph().CSR()
 	w := s.w[c]
 	kept := moves[:0]
 	for _, mv := range moves {
-		if arcInvariant(plan, csr, mv.up, w[mv.up], mv.wUp) && arcInvariant(plan, csr, mv.down, w[mv.down], mv.wDown) {
+		if arcInvariant(trees, csr, mv.up, w[mv.up], mv.wUp) && arcInvariant(trees, csr, mv.down, w[mv.down], mv.wDown) {
 			s.tally.pruned++
 			continue
 		}

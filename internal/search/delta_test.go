@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/obs"
 	"dualtopo/internal/spf"
 )
 
@@ -20,8 +21,8 @@ func TestDTRDeltaMatchesFullEval(t *testing.T) {
 	}{
 		{name: "plain"},
 		// Guided + pruned steps must also be mode-transparent: the prune and
-		// the attribution consult s.e's incumbent-anchored trees, which
-		// newDTRSearch keeps identical between delta and full mode.
+		// the attribution consult the incumbent's trees — the primary routing
+		// state's in delta mode, s.e's plans in full mode.
 		{name: "guided_pruned", guide: 0.7, prune: true},
 	}
 	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
@@ -188,5 +189,48 @@ func TestSearchesReproducibleOnReusedEvaluator(t *testing.T) {
 			}
 		}
 		prevDTR, prevSTR, prevPF = dr, sr, pf
+	}
+}
+
+// TestDTRRoutesFromScratchOnlyAtRefreshes pins the work of a delta-path DTR
+// search: candidates are checkpointed what-ifs and an accept applies the
+// winning move to the incumbent's routing state, so whole-tree Dijkstras
+// (spf_trees_total) happen only where the search evaluates from scratch —
+// the initial refresh, the refreshes after each routine's adoptBest and
+// after every perturbation, and the final EvaluateDTR — one tree per
+// destination of each class each time. An accept that routed a class from
+// scratch would add its destinations on top.
+func TestDTRRoutesFromScratchOnlyAtRefreshes(t *testing.T) {
+	const help = "SPF trees computed from scratch, by queue implementation."
+	trees := obs.Default().CounterVec("spf_trees_total", help, "queue")
+	total := func() int64 { return trees.With("bucket").Value() + trees.With("heap").Value() }
+	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := randomEvaluator(t, kind, 11)
+			th, tl := e.Matrices()
+			perDest := int64(len(th.ActiveDestinations()) + len(tl.ActiveDestinations()))
+			p := tinyParams() // Workers 1, Prune and Guide off
+			var perturbs, accepts int64
+			p.OnEvent = func(ev TraceEvent) {
+				switch {
+				case ev.Kind == "perturb":
+					perturbs++
+				case ev.Accepted:
+					accepts++
+				}
+			}
+			before := total()
+			if _, err := DTR(e, p); err != nil {
+				t.Fatal(err)
+			}
+			got := total() - before
+			if accepts == 0 || perturbs == 0 {
+				t.Fatalf("%d accepts, %d perturbations: the test is vacuous", accepts, perturbs)
+			}
+			if want := perDest * (1 + 2 + perturbs + 1); got != want {
+				t.Fatalf("%d full trees over %d accepts and %d perturbations, want %d: %d destinations × (initial + 2 adoptBest + %d perturb refreshes + final)",
+					got, accepts, perturbs, want, perDest, perturbs)
+			}
+		})
 	}
 }

@@ -120,6 +120,7 @@ func newDTRSearch(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*localSear
 		return nil, fmt.Errorf("search: neighborhood size m=%d exceeds %d arcs", p.Neighbors, n)
 	}
 	s := newLocalSearch(e, p, wH0, wL0)
+	s.shape = eval.RouteDTR
 	s.sampler = newRankSampler(max, p.Tau)
 	s.order = make([]graph.EdgeID, n)
 	if p.Robust.enabled() {
@@ -138,24 +139,50 @@ func newDTRSearch(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*localSear
 // refreshFull re-evaluates the current solution from scratch, including its
 // robust penalty when failure-aware scoring is on.
 func (s *localSearch) refreshFull() error {
-	s.parallelRouting(true)
-	r, err := s.e.EvaluateDTR(s.w[eval.High], s.w[eval.Low])
-	s.parallelRouting(false)
+	if !s.p.FullEval {
+		s.e.State(eval.RouteDTR).Reset()
+	}
+	err := s.evalIncumbent()
+	if err == nil && s.robust() {
+		s.curRob, err = s.robustTerm(0, s.w[eval.High], s.w[eval.Low])
+	}
+	return err
+}
+
+// evalIncumbent evaluates the incumbent into s.cur, bitwise the full
+// evaluation: under FullEval on s.e's plans, otherwise off the primary
+// routing state (worker 0's), which the incumbent lives in — resynced
+// incrementally after an accept, from scratch after a Reset.
+func (s *localSearch) evalIncumbent() error {
+	var err error
+	if s.p.FullEval {
+		s.parallelRouting(true)
+		err = s.e.EvaluateDTRInto(&s.cur, s.w[eval.High], s.w[eval.Low])
+		s.parallelRouting(false)
+	} else if err = s.resync(0); err == nil {
+		s.e.State(eval.RouteDTR).ResultInto(&s.cur)
+	}
 	if err != nil {
 		return err
 	}
 	s.evals++
 	s.fullEvals++
 	searchMet.evalsFull.Inc()
-	s.cur = r
-	s.curLex = r.Objective()
+	s.curLex = s.cur.Objective()
 	s.attrFresh = false
-	if s.robust() {
-		if s.curRob, err = s.robustTerm(0, s.w[eval.High], s.w[eval.Low]); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// incumbentTrees returns class c's trees at the incumbent: the primary
+// routing state's (findClass resyncs it first), or s.e's plans under FullEval.
+func (s *localSearch) incumbentTrees(c int) treeSet {
+	if !s.p.FullEval {
+		return s.e.State(eval.RouteDTR).Router(c)
+	}
+	if c == eval.Low {
+		return s.e.LPlan()
+	}
+	return s.e.HPlan()
 }
 
 // stepClass performs one FindH (c = eval.High) or FindL (c = eval.Low)
@@ -202,8 +229,12 @@ func (s *localSearch) adoptBest() {
 // ones, score the rest, and accept the best if it improves the incumbent
 // under the (composite) lexicographic objective. FindL candidates carry the
 // incumbent's primary unchanged, so for them the comparison is on ΦL alone.
-// Reports whether a move was accepted.
+// An accept applies the winning move to the primary routing state and reads
+// the new incumbent off it. Reports whether a move was accepted.
 func (s *localSearch) findClass(c int) bool {
+	if s.err = s.resync(0); s.err != nil { // a failure sweep may have moved it
+		return false
+	}
 	guided := s.useGuided()
 	s.rankLinks(c, guided)
 	moves := s.pruneMoves(c, s.buildNeighbors(c, guided))
@@ -212,17 +243,8 @@ func (s *localSearch) findClass(c int) bool {
 	}
 	// robustAdd[i] is candidate i's failure penalty, 0 unless robust.
 	s.robustAdd = append(s.robustAdd[:0], make([]float64, len(moves))...)
-	lexes := s.evalCandidates(c, moves, func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
-		lx, err := s.score(c, wk, w, changed)
-		// A candidate whose primary objective is already worse than the
-		// incumbent's can never be selected (the composite only touches the
-		// secondary), so its failure sweep would be pure waste.
-		if err == nil && s.robust() && !(lx.Primary > s.curLex.Primary) {
-			ws := s.w
-			ws[c] = w
-			s.robustAdd[i], err = s.robustTerm(wk, ws[eval.High], ws[eval.Low])
-		}
-		return lx, err
+	lexes := s.evalCandidates(c, moves, func(wk, _ int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
+		return s.score(c, wk, w, changed)
 	})
 	if s.err != nil {
 		return false
@@ -241,32 +263,19 @@ func (s *localSearch) findClass(c int) bool {
 	moves[bestIdx].apply(s.w[c])
 	s.curRob = s.robustAdd[bestIdx]
 	s.noteChange(c, moves[bestIdx].appendArcs(nil))
-	s.parallelRouting(true)
-	var r *eval.Result
-	var err error
-	if c == eval.High {
-		r, err = s.e.EvaluateHWithLLoads(s.w[c], s.cur.LLoads)
-	} else {
-		r, err = s.e.EvaluateLWithBase(s.w[c], s.cur)
-	}
-	s.parallelRouting(false)
-	if err != nil {
-		s.err = err
+	if s.err = s.evalIncumbent(); s.err != nil {
 		return false
 	}
-	s.evals++
-	s.fullEvals++
-	searchMet.evalsFull.Inc()
 	s.tally.accepted = true
-	if s.p.VerifyDelta && !s.p.FullEval && lexes[bestIdx] != r.Objective() {
-		s.err = fmt.Errorf("search: delta/full mismatch on %s accept: delta %+v, full %+v",
-			[2]string{"FindH", "FindL"}[c], lexes[bestIdx], r.Objective())
-		return false
+	if s.p.VerifyDelta && !s.p.FullEval {
+		full, err := s.e.EvaluateDTR(s.w[eval.High], s.w[eval.Low])
+		if err == nil && (lexes[bestIdx] != full.Objective() || s.curLex != full.Objective()) {
+			err = fmt.Errorf("search: delta/full mismatch on %s accept: delta %+v, incumbent %+v, full %+v",
+				[2]string{"FindH", "FindL"}[c], lexes[bestIdx], s.curLex, full.Objective())
+		}
+		s.err = err
 	}
-	s.cur = r
-	s.curLex = r.Objective()
-	s.attrFresh = false
-	return true
+	return s.err == nil
 }
 
 // score evaluates candidate weights w of class c on worker wk: FindH routes

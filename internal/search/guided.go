@@ -1,6 +1,9 @@
 package search
 
-import "dualtopo/internal/spf"
+import (
+	"dualtopo/internal/eval"
+	"dualtopo/internal/spf"
+)
 
 // Link-guided candidate generation: a guided step ranks arcs by the
 // incumbent's arc attribution (per-arc ΦH / SLA violation mass for FindH,
@@ -33,11 +36,10 @@ func (s *localSearch) useGuided() bool {
 
 // ensureAttr refreshes the cached arc attribution of the incumbent. The
 // cache is invalidated whenever the incumbent solution moves (accepts,
-// diversification refreshes); s.e's plans are anchored at the incumbent at
-// those points, which is the Attribute contract.
+// diversification refreshes). The violation walk follows incumbentTrees.
 func (s *localSearch) ensureAttr() {
 	if !s.attrFresh {
-		s.e.Attribute(s.cur, &s.attr)
+		s.e.AttributeTrees(&s.cur, &s.attr, s.incumbentTrees(eval.High))
 		s.attrFresh = true
 	}
 }

@@ -57,7 +57,10 @@ func TestGuidedCandidatesAreLegalMoves(t *testing.T) {
 						t.Fatalf("candidate %d moves outside ±Step within [1,%d]: %+v from (%d,%d)",
 							ci, p.WMax, mv, wH[mv.up], wH[mv.down])
 					}
-					cw, _ := s.candidate(eval.High, 0, mv)
+					cw, _, err := s.candidate(eval.High, 0, mv)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for a := 0; a < n; a++ {
 						want := wH[a]
 						switch graph.EdgeID(a) {

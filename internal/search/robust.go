@@ -17,10 +17,9 @@ import (
 //
 // over the fixed surviving states f, each evaluated through the resilience
 // sweep engine (disable → delta objective → revert) on the DTR state of the
-// worker's own pool evaluator — the state its FindH/FindL delta scoring
-// drives. A sweep moves that state to the candidate's weights, and the
-// pending-arc bookkeeping only ever asks for a superset of the difference,
-// so the next delta score routes from there. The primary objective stays nominal: robustness is a
+// worker's own pool evaluator, after the candidate's what-if; the move's
+// arcs stay pending, so the worker's next resync routes back from where the
+// sweep left the state. The primary objective stays nominal: robustness is a
 // low-priority concern by the paper's construction (§5's robustness story is
 // about how gracefully ΦL degrades). Because every sweep is a pure function
 // of (candidate weights, states), robust scores — and therefore the search

@@ -27,10 +27,11 @@ type localSearch struct {
 	// (eval.High, eval.Low). STR routes both classes on w[eval.High] and
 	// leaves w[eval.Low] nil.
 	w, best [2]spf.Weights
-	cur     *eval.Result // DTR incumbent evaluation
+	cur     eval.Result // DTR incumbent evaluation, refilled in place
 	curLex  cost.Lex
 	bestLex cost.Lex
-	str     *strState // STR-only state; nil for DTR
+	str     *strState  // STR-only state; nil for DTR
+	shape   eval.Shape // the routing state the delta path drives; DTR sets it
 
 	order []graph.EdgeID // scratch: links sorted by decreasing cost
 	aSet  []graph.EdgeID // scratch: high-cost picks
@@ -39,14 +40,14 @@ type localSearch struct {
 
 	// Candidates are moves, materialized per worker: scratch[c][wk] is worker
 	// wk's weight vector for class c, and pending[c][wk] conservatively lists
-	// the arcs on which that vector — and the worker's incremental router,
-	// which sits at the same weights — may differ from the incumbent w[c]:
-	// the worker's last candidate plus every incumbent move (accept,
-	// perturbation, routine transition) since. A candidate resyncs the
-	// scratch on the pending arcs, applies its move, passes pending ∪ move
-	// arcs to the delta path as its changed set, and resets pending to the
-	// move's arcs. The Objective*Delta superset contract holds by
-	// construction; FullEval keeps the list for the scratch alone.
+	// the arcs on which that vector — or the worker's routing state of shape
+	// s.shape — may differ from the incumbent w[c]: the worker's last
+	// candidate plus every incumbent move (accept, perturbation, routine
+	// transition) since. A candidate resyncs both to the incumbent on the
+	// pending arcs (a no-op for the state unless the incumbent moved or a
+	// sweep left it elsewhere), then scores its move as a what-if (see
+	// evalCandidates), leaving pending at the move's arcs. FullEval resyncs the
+	// scratch alone.
 	scratch  [2][]spf.Weights
 	pending  [2][][]graph.EdgeID
 	mergeBuf [][]graph.EdgeID
@@ -125,8 +126,9 @@ func newLocalSearch(e *eval.Evaluator, p Params, w0 ...spf.Weights) *localSearch
 	if p.FullEval {
 		// Full candidate scoring routes worker 0's plans at candidate
 		// weights, so it gets a clone: s.e's plans stay anchored at the
-		// incumbent, as in delta mode, for the prune and the guided
-		// attribution — both modes decide identically, bitwise.
+		// incumbent for the prune and the guided attribution, as s.e's
+		// routing state does on the delta path — both modes decide
+		// identically, bitwise.
 		s.pool[0] = e.Clone()
 	}
 	for i := 1; i < workers; i++ {
@@ -229,23 +231,48 @@ func (s *localSearch) emit(routine, iter int, kind string, improved bool) {
 	})
 }
 
-// candidate turns mv into worker wk's scratch vector for class c and returns
-// it with the changed-arc set for the delta path; see localSearch.scratch.
-// The returned slices are valid until the worker's next candidate.
-func (s *localSearch) candidate(c, wk int, mv move) (spf.Weights, []graph.EdgeID) {
-	w, inc, pending := s.scratch[c][wk], s.w[c], s.pending[c][wk]
-	for _, a := range pending {
-		w[a] = inc[a]
+// resync brings worker wk's scratch vectors and routing state to the
+// incumbent on its pending arcs, and clears them. An unrouted (or Reset)
+// state routes from scratch here.
+func (s *localSearch) resync(wk int) error {
+	var w [2]spf.Weights
+	merged := s.mergeBuf[wk][:0]
+	for c, pending := range s.pending {
+		if pending == nil {
+			continue // STR's low class
+		}
+		w[c] = s.scratch[c][wk]
+		for _, a := range pending[wk] {
+			w[c][a] = s.w[c][a]
+		}
+		merged = append(merged, pending[wk]...)
+		pending[wk] = pending[wk][:0]
 	}
+	s.mergeBuf[wk] = merged
+	if s.p.FullEval {
+		return nil
+	}
+	_, err := s.pool[wk].State(s.shape).Apply(w, merged)
+	return err
+}
+
+// candidate resyncs worker wk and turns mv into its scratch vector for class
+// c, returning it with the move's arcs. Both are valid until the worker's
+// next candidate.
+func (s *localSearch) candidate(c, wk int, mv move) (spf.Weights, []graph.EdgeID, error) {
+	if err := s.resync(wk); err != nil {
+		return nil, nil, err
+	}
+	w := s.scratch[c][wk]
 	mv.apply(w)
-	s.mergeBuf[wk] = mv.appendArcs(append(s.mergeBuf[wk][:0], pending...))
-	s.pending[c][wk] = mv.appendArcs(pending[:0])
-	return w, s.mergeBuf[wk]
+	s.pending[c][wk] = mv.appendArcs(s.pending[c][wk])
+	s.mergeBuf[wk] = mv.appendArcs(s.mergeBuf[wk][:0])
+	return w, s.mergeBuf[wk], nil
 }
 
 // noteChange records that the incumbent of class c moved on the given arcs:
-// every worker's scratch and router for c are stale there until its next
-// candidate.
+// every worker's scratch and state for c are stale there until its next
+// resync.
 func (s *localSearch) noteChange(c int, arcs []graph.EdgeID) {
 	for wk := range s.pending[c] {
 		s.pending[c][wk] = append(s.pending[c][wk], arcs...)
@@ -254,18 +281,38 @@ func (s *localSearch) noteChange(c int, arcs []graph.EdgeID) {
 
 // evalCandidates scores every move of class c, in parallel when the search
 // has more than one worker. Each worker owns its evaluator (and that
-// evaluator's incremental routers) and its scratch vectors, so the delta
-// paths parallelize without sharing. fn scores candidate i, materialized as
-// w with the given changed set, on worker wk. Results are reduced in
-// candidate order, keeping the search deterministic regardless of
+// evaluator's routing states) and its scratch vectors, so the delta paths
+// parallelize without sharing. score scores candidate i, materialized as w
+// with the move's arcs as its changed set, on worker wk: on the delta path
+// as a what-if on the worker's routing state, between a Checkpoint and a
+// Revert to the incumbent. A failure sweep drives the same state, so it runs
+// after the Revert. Results are reduced in candidate order, keeping the
+// search deterministic regardless of
 // scheduling; the returned slice is valid until the next call.
-func (s *localSearch) evalCandidates(c int, moves []move, fn func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error)) []cost.Lex {
+func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error)) []cost.Lex {
 	n := len(moves)
 	s.lexes = append(s.lexes[:0], make([]cost.Lex, n)...)
 	s.errs = append(s.errs[:0], make([]error, n)...)
 	run := func(wk, i int) {
-		w, changed := s.candidate(c, wk, moves[i])
-		s.lexes[i], s.errs[i] = fn(wk, i, w, changed)
+		w, changed, err := s.candidate(c, wk, moves[i])
+		if err == nil && !s.p.FullEval {
+			st := s.pool[wk].State(s.shape)
+			if err = st.Checkpoint(); err == nil {
+				s.lexes[i], err = score(wk, i, w, changed)
+				st.Revert()
+			}
+		} else if err == nil {
+			s.lexes[i], err = score(wk, i, w, changed)
+		}
+		// A candidate whose primary objective is already worse than the
+		// incumbent's can never be selected (the composite only touches the
+		// secondary), so its failure sweep would be pure waste.
+		if err == nil && s.robust() && !(s.lexes[i].Primary > s.curLex.Primary) {
+			ws := s.w
+			ws[c] = w
+			s.robustAdd[i], err = s.robustTerm(wk, ws[eval.High], ws[eval.Low])
+		}
+		s.errs[i] = err
 	}
 	// Worker wk takes candidates wk, wk+workers, ...; the coordinating
 	// goroutine is worker 0.

@@ -108,17 +108,18 @@ type DeltaRouter struct {
 	stats DeltaStats
 }
 
-// destSave is one destination's checkpointed routing state: a deep tree
-// copy (the tree's flat arrays copy with three memmoves) plus, per matrix,
-// the support list and its load values.
+// destSave is one destination's checkpointed routing state: the tree's
+// arrays plus, per matrix, the support list and its load values. Only Dist
+// is copied; every other array is the one the Apply replaced, handed over by
+// swap, and Revert swaps them all back. Order is saved once it moves.
 type destSave struct {
-	dest      graph.NodeID
-	dist      []int32
-	order     []graph.NodeID
-	nextStart []int32
-	nextArcs  []graph.EdgeID
-	sup       [][]graph.EdgeID
-	vals      [][]float64
+	dist       []int32
+	order      []graph.NodeID
+	orderSaved bool
+	nextStart  []int32
+	nextArcs   []graph.EdgeID
+	sup        [][]graph.EdgeID
+	vals       [][]float64
 }
 
 // NewDeltaRouter prepares incremental routing state for the union of
@@ -388,11 +389,24 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		}
 	}
 	for _, di := range r.dirtyList {
-		r.saveDest(di)
 		for mi := range r.tms {
 			mark(r.supports[di][mi])
 		}
+		first := r.saveDest(di)
 		resettled := r.comp.TreeUpdate(r.w, &r.trees[di], raised, lowered)
+		// The arrays the update replaced sit in its double buffer: the flat
+		// DAG and (once it moves) Order complete di's pre-image.
+		if r.cpActive {
+			ds, u := &r.cpDest[di], &r.comp.upd
+			if first {
+				ds.nextStart, u.newStart = u.newStart, ds.nextStart
+				ds.nextArcs, u.newArcs = u.newArcs, ds.nextArcs
+			}
+			if u.orderMoved && !ds.orderSaved {
+				ds.order, u.newOrder = u.newOrder, ds.order
+				ds.orderSaved = true
+			}
+		}
 		if sampled {
 			met.resettled.Observe(float64(resettled))
 		}
@@ -454,9 +468,9 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 // can restore it bitwise without recomputation. The capture is lazy: only
 // the weight and aggregate-load vectors are copied now (O(arcs)); each
 // destination's tree and per-destination loads are saved the first time an
-// Apply dirties it. This turns the failure-sweep repair step — and recovery
-// from a disconnecting failure — into a support-sized memcpy instead of a
-// Dijkstra-and-reaggregate pass (or a full fallback route).
+// Apply dirties it, mostly by taking the arrays the Apply replaces. This
+// turns the undo of a what-if — even a disconnecting failure — into a
+// support-sized swap instead of a Dijkstra-and-reaggregate pass.
 //
 // A checkpoint stays armed until Revert, a new Checkpoint (which re-bases
 // it), or a full Route (which makes it stale and disarms it).
@@ -486,29 +500,27 @@ func (r *DeltaRouter) Checkpoint() error {
 	return nil
 }
 
-// saveDest records destination di's pre-image on first dirtying after a
-// Checkpoint.
-func (r *DeltaRouter) saveDest(di int) {
+// saveDest starts destination di's pre-image on its first dirtying after a
+// Checkpoint, before its tree update, and reports whether it did. The
+// support lists change hands: routeDest refills the previous pre-image's.
+func (r *DeltaRouter) saveDest(di int) bool {
 	if !r.cpActive || r.cpSaved[di] {
-		return
+		return false
 	}
 	r.cpSaved[di] = true
 	r.cpSavedList = append(r.cpSavedList, di)
 	ds := &r.cpDest[di]
-	t := &r.trees[di]
-	ds.dest = t.Dest
-	ds.dist = append(ds.dist[:0], t.Dist...)
-	ds.order = append(ds.order[:0], t.Order...)
-	ds.nextStart = append(ds.nextStart[:0], t.NextStart...)
-	ds.nextArcs = append(ds.nextArcs[:0], t.NextArcs...)
+	ds.dist = append(ds.dist[:0], r.trees[di].Dist...)
+	ds.orderSaved = false
 	if ds.sup == nil {
 		ds.sup = make([][]graph.EdgeID, len(r.tms))
 		ds.vals = make([][]float64, len(r.tms))
 	}
 	for mi := range r.tms {
-		ds.sup[mi] = append(ds.sup[mi][:0], r.supports[di][mi]...)
-		ds.vals[mi] = append(ds.vals[mi][:0], r.vals[di][mi]...)
+		ds.sup[mi], r.supports[di][mi] = r.supports[di][mi], ds.sup[mi]
+		ds.vals[mi], r.vals[di][mi] = r.vals[di][mi], ds.vals[mi]
 	}
+	return true
 }
 
 // CheckpointArmed reports whether a Checkpoint is armed — captured and not
@@ -540,16 +552,14 @@ func (r *DeltaRouter) Revert() {
 	r.stats.Reverts++
 	met.reverts.Inc()
 	for _, di := range r.cpSavedList {
-		ds := &r.cpDest[di]
-		t := &r.trees[di]
-		t.Dest = ds.dest
-		t.Dist = append(t.Dist[:0], ds.dist...)
-		t.NextStart = append(t.NextStart[:0], ds.nextStart...)
-		t.NextArcs = append(t.NextArcs[:0], ds.nextArcs...)
-		t.Order = append(t.Order[:0], ds.order...)
+		ds, t := &r.cpDest[di], &r.trees[di]
+		t.Dist, ds.dist = ds.dist, t.Dist
+		t.NextStart, ds.nextStart = ds.nextStart, t.NextStart
+		t.NextArcs, ds.nextArcs = ds.nextArcs, t.NextArcs
+		if ds.orderSaved {
+			t.Order, ds.order = ds.order, t.Order
+		}
 		for mi := range r.tms {
-			// The pre-image buffers are free until the next saveDest, so
-			// the restore is a swap, not a copy.
 			r.supports[di][mi], ds.sup[mi] = ds.sup[mi], r.supports[di][mi]
 			r.vals[di][mi], ds.vals[mi] = ds.vals[mi], r.vals[di][mi]
 		}

@@ -21,13 +21,15 @@ type updateScratch struct {
 	rebuild   []bool // per node: Next run must be rebuilt
 	cList     []graph.NodeID
 	rList     []graph.NodeID
-	newOrder  []graph.NodeID
 	settled   []graph.NodeID
-	// newStart/newArcs double-buffer the flat ECMP rebuild; they swap with
-	// the tree's own arrays each call, so the rebuild is allocation-free
-	// once warm.
-	newStart []int32
-	newArcs  []graph.EdgeID
+	// newStart/newArcs double-buffer the flat ECMP rebuild and newOrder the
+	// Order merge (rewritten iff orderMoved): each swaps with the tree's
+	// array, so an update is allocation-free once warm and leaves the old
+	// array behind, where a checkpointed DeltaRouter takes it as a pre-image.
+	newStart   []int32
+	newArcs    []graph.EdgeID
+	newOrder   []graph.NodeID
+	orderMoved bool
 }
 
 func (s *updateScratch) ensure(n, m int) {
@@ -132,7 +134,8 @@ func (c *Computer) TreeUpdate(w Weights, t *Tree, raised, lowered []graph.EdgeID
 		}
 	}
 	s.settled = s.settled[:0]
-	if len(s.cList) > 0 || h.len() > 0 {
+	s.orderMoved = len(s.cList) > 0 || h.len() > 0
+	if s.orderMoved {
 		c.resettle(w, t, s)
 	}
 
@@ -167,10 +170,8 @@ func (c *Computer) TreeUpdate(w Weights, t *Tree, raised, lowered []graph.EdgeID
 	// downstream offset, so the flat layout cannot patch in place, but maximal
 	// spans of consecutive kept nodes are moved with a single copy and an
 	// offset shift, making the compaction one memmove per rebuild-set boundary
-	// plus an O(n) integer pass — not per-node slice work. (Checkpointed
-	// sweeps already pay this order per dirty destination in saveDest; what
-	// the flat layout buys back is zero-alloc contiguous iteration on every
-	// hot pass.)
+	// plus an O(n) integer pass — not per-node slice work. The old arrays
+	// stay behind in the double buffer (see updateScratch).
 	newStart := s.newStart[:n+1]
 	newArcs := s.newArcs[:0]
 	oldStart, oldArcs := t.NextStart, t.NextArcs
@@ -259,5 +260,5 @@ func (c *Computer) resettle(w Weights, t *Tree, s *updateScratch) {
 		s.newOrder = append(s.newOrder, u)
 	}
 	s.newOrder = append(s.newOrder, s.settled[si:]...)
-	t.Order = append(t.Order[:0], s.newOrder...)
+	t.Order, s.newOrder = s.newOrder, t.Order
 }
