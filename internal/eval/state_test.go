@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualtopo/internal/cost"
@@ -425,31 +426,64 @@ func TestRevertRestoresStaleMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda, viol, mass := st.Penalties()
+		var delays [][]float64
+		for _, d := range st.pairDelay {
+			delays = append(delays, slices.Clone(d))
+		}
 		same := func(what string) {
 			t.Helper()
 			if l, v, ms := st.Penalties(); math.Float64bits(l) != math.Float64bits(lambda) || v != viol || math.Float64bits(ms) != math.Float64bits(mass) {
 				t.Errorf("%s: %s: penalties (%v, %d, %v), want (%v, %d, %v)", sc.name, what, l, v, ms, lambda, viol, mass)
 			}
+			for di, d := range st.pairDelay {
+				if !bitsEqual(d, delays[di]) {
+					t.Errorf("%s: %s: pair delays to destination %d differ from the pre-checkpoint ones", sc.name, what, di)
+				}
+			}
 		}
-		failed := [2]spf.Weights{w[High].Clone(), w[Low].Clone()}
-		failed[High][ring], failed[Low][ring] = spf.Disabled, spf.Disabled
-		whatIf := func(read bool) (marked int) {
+		moved := func() bool { // whether some pair delay differs from delays
+			for di, d := range st.pairDelay {
+				if !bitsEqual(d, delays[di]) {
+					return true
+				}
+			}
+			return false
+		}
+		var failed [2]spf.Weights
+		// whatIf fails arc a in every class, reads the delays if asked, and
+		// reverts, reporting how many destinations the failure marked and
+		// whether the read moved a pair delay.
+		whatIf := func(a int, read bool) (marked int, changed bool, err error) {
+			failed = [2]spf.Weights{w[High].Clone(), w[Low].Clone()}
+			failed[High][a], failed[Low][a] = spf.Disabled, spf.Disabled
 			if err := st.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := st.Apply(failed, []graph.EdgeID{graph.EdgeID(ring)}); err != nil {
-				t.Fatal(err)
-			}
-			marked = stale(st)
-			if read {
-				st.Penalties()
+			if _, err = st.Apply(failed, []graph.EdgeID{graph.EdgeID(a)}); err == nil {
+				marked = stale(st)
+				if read {
+					st.Penalties()
+					changed = moved()
+				}
 			}
 			st.Revert()
-			return marked
+			return marked, changed, err
 		}
+		// A failure whose what-if moves a pair delay makes the restore
+		// observable; disconnecting ones are reverted too.
+		arc := -1
+		for a := ring; a < m && arc < 0; a++ {
+			if _, changed, err := whatIf(a, true); err == nil && changed {
+				arc = a
+			}
+		}
+		if arc < 0 {
+			t.Fatalf("%s: no single failure moves a pair delay; the test is vacuous", sc.name)
+		}
+		same("after the failures tried")
 		for _, read := range []bool{false, true, true} {
-			if whatIf(read) == 0 {
-				t.Fatalf("%s: the failure marked no destination stale; the test is vacuous", sc.name)
+			if marked, _, err := whatIf(arc, read); err != nil || marked == 0 {
+				t.Fatalf("%s: failing arc %d marked %d destinations (%v)", sc.name, arc, marked, err)
 			}
 			if n := stale(st); n != 0 {
 				t.Errorf("%s: %d destinations left stale by a what-if (read %v)", sc.name, n, read)
@@ -468,7 +502,7 @@ func TestRevertRestoresStaleMarks(t *testing.T) {
 		if stale(st) == 0 {
 			t.Fatalf("%s: a round trip through the failure marked nothing stale", sc.name)
 		}
-		whatIf(true)
+		whatIf(arc, true)
 		if n := stale(st); n != 0 {
 			t.Errorf("%s: %d destinations stale after a what-if on a state left stale", sc.name, n)
 		}

@@ -21,8 +21,8 @@ type DTRResult struct {
 	Best cost.Lex
 	// Evaluations counts objective evaluations performed.
 	Evaluations int64
-	// DeltaEvals and FullEvals split Evaluations between the incremental
-	// candidate paths and from-scratch evaluations.
+	// DeltaEvals counts candidates scored on the delta path; FullEvals the
+	// rest: incumbent evaluations (refreshes, accepts) and FullEval ones.
 	DeltaEvals, FullEvals int64
 	// Pruned counts candidates discarded by the routing-invariance bound
 	// before any evaluation (Params.Prune).

@@ -46,8 +46,8 @@ type localSearch struct {
 	// transition) since. A candidate resyncs both to the incumbent on the
 	// pending arcs (a no-op for the state unless the incumbent moved or a
 	// sweep left it elsewhere), then scores its move as a what-if (see
-	// evalCandidates), leaving pending at the move's arcs. FullEval resyncs the
-	// scratch alone.
+	// evalCandidates), leaving pending at the move's arcs. FullEval resyncs
+	// the scratch alone.
 	scratch  [2][]spf.Weights
 	pending  [2][][]graph.EdgeID
 	mergeBuf [][]graph.EdgeID
@@ -265,9 +265,8 @@ func (s *localSearch) candidate(c, wk int, mv move) (spf.Weights, []graph.EdgeID
 	}
 	w := s.scratch[c][wk]
 	mv.apply(w)
-	s.pending[c][wk] = mv.appendArcs(s.pending[c][wk])
-	s.mergeBuf[wk] = mv.appendArcs(s.mergeBuf[wk][:0])
-	return w, s.mergeBuf[wk], nil
+	s.pending[c][wk] = mv.appendArcs(s.pending[c][wk]) // empty after resync
+	return w, s.pending[c][wk], nil
 }
 
 // noteChange records that the incumbent of class c moved on the given arcs:
@@ -287,22 +286,22 @@ func (s *localSearch) noteChange(c int, arcs []graph.EdgeID) {
 // as a what-if on the worker's routing state, between a Checkpoint and a
 // Revert to the incumbent. A failure sweep drives the same state, so it runs
 // after the Revert. Results are reduced in candidate order, keeping the
-// search deterministic regardless of
-// scheduling; the returned slice is valid until the next call.
+// search deterministic regardless of scheduling; the returned slice is valid
+// until the next call.
 func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error)) []cost.Lex {
 	n := len(moves)
 	s.lexes = append(s.lexes[:0], make([]cost.Lex, n)...)
 	s.errs = append(s.errs[:0], make([]error, n)...)
 	run := func(wk, i int) {
 		w, changed, err := s.candidate(c, wk, moves[i])
-		if err == nil && !s.p.FullEval {
+		if err == nil && s.p.FullEval {
+			s.lexes[i], err = score(wk, i, w, changed)
+		} else if err == nil {
 			st := s.pool[wk].State(s.shape)
 			if err = st.Checkpoint(); err == nil {
 				s.lexes[i], err = score(wk, i, w, changed)
 				st.Revert()
 			}
-		} else if err == nil {
-			s.lexes[i], err = score(wk, i, w, changed)
 		}
 		// A candidate whose primary objective is already worse than the
 		// incumbent's can never be selected (the composite only touches the

@@ -42,8 +42,8 @@ type TraceEvent struct {
 	// after the step; Primary is ΦH for load-based searches, Λ for SLA.
 	BestPrimary float64 `json:"best_primary"`
 	BestPhiL    float64 `json:"best_phi_l"`
-	// DeltaEvals and FullEvals split the cumulative evaluation count between
-	// the incremental and from-scratch paths.
+	// DeltaEvals and FullEvals split the cumulative evaluation count as
+	// DTRResult's do.
 	DeltaEvals int64 `json:"delta_evals"`
 	FullEvals  int64 `json:"full_evals"`
 }
