@@ -179,6 +179,9 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 		"dtr/sla-fulleval-guided-pruned": goldenDTR(t, eval.SLABased, 37, func(_ *eval.Evaluator, p *Params) {
 			p.FullEval, p.Guide, p.Prune = true, 0.7, true
 		}),
+		"dtr/sla-guided-pruned": goldenDTR(t, eval.SLABased, 37, func(_ *eval.Evaluator, p *Params) {
+			p.Guide, p.Prune = 0.7, true
+		}),
 		"dtr/guided-pruned-w3": goldenDTR(t, eval.LoadBased, 23, func(_ *eval.Evaluator, p *Params) {
 			p.Guide, p.Prune, p.Workers = 0.7, true, 3
 		}),
