@@ -435,29 +435,25 @@ func BenchmarkDeltaVsFullRoute(b *testing.B) {
 	})
 }
 
-// BenchmarkDTRSearch pins the Algorithm 1 search cost with incremental
-// candidate evaluation (default) against forced full evaluation, allocation
-// counts included.
+// BenchmarkDTRSearch pins the Algorithm 1 search cost, every candidate
+// scored as a what-if on a routing state, allocation counts included.
 func BenchmarkDTRSearch(b *testing.B) {
-	for _, mode := range []string{"delta", "full"} {
-		b.Run(mode, func(b *testing.B) {
-			ev := benchInstance(b, dualtopo.LoadBased)
-			p := dualtopo.DTRDefaults()
-			p.N, p.K, p.M, p.Workers = 300, 200, 80, 1
-			p.FullEval = mode == "full"
-			var phiL float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := dualtopo.OptimizeDTR(ev, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				phiL = res.Result.PhiL
+	b.Run("delta", func(b *testing.B) {
+		ev := benchInstance(b, dualtopo.LoadBased)
+		p := dualtopo.DTRDefaults()
+		p.N, p.K, p.M, p.Workers = 300, 200, 80, 1
+		var phiL float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := dualtopo.OptimizeDTR(ev, p)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(phiL, "PhiL")
-		})
-	}
+			phiL = res.Result.PhiL
+		}
+		b.ReportMetric(phiL, "PhiL")
+	})
 }
 
 // BenchmarkDTRSearchGuided pins the guided-search speedup on the 500-node

@@ -11,7 +11,6 @@
 //	dtrfail -kind link -count 2 -robust
 //	dtrfail -kind srlg -srlgs "0,1,2;3,4"
 //	dtrfail -mode verify        # assert delta == full on every state
-//	dtrfail -mode full          # timing baseline: full re-evaluation
 //
 // Note on -kind node: a node failure strands every demand sourced at or
 // destined to the failed node, and the bundled instances give every node
@@ -59,8 +58,8 @@ func main() {
 	sample := flag.Int("sample", 0, "seeded uniform sample of states (0 = all)")
 	fseed := flag.Uint64("fseed", 1, "failure sampling seed")
 	robust := flag.Bool("robust", false, "make the DTR search failure-aware (scored on the same model)")
-	mode := flag.String("mode", "delta", "sweep mode: delta|full|verify")
-	routeWorkers := flag.Int("route-workers", 0, "SPF workers for full/verify evaluations: 0 = auto, 1 = sequential, n > 1 = fixed (results are identical)")
+	mode := flag.String("mode", "delta", "sweep mode: delta|verify (verify re-evaluates every state from scratch too)")
+	routeWorkers := flag.Int("route-workers", 0, "SPF workers for the from-scratch evaluations of verify mode: 0 = auto, 1 = sequential, n > 1 = fixed (results are identical)")
 	guide := flag.Float64("guide", 0, "guided-step probability in [0,1] for the DTR search (0 = paper's blind sampling)")
 	prune := flag.Bool("prune", false, "enable the routing-invariance candidate prune in the DTR search")
 	var obsCLI obs.CLI
@@ -101,12 +100,10 @@ func main() {
 	var opts resilience.Options
 	switch *mode {
 	case "delta":
-	case "full":
-		opts.FullEval = true
 	case "verify":
 		opts.Verify = true
 	default:
-		log.Fatalf("unknown mode %q (delta|full|verify)", *mode)
+		log.Fatalf("unknown mode %q (delta|verify)", *mode)
 	}
 
 	spec := instance.Spec{

@@ -417,10 +417,6 @@ type (
 	FailureModel = resilience.Model
 	// FailureState is one failure state: the arcs that go down together.
 	FailureState = resilience.State
-	// FailureSamples holds both schemes' per-state ΦL degradation factors.
-	FailureSamples = resilience.Samples
-	// FailureSummary condenses FailureSamples for records and aggregates.
-	FailureSummary = resilience.Summary
 	// RobustParams makes the DTR search failure-aware.
 	RobustParams = search.RobustParams
 	// RobustScore reports a robust search's failure-aware solution metrics.
@@ -429,8 +425,6 @@ type (
 
 // Experiments (§5).
 type (
-	// Experiment runs one of the paper's tables or figures.
-	Experiment = experiments.Runner
 	// ExperimentReport is a rendered experiment outcome.
 	ExperimentReport = experiments.Report
 	// ExperimentPreset scales search budgets.

@@ -134,9 +134,6 @@ func (s SLA) PairPenalty(xiMs float64) float64 {
 	return s.PenaltyA + s.PenaltyB*(xiMs-s.ThetaMs)
 }
 
-// Violated reports whether a pair with expected delay xiMs breaks the SLA.
-func (s SLA) Violated(xiMs float64) bool { return xiMs > s.ThetaMs }
-
 // Relaxed returns a copy of s with the delay bound loosened to (1+eps)·θ,
 // the STR relaxation of §3.3.2 / §5.3.2.
 func (s SLA) Relaxed(eps float64) SLA {

@@ -10,14 +10,24 @@ import (
 	"testing"
 )
 
+// fuzzEndpoints are the decoded bodies, indexed by FuzzDecodeRequests'
+// selector: each endpoint's fixture prefix, body cap and request type.
+var fuzzEndpoints = []struct {
+	name  string
+	limit int64
+	req   func() any
+}{
+	{"route", maxWeightsBody, func() any { return new(RouteRequest) }},
+	{"whatif", maxWeightsBody, func() any { return new(WhatIfRequest) }},
+	{"load", maxParamBody, func() any { return new(LoadRequest) }},
+	{"search", maxParamBody, func() any { return new(SearchRequest) }},
+}
+
 // decodeBody runs body through the handlers' own decode at the given cap,
 // into a fresh request of the endpoint's type, and returns the request when
 // it decoded and the recorded error response otherwise.
-func decodeBody(route bool, body []byte, limit int64) (any, *httptest.ResponseRecorder) {
-	var req any = new(WhatIfRequest)
-	if route {
-		req = new(RouteRequest)
-	}
+func decodeBody(newReq func() any, body []byte, limit int64) (any, *httptest.ResponseRecorder) {
+	req := newReq()
 	rec := httptest.NewRecorder()
 	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
 	if !decode(rec, r, limit, "fuzz", req) {
@@ -26,53 +36,65 @@ func decodeBody(route bool, body []byte, limit int64) (any, *httptest.ResponseRe
 	return req, rec
 }
 
-// FuzzDecodeRequests drives route and what-if bodies through decode, seeded
-// with testdata/*_request.json of both endpoints. decode must not panic; a
+// FuzzDecodeRequests drives route, what-if, load and search bodies through
+// decode at their endpoint's cap, the endpoint picked by the selector and
+// seeded with testdata/<endpoint>_*request.json. decode must not panic; a
 // body that decodes must re-encode to one that decodes to an equal request
 // (compared by encoding, as omitempty folds empty vectors into absent ones);
-// a refused body answers 400 bad_request; and the same body over the cap
-// answers 413 limit_exceeded.
+// a refused body within the cap answers 400 bad_request; and a body over
+// the cap — or the same body under a cap one byte short — answers 413
+// limit_exceeded.
 func FuzzDecodeRequests(f *testing.F) {
-	for _, prefix := range []string{"route", "whatif"} {
-		paths, err := filepath.Glob(filepath.Join("testdata", prefix+"_*request.json"))
+	for i, ep := range fuzzEndpoints {
+		paths, err := filepath.Glob(filepath.Join("testdata", ep.name+"_*request.json"))
 		if err != nil || len(paths) == 0 {
-			f.Fatalf("no %s request fixtures: %v", prefix, err)
+			f.Fatalf("no %s request fixtures: %v", ep.name, err)
 		}
 		for _, p := range paths {
 			body, err := os.ReadFile(p)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(prefix == "route", body)
+			f.Add(uint8(i), body)
 		}
 	}
-	f.Fuzz(func(t *testing.T, route bool, body []byte) {
+	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
+		ep := fuzzEndpoints[int(sel)%len(fuzzEndpoints)]
 		refused := func(rec *httptest.ResponseRecorder, status int, code string) {
 			t.Helper()
 			var resp ErrorResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != status || resp.Error.Code != code {
-				t.Fatalf("refusal %d %q, want %d %s", rec.Code, rec.Body.String(), status, code)
+				t.Fatalf("%s: refusal %d %q, want %d %s", ep.name, rec.Code, rec.Body.String(), status, code)
 			}
 		}
-		req, rec := decodeBody(route, body, maxWeightsBody)
-		if req == nil {
+		req, rec := decodeBody(ep.req, body, ep.limit)
+		switch {
+		case int64(len(body)) > ep.limit:
+			if req != nil {
+				t.Fatalf("%s: %d-byte body decoded over the %d-byte cap", ep.name, len(body), ep.limit)
+			}
+			refused(rec, http.StatusRequestEntityTooLarge, CodeLimitExceeded)
+			return
+		case req == nil:
 			refused(rec, http.StatusBadRequest, CodeBadRequest)
-		} else {
+		default:
 			enc, err := json.Marshal(req)
 			if err != nil {
-				t.Fatalf("decoded %q does not re-encode: %v", body, err)
+				t.Fatalf("%s: decoded %q does not re-encode: %v", ep.name, body, err)
 			}
-			again, rec := decodeBody(route, enc, maxWeightsBody)
+			// Marshal escapes <, > and & in strings, so the re-encoding of a
+			// body near the cap may outgrow it: re-decode without one.
+			again, rec := decodeBody(ep.req, enc, int64(len(enc)))
 			if again == nil {
-				t.Fatalf("re-encoding %s of %q does not decode: %s", enc, body, rec.Body.String())
+				t.Fatalf("%s: re-encoding %s of %q does not decode: %s", ep.name, enc, body, rec.Body.String())
 			}
 			if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
-				t.Fatalf("round trip of %q changed the request: %s, then %s", body, enc, enc2)
+				t.Fatalf("%s: round trip of %q changed the request: %s, then %s", ep.name, body, enc, enc2)
 			}
 		}
 		if len(body) > 0 {
-			if req, rec := decodeBody(route, body, int64(len(body)-1)); req != nil {
-				t.Fatalf("%d-byte body decoded under a %d-byte cap", len(body), len(body)-1)
+			if req, rec := decodeBody(ep.req, body, int64(len(body)-1)); req != nil {
+				t.Fatalf("%s: %d-byte body decoded under a %d-byte cap", ep.name, len(body), len(body)-1)
 			} else {
 				refused(rec, http.StatusRequestEntityTooLarge, CodeLimitExceeded)
 			}

@@ -57,9 +57,6 @@ type PoolConfig struct {
 	LeaseTimeout time.Duration
 }
 
-// DefaultPool returns the default pool configuration.
-func DefaultPool() PoolConfig { return PoolConfig{} }
-
 func (p PoolConfig) size() int {
 	if p.Size > 0 {
 		return p.Size
@@ -288,13 +285,6 @@ func (h *Handle) Close() {
 			return
 		}
 	}
-}
-
-// Closed reports whether the handle has been closed.
-func (h *Handle) Closed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
 }
 
 // String implements fmt.Stringer for logs.

@@ -53,7 +53,7 @@ func sameFloat(a, b float64) bool {
 }
 
 func TestSessionMatchesHandWiredEvaluator(t *testing.T) {
-	h := loadTestHandle(t, DefaultPool())
+	h := loadTestHandle(t, PoolConfig{})
 	inst := h.Instance()
 
 	ref, err := eval.New(inst.G, inst.TH, inst.TL, inst.Opts)
@@ -112,7 +112,7 @@ func TestSessionResultReuse(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			spec := testSpec()
 			spec.Kind = kind
-			h, err := Load(Spec{Name: "test", Instance: spec, Pool: DefaultPool()})
+			h, err := Load(Spec{Name: "test", Instance: spec, Pool: PoolConfig{}})
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -434,7 +434,7 @@ func TestLeakedCheckpointDetectedOnRelease(t *testing.T) {
 }
 
 func TestSessionReset(t *testing.T) {
-	h := loadTestHandle(t, DefaultPool())
+	h := loadTestHandle(t, PoolConfig{})
 	inst := h.Instance()
 	w := perturb(inst.G.NumEdges(), 4)
 
@@ -485,9 +485,6 @@ func TestHandleClose(t *testing.T) {
 		t.Fatalf("Session: %v", err)
 	}
 	h.Close()
-	if !h.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 	if _, err := h.Session(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Session after Close err = %v, want ErrClosed", err)
 	}
@@ -499,8 +496,8 @@ func TestHandleClose(t *testing.T) {
 }
 
 func TestReleaseForeignSession(t *testing.T) {
-	h1 := loadTestHandle(t, DefaultPool())
-	h2 := loadTestHandle(t, DefaultPool())
+	h1 := loadTestHandle(t, PoolConfig{})
+	h2 := loadTestHandle(t, PoolConfig{})
 	s, err := h1.Session(context.Background())
 	if err != nil {
 		t.Fatalf("Session: %v", err)
@@ -514,7 +511,7 @@ func TestReleaseForeignSession(t *testing.T) {
 }
 
 func TestCompareUnderFailuresMatchesDirect(t *testing.T) {
-	h := loadTestHandle(t, DefaultPool())
+	h := loadTestHandle(t, PoolConfig{})
 	inst := h.Instance()
 	nArcs := inst.G.NumEdges()
 	wSTR := perturb(nArcs, 1)

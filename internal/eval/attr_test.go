@@ -104,7 +104,7 @@ func TestAttributeSLAViolations(t *testing.T) {
 		totalPen += pen
 		// Independent reachability: collect every arc on some shortest path
 		// from p.Src in the DAG toward p.Dst via a plain visited-set BFS.
-		tree := e.HPlan().Tree(p.Dst)
+		tree := e.planH.Tree(p.Dst)
 		seen := map[graph.NodeID]bool{p.Src: true}
 		queue := []graph.NodeID{p.Src}
 		for len(queue) > 0 {

@@ -322,14 +322,6 @@ func (e *Evaluator) HighPriorityByDest() (dests []graph.NodeID, srcs [][]graph.N
 	return e.hpDests, e.hpSrcs
 }
 
-// HPlan exposes the high-priority routing plan for read-only tree
-// inspection: after a full evaluation its trees sit at that evaluation's
-// weights. Callers must not route on it.
-func (e *Evaluator) HPlan() *spf.Plan { return e.planH }
-
-// LPlan is HPlan for the low-priority class.
-func (e *Evaluator) LPlan() *spf.Plan { return e.planL }
-
 // EvaluateSTR evaluates single-topology routing: both classes routed on w.
 func (e *Evaluator) EvaluateSTR(w spf.Weights) (*Result, error) {
 	r := new(Result)

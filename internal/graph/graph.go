@@ -106,9 +106,6 @@ func (g *Graph) Out(u NodeID) []EdgeID { return g.out[u] }
 // In returns the IDs of arcs entering u. Callers must not modify it.
 func (g *Graph) In(u NodeID) []EdgeID { return g.in[u] }
 
-// OutDegree reports the number of arcs leaving u.
-func (g *Graph) OutDegree(u NodeID) int { return len(g.out[u]) }
-
 // Name returns the display name of node u.
 func (g *Graph) Name(u NodeID) string { return g.names[u] }
 

@@ -70,8 +70,8 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestAdjacency(t *testing.T) {
 	g := triangle(t)
-	if d := g.OutDegree(0); d != 2 {
-		t.Fatalf("OutDegree(0) = %d, want 2", d)
+	if d := len(g.Out(0)); d != 2 {
+		t.Fatalf("len(Out(0)) = %d, want 2", d)
 	}
 	if d := len(g.In(2)); d != 2 {
 		t.Fatalf("len(In(2)) = %d, want 2", d)

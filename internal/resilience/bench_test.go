@@ -1,11 +1,10 @@
 package resilience_test
 
-// BenchmarkFailureSweep pins the tentpole speedup: sweeping every
-// single-link failure of the paper's 30-node instance through the
-// incremental engine (disable → delta objective → repair) versus full
-// re-evaluation per state. The external test package lets the benchmark
-// build its instance through internal/instance without an import
-// cycle.
+// BenchmarkFailureSweep pins the cost of sweeping every single-link
+// failure of the paper's 30-node instance, STR and DTR, through the
+// incremental engine (disable → delta objective → repair). The external
+// test package lets the benchmark build its instance through
+// internal/instance without an import cycle.
 
 import (
 	"math/rand/v2"
@@ -45,28 +44,20 @@ func benchSetup(b *testing.B) (*eval.Evaluator, []resilience.State, [3]spf.Weigh
 }
 
 func BenchmarkFailureSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts resilience.Options
-	}{
-		{"delta", resilience.Options{}},
-		{"full", resilience.Options{FullEval: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			e, states, ws := benchSetup(b)
-			sw := resilience.NewSweeper(e, mode.opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fs, err := resilience.CompareSchemes(sw, ws[0], ws[1], ws[2], states)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(fs.STR) == 0 {
-					b.Fatal("no surviving states")
-				}
+	b.Run("delta", func(b *testing.B) {
+		e, states, ws := benchSetup(b)
+		sw := resilience.NewSweeper(e, resilience.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fs, err := resilience.CompareSchemes(sw, ws[0], ws[1], ws[2], states)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(states)), "states")
-		})
-	}
+			if len(fs.STR) == 0 {
+				b.Fatal("no surviving states")
+			}
+		}
+		b.ReportMetric(float64(len(states)), "states")
+	})
 }

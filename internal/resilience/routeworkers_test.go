@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestRouteWorkersSweepBitwiseTransparent runs the from-scratch sweep modes
-// on an evaluator with the parallel full-route enabled and requires
-// bitwise-identical sweeps: sharded routing must be invisible to FullEval
-// results and to the Verify oracle.
+// TestRouteWorkersSweepBitwiseTransparent evaluates every state from scratch
+// on an evaluator with the parallel full-route enabled and on a sequential
+// one, and requires bitwise-identical sweeps: sharded routing must be
+// invisible to the from-scratch results and to the Verify oracle, which
+// routes with its evaluator's bound.
 func TestRouteWorkersSweepBitwiseTransparent(t *testing.T) {
 	e := testEvaluator(t, 21)
 	g := e.Graph()
@@ -24,28 +25,8 @@ func TestRouteWorkersSweepBitwiseTransparent(t *testing.T) {
 	seqE, parE := e.Clone(), e.Clone()
 	seqE.SetRouteWorkers(1)
 	parE.SetRouteWorkers(4)
-	seq := NewSweeper(seqE, Options{FullEval: true})
-	par := NewSweeper(parE, Options{FullEval: true})
-
-	ss, err := seq.SweepSTR(wSTR, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := par.SweepSTR(wSTR, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSweeps(t, "STR", ps, ss)
-
-	sd, err := seq.SweepDTR(wH, wL, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := par.SweepDTR(wH, wL, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSweeps(t, "DTR", pd, sd)
+	equalSweeps(t, "STR", fullSweep(t, parE, states, wSTR, nil), fullSweep(t, seqE, states, wSTR, nil))
+	equalSweeps(t, "DTR", fullSweep(t, parE, states, wH, wL), fullSweep(t, seqE, states, wH, wL))
 
 	// The Verify oracle compares the delta path against parallel full
 	// evaluations; any divergence fails the sweep internally.

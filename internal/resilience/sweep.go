@@ -12,19 +12,16 @@ import (
 
 // Options configures how a Sweeper evaluates failure states.
 type Options struct {
-	// FullEval evaluates every state with a from-scratch EvaluateSTR /
-	// EvaluateDTR instead of the incremental disable → delta → repair path.
-	// Exists as the baseline for benchmarks and the Verify oracle.
-	FullEval bool
-	// Verify runs the delta path but re-evaluates every state (and the
-	// intact baseline) from scratch too, failing the sweep on any bitwise
-	// disagreement — including disagreement about disconnection. Debug mode.
+	// Verify re-evaluates every state (and the intact baseline) from
+	// scratch too, with EvaluateSTR / EvaluateDTR on WithFailedArcs copies,
+	// failing the sweep on any bitwise disagreement with the delta path —
+	// including disagreement about disconnection. Debug mode.
 	Verify bool
 }
 
 // Sweeper evaluates routings under failure states for one problem instance.
 // It owns what is specific to failure sweeps — the state list, the Disabled
-// masks over a pinned base weight setting, the FullEval/Verify oracles — and
+// masks over a pinned base weight setting, the Verify oracle — and
 // holds no router: it drives its evaluator's eval.RoutingState of each scheme
 // (Evaluator.State) for everything else. Per state it checkpoints, applies
 // the mask (a pure weight increase, served by the partial SPF path), reads ΦL
@@ -37,7 +34,7 @@ type Options struct {
 // A Sweeper is not safe for concurrent use; give each goroutine its own, on
 // an evaluator of its own.
 type Sweeper struct {
-	e       *eval.Evaluator // owns the routing states; backs the full/verify paths
+	e       *eval.Evaluator // owns the routing states; its plans back Verify
 	opts    Options
 	schemes [2]scheme // indexed by eval.Shape
 }
@@ -51,11 +48,11 @@ type scheme struct {
 }
 
 // NewSweeper builds a sweeper that drives e: its routing states for the
-// delta path, its plans for the FullEval and Verify modes, routed with e's
+// delta path, its plans for the Verify mode, routed with e's
 // SetRouteWorkers bound. The caller must not use e concurrently with the
 // sweeper, and must accept that a sweep leaves e's state of the swept scheme
-// at the swept routing (and, in the full and verify modes, e's plans at the
-// last swept state). A caller that wants e left alone passes e.Clone().
+// at the swept routing (and, in verify mode, e's plans at the last swept
+// state). A caller that wants e left alone passes e.Clone().
 func NewSweeper(e *eval.Evaluator, opts Options) *Sweeper {
 	return &Sweeper{e: e, opts: opts}
 }
@@ -75,20 +72,14 @@ type Sweep struct {
 // SweepSTR evaluates the single-topology routing w under every state. The
 // result's PhiL slice is reused by the next SweepSTR call.
 func (s *Sweeper) SweepSTR(w spf.Weights, states []State) (*Sweep, error) {
-	if s.opts.FullEval {
-		return s.sweepFull(states, w, nil, false)
-	}
-	return s.sweepDelta(eval.RouteSTR, w, w, states)
+	return s.sweep(eval.RouteSTR, w, w, states)
 }
 
 // SweepDTR evaluates the dual-topology routing (wH, wL) under every state.
 // Both topologies lose the same arcs per state, per the failure model. The
 // result's PhiL slice is reused by the next SweepDTR call.
 func (s *Sweeper) SweepDTR(wH, wL spf.Weights, states []State) (*Sweep, error) {
-	if s.opts.FullEval {
-		return s.sweepFull(states, wH, wL, true)
-	}
-	return s.sweepDelta(eval.RouteDTR, wH, wL, states)
+	return s.sweep(eval.RouteDTR, wH, wL, states)
 }
 
 // fullPhiL evaluates the routing (wH, wL) — wH alone for STR — from scratch
@@ -118,27 +109,10 @@ func (sw *Sweep) record(i int, phiL float64, ok bool) {
 	sw.Survivors++
 }
 
-// sweepFull is the opt-out path: every state is a from-scratch evaluation on
-// WithFailedArcs copies, exactly what the pre-delta failure sweep did.
-func (s *Sweeper) sweepFull(states []State, wH, wL spf.Weights, dual bool) (*Sweep, error) {
-	start := time.Now()
-	base, err := s.fullPhiL(dual, wH, wL)
-	if err != nil {
-		return nil, err
-	}
-	sw := &Sweep{Base: base, PhiL: make([]float64, len(states))}
-	for i, st := range states {
-		phiL, err := s.fullPhiL(dual, wH, wL, st.Arcs...)
-		sw.record(i, phiL, err == nil)
-	}
-	recordSweep(sw, time.Since(start).Seconds())
-	return sw, nil
-}
-
-// sweepDelta is the fast path on the evaluator's state of the given shape:
+// sweep evaluates on the evaluator's state of the given shape:
 // pin the base routing (incrementally, from wherever the state currently
 // sits), then per state mask the arcs, read ΦL, and revert.
-func (s *Sweeper) sweepDelta(shape eval.Shape, wH, wL spf.Weights, states []State) (*Sweep, error) {
+func (s *Sweeper) sweep(shape eval.Shape, wH, wL spf.Weights, states []State) (*Sweep, error) {
 	start := time.Now()
 	sc, st, dual := &s.schemes[shape], s.e.State(shape), shape == eval.RouteDTR
 	w := [2]spf.Weights{wH, wL}

@@ -43,6 +43,37 @@ func randWeights(n int, rng *rand.Rand) spf.Weights {
 	return w
 }
 
+// fullSweep is the from-scratch reference sweep: the intact network and
+// every state evaluated with EvaluateSTR (wL nil) or EvaluateDTR on
+// WithFailedArcs copies, a state whose evaluation fails marked
+// disconnecting.
+func fullSweep(t *testing.T, e *eval.Evaluator, states []State, wH, wL spf.Weights) *Sweep {
+	t.Helper()
+	phiL := func(failed ...graph.EdgeID) (float64, error) {
+		var r *eval.Result
+		var err error
+		if wL == nil {
+			r, err = e.EvaluateSTR(wH.WithFailedArcs(failed...))
+		} else {
+			r, err = e.EvaluateDTR(wH.WithFailedArcs(failed...), wL.WithFailedArcs(failed...))
+		}
+		if err != nil {
+			return 0, err
+		}
+		return r.PhiL, nil
+	}
+	base, err := phiL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := &Sweep{Base: base, PhiL: make([]float64, len(states))}
+	for i, st := range states {
+		v, err := phiL(st.Arcs...)
+		sw.record(i, v, err == nil)
+	}
+	return sw
+}
+
 // equalSweeps asserts bitwise equality, treating NaN (disconnecting) as
 // equal to NaN at the same position.
 func equalSweeps(t *testing.T, name string, delta, full *Sweep) {
@@ -84,7 +115,6 @@ func TestDeltaSweepEqualsFullAcrossModels(t *testing.T) {
 		{Kind: KindSRLG, SRLGs: [][]int{{0, 1}, {2, 3, 4}, {10, 20, 30}}},
 	}
 	delta := NewSweeper(e, Options{})
-	full := NewSweeper(e, Options{FullEval: true})
 	verify := NewSweeper(e, Options{Verify: true})
 	for _, m := range models {
 		states, err := Enumerate(g, m)
@@ -97,21 +127,13 @@ func TestDeltaSweepEqualsFullAcrossModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: delta STR sweep: %v", name, err)
 		}
-		fs, err := full.SweepSTR(wSTR, states)
-		if err != nil {
-			t.Fatalf("%s: full STR sweep: %v", name, err)
-		}
-		equalSweeps(t, name+"/STR", ds, fs)
+		equalSweeps(t, name+"/STR", ds, fullSweep(t, e, states, wSTR, nil))
 
 		dd, err := delta.SweepDTR(wH, wL, states)
 		if err != nil {
 			t.Fatalf("%s: delta DTR sweep: %v", name, err)
 		}
-		fd, err := full.SweepDTR(wH, wL, states)
-		if err != nil {
-			t.Fatalf("%s: full DTR sweep: %v", name, err)
-		}
-		equalSweeps(t, name+"/DTR", dd, fd)
+		equalSweeps(t, name+"/DTR", dd, fullSweep(t, e, states, wH, wL))
 
 		// Verify mode asserts the same property internally, per state.
 		if _, err := verify.SweepSTR(wSTR, states); err != nil {
@@ -134,7 +156,6 @@ func TestSweeperReusableAcrossRoutings(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := NewSweeper(e, Options{})
-	full := NewSweeper(e, Options{FullEval: true})
 	rng := rand.New(rand.NewPCG(17, 4))
 	wH := randWeights(g.NumEdges(), rng)
 	wL := randWeights(g.NumEdges(), rng)
@@ -143,13 +164,7 @@ func TestSweeperReusableAcrossRoutings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fsw, err := full.SweepDTR(wH, wL, states)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds = &Sweep{Base: ds.Base, PhiL: append([]float64(nil), ds.PhiL...),
-			Survivors: ds.Survivors, Disconnecting: ds.Disconnecting}
-		equalSweeps(t, "round", ds, fsw)
+		equalSweeps(t, "round", ds, fullSweep(t, e, states, wH, wL))
 		// Mutate a few weights, as candidate evaluation does.
 		for k := 0; k < 3; k++ {
 			wH[rng.IntN(len(wH))] = 1 + rng.IntN(20)
@@ -262,7 +277,7 @@ func TestAllStatesDisconnectedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := spf.Uniform(g.NumEdges())
-	for _, opts := range []Options{{}, {FullEval: true}, {Verify: true}} {
+	for _, opts := range []Options{{}, {Verify: true}} {
 		sw := NewSweeper(e, opts)
 		_, err := CompareSchemes(sw, w, w, w, states)
 		if err == nil {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"dualtopo/internal/eval"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
 )
@@ -28,24 +29,17 @@ import (
 // order, and an objective bitwise-equal to the incumbent's (pinned by
 // TestPruneBoundSoundness).
 //
-// The bound reads the incumbent's trees (incumbentTrees): the primary
-// routing state's, which sit at the incumbent between candidates, or s.e's
-// plans under FullEval, which every incumbent evaluation routes. It is never
+// The bound reads the incumbent's trees off the primary routing state's
+// routers, which sit at the incumbent between candidates. It is never
 // consulted under Robust scoring, where failure states re-route under
 // candidate weights and intact-invariance says nothing about the sweep.
 
 // pruneOn reports whether the routing-invariance prune is active.
 func (s *localSearch) pruneOn() bool { return s.p.Prune && !s.robust() }
 
-// treeSet is a routed set of destination trees: a plan or a delta router.
-type treeSet interface {
-	Destinations() []graph.NodeID
-	Tree(graph.NodeID) *spf.Tree
-}
-
 // arcInvariant reports whether changing arc a's weight from oldW to newW
 // provably leaves every destination tree of trees intact.
-func arcInvariant(trees treeSet, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
+func arcInvariant(trees *spf.DeltaRouter, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
 	if oldW == newW {
 		return true
 	}
@@ -78,7 +72,7 @@ func (s *localSearch) pruneMoves(c int, moves []move) []move {
 	if !s.pruneOn() || len(moves) == 0 {
 		return moves
 	}
-	trees := s.incumbentTrees(c)
+	trees := s.e.State(eval.RouteDTR).Router(c)
 	csr := s.e.Graph().CSR()
 	w := s.w[c]
 	kept := moves[:0]

@@ -31,7 +31,12 @@ func TestPruneBoundSoundness(t *testing.T) {
 				for i := range w {
 					w[i] = 1 + rng.IntN(wMax)
 				}
-				// Anchor e's planH/planL at w and take the incumbent loads.
+				// Route e's DTR state at w, as the search's incumbent
+				// state sits, and take the incumbent loads.
+				st := e.State(eval.RouteDTR)
+				if _, err := st.Move([2]spf.Weights{w, w}); err != nil {
+					t.Fatal(err)
+				}
 				r, err := e.EvaluateDTR(w, w)
 				if err != nil {
 					t.Fatal(err)
@@ -55,8 +60,8 @@ func TestPruneBoundSoundness(t *testing.T) {
 						continue
 					}
 					arcs := []graph.EdgeID{up, down}
-					invH := arcsInvariant(e.HPlan(), csr, w, cw, arcs)
-					invL := arcsInvariant(e.LPlan(), csr, w, cw, arcs)
+					invH := arcsInvariant(st.Router(eval.High), csr, w, cw, arcs)
+					invL := arcsInvariant(st.Router(eval.Low), csr, w, cw, arcs)
 					if !invH && !invL {
 						continue
 					}

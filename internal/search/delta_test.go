@@ -1,6 +1,8 @@
 package search
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"dualtopo/internal/eval"
@@ -8,100 +10,98 @@ import (
 	"dualtopo/internal/spf"
 )
 
-// TestDTRDeltaMatchesFullEval runs the same seeded DTR search with
-// incremental candidate evaluation (default) and with FullEval forced, and
-// requires identical trajectories: same best weights, same objective, same
-// evaluation count. This is the end-to-end statement that the delta paths
-// are bitwise-transparent to the heuristic.
+// TestDTRDeltaMatchesFullEval runs seeded DTR searches with VerifyDelta,
+// which re-scores every candidate from scratch on the scoring worker's
+// evaluator (ObjectiveH/ObjectiveL on its plans) and every accept on the
+// search's, failing on any bitwise difference from the delta scores. Each
+// verified run must finish and walk the trajectory of the unverified one:
+// same weights, objective, counters and robust score. This is the
+// end-to-end statement that the delta paths are bitwise-transparent to the
+// heuristic, candidate by candidate, at one and at several workers.
 func TestDTRDeltaMatchesFullEval(t *testing.T) {
 	variants := []struct {
-		name  string
-		guide float64
-		prune bool
+		name string
+		mod  func(*testing.T, *eval.Evaluator, *Params)
 	}{
-		{name: "plain"},
-		// Guided + pruned steps must also be mode-transparent: the prune and
-		// the attribution consult the incumbent's trees — the primary routing
-		// state's in delta mode, s.e's plans in full mode.
-		{name: "guided_pruned", guide: 0.7, prune: true},
+		{"plain", func(*testing.T, *eval.Evaluator, *Params) {}},
+		// The prune and the attribution read the incumbent's trees off the
+		// primary routing state, which candidates check out and revert.
+		{"guided_pruned", func(_ *testing.T, _ *eval.Evaluator, p *Params) { p.Guide, p.Prune = 0.7, true }},
+		// Robust candidates sweep the worker's state after their what-if.
+		{"robust", func(t *testing.T, e *eval.Evaluator, p *Params) { *p = robustParams(t, e) }},
 	}
 	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
 		for _, v := range variants {
 			t.Run(kind.String()+"/"+v.name, func(t *testing.T) {
-				p := tinyParams()
-				p.VerifyDelta = true // assert delta == full on every accept too
-				p.Guide = v.guide
-				p.Prune = v.prune
-
-				delta, err := DTR(randomEvaluator(t, kind, 11), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				pf := p
-				pf.FullEval = true
-				pf.VerifyDelta = false
-				full, err := DTR(randomEvaluator(t, kind, 11), pf)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if delta.Best != full.Best {
-					t.Fatalf("best objective: delta %+v, full %+v", delta.Best, full.Best)
-				}
-				if delta.Evaluations != full.Evaluations {
-					t.Fatalf("evaluations: delta %d, full %d", delta.Evaluations, full.Evaluations)
-				}
-				if delta.Pruned != full.Pruned {
-					t.Fatalf("pruned candidates: delta %d, full %d", delta.Pruned, full.Pruned)
-				}
-				for i := range delta.WH {
-					if delta.WH[i] != full.WH[i] || delta.WL[i] != full.WL[i] {
-						t.Fatalf("weight divergence at arc %d: delta (%d,%d), full (%d,%d)",
-							i, delta.WH[i], delta.WL[i], full.WH[i], full.WL[i])
-					}
+				for _, workers := range []int{1, 3} {
+					t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+						run := func(verify bool) *DTRResult {
+							e := randomEvaluator(t, kind, 11)
+							p := tinyParams()
+							v.mod(t, e, &p)
+							p.Workers, p.VerifyDelta = workers, verify
+							r, err := DTR(e, p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return r
+						}
+						plain, verified := run(false), run(true)
+						if verified.Best != plain.Best {
+							t.Fatalf("best objective: verified %+v, unverified %+v", verified.Best, plain.Best)
+						}
+						if verified.Evaluations != plain.Evaluations || verified.DeltaEvals != plain.DeltaEvals ||
+							verified.FullEvals != plain.FullEvals || verified.Pruned != plain.Pruned {
+							t.Fatalf("counters (evals, delta, full, pruned): verified (%d, %d, %d, %d), unverified (%d, %d, %d, %d)",
+								verified.Evaluations, verified.DeltaEvals, verified.FullEvals, verified.Pruned,
+								plain.Evaluations, plain.DeltaEvals, plain.FullEvals, plain.Pruned)
+						}
+						if !slices.Equal(verified.WH, plain.WH) || !slices.Equal(verified.WL, plain.WL) {
+							t.Fatal("verified and unverified runs return different weights")
+						}
+						if (verified.Robust == nil) != (plain.Robust == nil) ||
+							verified.Robust != nil && *verified.Robust != *plain.Robust {
+							t.Fatalf("robust score: verified %+v, unverified %+v", verified.Robust, plain.Robust)
+						}
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestSTRDeltaMatchesFullEval is the single-topology twin.
+// TestSTRDeltaMatchesFullEval is the single-topology twin: VerifyDelta
+// re-scores every candidate with ObjectiveSTR, and the verified run must
+// equal the unverified one, ε-records included.
 func TestSTRDeltaMatchesFullEval(t *testing.T) {
 	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
 		t.Run(kind.String(), func(t *testing.T) {
-			p := tinySTRParams()
-			p.VerifyDelta = true
-
-			delta, err := STR(randomEvaluator(t, kind, 13), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			pf := p
-			pf.FullEval = true
-			pf.VerifyDelta = false
-			full, err := STR(randomEvaluator(t, kind, 13), pf)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if delta.Best != full.Best {
-				t.Fatalf("best objective: delta %+v, full %+v", delta.Best, full.Best)
-			}
-			if delta.Evaluations != full.Evaluations {
-				t.Fatalf("evaluations: delta %d, full %d", delta.Evaluations, full.Evaluations)
-			}
-			for i := range delta.W {
-				if delta.W[i] != full.W[i] {
-					t.Fatalf("weight divergence at arc %d: delta %d, full %d", i, delta.W[i], full.W[i])
-				}
-			}
-			for eps, rec := range delta.Relaxed {
-				fr := full.Relaxed[eps]
-				if rec.Found != fr.Found || rec.PhiH != fr.PhiH || rec.PhiL != fr.PhiL {
-					t.Fatalf("relaxed record ε=%g: delta %+v, full %+v", eps, rec, fr)
-				}
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+					run := func(verify bool) *STRResult {
+						p := tinySTRParams()
+						p.Workers, p.VerifyDelta = workers, verify
+						r, err := STR(randomEvaluator(t, kind, 13), p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return r
+					}
+					plain, verified := run(false), run(true)
+					if verified.Best != plain.Best || verified.Evaluations != plain.Evaluations {
+						t.Fatalf("verified %+v after %d evaluations, unverified %+v after %d",
+							verified.Best, verified.Evaluations, plain.Best, plain.Evaluations)
+					}
+					if !slices.Equal(verified.W, plain.W) {
+						t.Fatal("verified and unverified runs return different weights")
+					}
+					for eps, rec := range plain.Relaxed {
+						vr := verified.Relaxed[eps]
+						if rec.Found != vr.Found || rec.PhiH != vr.PhiH || rec.PhiL != vr.PhiL || !slices.Equal(rec.W, vr.W) {
+							t.Fatalf("relaxed record ε=%g: verified %+v, unverified %+v", eps, vr, rec)
+						}
+					}
+				})
 			}
 		})
 	}

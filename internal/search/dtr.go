@@ -21,8 +21,8 @@ type DTRResult struct {
 	Best cost.Lex
 	// Evaluations counts objective evaluations performed.
 	Evaluations int64
-	// DeltaEvals counts candidates scored on the delta path; FullEvals the
-	// rest: incumbent evaluations (refreshes, accepts) and FullEval ones.
+	// DeltaEvals counts candidates, each scored as a what-if on a routing
+	// state; FullEvals the rest: incumbent evaluations (refreshes, accepts).
 	DeltaEvals, FullEvals int64
 	// Pruned counts candidates discarded by the routing-invariance bound
 	// before any evaluation (Params.Prune).
@@ -139,9 +139,7 @@ func newDTRSearch(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*localSear
 // refreshFull re-evaluates the current solution from scratch, including its
 // robust penalty when failure-aware scoring is on.
 func (s *localSearch) refreshFull() error {
-	if !s.p.FullEval {
-		s.e.State(eval.RouteDTR).Reset()
-	}
+	s.e.State(eval.RouteDTR).Reset()
 	err := s.evalIncumbent()
 	if err == nil && s.robust() {
 		s.curRob, err = s.robustTerm(0, s.w[eval.High], s.w[eval.Low])
@@ -150,39 +148,20 @@ func (s *localSearch) refreshFull() error {
 }
 
 // evalIncumbent evaluates the incumbent into s.cur, bitwise the full
-// evaluation: under FullEval on s.e's plans, otherwise off the primary
-// routing state (worker 0's), which the incumbent lives in — resynced
-// incrementally after an accept, from scratch after a Reset.
+// evaluation, off the primary routing state (worker 0's), which the
+// incumbent lives in — resynced incrementally after an accept, from scratch
+// after a Reset.
 func (s *localSearch) evalIncumbent() error {
-	var err error
-	if s.p.FullEval {
-		s.parallelRouting(true)
-		err = s.e.EvaluateDTRInto(&s.cur, s.w[eval.High], s.w[eval.Low])
-		s.parallelRouting(false)
-	} else if err = s.resync(0); err == nil {
-		s.e.State(eval.RouteDTR).ResultInto(&s.cur)
-	}
-	if err != nil {
+	if err := s.resync(0); err != nil {
 		return err
 	}
+	s.e.State(eval.RouteDTR).ResultInto(&s.cur)
 	s.evals++
 	s.fullEvals++
 	searchMet.evalsFull.Inc()
 	s.curLex = s.cur.Objective()
 	s.attrFresh = false
 	return nil
-}
-
-// incumbentTrees returns class c's trees at the incumbent: the primary
-// routing state's (findClass resyncs it first), or s.e's plans under FullEval.
-func (s *localSearch) incumbentTrees(c int) treeSet {
-	if !s.p.FullEval {
-		return s.e.State(eval.RouteDTR).Router(c)
-	}
-	if c == eval.Low {
-		return s.e.LPlan()
-	}
-	return s.e.HPlan()
 }
 
 // stepClass performs one FindH (c = eval.High) or FindL (c = eval.Low)
@@ -267,7 +246,7 @@ func (s *localSearch) findClass(c int) bool {
 		return false
 	}
 	s.tally.accepted = true
-	if s.p.VerifyDelta && !s.p.FullEval {
+	if s.p.VerifyDelta {
 		full, err := s.e.EvaluateDTR(s.w[eval.High], s.w[eval.Low])
 		if err == nil && (lexes[bestIdx] != full.Objective() || s.curLex != full.Objective()) {
 			err = fmt.Errorf("search: delta/full mismatch on %s accept: delta %+v, incumbent %+v, full %+v",
@@ -278,23 +257,25 @@ func (s *localSearch) findClass(c int) bool {
 	return s.err == nil
 }
 
-// score evaluates candidate weights w of class c on worker wk: FindH routes
-// the high class against the incumbent's low-priority loads, FindL the low
-// class against its residual capacities (keeping the incumbent's primary).
+// score evaluates candidate weights w of class c on worker wk's routing
+// state: FindH routes the high class against the incumbent's low-priority
+// loads, FindL the low class against its residual capacities (keeping the
+// incumbent's primary). Under VerifyDelta the worker re-scores w from
+// scratch on its evaluator's plans, and any difference fails the search.
 func (s *localSearch) score(c, wk int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
 	e := s.pool[wk]
 	if c == eval.High {
-		if s.p.FullEval {
-			return e.ObjectiveH(w, s.cur.LLoads)
+		lex, err := e.ObjectiveHDelta(w, changed, s.cur.LLoads)
+		if err == nil && s.p.VerifyDelta {
+			full, ferr := e.ObjectiveH(w, s.cur.LLoads)
+			err = mismatch("FindH candidate", lex, full, ferr)
 		}
-		return e.ObjectiveHDelta(w, changed, s.cur.LLoads)
+		return lex, err
 	}
-	var phiL float64
-	var err error
-	if s.p.FullEval {
-		phiL, err = e.ObjectiveL(w, s.cur.Residual)
-	} else {
-		phiL, err = e.ObjectiveLDelta(w, changed, s.cur.Residual)
+	phiL, err := e.ObjectiveLDelta(w, changed, s.cur.Residual)
+	if err == nil && s.p.VerifyDelta {
+		full, ferr := e.ObjectiveL(w, s.cur.Residual)
+		err = mismatch("FindL candidate", phiL, full, ferr)
 	}
 	return cost.Lex{Primary: s.curLex.Primary, Secondary: phiL}, err
 }

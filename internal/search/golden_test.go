@@ -167,18 +167,14 @@ func goldenPortfolio(t *testing.T) goldenRun {
 // only for a change that is meant to alter trajectories.
 func TestSearchTrajectoryGolden(t *testing.T) {
 	got := map[string]goldenRun{
-		"str/w1":       goldenSTR(t, eval.LoadBased, func(p *STRParams) {}),
-		"str/w3":       goldenSTR(t, eval.LoadBased, func(p *STRParams) { p.Workers = 3 }),
-		"str/fulleval": goldenSTR(t, eval.LoadBased, func(p *STRParams) { p.FullEval = true }),
-		"str/sla":      goldenSTR(t, eval.SLABased, func(p *STRParams) {}),
+		"str/w1":  goldenSTR(t, eval.LoadBased, func(p *STRParams) {}),
+		"str/w3":  goldenSTR(t, eval.LoadBased, func(p *STRParams) { p.Workers = 3 }),
+		"str/sla": goldenSTR(t, eval.SLABased, func(p *STRParams) {}),
 
 		"dtr/plain":    goldenDTR(t, eval.LoadBased, 23, func(*eval.Evaluator, *Params) {}),
 		"dtr/guide0.5": goldenDTR(t, eval.LoadBased, 23, func(_ *eval.Evaluator, p *Params) { p.Guide = 0.5 }),
 		"dtr/prune":    goldenDTR(t, eval.LoadBased, 23, func(_ *eval.Evaluator, p *Params) { p.Prune = true }),
 		"dtr/prune-37": goldenDTR(t, eval.LoadBased, 37, func(_ *eval.Evaluator, p *Params) { p.Prune = true }),
-		"dtr/sla-fulleval-guided-pruned": goldenDTR(t, eval.SLABased, 37, func(_ *eval.Evaluator, p *Params) {
-			p.FullEval, p.Guide, p.Prune = true, 0.7, true
-		}),
 		"dtr/sla-guided-pruned": goldenDTR(t, eval.SLABased, 37, func(_ *eval.Evaluator, p *Params) {
 			p.Guide, p.Prune = 0.7, true
 		}),
@@ -188,8 +184,7 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 		"dtr/robust": goldenDTR(t, eval.LoadBased, 41, func(e *eval.Evaluator, p *Params) {
 			*p = robustParams(t, e)
 		}),
-		"dtr/sla":      goldenDTR(t, eval.SLABased, 23, func(*eval.Evaluator, *Params) {}),
-		"dtr/fulleval": goldenDTR(t, eval.LoadBased, 23, func(_ *eval.Evaluator, p *Params) { p.FullEval = true }),
+		"dtr/sla": goldenDTR(t, eval.SLABased, 23, func(*eval.Evaluator, *Params) {}),
 
 		"portfolio/4": goldenPortfolio(t),
 	}

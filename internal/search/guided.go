@@ -36,10 +36,11 @@ func (s *localSearch) useGuided() bool {
 
 // ensureAttr refreshes the cached arc attribution of the incumbent. The
 // cache is invalidated whenever the incumbent solution moves (accepts,
-// diversification refreshes). The violation walk follows incumbentTrees.
+// diversification refreshes). The violation walk follows the incumbent's
+// high-priority trees, held by the primary routing state's router.
 func (s *localSearch) ensureAttr() {
 	if !s.attrFresh {
-		s.e.AttributeTrees(&s.cur, &s.attr, s.incumbentTrees(eval.High))
+		s.e.AttributeTrees(&s.cur, &s.attr, s.e.State(eval.RouteDTR).Router(eval.High))
 		s.attrFresh = true
 	}
 }

@@ -107,14 +107,10 @@ type Params struct {
 	// search trajectory does not depend on this setting. Candidate
 	// evaluations are unaffected: they already parallelize across Workers.
 	RouteWorkers int
-	// FullEval forces full re-evaluation of every candidate instead of the
-	// incremental delta paths (default). Both modes produce bitwise-identical
-	// search trajectories; full evaluation exists as a baseline for
-	// benchmarks and debugging.
-	FullEval bool
-	// VerifyDelta asserts, on every accepted move, that the incremental
-	// objective of the winning candidate equals the full re-evaluation
-	// bitwise, failing the search on mismatch. Debug mode.
+	// VerifyDelta re-scores every candidate from scratch on its worker's
+	// evaluator and every accepted incumbent on the search's, failing the
+	// search on any difference from the incremental scores. The trajectory
+	// is unchanged. Debug mode.
 	VerifyDelta bool
 	// Robust configures failure-aware candidate scoring; the zero value
 	// keeps the search purely nominal.
@@ -207,9 +203,7 @@ type STRParams struct {
 	// evaluations (initialization, diversification refreshes, the final
 	// evaluation); 0 = auto, 1 = sequential, see Params.RouteWorkers.
 	RouteWorkers int
-	// FullEval forces full candidate evaluation; see Params.FullEval.
-	FullEval bool
-	// VerifyDelta asserts delta == full on every accept; see
+	// VerifyDelta asserts delta == full on every candidate and accept; see
 	// Params.VerifyDelta.
 	VerifyDelta bool
 }
@@ -264,7 +258,6 @@ func (p STRParams) params() Params {
 		Seed:         p.Seed,
 		Workers:      p.Workers,
 		RouteWorkers: p.RouteWorkers,
-		FullEval:     p.FullEval,
 		VerifyDelta:  p.VerifyDelta,
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"sync"
 
 	"dualtopo/internal/cost"
@@ -46,18 +47,18 @@ type localSearch struct {
 	// transition) since. A candidate resyncs both to the incumbent on the
 	// pending arcs (a no-op for the state unless the incumbent moved or a
 	// sweep left it elsewhere), then scores its move as a what-if (see
-	// evalCandidates), leaving pending at the move's arcs. FullEval resyncs
-	// the scratch alone.
+	// evalCandidates), leaving pending at the move's arcs.
 	scratch  [2][]spf.Weights
 	pending  [2][][]graph.EdgeID
 	mergeBuf [][]graph.EdgeID
 	lexes    []cost.Lex
 	errs     []error
 
-	pool  []*eval.Evaluator // per-worker evaluators
+	pool  []*eval.Evaluator // per-worker evaluators; pool[0] is e
 	evals int64
-	// deltaEvals/fullEvals split evals by path for the trace; only the
-	// coordinating goroutine updates them, so they are deterministic.
+	// deltaEvals/fullEvals split evals into candidates and incumbent
+	// evaluations for the trace; only the coordinating goroutine updates
+	// them, so they are deterministic.
 	deltaEvals, fullEvals int64
 
 	tally stepTally // the current step, for the trace
@@ -123,14 +124,6 @@ func newLocalSearch(e *eval.Evaluator, p Params, w0 ...spf.Weights) *localSearch
 	e.ResetDelta() // a reused evaluator must not leak a prior run's router position
 	s.pool = make([]*eval.Evaluator, workers)
 	s.pool[0] = e
-	if p.FullEval {
-		// Full candidate scoring routes worker 0's plans at candidate
-		// weights, so it gets a clone: s.e's plans stay anchored at the
-		// incumbent for the prune and the guided attribution, as s.e's
-		// routing state does on the delta path — both modes decide
-		// identically, bitwise.
-		s.pool[0] = e.Clone()
-	}
 	for i := 1; i < workers; i++ {
 		s.pool[i] = e.Clone()
 	}
@@ -149,7 +142,7 @@ func newLocalSearch(e *eval.Evaluator, p Params, w0 ...spf.Weights) *localSearch
 // parallelRouting toggles the parallel full-route on the primary evaluator.
 // It is scoped to the search's single-threaded phases (full refreshes,
 // accepts, the final evaluation): during candidate evaluation the pool's
-// goroutines are the parallelism, and s.e may be pool[0], so it must route
+// goroutines are the parallelism, and s.e is pool[0], so it must route
 // sequentially there.
 func (s *localSearch) parallelRouting(on bool) {
 	if s.p.RouteWorkers != 1 {
@@ -249,9 +242,6 @@ func (s *localSearch) resync(wk int) error {
 		pending[wk] = pending[wk][:0]
 	}
 	s.mergeBuf[wk] = merged
-	if s.p.FullEval {
-		return nil
-	}
 	_, err := s.pool[wk].State(s.shape).Apply(w, merged)
 	return err
 }
@@ -282,21 +272,19 @@ func (s *localSearch) noteChange(c int, arcs []graph.EdgeID) {
 // has more than one worker. Each worker owns its evaluator (and that
 // evaluator's routing states) and its scratch vectors, so the delta paths
 // parallelize without sharing. score scores candidate i, materialized as w
-// with the move's arcs as its changed set, on worker wk: on the delta path
-// as a what-if on the worker's routing state, between a Checkpoint and a
-// Revert to the incumbent. A failure sweep drives the same state, so it runs
-// after the Revert. Results are reduced in candidate order, keeping the
-// search deterministic regardless of scheduling; the returned slice is valid
-// until the next call.
+// with the move's arcs as its changed set, on worker wk as a what-if on the
+// worker's routing state, between a Checkpoint and a Revert to the
+// incumbent. A failure sweep drives the same state, so it runs after the
+// Revert. Results are reduced in candidate order, keeping the search
+// deterministic regardless of scheduling; the returned slice is valid until
+// the next call.
 func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error)) []cost.Lex {
 	n := len(moves)
 	s.lexes = append(s.lexes[:0], make([]cost.Lex, n)...)
 	s.errs = append(s.errs[:0], make([]error, n)...)
 	run := func(wk, i int) {
 		w, changed, err := s.candidate(c, wk, moves[i])
-		if err == nil && s.p.FullEval {
-			s.lexes[i], err = score(wk, i, w, changed)
-		} else if err == nil {
+		if err == nil {
 			st := s.pool[wk].State(s.shape)
 			if err = st.Checkpoint(); err == nil {
 				s.lexes[i], err = score(wk, i, w, changed)
@@ -333,13 +321,8 @@ func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, 
 	s.evals += int64(n)
 	s.tally.cands += n
 	s.count(searchMet.candEvaluated, int64(n))
-	if s.p.FullEval {
-		s.fullEvals += int64(n)
-		s.count(searchMet.evalsFull, int64(n))
-	} else {
-		s.deltaEvals += int64(n)
-		s.count(searchMet.evalsDelta, int64(n))
-	}
+	s.deltaEvals += int64(n)
+	s.count(searchMet.evalsDelta, int64(n))
 	for _, err := range s.errs {
 		if err != nil {
 			s.err = err
@@ -347,6 +330,15 @@ func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, 
 		}
 	}
 	return s.lexes
+}
+
+// mismatch is the VerifyDelta verdict on one score: an error when the
+// from-scratch evaluation failed (err) or disagrees with the delta score.
+func mismatch[T comparable](what string, delta, full T, err error) error {
+	if err == nil && delta != full {
+		err = fmt.Errorf("search: delta/full mismatch on %s: delta %+v, full %+v", what, delta, full)
+	}
+	return err
 }
 
 // perturb re-randomizes a g fraction (at least one) of the weights in w,

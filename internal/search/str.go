@@ -133,10 +133,9 @@ func (s *localSearch) stepSTR() bool {
 	st.objs = append(st.objs[:0], make([]eval.STRObjective, len(s.moves))...)
 	lexes := s.evalCandidates(eval.High, s.moves, func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
 		var err error
-		if s.p.FullEval {
-			st.objs[i], err = s.pool[wk].ObjectiveSTR(w)
-		} else {
-			st.objs[i], err = s.pool[wk].ObjectiveSTRDelta(w, changed)
+		if st.objs[i], err = s.pool[wk].ObjectiveSTRDelta(w, changed); err == nil && s.p.VerifyDelta {
+			full, ferr := s.pool[wk].ObjectiveSTR(w)
+			err = mismatch("STR candidate", st.objs[i], full, ferr)
 		}
 		return st.objs[i].Lex, err
 	})
@@ -158,13 +157,9 @@ func (s *localSearch) stepSTR() bool {
 	s.moves[bestIdx].apply(w)
 	s.noteChange(eval.High, s.moves[bestIdx].appendArcs(nil))
 	st.cur = st.objs[bestIdx]
-	if s.p.VerifyDelta && !s.p.FullEval {
+	if s.p.VerifyDelta {
 		full, err := s.e.ObjectiveSTR(w)
-		if err == nil && full != st.cur {
-			err = fmt.Errorf("search: delta/full mismatch on STR accept: delta %+v, full %+v", st.cur, full)
-		}
-		if err != nil {
-			s.err = err
+		if s.err = mismatch("STR accept", st.cur, full, err); s.err != nil {
 			return false
 		}
 	}

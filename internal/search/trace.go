@@ -11,10 +11,11 @@ import (
 // TraceEvent is one step of a search trajectory: which routine and
 // iteration ran, what kind of move was tried, whether it was accepted into
 // the incumbent and whether it improved the best-known solution, the
-// incumbent objective after the step, and the cumulative delta-vs-full
-// evaluation split. Every field is a deterministic function of the search
-// inputs — the same spec and seed produce an identical event stream at any
-// Workers or RouteWorkers setting — so traces diff cleanly across runs.
+// incumbent objective after the step, and the cumulative evaluation counts,
+// split into candidates and incumbent evaluations. Every field is a
+// deterministic function of the search inputs — the same spec and seed
+// produce an identical event stream at any Workers or RouteWorkers setting
+// — so traces diff cleanly across runs.
 type TraceEvent struct {
 	// Trajectory identifies which portfolio trajectory emitted the event;
 	// 0 for a plain (single-trajectory) search.
@@ -42,8 +43,9 @@ type TraceEvent struct {
 	// after the step; Primary is ΦH for load-based searches, Λ for SLA.
 	BestPrimary float64 `json:"best_primary"`
 	BestPhiL    float64 `json:"best_phi_l"`
-	// DeltaEvals and FullEvals split the cumulative evaluation count as
-	// DTRResult's do.
+	// DeltaEvals counts the candidates scored so far, each a what-if on a
+	// routing state; FullEvals the incumbent evaluations (refreshes and
+	// accepts). Cumulative, as DTRResult's are.
 	DeltaEvals int64 `json:"delta_evals"`
 	FullEvals  int64 `json:"full_evals"`
 }

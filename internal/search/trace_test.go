@@ -40,20 +40,10 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			}{
 				{"workers=4", func(p *Params) { p.Workers = 4 }},
 				{"routeworkers=4", func(p *Params) { p.RouteWorkers = 4 }},
-				{"fulleval", func(p *Params) { p.FullEval = true }},
 			} {
 				p := base
 				variant.mod(&p)
 				got := traceDTR(t, p, kind)
-				if variant.name == "fulleval" {
-					// Full evaluation shifts the delta/full counters but must
-					// keep the same number of events (same trajectory length).
-					if bytes.Count(got, []byte("\n")) != bytes.Count(ref, []byte("\n")) {
-						t.Fatalf("%s: %d events, want %d", variant.name,
-							bytes.Count(got, []byte("\n")), bytes.Count(ref, []byte("\n")))
-					}
-					continue
-				}
 				if !bytes.Equal(got, ref) {
 					t.Fatalf("%s: trace differs from sequential reference", variant.name)
 				}

@@ -444,13 +444,6 @@ func (p *Plan) Route(w Weights, tm *traffic.Matrix) error {
 // if dest is not an active destination.
 func (p *Plan) Tree(dest graph.NodeID) *Tree { return p.mp.Tree(dest) }
 
-// PairDelay returns the expected end-to-end delay from src to dst under the
-// last Route call, given per-arc delays. For repeated queries against the
-// same destination prefer DelaysTo.
-func (p *Plan) PairDelay(src, dst graph.NodeID, arcDelay []float64) float64 {
-	return p.mp.DelaysTo(dst, arcDelay)[src]
-}
-
 // DelaysTo returns expected delays from every node to dst. The returned
 // slice is reused by the next DelaysTo call.
 func (p *Plan) DelaysTo(dst graph.NodeID, arcDelay []float64) []float64 {

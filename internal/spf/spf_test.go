@@ -316,8 +316,8 @@ func TestPlanPairDelay(t *testing.T) {
 	for _, e := range g.Edges() {
 		arcDelay[e.ID] = e.Delay
 	}
-	if d := p.PairDelay(0, 3, arcDelay); d != 6 {
-		t.Fatalf("PairDelay(0,3) = %g, want 6", d)
+	if d := p.DelaysTo(3, arcDelay)[0]; d != 6 {
+		t.Fatalf("DelaysTo(3)[0] = %g, want 6", d)
 	}
 	if tr := p.Tree(1); tr != nil {
 		t.Fatal("Tree(inactive dest) != nil")

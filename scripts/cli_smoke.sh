@@ -134,12 +134,16 @@ grep -q '10000 nodes' "$bin/hier10k.out" || {
 echo "== dtrfail: sampled single-link sweep at the tiny budget"
 "$bin/dtrfail" -budget tiny -kind link -sample 4 >/dev/null
 
-# The other two sweep modes, after a robust search: verify holds every delta
-# state to a from-scratch evaluation, full runs only the from-scratch path.
-for mode in verify full; do
-  echo "== dtrfail: robust search, then a $mode-mode sweep"
-  "$bin/dtrfail" -budget tiny -kind link -sample 4 -robust -mode "$mode" >/dev/null
-done
+echo "== dtrfail: robust search, then a verify-mode sweep"
+# Verify holds every delta state to a from-scratch evaluation.
+"$bin/dtrfail" -budget tiny -kind link -sample 4 -robust -mode verify >/dev/null
+
+echo "== dtrfail: -mode full is refused, naming the modes there are"
+if "$bin/dtrfail" -budget tiny -kind link -sample 4 -mode full 2>"$bin/dtrfail_full.err"; then
+  echo "FAIL: dtrfail -mode full exited 0"; exit 1
+fi
+grep -q 'delta|verify' "$bin/dtrfail_full.err" || {
+  echo "FAIL: dtrfail -mode full did not name delta|verify"; cat "$bin/dtrfail_full.err"; exit 1; }
 
 echo "== dtrchurn: generate a trace, replay it cumulatively and verified"
 "$bin/dtrchurn" generate -horizon 120 -link-mtbf 60 -link-mttr 4 \
