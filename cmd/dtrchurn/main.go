@@ -237,7 +237,7 @@ func (c *replayConfig) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.convergence, "convergence", false, "emulate OSPF convergence: score stale-tree transients per event")
 	fs.Float64Var(&c.floodHopMs, "flood-hop-ms", 0, "per-adjacency LSA propagation delay, ms (0 = default 2)")
 	fs.Float64Var(&c.spfMs, "spf-ms", 0, "SPF recompute + FIB install time, ms (0 = default 50)")
-	fs.IntVar(&c.routeWorkers, "route-workers", 0, "SPF workers for full/verify evaluations: 0 = auto (results are identical)")
+	fs.IntVar(&c.routeWorkers, "route-workers", 0, "SPF workers for the from-scratch evaluations of -verify: 0 = auto (results are identical)")
 	fs.StringVar(&c.out, "o", "", "write JSON-lines records to this file instead of stdout")
 	c.obs.RegisterFlags(fs)
 }

@@ -59,7 +59,7 @@ func main() {
 	fseed := flag.Uint64("fseed", 1, "failure sampling seed")
 	robust := flag.Bool("robust", false, "make the DTR search failure-aware (scored on the same model)")
 	mode := flag.String("mode", "delta", "sweep mode: delta|verify (verify re-evaluates every state from scratch too)")
-	routeWorkers := flag.Int("route-workers", 0, "SPF workers for the from-scratch evaluations of verify mode: 0 = auto, 1 = sequential, n > 1 = fixed (results are identical)")
+	routeWorkers := flag.Int("route-workers", 0, "SPF workers for from-scratch routing: verify mode's evaluations and the first route of each routing state the sweep drives; 0 = auto, 1 = sequential, n > 1 = fixed (results are identical)")
 	guide := flag.Float64("guide", 0, "guided-step probability in [0,1] for the DTR search (0 = paper's blind sampling)")
 	prune := flag.Bool("prune", false, "enable the routing-invariance candidate prune in the DTR search")
 	var obsCLI obs.CLI

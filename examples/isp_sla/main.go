@@ -10,37 +10,24 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand/v2"
 
 	"dualtopo"
 )
 
 func main() {
 	log.SetFlags(0)
-	rng := rand.New(rand.NewPCG(2007, 12))
-
-	g := dualtopo.ISPBackbone(dualtopo.DefaultCapacity)
-	n := g.NumNodes()
-	tl := dualtopo.GravityMatrix(n, rng)
-	th, err := dualtopo.RandomHighPriorityMatrix(n, 0.10, 0.30, tl.Total(), rng)
+	// The 16-node North-American backbone under gravity traffic, 30% of it
+	// high-priority over 10% of the SD pairs, loaded to ~60% average
+	// utilization, scored against the SLA objective.
+	inst, err := dualtopo.InstanceSpec{
+		Topology: "isp", Kind: dualtopo.SLABased,
+		F: 0.30, K: 0.10, TargetUtil: 0.60, Seed: 2007,
+	}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Load the backbone to ~60% average utilization.
-	loads, err := dualtopo.RouteLoads(g, dualtopo.UniformWeights(g.NumEdges()), tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sum := 0.0
-	for _, l := range loads {
-		sum += l
-	}
-	scale := 0.60 * dualtopo.DefaultCapacity * float64(g.NumEdges()) / (sum / 0.70)
-	th.Scale(scale)
-	tl.Scale(scale)
-
-	opts := dualtopo.Options{Kind: dualtopo.SLABased, SLA: dualtopo.DefaultSLA()}
-	h, err := dualtopo.NewTopologyHandle("isp-sla", g, th, tl, opts, dualtopo.SessionPool{Size: 1})
+	g, opts := inst.G, inst.Opts
+	h, err := dualtopo.NewTopologyHandle("isp-sla", g, inst.TH, inst.TL, opts, dualtopo.SessionPool{Size: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,44 +8,28 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand/v2"
 
 	"dualtopo"
 )
 
 func main() {
 	log.SetFlags(0)
-	rng := rand.New(rand.NewPCG(1, 1))
 
-	// The paper's standard instance: 30 nodes, 150 arcs, 500 Mbps links,
-	// 30% high-priority volume spread over 10% of the SD pairs.
-	g, err := dualtopo.RandomTopology(30, 75, dualtopo.DefaultCapacity, rng)
+	// The paper's standard instance (§5.1): 30 nodes, 150 arcs, 500 Mbps
+	// links, 30% high-priority volume spread over 10% of the SD pairs, both
+	// matrices scaled to a moderately loaded network (where DTR helps most).
+	inst, err := dualtopo.InstanceSpec{
+		Topology: "random", Nodes: 30, Links: 75,
+		F: 0.30, K: 0.10, TargetUtil: 0.55, Seed: 1,
+	}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	dualtopo.AssignUniformDelays(g, 1.2, 15, rng)
-	tl := dualtopo.GravityMatrix(30, rng)
-	th, err := dualtopo.RandomHighPriorityMatrix(30, 0.10, 0.30, tl.Total(), rng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Scale demand to a moderately loaded network (where DTR helps most).
-	loads, err := dualtopo.RouteLoads(g, dualtopo.UniformWeights(g.NumEdges()), tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	total := 0.0
-	for _, l := range loads {
-		total += l
-	}
-	scale := 0.55 * dualtopo.DefaultCapacity * float64(g.NumEdges()) / (total / (1 - 0.30))
-	th.Scale(scale)
-	tl.Scale(scale)
 
 	// Wrap the instance in a handle and lease a session: the handle holds the
 	// immutable problem, the session the mutable routing state. A batch
 	// program like this one needs a single session for its whole run.
-	h, err := dualtopo.NewTopologyHandle("quickstart", g, th, tl, dualtopo.DefaultOptions(), dualtopo.SessionPool{Size: 1})
+	h, err := dualtopo.NewTopologyHandle("quickstart", inst.G, inst.TH, inst.TL, inst.Opts, dualtopo.SessionPool{Size: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

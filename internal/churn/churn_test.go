@@ -147,6 +147,23 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTraceRefusesTrailingData: a line is one event. A second value, or
+// any other non-space after the first, fails the read and names the line;
+// trailing whitespace does not.
+func TestReadTraceRefusesTrailingData(t *testing.T) {
+	const ev = `{"t":1,"kind":"link-down","target":"a-b"}`
+	for _, tail := range []string{` {"t":2,"kind":"link-up","target":"a-b"}`, ` {"nonsense":[`, `x`, `}`} {
+		in := ev + "\n" + ev + tail + "\n"
+		if _, err := ReadTrace(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("tail %q: error %v, want one naming line 2", tail, err)
+		}
+	}
+	tl, err := ReadTrace(strings.NewReader(ev + " \t\r\n"))
+	if err != nil || len(tl.Events) != 1 {
+		t.Fatalf("whitespace tail: %d events, error %v", len(tl.Events), err)
+	}
+}
+
 // replaySeries replays tl and returns the record stream as JSON bytes with
 // the wall-clock field zeroed — the determinism unit of comparison.
 func replaySeries(t testing.TB, e *eval.Evaluator, wH, wL spf.Weights, tl *Timeline, opts Options) ([]byte, *Summary) {

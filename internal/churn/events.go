@@ -188,6 +188,9 @@ func ReadTrace(r io.Reader) (*Timeline, error) {
 		if err := dec.Decode(&ev); err != nil {
 			return nil, fmt.Errorf("churn: trace line %d: %w", line, err)
 		}
+		if dec.InputOffset() < int64(len(raw)) { // raw ends in non-space
+			return nil, fmt.Errorf("churn: trace line %d: data after the event", line)
+		}
 		if !ev.Kind.valid() {
 			return nil, fmt.Errorf("churn: trace line %d: unknown kind %q", line, ev.Kind)
 		}

@@ -32,6 +32,8 @@ func FuzzReadTrace(f *testing.F) {
 		"\n\n" + `{"churn_trace":{"horizon_s":9,"events":1}}` + "\n\n" + `{"t":3,"kind":"weight-set","target":"a-b","wh":4}` + "\n \n",
 		`{"t":1,"kind":"link-sideways","target":"a-b"}`,
 		`{"t":-1,"kind":"node-down","target":"a"}`,
+		`{"t":1,"kind":"link-down","target":"a-b"} {"t":2,"kind":"link-up","target":"a-b"}`,
+		`{"churn_trace":{"horizon_s":9,"events":1}} {"nonsense":[` + "\n" + `{"t":1,"kind":"node-down","target":"a"}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -22,9 +22,13 @@ type Options struct {
 	// the replay on any bitwise disagreement with the delta path,
 	// including disagreement about disconnection. Debug mode.
 	Verify bool
-	// RouteWorkers bounds the SPF worker pool of the Verify evaluator;
-	// 0 picks an automatic value. Parallel routing is bitwise-identical
-	// to sequential, so replay output never depends on this setting.
+	// RouteWorkers bounds the SPF worker pool of the Verify evaluator's
+	// from-scratch evaluations; 0 picks an automatic value. The replay's
+	// own routing state routes from scratch (at Start, and after an event
+	// that disconnected demand) with the bound set on the evaluator the
+	// Replayer is built from (eval.Evaluator.SetRouteWorkers). Parallel
+	// routing is bitwise-identical to sequential, so replay output never
+	// depends on either setting.
 	RouteWorkers int
 	// Convergence enables OSPF-convergence emulation: each event is also
 	// scored through per-router stale-tree windows (see ConvergenceOptions).

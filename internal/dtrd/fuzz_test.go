@@ -41,7 +41,8 @@ func decodeBody(newReq func() any, body []byte, limit int64) (any, *httptest.Res
 // seeded with testdata/<endpoint>_*request.json. decode must not panic; a
 // body that decodes must re-encode to one that decodes to an equal request
 // (compared by encoding, as omitempty folds empty vectors into absent ones);
-// a refused body within the cap answers 400 bad_request; and a body over
+// a refused body within the cap — among the seeds, each fixture followed by
+// trailing data — answers 400 bad_request; and a body over
 // the cap — or the same body under a cap one byte short — answers 413
 // limit_exceeded.
 func FuzzDecodeRequests(f *testing.F) {
@@ -56,6 +57,7 @@ func FuzzDecodeRequests(f *testing.F) {
 				f.Fatal(err)
 			}
 			f.Add(uint8(i), body)
+			f.Add(uint8(i), append(body, ` {"nonsense":[`...)) // trailing data: 400
 		}
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {

@@ -218,7 +218,8 @@ var (
 )
 
 // decode reads the request body once, refusing more than limit bytes, and
-// strictly parses it into v. It reports whether it succeeded; when not, the
+// strictly parses it into v: an unknown field, or anything but whitespace
+// after the JSON value, is refused. It reports whether it succeeded; when not, the
 // 413 or 400 is written. what names the request in error messages.
 func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	body := bodyPool.Get().(*bytes.Buffer)
@@ -234,14 +235,23 @@ func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v 
 		}
 		return false
 	}
+	raw := body.Bytes() // stays valid: decoding only advances body's read offset
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil && len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errTrailingData
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid "+what+" request: "+err.Error())
 		return false
 	}
 	return true
 }
+
+// errTrailingData refuses a body with more than whitespace after its JSON
+// value.
+var errTrailingData = errors.New("data after the JSON value")
 
 // topo resolves {id}, writing 404 when unknown.
 func (s *Server) topo(w http.ResponseWriter, r *http.Request) *topology {

@@ -774,6 +774,40 @@ func TestGoldenBodyLimit(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRefused pins that every decoded body is one JSON value:
+// anything but whitespace after it answers 400 bad_request, on each
+// endpoint's own fixture, while a whitespace tail is still accepted.
+func TestTrailingDataRefused(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	loadTestTopo(t, ts)
+	code, body := do(t, "POST", ts.URL+"/v1/topologies/t1/search", []byte(`{"budget":"smoke"} {"nonsense":[`))
+	var e ErrorResponse
+	if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+		t.Fatalf("search with trailing garbage: code %d: %s", code, body)
+	}
+	for _, tc := range []struct{ fixture, path string }{
+		{"load_request.json", "/v1/topologies"},
+		{"route_str_request.json", "/v1/topologies/t1/route"},
+		{"whatif_str_request.json", "/v1/topologies/t1/whatif"},
+		{"search_request.json", "/v1/topologies/t1/search"},
+	} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{` {"nonsense":[`, "{}", "\n1", "x", "]"} {
+			code, body := do(t, "POST", ts.URL+tc.path, append(bytes.Clone(fixture), tail...))
+			var e ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+				t.Errorf("%s + %q: code %d: %s", tc.fixture, tail, code, body)
+			}
+		}
+		if code, body := do(t, "POST", ts.URL+tc.path, append(bytes.Clone(fixture), " \t\r\n"...)); code >= 400 {
+			t.Errorf("%s + whitespace: code %d: %s", tc.fixture, code, body)
+		}
+	}
+}
+
 // TestDeleteFreesOrderSlot loads and deletes 1000 topologies: the listing
 // order must not keep a slot per topology that ever existed.
 func TestDeleteFreesOrderSlot(t *testing.T) {

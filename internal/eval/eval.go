@@ -4,12 +4,18 @@
 // solution-level lexicographic cost plus the per-arc metrics the search
 // heuristics sort on.
 //
-// Three evaluation modes mirror how the searches use it:
+// Two evaluation forms mirror how the searches use it:
 //
-//   - EvaluateSTR: both classes follow one weight setting (one SPF pass).
-//   - EvaluateDTR: each class follows its own weight setting.
-//   - ObjectiveH / ObjectiveL: fast partial re-evaluations for the FindH and
-//     FindL inner loops, which change only one class's weights at a time.
+//   - From scratch: EvaluateSTR routes both classes under one weight setting
+//     (one SPF pass), EvaluateDTR each class under its own. ObjectiveSTR,
+//     ObjectiveH and ObjectiveL are their score-only variants, kept as the
+//     from-scratch oracles a search's VerifyDelta mode checks every
+//     incremental score against.
+//   - Incremental: a RoutingState (state.go) keeps one scheme's routing and
+//     per-arc metrics current across weight transitions, re-scoring only the
+//     arcs whose loads moved; the Objective*Delta methods drive the
+//     evaluator's own two states (delta.go), and are what the searches score
+//     candidates and keep their incumbents with.
 package eval
 
 import (
@@ -208,6 +214,9 @@ type Evaluator struct {
 	// states[shape] is the routing state State(shape) returns; built lazily
 	// so full-evaluation users pay nothing. Never shared by Clone.
 	states [2]*RoutingState
+	// routeWorkers is the SetRouteWorkers bound, which the plans and every
+	// routing state built over the evaluator route from scratch with.
+	routeWorkers int
 }
 
 // treeSource is any routed plan that can hand back per-destination trees.
@@ -259,6 +268,8 @@ func New(g *graph.Graph, th, tl *traffic.Matrix, opts Options) (*Evaluator, erro
 		planH:   spf.NewPlan(g, th),
 		planL:   spf.NewPlan(g, tl),
 		planSTR: spf.NewMultiPlan(g, th, tl),
+
+		routeWorkers: 1,
 	}, nil
 }
 
@@ -275,23 +286,35 @@ func (e *Evaluator) Clone() *Evaluator {
 		planH:   e.planH.CloneState(),
 		planL:   e.planL.CloneState(),
 		planSTR: e.planSTR.CloneState(),
+
+		routeWorkers: 1,
 	}
 }
 
-// SetRouteWorkers bounds the SPF worker pool used by this evaluator's full
-// routing passes (EvaluateSTR/EvaluateDTR and the Objective* fast paths):
-// destinations are sharded across per-worker SPF computers and reduced in
-// destination order, so results stay bitwise-identical to sequential
-// routing. n == 1 restores sequential routing; n == 0 picks a block-aware
+// SetRouteWorkers bounds the SPF worker pool of this evaluator's
+// from-scratch routes: the plans' (EvaluateSTR/EvaluateDTR and the Objective*
+// oracles) and those of its routing states' routers (a state's first
+// transition and any after a Reset or a disconnection; incremental
+// transitions stay sequential). The bound holds for the states it has and
+// those it builds later, including NewRoutingState's over it. Destinations
+// are sharded across per-worker SPF computers and reduced in destination
+// order, so results stay bitwise-identical to sequential routing. n == 1
+// restores sequential routing, the default; n == 0 picks a block-aware
 // automatic pool size from the instance size and GOMAXPROCS (sequential on
-// small instances). Callers that evaluate on
+// small instances). Clones start sequential. Callers that evaluate on
 // evaluator pools should keep pool members sequential and scope parallel
 // routing to single-threaded phases (e.g. a search's full refresh), or the
 // pools oversubscribe the machine.
 func (e *Evaluator) SetRouteWorkers(n int) {
+	e.routeWorkers = n
 	e.planH.SetWorkers(n)
 	e.planL.SetWorkers(n)
 	e.planSTR.SetWorkers(n)
+	for _, s := range e.states {
+		if s != nil {
+			s.setRouteWorkers(n)
+		}
+	}
 }
 
 // ResetDelta drops both routing states, forcing the next delta call or sweep
@@ -429,8 +452,8 @@ func (e *instance) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
 	return e.sla.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
 }
 
-// STRObjective is the STR-search fast path: both classes routed under w,
-// returning only the solution costs (no per-arc slices are retained).
+// STRObjective is the STR search's score of one weight setting: both
+// classes routed under it, only the solution costs (no per-arc slices).
 type STRObjective struct {
 	Lex        cost.Lex
 	PhiH, PhiL float64
@@ -439,7 +462,9 @@ type STRObjective struct {
 }
 
 // ObjectiveSTR evaluates w for both classes into the evaluator's scratch
-// Result and returns only the solution costs.
+// Result and returns only the solution costs: the from-scratch oracle of
+// ObjectiveSTRDelta, which the STR search's VerifyDelta mode checks it
+// against.
 func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
 	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
 		return STRObjective{}, err
@@ -449,8 +474,9 @@ func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
 	return STRObjective{Lex: r.Objective(), PhiH: r.PhiH, PhiL: r.PhiL, Lambda: r.Lambda, Violations: r.Violations}, nil
 }
 
-// ObjectiveH is the FindH fast path: route only the high-priority class
-// under wH and compute the solution objective, reusing the low-priority
+// ObjectiveH is FindH's from-scratch score, the oracle of ObjectiveHDelta:
+// route only the high-priority class under wH and compute the solution
+// objective, reusing the low-priority
 // loads of the incumbent solution (WL unchanged implies L routing
 // unchanged; only the residual capacities move).
 func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, error) {
@@ -461,8 +487,8 @@ func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, erro
 	return e.scratch.Objective(), nil
 }
 
-// ObjectiveL is the FindL fast path: route only the low-priority class under
-// wL against the residual capacities of the incumbent high-priority routing
+// ObjectiveL is FindL's from-scratch score, the oracle of ObjectiveLDelta:
+// route only the low-priority class under wL against the residual capacities of the incumbent high-priority routing
 // and return its ΦL. The primary objective is unaffected by WL.
 func (e *Evaluator) ObjectiveL(wL spf.Weights, residual []float64) (float64, error) {
 	if err := e.planL.Route(wL, e.tl); err != nil {

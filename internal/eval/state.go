@@ -84,8 +84,9 @@ type RoutingState struct {
 }
 
 // NewRoutingState builds an unrouted state of the given shape over e's
-// problem instance. Only immutable instance data is shared with e: the state
-// owns its routers, and e's plans and delta states are never touched.
+// problem instance, routing from scratch with e's SetRouteWorkers bound.
+// Only immutable instance data is shared with e: the state owns its routers,
+// and e's plans and delta states are never touched.
 func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
 	in := e.instance
 	m := in.g.NumEdges()
@@ -97,7 +98,18 @@ func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
 		s.dr = [2]*spf.DeltaRouter{spf.NewDeltaRouter(in.g, in.th), spf.NewDeltaRouter(in.g, in.tl)}
 		s.loads = [2][]float64{s.dr[High].Loads[0], s.dr[Low].Loads[0]}
 	}
+	s.setRouteWorkers(e.routeWorkers)
 	return s
+}
+
+// setRouteWorkers bounds the SPF worker pool the state's routers route from
+// scratch with; see Evaluator.SetRouteWorkers.
+func (s *RoutingState) setRouteWorkers(n int) {
+	for _, dr := range s.dr {
+		if dr != nil {
+			dr.SetWorkers(n)
+		}
+	}
 }
 
 // Router exposes class c's router for read-only inspection (trees, loads,

@@ -1,10 +1,6 @@
 package search
 
-import (
-	"dualtopo/internal/eval"
-	"dualtopo/internal/graph"
-	"dualtopo/internal/spf"
-)
+import "dualtopo/internal/eval"
 
 // Routing-invariance bound: a candidate whose changed arcs provably leave
 // every shortest-path DAG of the class being re-routed intact routes — and
@@ -12,10 +8,11 @@ import (
 // accepts strict improvements, so such a candidate can never be selected and
 // its evaluation is pure waste.
 //
-// The per-arc test against the incumbent's destination trees is O(1): for an
-// arc a = (u, v) with incumbent weight w and candidate weight w', and tree
-// distances du = Dist[u], dv = Dist[v] (toward one destination), the arc can
-// influence that tree only if
+// The per-arc test against the incumbent's destination trees is
+// spf.DeltaRouter.ArcInvariant, the rule the router's Apply dirties trees
+// with, O(1) per tree: for an arc a = (u, v) with incumbent weight w and
+// candidate weight w', and tree distances du = Dist[u], dv = Dist[v] (toward
+// one destination), the arc can influence that tree only if
 //
 //	du == w + dv            (a is on the ECMP DAG and its weight moves), or
 //	w' < w && du >= w' + dv (the decrease creates a path at least as good).
@@ -37,32 +34,6 @@ import (
 // pruneOn reports whether the routing-invariance prune is active.
 func (s *localSearch) pruneOn() bool { return s.p.Prune && !s.robust() }
 
-// arcInvariant reports whether changing arc a's weight from oldW to newW
-// provably leaves every destination tree of trees intact.
-func arcInvariant(trees *spf.DeltaRouter, csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
-	if oldW == newW {
-		return true
-	}
-	u, v := csr.From[a], csr.To[a]
-	for _, dest := range trees.Destinations() {
-		t := trees.Tree(dest)
-		dv := int64(t.Dist[v])
-		if dv == spf.Unreachable {
-			continue // the arc leads nowhere useful for this destination
-		}
-		// Widen to int64: Disabled weights exceed any finite int32
-		// distance, so the sums below must not wrap.
-		du := int64(t.Dist[u])
-		if du == int64(oldW)+dv {
-			return false // on the DAG; its weight moves
-		}
-		if newW < oldW && du >= int64(newW)+dv {
-			return false // decrease creates a competitive path
-		}
-	}
-	return true
-}
-
 // pruneMoves drops the provably routing-invariant moves of class c,
 // reading each moved arc's new weight from the move itself, and counts what
 // it discarded. The filter consumes no randomness and touches no evaluator
@@ -73,11 +44,10 @@ func (s *localSearch) pruneMoves(c int, moves []move) []move {
 		return moves
 	}
 	trees := s.e.State(eval.RouteDTR).Router(c)
-	csr := s.e.Graph().CSR()
 	w := s.w[c]
 	kept := moves[:0]
 	for _, mv := range moves {
-		if arcInvariant(trees, csr, mv.up, w[mv.up], mv.wUp) && arcInvariant(trees, csr, mv.down, w[mv.down], mv.wDown) {
+		if trees.ArcInvariant(mv.up, w[mv.up], mv.wUp) && trees.ArcInvariant(mv.down, w[mv.down], mv.wDown) {
 			s.tally.pruned++
 			continue
 		}

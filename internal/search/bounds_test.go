@@ -23,7 +23,6 @@ func TestPruneBoundSoundness(t *testing.T) {
 				e := randomEvaluator(t, kind, seed)
 				g := e.Graph()
 				n := g.NumEdges()
-				csr := g.CSR()
 				rng := rand.New(rand.NewPCG(seed, 0xb0d))
 				const wMax, step = 20, 3
 
@@ -60,8 +59,8 @@ func TestPruneBoundSoundness(t *testing.T) {
 						continue
 					}
 					arcs := []graph.EdgeID{up, down}
-					invH := arcsInvariant(st.Router(eval.High), csr, w, cw, arcs)
-					invL := arcsInvariant(st.Router(eval.Low), csr, w, cw, arcs)
+					invH := arcsInvariant(st.Router(eval.High), w, cw, arcs)
+					invL := arcsInvariant(st.Router(eval.Low), w, cw, arcs)
 					if !invH && !invL {
 						continue
 					}

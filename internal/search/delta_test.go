@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/graph"
 	"dualtopo/internal/obs"
 	"dualtopo/internal/spf"
 )
@@ -230,6 +231,47 @@ func TestDTRRoutesFromScratchOnlyAtRefreshes(t *testing.T) {
 			if want := perDest * (1 + 2 + perturbs + 1); got != want {
 				t.Fatalf("%d full trees over %d accepts and %d perturbations, want %d: %d destinations × (initial + 2 adoptBest + %d perturb refreshes + final)",
 					got, accepts, perturbs, want, perDest, perturbs)
+			}
+		})
+	}
+}
+
+// TestSTRRoutesFromScratchOnlyAtRefreshes is the STR twin of
+// TestDTRRoutesFromScratchOnlyAtRefreshes: the incumbent lives in the
+// evaluator's STR routing state, which routes from scratch at the initial
+// refresh and at the refresh after each perturbation, and the final
+// EvaluateSTR routes the plans once — one tree per destination of the
+// classes' union each time. A refresh that also routed the plans, or a
+// candidate that routed the state from scratch, would add to it. The
+// perturbation count is Evaluations less the scored candidates, less the
+// initial refresh.
+func TestSTRRoutesFromScratchOnlyAtRefreshes(t *testing.T) {
+	const help = "SPF trees computed from scratch, by queue implementation."
+	trees := obs.Default().CounterVec("spf_trees_total", help, "queue")
+	total := func() int64 { return trees.With("bucket").Value() + trees.With("heap").Value() }
+	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := randomEvaluator(t, kind, 11)
+			th, tl := e.Matrices()
+			union := map[graph.NodeID]bool{}
+			for _, d := range append(th.ActiveDestinations(), tl.ActiveDestinations()...) {
+				union[d] = true
+			}
+			p := tinySTRParams()
+			p.M = 20 // diversify a few times within the budget
+			before := total()
+			res, err := STR(e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := total() - before
+			perturbs := res.Evaluations - int64(p.Iterations*p.Candidates) - 1
+			if perturbs <= 0 {
+				t.Fatalf("%d perturbations: the test is vacuous", perturbs)
+			}
+			if want := int64(len(union)) * (1 + perturbs + 1); got != want {
+				t.Fatalf("%d full trees over %d perturbations, want %d: %d destinations × (initial + %d perturb refreshes + final)",
+					got, perturbs, want, len(union), perturbs)
 			}
 		})
 	}

@@ -137,10 +137,13 @@ func newDTRSearch(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*localSear
 }
 
 // refreshFull re-evaluates the current solution from scratch, including its
-// robust penalty when failure-aware scoring is on.
+// robust penalty when failure-aware scoring is on. The primary routing state
+// routes from scratch on the Params.RouteWorkers pool.
 func (s *localSearch) refreshFull() error {
 	s.e.State(eval.RouteDTR).Reset()
+	s.parallelRouting(true)
 	err := s.evalIncumbent()
+	s.parallelRouting(false)
 	if err == nil && s.robust() {
 		s.curRob, err = s.robustTerm(0, s.w[eval.High], s.w[eval.Low])
 	}

@@ -98,14 +98,16 @@ type Params struct {
 	Prune bool
 	// Workers bounds concurrent neighbor evaluations; 0 means GOMAXPROCS.
 	Workers int
-	// RouteWorkers bounds the SPF worker pool used for the search's full
-	// solution refreshes (initialization, accepts after diversification, and
-	// the final evaluation). 0 (the default) picks a block-aware value from
-	// the instance size and GOMAXPROCS — sequential on small instances,
+	// RouteWorkers bounds the SPF worker pool of the search's from-scratch
+	// routes: the refreshes that route the incumbent's routing state anew
+	// (initialization, each routine's start, every diversification) and the
+	// final evaluation. 0 (the default) picks a block-aware value from the
+	// instance size and GOMAXPROCS — sequential on small instances,
 	// parallel on large ones; 1 forces sequential routing; n > 1 fixes the
 	// pool size. Parallel routing is bitwise-identical to sequential, so the
 	// search trajectory does not depend on this setting. Candidate
-	// evaluations are unaffected: they already parallelize across Workers.
+	// evaluations and accepts are unaffected: they route incrementally, and
+	// already parallelize across Workers.
 	RouteWorkers int
 	// VerifyDelta re-scores every candidate from scratch on its worker's
 	// evaluator and every accepted incumbent on the search's, failing the
@@ -199,9 +201,10 @@ type STRParams struct {
 	Epsilons []float64
 	// Workers bounds concurrent candidate evaluations; 0 means GOMAXPROCS.
 	Workers int
-	// RouteWorkers bounds the SPF worker pool used for the search's full
-	// evaluations (initialization, diversification refreshes, the final
-	// evaluation); 0 = auto, 1 = sequential, see Params.RouteWorkers.
+	// RouteWorkers bounds the SPF worker pool of the search's from-scratch
+	// routes (the refreshes at the start and after each diversification,
+	// the final evaluation); 0 = auto, 1 = sequential, see
+	// Params.RouteWorkers.
 	RouteWorkers int
 	// VerifyDelta asserts delta == full on every candidate and accept; see
 	// Params.VerifyDelta.

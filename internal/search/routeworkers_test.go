@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dualtopo/internal/eval"
+	"dualtopo/internal/obs"
 )
 
 // TestDTRRouteWorkersBitwiseTransparent runs the same seeded DTR search
@@ -71,5 +72,42 @@ func TestSTRRouteWorkersBitwiseTransparent(t *testing.T) {
 		if rec.Found != pr.Found || rec.PhiH != pr.PhiH || rec.PhiL != pr.PhiL {
 			t.Fatalf("relaxed record ε=%g: sequential %+v, route-workers %+v", eps, rec, pr)
 		}
+	}
+}
+
+// TestDTRRefreshRoutesSharded pins where Params.RouteWorkers reaches: the
+// refresh after each diversification routes the incumbent's routing state
+// from scratch on the route-worker pool. The spf route-shape gauges, zeroed
+// after every event, must hold a sharded route's shape when the
+// perturbation event — emitted once the refresh is done — arrives, and be
+// untouched at every other step but a routine's first, which follows the
+// routine's own refresh: steps route incrementally.
+func TestDTRRefreshRoutesSharded(t *testing.T) {
+	occupancy := obs.Default().Gauge("spf_route_worker_occupancy", "")
+	block := obs.Default().Gauge("spf_route_block_size", "")
+	perturbs := 0
+	p := tinyParams()
+	p.RouteWorkers = 4
+	p.OnEvent = func(ev TraceEvent) {
+		if ev.Kind != "perturb" {
+			if ev.Iter > 0 && occupancy.Value() != 0 {
+				t.Fatalf("%s step %d routed sharded: occupancy %v", ev.Kind, ev.Iter, occupancy.Value())
+			}
+		} else {
+			perturbs++
+			if occupancy.Value() < 1 || block.Value() < 1 {
+				t.Fatalf("refresh after perturbation %d: occupancy %v, block size %v, want a sharded route",
+					perturbs, occupancy.Value(), block.Value())
+			}
+		}
+		occupancy.Set(0)
+		block.Set(0)
+	}
+	occupancy.Set(0)
+	if _, err := DTR(randomEvaluator(t, eval.LoadBased, 17), p); err != nil {
+		t.Fatal(err)
+	}
+	if perturbs == 0 {
+		t.Fatal("no perturbation: the test is vacuous")
 	}
 }

@@ -139,9 +139,10 @@ func newLocalSearch(e *eval.Evaluator, p Params, w0 ...spf.Weights) *localSearch
 	return s
 }
 
-// parallelRouting toggles the parallel full-route on the primary evaluator.
-// It is scoped to the search's single-threaded phases (full refreshes,
-// accepts, the final evaluation): during candidate evaluation the pool's
+// parallelRouting toggles the parallel full-route on the primary evaluator —
+// its plans and its routing states' routers. It is scoped to the search's
+// single-threaded phases (the refreshes that route the primary state from
+// scratch, the final evaluation): during candidate evaluation the pool's
 // goroutines are the parallelism, and s.e is pool[0], so it must route
 // sequentially there.
 func (s *localSearch) parallelRouting(on bool) {

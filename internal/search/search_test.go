@@ -197,9 +197,9 @@ func neighborOf(w spf.Weights, up, down graph.EdgeID, step, wMax int) (spf.Weigh
 
 // arcsInvariant is the prune's per-arc bound over an explicit candidate
 // vector cw: every listed arc must be certified against trees.
-func arcsInvariant(trees *spf.DeltaRouter, csr *graph.CSR, w, cw spf.Weights, arcs []graph.EdgeID) bool {
+func arcsInvariant(trees *spf.DeltaRouter, w, cw spf.Weights, arcs []graph.EdgeID) bool {
 	for _, a := range arcs {
-		if !arcInvariant(trees, csr, a, w[a], cw[a]) {
+		if !trees.ArcInvariant(a, w[a], cw[a]) {
 			return false
 		}
 	}

@@ -98,11 +98,14 @@ type strState struct {
 
 // refreshSTR evaluates the incumbent from scratch (at start and after each
 // diversification), feeds it to the ε-records, and keeps it as the best if
-// it improves on it.
+// it improves on it. Like DTR's refreshFull, it routes the primary routing
+// state from scratch — the incumbent lives there — and reads the incumbent's
+// objective off it.
 func (s *localSearch) refreshSTR() error {
 	w := s.w[eval.High]
+	s.e.State(eval.RouteSTR).Reset()
 	s.parallelRouting(true)
-	obj, err := s.e.ObjectiveSTR(w)
+	obj, err := s.e.ObjectiveSTRDelta(w, nil) // a Reset state routes from scratch
 	s.parallelRouting(false)
 	if err != nil {
 		return err

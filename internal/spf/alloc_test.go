@@ -63,20 +63,58 @@ func TestAddLoadsZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// routeAllocs is the warm allocation count of route, averaged the way
+// AllocsPerRun does it (total mallocs integer-divided by runs). Above one
+// worker the runtime itself may allocate: spawning a goroutine takes a
+// descriptor from the spawning P's free list, and allocates one when that
+// list and the global one are empty — which happens when the last route's
+// workers exited on other Ps. A long warm-up fills the free lists, and many
+// runs average those rare allocations below one per run, while any
+// allocation of the route's own (at least one per run) still fails the pin.
+func routeAllocs(t *testing.T, workers int, route func() error) float64 {
+	t.Helper()
+	warm, runs := 1, 20
+	if workers > 1 {
+		warm, runs = 200, 200
+	}
+	for i := 0; i < warm; i++ {
+		if err := route(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(runs, func() {
+		if err := route(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestMultiPlanRouteZeroSteadyStateAllocs pins the warm sequential route and
+// the warm sharded one, whose worker closures and support lists are reused.
 func TestMultiPlanRouteZeroSteadyStateAllocs(t *testing.T) {
 	g, w, tm := allocInstance(t)
 	rng := rand.New(rand.NewPCG(9, 9))
 	tm2 := traffic.Gravity(g.NumNodes(), rng)
-	p := NewMultiPlan(g, tm, tm2)
-	if err := p.Route(w, tm, tm2); err != nil { // warm
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := p.Route(w, tm, tm2); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		p := NewMultiPlan(g, tm, tm2)
+		p.SetWorkers(workers)
+		if allocs := routeAllocs(t, workers, func() error { return p.Route(w, tm, tm2) }); allocs != 0 {
+			t.Fatalf("MultiPlan.Route at %d workers allocates %.1f objects per warm run, want 0", workers, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("MultiPlan.Route allocates %.1f objects per warm run, want 0", allocs)
+	}
+}
+
+// TestDeltaRouteZeroSteadyStateAllocs pins the warm from-scratch
+// DeltaRouter.Route, inline and sharded: its support lists are refilled in
+// place.
+func TestDeltaRouteZeroSteadyStateAllocs(t *testing.T) {
+	g, w, tm := allocInstance(t)
+	for _, workers := range []int{1, 4} {
+		dr := NewDeltaRouter(g, tm)
+		dr.SetWorkers(workers)
+		if allocs := routeAllocs(t, workers, func() error { return dr.Route(w) }); allocs != 0 {
+			t.Fatalf("DeltaRouter.Route at %d workers allocates %.1f objects per warm run, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -34,15 +34,9 @@ type DeltaStats struct {
 //
 // A full Route computes every destination tree. Apply takes the set of arcs
 // whose weights changed and updates (Computer.TreeUpdate) only the trees the
-// change can invalidate, per the dynamic-SPF rule:
-//
-//   - a changed arc lying on the stored ECMP DAG (Dist[to]+w_old == Dist[from])
-//     invalidates the tree, whatever the direction of the change;
-//   - a changed arc with Dist[to]+w_new <= Dist[from] (a weight decrease, or
-//     a repaired arc, creating a shorter or new equal-cost path) invalidates
-//     the tree;
-//   - every other tree keeps both its distances and its ECMP DAG, so its
-//     routed loads are bitwise-unchanged (Tree.Order is canonical).
+// change can invalidate, per the dynamic-SPF rule of ArcInvariant; every
+// other tree keeps both its distances and its ECMP DAG, so its routed loads
+// are bitwise-unchanged (Tree.Order is canonical).
 //
 // Dirty destinations have their old load contribution subtracted exactly —
 // each destination's loads are retained as a support list (the arcs it
@@ -57,32 +51,16 @@ type DeltaStats struct {
 // A DeltaRouter is not safe for concurrent use. After any error the router
 // is invalid and the next Apply falls back to a full Route.
 type DeltaRouter struct {
-	g    *graph.Graph
-	csr  *graph.CSR
-	comp *Computer
-	tms  []*traffic.Matrix
-
-	dests []graph.NodeID
-	byID  []int32
-	trees []Tree
+	// routeCore holds the trees, the aggregate Loads — maintained
+	// bitwise-equal to what MultiPlan.Route would produce — and every
+	// destination's support lists (sup/vals), which a full Route rebuilds
+	// and Apply keeps current. Per-destination state is thus support-sized,
+	// never arc-count-sized, and so are the marking and re-aggregation
+	// passes, whose sums accumulate in the core's scratch vector.
+	routeCore
+	csr   *graph.CSR
 	w     Weights
 	valid bool
-
-	// supports[di][mi] lists the arcs destination di loads for matrix mi,
-	// in load-discovery order, and vals[di][mi] their loads, parallel to it
-	// and sized to it; both are empty when di receives no demand from mi.
-	// Per-destination state is thus support-sized, never arc-count-sized,
-	// and so are the marking and re-aggregation passes.
-	supports [][][]graph.EdgeID
-	vals     [][][]float64
-	// scratch is an all-zero per-arc vector between uses: a tree's loads
-	// are routed into it and compacted into vals, and re-aggregation sums
-	// touched arcs in it.
-	scratch []float64
-
-	// Loads[mi] is the aggregate per-arc load of matrix mi, maintained
-	// bitwise-equal to what MultiPlan.Route would produce.
-	Loads [][]float64
 
 	changedBuf []graph.EdgeID
 	raised     []graph.EdgeID // changedBuf split by direction, for TreeUpdate
@@ -94,7 +72,6 @@ type DeltaRouter struct {
 	dirty      []bool
 	dirtyList  []int
 	allArcs    []graph.EdgeID
-	xiBuf      []float64
 
 	// Checkpoint state (see Checkpoint/Revert): pre-images of everything an
 	// Apply mutates, captured lazily per dirtied destination.
@@ -130,37 +107,12 @@ type destSave struct {
 func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 	m := g.NumEdges()
 	r := &DeltaRouter{
-		g:    g,
-		csr:  g.CSR(),
-		comp: NewComputer(g),
-		tms:  tms,
-		byID: make([]int32, g.NumNodes()),
-		w:    make(Weights, m),
+		routeCore: newRouteCore(g, tms),
+		csr:       g.CSR(),
+		w:         make(Weights, m),
 	}
-	for i := range r.byID {
-		r.byID[i] = -1
-	}
-	for _, tm := range tms {
-		for _, d := range tm.ActiveDestinations() {
-			if r.byID[d] == -1 {
-				r.byID[d] = int32(len(r.dests))
-				r.dests = append(r.dests, d)
-			}
-		}
-	}
+	r.tms = slices.Clone(tms)
 	nd := len(r.dests)
-	r.trees = make([]Tree, nd)
-	r.supports = make([][][]graph.EdgeID, nd)
-	r.vals = make([][][]float64, nd)
-	for di := range r.dests {
-		r.supports[di] = make([][]graph.EdgeID, len(tms))
-		r.vals[di] = make([][]float64, len(tms))
-	}
-	r.Loads = make([][]float64, len(tms))
-	for mi := range r.Loads {
-		r.Loads[mi] = make([]float64, m)
-	}
-	r.scratch = make([]float64, m)
 	r.touched = make([]bool, m)
 	r.movedMark = make([]bool, m)
 	r.dirty = make([]bool, nd)
@@ -171,10 +123,6 @@ func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 	return r
 }
 
-// Destinations returns the active destination union. Callers must not
-// modify it.
-func (r *DeltaRouter) Destinations() []graph.NodeID { return r.dests }
-
 // Weights returns the router's current weight setting. Callers must not
 // modify it.
 func (r *DeltaRouter) Weights() Weights { return r.w }
@@ -184,16 +132,6 @@ func (r *DeltaRouter) Valid() bool { return r.valid }
 
 // Stats returns cumulative incremental-engine counters.
 func (r *DeltaRouter) Stats() DeltaStats { return r.stats }
-
-// Tree returns the routing tree toward dest, or nil if dest is inactive.
-// Valid after a successful Route or Apply.
-func (r *DeltaRouter) Tree(dest graph.NodeID) *Tree {
-	i := r.byID[dest]
-	if i < 0 {
-		return nil
-	}
-	return &r.trees[i]
-}
 
 // TreeDirty reports whether dest's tree was recomputed by the last
 // successful Route (always true) or Apply. Inactive destinations are never
@@ -219,21 +157,12 @@ func (r *DeltaRouter) TreeUsesArc(dest graph.NodeID, id graph.EdgeID) bool {
 	return dv != unreachable && dv+int32(w) == t.Dist[r.csr.From[id]]
 }
 
-// DelaysTo returns expected delays from every node to dst given per-arc
-// delays. The returned slice is reused by the next DelaysTo call. It panics
-// on an inactive destination.
-func (r *DeltaRouter) DelaysTo(dst graph.NodeID, arcDelay []float64) []float64 {
-	t := r.Tree(dst)
-	if t == nil {
-		panic("spf: DelaysTo on inactive destination")
-	}
-	r.xiBuf = t.Delays(r.g, arcDelay, r.xiBuf)
-	return r.xiBuf
-}
-
 // Route recomputes every tree and load vector from scratch under w and
 // snapshots w as the router's current setting. This is both the
 // initialization path and the fallback when incremental state is unusable.
+// It is the retaining form of MultiPlan's route, sharded across the worker
+// pool SetWorkers bounds (inline at one worker, the default) and
+// bitwise-identical at every worker count, the returned error included.
 func (r *DeltaRouter) Route(w Weights) error {
 	if len(w) != len(r.w) {
 		return fmt.Errorf("spf: delta router has %d arcs, weights cover %d", len(r.w), len(w))
@@ -243,55 +172,52 @@ func (r *DeltaRouter) Route(w Weights) error {
 	r.cpActive = false // wholesale rewrite: any checkpoint is stale
 	r.stats.FullRoutes++
 	met.fullRoutes.Inc()
-	for mi := range r.Loads {
-		loads := r.Loads[mi]
-		for a := range loads {
-			loads[a] = 0
-		}
-	}
 	maxW := maxWeight(r.w)
 	if err := checkDistRange(r.g.NumNodes(), maxW); err != nil {
 		return err
 	}
-	for di, dest := range r.dests {
+	for di := range r.dirty {
 		r.dirty[di] = true
-		r.comp.tree(dest, r.w, &r.trees[di], maxW)
-		for mi := range r.tms {
-			if err := r.routeDest(di, mi); err != nil {
-				return err
-			}
-			loads, vals := r.Loads[mi], r.vals[di][mi]
-			for k, a := range r.supports[di][mi] {
-				loads[a] += vals[k]
-			}
-		}
+	}
+	if err := r.routeRetained(r.w, maxW, r.workerCount()); err != nil {
+		return err
 	}
 	r.valid = true
 	return nil
 }
 
-// routeDest routes matrix mi's demand column toward destination di over its
-// current tree into the scratch vector and compacts the result into
-// supports[di][mi] and vals[di][mi], leaving the scratch vector all-zero.
-// The arcs are collected in the Computer's DAG staging buffer (idle between
-// tree builds, one slot per arc) and copied out, so a list first allocated
-// here fits its support exactly. Reachability is checked before any load is
-// written, so on error both lists are left empty.
-func (r *DeltaRouter) routeDest(di, mi int) error {
-	sup, vals := r.supports[di][mi][:0], r.vals[di][mi][:0]
-	var err error
-	if col := r.tms[mi].Column(r.dests[di]); col != nil {
-		var arcs []graph.EdgeID
-		arcs, err = r.comp.addLoadsTracked(&r.trees[di], col, r.scratch, r.comp.stage[:0])
-		sup = append(sup, arcs...)
-		vals = slices.Grow(vals, len(sup))
-		for _, a := range sup {
-			vals = append(vals, r.scratch[a])
-			r.scratch[a] = 0
+// changedBy reports whether moving arc a's weight from oldW to newW can
+// change t, by ArcInvariant's rule. Sums are widened to int64, so no weight
+// wraps them, and a Disabled oldW is on no DAG.
+func (t *Tree) changedBy(csr *graph.CSR, a graph.EdgeID, oldW, newW int) bool {
+	dv := int64(t.Dist[csr.To[a]])
+	if oldW == newW || dv == unreachable {
+		return false
+	}
+	du := int64(t.Dist[csr.From[a]])
+	return (oldW != Disabled && dv+int64(oldW) == du) || (newW < oldW && dv+int64(newW) <= du)
+}
+
+// ArcInvariant reports whether moving arc a's weight from oldW to newW
+// provably leaves every tree of the router — distances and ECMP DAG — and so
+// every load as it is. It is the dynamic-SPF rule Apply dirties trees with;
+// a move changes a tree only if
+//
+//   - the arc lies on the tree's ECMP DAG (Dist[to]+oldW == Dist[from]),
+//     whatever the direction of the move, or
+//   - the move lowers the arc to Dist[to]+newW <= Dist[from] (a weight
+//     decrease, or a repair, creating a shorter or new equal-cost path).
+//
+// An arc whose head cannot reach the destination changes nothing, and
+// Disabled is the largest weight: a failure is a raise, a repair a lower.
+// Valid after a successful Route or Apply.
+func (r *DeltaRouter) ArcInvariant(a graph.EdgeID, oldW, newW int) bool {
+	for di := range r.trees {
+		if r.trees[di].changedBy(r.csr, a, oldW, newW) {
+			return false
 		}
 	}
-	r.supports[di][mi], r.vals[di][mi] = sup, vals
-	return err
+	return true
 }
 
 // Apply transitions the router to w, where changed lists every arc whose
@@ -341,15 +267,7 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 	for di := range r.dests {
 		t := &r.trees[di]
 		for _, id := range actual {
-			wo, wn := r.w[id], w[id]
-			dv := t.Dist[r.csr.To[id]]
-			if dv == unreachable {
-				continue // arc tail cannot reach dest: no effect either way
-			}
-			du := t.Dist[r.csr.From[id]]
-			onDAG := wo != Disabled && dv+int32(wo) == du
-			shorter := wn != Disabled && dv+int32(wn) <= du
-			if onDAG || shorter {
+			if t.changedBy(r.csr, id, r.w[id], w[id]) {
 				r.dirty[di] = true
 				r.dirtyList = append(r.dirtyList, di)
 				break
@@ -390,7 +308,7 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 	}
 	for _, di := range r.dirtyList {
 		for mi := range r.tms {
-			mark(r.supports[di][mi])
+			mark(r.sup[di][mi])
 		}
 		first := r.saveDest(di)
 		resettled := r.comp.TreeUpdate(r.w, &r.trees[di], raised, lowered)
@@ -410,15 +328,15 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		if sampled {
 			met.resettled.Observe(float64(resettled))
 		}
-		for mi := range r.tms {
-			if err := r.routeDest(di, mi); err != nil {
-				r.valid = false
-				for _, a := range r.touchList {
-					r.touched[a] = false
-				}
-				return nil, err
+		if err := r.keepLoads(r.comp, r.scratch, di); err != nil {
+			r.valid = false
+			for _, a := range r.touchList {
+				r.touched[a] = false
 			}
-			mark(r.supports[di][mi])
+			return nil, err
+		}
+		for mi := range r.tms {
+			mark(r.sup[di][mi])
 		}
 	}
 
@@ -436,7 +354,7 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 	for mi := range r.tms {
 		for di := range r.dests {
 			vals := r.vals[di][mi]
-			for k, a := range r.supports[di][mi] {
+			for k, a := range r.sup[di][mi] {
 				if r.touched[a] {
 					sums[a] += vals[k]
 				}
@@ -502,7 +420,7 @@ func (r *DeltaRouter) Checkpoint() error {
 
 // saveDest starts destination di's pre-image on its first dirtying after a
 // Checkpoint, before its tree update, and reports whether it did. The
-// support lists change hands: routeDest refills the previous pre-image's.
+// support lists change hands: keepLoads refills the previous pre-image's.
 func (r *DeltaRouter) saveDest(di int) bool {
 	if !r.cpActive || r.cpSaved[di] {
 		return false
@@ -517,7 +435,7 @@ func (r *DeltaRouter) saveDest(di int) bool {
 		ds.vals = make([][]float64, len(r.tms))
 	}
 	for mi := range r.tms {
-		ds.sup[mi], r.supports[di][mi] = r.supports[di][mi], ds.sup[mi]
+		ds.sup[mi], r.sup[di][mi] = r.sup[di][mi], ds.sup[mi]
 		ds.vals[mi], r.vals[di][mi] = r.vals[di][mi], ds.vals[mi]
 	}
 	return true
@@ -560,7 +478,7 @@ func (r *DeltaRouter) Revert() {
 			t.Order, ds.order = ds.order, t.Order
 		}
 		for mi := range r.tms {
-			r.supports[di][mi], ds.sup[mi] = ds.sup[mi], r.supports[di][mi]
+			r.sup[di][mi], ds.sup[mi] = ds.sup[mi], r.sup[di][mi]
 			r.vals[di][mi], ds.vals[mi] = ds.vals[mi], r.vals[di][mi]
 		}
 		r.cpSaved[di] = false

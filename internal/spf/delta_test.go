@@ -356,7 +356,7 @@ func supportInvariant(dr *DeltaRouter) error {
 	for mi, loads := range dr.Loads {
 		sums := make([]float64, len(loads))
 		for di, dest := range dr.dests {
-			sup, vals := dr.supports[di][mi], dr.vals[di][mi]
+			sup, vals := dr.sup[di][mi], dr.vals[di][mi]
 			if len(vals) != len(sup) {
 				return fmt.Errorf("dest %d matrix %d: %d values for %d support arcs", dest, mi, len(vals), len(sup))
 			}

@@ -35,7 +35,8 @@ func (f *fuzzInput) weight() int {
 // allowed), a demand matrix and a sequence of weight settings in
 // [1, 30] ∪ {Disabled}. After every Apply the router must agree bitwise — the
 // aggregate Loads and every Tree — with a second router freshly Routed at the
-// same setting, fail exactly when that one fails, and come back to its
+// same setting (itself bitwise-equal, error included, to a third Routed on
+// three workers), fail exactly when that one fails, and come back to its
 // pre-image when the step ran between Checkpoint and Revert; its
 // per-destination supports must satisfy supportInvariant throughout. The
 // seed corpus is testdata/fuzz/FuzzDeltaRouterApply: the planner's
@@ -67,10 +68,15 @@ func FuzzDeltaRouterApply(f *testing.F) {
 			cur[a] = in.weight()
 		}
 
-		dr, fresh := NewDeltaRouter(g, tm), NewDeltaRouter(g, tm)
+		dr, fresh, sharded := NewDeltaRouter(g, tm), NewDeltaRouter(g, tm), NewDeltaRouter(g, tm)
+		sharded.SetWorkers(3)
 		agree := func(step int, errDelta error, w Weights) {
 			t.Helper()
 			errFresh := fresh.Route(w)
+			requireSameError(t, sharded.Route(w), errFresh, "step %d: 3-worker route", step)
+			if errFresh == nil {
+				requireRoutesEqual(t, &sharded.routeCore, &fresh.routeCore, "step %d: 3-worker route", step)
+			}
 			if (errDelta == nil) != (errFresh == nil) {
 				t.Fatalf("step %d: delta error %v, fresh route error %v", step, errDelta, errFresh)
 			}

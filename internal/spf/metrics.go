@@ -25,9 +25,9 @@ var met = struct {
 	changedArcs *obs.Histogram // sampled: changed arcs per Apply
 	resettled   *obs.Histogram // sampled: nodes re-settled per tree update
 
-	// Parallel-route shape of the last block-sharded MultiPlan.Route:
-	// the destination-block claim granularity and how many pool workers
-	// actually claimed work (occupancy < pool size means the block size is
+	// Shape of the last block-sharded full route (MultiPlan.Route or
+	// DeltaRouter.Route above one worker): the destination-block claim
+	// granularity and how many pool workers actually claimed work (occupancy < pool size means the block size is
 	// too coarse for the destination count). Gauge.Set is one atomic store,
 	// preserving the route path's AllocsPerRun == 0 pin.
 	routeBlockSize       *obs.Gauge
@@ -46,8 +46,8 @@ var met = struct {
 	changedArcs: obs.Default().Histogram("spf_delta_changed_arcs", "Sampled changed-arc count per incremental Apply.", obs.ExpBuckets(1, 2, 12)),
 	resettled:   obs.Default().Histogram("spf_update_resettled_nodes", "Sampled count of nodes re-settled per dynamic tree update (the affected-set size a slow Apply is attributed to).", obs.ExpBuckets(1, 2, 12)),
 
-	routeBlockSize:       obs.Default().Gauge("spf_route_block_size", "Destination-block claim granularity of the last parallel MultiPlan.Route."),
-	routeWorkerOccupancy: obs.Default().Gauge("spf_route_worker_occupancy", "Workers that claimed at least one destination block in the last parallel MultiPlan.Route."),
+	routeBlockSize:       obs.Default().Gauge("spf_route_block_size", "Destination-block claim granularity of the last block-sharded full route."),
+	routeWorkerOccupancy: obs.Default().Gauge("spf_route_worker_occupancy", "Workers that claimed at least one destination block in the last block-sharded full route."),
 }
 
 // metricsSampleRate thins the size-distribution histograms: one Apply in

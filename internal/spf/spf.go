@@ -73,12 +73,6 @@ func maxWeight(w Weights) int {
 // checkDistRange guarantees every finite distance stays strictly below it.
 const unreachable = math.MaxInt32
 
-// Unreachable is the Tree.Dist value of nodes with no path to the
-// destination, exported for callers inspecting tree distances directly
-// (e.g. the search's routing-invariance bound checks). Guard with it before
-// doing arithmetic on a distance: adding any weight to it overflows.
-const Unreachable = unreachable
-
 // ErrNoPath reports that a routing pass found positive demand at a node
 // with no path to its destination — the signature of a disconnecting
 // failure. Callers that replay failures (resilience sweeps, churn replay)

@@ -90,30 +90,39 @@ func BenchmarkTreeQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiPlanRouteWorkers pins the all-destinations full-route cost
-// across SPF worker counts; workers=1 is the sequential baseline every
-// other count must match bitwise.
-func BenchmarkMultiPlanRouteWorkers(b *testing.B) {
+// BenchmarkRouteWorkers pins the all-destinations full-route cost of
+// MultiPlan.Route and DeltaRouter.Route across SPF worker counts;
+// workers=1 is each one's sequential baseline, which every other count must
+// match bitwise, and delta/workers=1 less plan/workers=1 is what retaining
+// the support lists costs.
+func BenchmarkRouteWorkers(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		counts = append(counts, n)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			g, w, tm := benchSetup(b)
-			p := NewMultiPlan(g, tm)
-			p.SetWorkers(workers)
-			if err := p.Route(w, tm); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Route(w, tm); err != nil {
+	for _, kind := range []string{"plan", "delta"} {
+		for _, workers := range counts {
+			b.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(b *testing.B) {
+				g, w, tm := benchSetup(b)
+				p, dr := NewMultiPlan(g, tm), NewDeltaRouter(g, tm)
+				route := func() error { return p.Route(w, tm) }
+				p.SetWorkers(workers)
+				if kind == "delta" {
+					route = func() error { return dr.Route(w) }
+					dr.SetWorkers(workers)
+				}
+				if err := route(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := route(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
