@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand/v2"
 
 	"dualtopo"
 )
@@ -20,43 +19,31 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	for _, placement := range []dualtopo.SinkPlacement{dualtopo.UniformClients, dualtopo.LocalClients} {
+	for _, hp := range []string{"sink-uniform", "sink-local"} {
 		name := "uniform clients (scattered offices)"
-		if placement == dualtopo.LocalClients {
+		if hp == "sink-local" {
 			name = "local clients (offices next to the data centers)"
 		}
 		fmt.Printf("== %s ==\n", name)
-		runScenario(placement)
+		runScenario(hp)
 		fmt.Println()
 	}
 }
 
-func runScenario(placement dualtopo.SinkPlacement) {
-	rng := rand.New(rand.NewPCG(88, uint64(placement)))
-	g, err := dualtopo.PowerLawTopology(30, 81, dualtopo.DefaultCapacity, rng)
+func runScenario(hp string) {
+	// A 30-node power-law network with 3 data centers; 20% of the traffic is
+	// premium, over 10% of the SD pairs, and the network is moderately
+	// loaded.
+	inst, err := dualtopo.InstanceSpec{
+		Topology: "powerlaw", Nodes: 30, Links: 81,
+		HPModel: hp, Sinks: 3, F: 0.20, K: 0.10, TargetUtil: 0.55, Seed: 88,
+	}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	dualtopo.AssignUniformDelays(g, 1.2, 15, rng)
-	tl := dualtopo.GravityMatrix(30, rng)
-	// 3 data centers, 20% of traffic is premium, pair density 10%.
-	th, err := dualtopo.SinkHighPriorityMatrix(g, 3, 0.10, 0.20, tl.Total(), placement, rng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	loads, err := dualtopo.RouteLoads(g, dualtopo.UniformWeights(g.NumEdges()), tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sum := 0.0
-	for _, l := range loads {
-		sum += l
-	}
-	scale := 0.55 * dualtopo.DefaultCapacity * float64(g.NumEdges()) / (sum / 0.80)
-	th.Scale(scale)
-	tl.Scale(scale)
+	g := inst.G
 
-	h, err := dualtopo.NewTopologyHandle("sink-datacenter", g, th, tl, dualtopo.DefaultOptions(), dualtopo.SessionPool{Size: 1})
+	h, err := dualtopo.NewTopologyHandle("sink-datacenter", g, inst.TH, inst.TL, inst.Opts, dualtopo.SessionPool{Size: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

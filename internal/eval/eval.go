@@ -476,9 +476,8 @@ func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
 
 // ObjectiveH is FindH's from-scratch score, the oracle of ObjectiveHDelta:
 // route only the high-priority class under wH and compute the solution
-// objective, reusing the low-priority
-// loads of the incumbent solution (WL unchanged implies L routing
-// unchanged; only the residual capacities move).
+// objective, reusing the low-priority loads of the incumbent solution (WL
+// unchanged implies L routing unchanged; only the residual capacities move).
 func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, error) {
 	if err := e.planH.Route(wH, e.th); err != nil {
 		return cost.Lex{}, err
@@ -488,8 +487,9 @@ func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, erro
 }
 
 // ObjectiveL is FindL's from-scratch score, the oracle of ObjectiveLDelta:
-// route only the low-priority class under wL against the residual capacities of the incumbent high-priority routing
-// and return its ΦL. The primary objective is unaffected by WL.
+// route only the low-priority class under wL against the residual capacities
+// of the incumbent high-priority routing and return its ΦL. The primary
+// objective is unaffected by WL.
 func (e *Evaluator) ObjectiveL(wL spf.Weights, residual []float64) (float64, error) {
 	if err := e.planL.Route(wL, e.tl); err != nil {
 		return 0, err

@@ -2,7 +2,6 @@ package spf
 
 import (
 	"fmt"
-	"slices"
 
 	"dualtopo/internal/graph"
 	"dualtopo/internal/traffic"
@@ -111,7 +110,6 @@ func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 		csr:       g.CSR(),
 		w:         make(Weights, m),
 	}
-	r.tms = slices.Clone(tms)
 	nd := len(r.dests)
 	r.touched = make([]bool, m)
 	r.movedMark = make([]bool, m)

@@ -343,7 +343,7 @@ func TestCheckpointRevert(t *testing.T) {
 
 // supportInvariant reports the first violation of the router's
 // support-sized load representation: for every (destination, matrix) pair,
-// vals is parallel to supports, every value is positive and no arc is listed
+// vals is parallel to sup, every value is positive and no arc is listed
 // twice; the scratch vector is all-zero; and re-summing vals in destination
 // order reproduces Loads bitwise. Only meaningful on a valid router.
 func supportInvariant(dr *DeltaRouter) error {

@@ -32,7 +32,7 @@ func NewMultiPlan(g *graph.Graph, tms ...*traffic.Matrix) *MultiPlan {
 // worker.
 func (p *MultiPlan) CloneState() *MultiPlan {
 	c := &MultiPlan{routeCore{g: p.g, dests: p.dests, byID: p.byID}}
-	c.reset(len(p.Loads))
+	c.allocate(len(p.Loads))
 	return c
 }
 
@@ -88,7 +88,8 @@ func (c *routeCore) route(w Weights, tms []*traffic.Matrix) error {
 type Plan struct {
 	routeCore
 
-	// Loads is the per-arc volume after the last Route call.
+	// Loads is the per-arc volume after the last Route call: the core's one
+	// load vector, which it shadows.
 	Loads []float64
 }
 
@@ -103,7 +104,7 @@ func NewPlan(g *graph.Graph, tm *traffic.Matrix) *Plan {
 // the immutable destination index. See MultiPlan.CloneState.
 func (p *Plan) CloneState() *Plan {
 	c := &Plan{routeCore: routeCore{g: p.g, dests: p.dests, byID: p.byID}}
-	c.reset(1)
+	c.allocate(1)
 	c.Loads = c.routeCore.Loads[0]
 	return c
 }

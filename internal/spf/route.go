@@ -54,7 +54,7 @@ type routeCore struct {
 // newRouteCore indexes the union of destinations active in tms, in matrix
 // then destination order, and sizes the trees and loads for it.
 func newRouteCore(g *graph.Graph, tms []*traffic.Matrix) routeCore {
-	c := routeCore{g: g, byID: make([]int32, g.NumNodes())}
+	c := routeCore{g: g, byID: make([]int32, g.NumNodes()), tms: slices.Clone(tms)}
 	for i := range c.byID {
 		c.byID[i] = -1
 	}
@@ -66,13 +66,13 @@ func newRouteCore(g *graph.Graph, tms []*traffic.Matrix) routeCore {
 			}
 		}
 	}
-	c.reset(len(tms))
+	c.allocate(len(tms))
 	return c
 }
 
-// reset gives c a fresh computer, trees, nmat load vectors and scratch
+// allocate gives c a fresh computer, trees, nmat load vectors and scratch
 // vector, keeping its destination index, and makes it route inline.
-func (c *routeCore) reset(nmat int) {
+func (c *routeCore) allocate(nmat int) {
 	m := c.g.NumEdges()
 	c.comp = NewComputer(c.g)
 	c.trees = make([]Tree, len(c.dests))
