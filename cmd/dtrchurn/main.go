@@ -237,7 +237,7 @@ func (c *replayConfig) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.convergence, "convergence", false, "emulate OSPF convergence: score stale-tree transients per event")
 	fs.Float64Var(&c.floodHopMs, "flood-hop-ms", 0, "per-adjacency LSA propagation delay, ms (0 = default 2)")
 	fs.Float64Var(&c.spfMs, "spf-ms", 0, "SPF recompute + FIB install time, ms (0 = default 50)")
-	fs.IntVar(&c.routeWorkers, "route-workers", 0, "SPF workers for the from-scratch evaluations of -verify: 0 = auto (results are identical)")
+	fs.IntVar(&c.routeWorkers, "route-workers", 0, "with -verify, SPF workers of the verified replay's from-scratch evaluations and full routes: 0 = auto (results are identical); ignored without -verify")
 	fs.StringVar(&c.out, "o", "", "write JSON-lines records to this file instead of stdout")
 	c.obs.RegisterFlags(fs)
 }
@@ -303,11 +303,7 @@ func cmdReplay(args []string) int {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := pt.Inst.Evaluator()
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := churn.NewReplayer(e, pt.DTR.WH, pt.DTR.WL, rc.options())
+	rep, err := churn.NewReplayer(pt.Eval, pt.DTR.WH, pt.DTR.WL, rc.options())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -406,14 +402,13 @@ func cmdCompare(args []string) int {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Both replays drive the point's evaluator (a clone of it under
+	// -verify), one after the other; each Start moves its DTR state back to
+	// the intact setting.
 	run := func(convergence bool) (*churn.Summary, error) {
-		e, err := pt.Inst.Evaluator()
-		if err != nil {
-			return nil, err
-		}
 		opts := rc.options()
 		opts.Convergence.Enabled = convergence
-		rep, err := churn.NewReplayer(e, pt.DTR.WH, pt.DTR.WL, opts)
+		rep, err := churn.NewReplayer(pt.Eval, pt.DTR.WH, pt.DTR.WL, opts)
 		if err != nil {
 			return nil, err
 		}

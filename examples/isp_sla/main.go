@@ -17,11 +17,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	// The 16-node North-American backbone under gravity traffic, 30% of it
-	// high-priority over 10% of the SD pairs, loaded to ~60% average
-	// utilization, scored against the SLA objective.
+	// high-priority over 10% of the SD pairs, loaded to ~95% average
+	// utilization and scored against the SLA objective (θ = 25 ms). At
+	// ~60% no premium pair misses the bound under either scheme; at this
+	// load some do, and the two schemes' penalties differ.
 	inst, err := dualtopo.InstanceSpec{
 		Topology: "isp", Kind: dualtopo.SLABased,
-		F: 0.30, K: 0.10, TargetUtil: 0.60, Seed: 2007,
+		F: 0.30, K: 0.10, TargetUtil: 0.95, Seed: 2007,
 	}.Build()
 	if err != nil {
 		log.Fatal(err)

@@ -4,8 +4,8 @@
 // high-degree nodes exchanging premium traffic with many clients (§5.1.2's
 // sink model). The example compares DTR's benefit when clients are scattered
 // across the network vs clustered next to the data centers (Fig. 8), and
-// validates the priority-queueing abstraction on the busiest link with the
-// discrete-event queue simulator.
+// validates the priority-queueing abstraction with the discrete-event queue
+// simulator on the busiest link that carries premium traffic.
 package main
 
 import (
@@ -71,10 +71,15 @@ func runScenario(hp string) {
 	fmt.Printf("  DTR low-priority cost: %12.1f   (RL = %.2f)\n",
 		dtr.Result.PhiL, str.Result.PhiL/dtr.Result.PhiL)
 
-	// Validate the priority-queueing model on the busiest DTR link: simulate
-	// the two classes' packets through a strict-priority queue and compare
-	// the high-priority sojourn with the M/M/1 prediction.
-	busiest, hUtil, lUtil := busiestLink(g, dtr.Result)
+	// Validate the priority-queueing model on the busiest DTR link that
+	// carries premium traffic: simulate the two classes' packets through a
+	// strict-priority queue and compare the high-priority sojourn with the
+	// M/M/1 prediction.
+	busiest, hUtil, lUtil, ok := busiestLink(g, dtr.Result)
+	if !ok {
+		fmt.Println("  queue validation skipped: no link below 95% utilization carries premium traffic")
+		return
+	}
 	mu := 1.0 // normalize service rate; arrival rates are utilizations
 	res, err := dualtopo.SimulateQueue(dualtopo.QueueConfig{
 		ArrivalH: hUtil, ArrivalL: lUtil, ServiceRate: mu,
@@ -90,18 +95,16 @@ func runScenario(hp string) {
 		res.H.MeanSojourn, predicted)
 }
 
-func busiestLink(g *dualtopo.Graph, r *dualtopo.EvalResult) (dualtopo.EdgeID, float64, float64) {
-	best := dualtopo.EdgeID(0)
-	bestUtil := -1.0
+// busiestLink picks the most utilized link that carries premium traffic,
+// below 95% total utilization so the simulated queue stays stable; ok is
+// false if there is none.
+func busiestLink(g *dualtopo.Graph, r *dualtopo.EvalResult) (best dualtopo.EdgeID, hUtil, lUtil float64, ok bool) {
 	for i := range r.HLoads {
 		cap := g.Edge(dualtopo.EdgeID(i)).Capacity
 		h, l := r.HLoads[i]/cap, r.LLoads[i]/cap
-		// Keep the queue stable for the simulation while picking a loaded link.
-		if h+l > bestUtil && h+l < 0.95 {
-			bestUtil = h + l
-			best = dualtopo.EdgeID(i)
+		if r.HLoads[i] > 0 && h+l < 0.95 && (!ok || h+l > hUtil+lUtil) {
+			best, hUtil, lUtil, ok = dualtopo.EdgeID(i), h, l, true
 		}
 	}
-	cap := g.Edge(best).Capacity
-	return best, r.HLoads[best] / cap, r.LLoads[best] / cap
+	return best, hUtil, lUtil, ok
 }

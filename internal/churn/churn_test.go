@@ -200,9 +200,10 @@ func TestReplayDeterministicAcrossWorkersAndRuns(t *testing.T) {
 			t.Fatalf("time series differs at RouteWorkers=%d", workers)
 		}
 	}
-	// And across an independent replayer over a regenerated timeline.
+	// And across an independent replayer, on an evaluator of its own, over a
+	// regenerated timeline.
 	tl2 := testTimeline(t, e.Graph(), 11)
-	got, _ := replaySeries(t, e, wH, wL, tl2, Options{})
+	got, _ := replaySeries(t, e.Clone(), wH, wL, tl2, Options{})
 	if !bytes.Equal(first, got) {
 		t.Fatal("re-generated timeline replay differs")
 	}
@@ -308,8 +309,12 @@ func TestCounterfactualMatchesCumulativeFirstEvent(t *testing.T) {
 	if _, err := cf.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Every counterfactual record must equal a fresh cumulative replay of
-	// just that event.
+	// Every counterfactual record must equal a cumulative replay of just
+	// that event, restarted per event on a routing state of its own.
+	single, err := NewReplayer(e.Clone(), wH, wL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range tl.Events {
 		if i >= 12 {
 			break
@@ -319,10 +324,6 @@ func TestCounterfactualMatchesCumulativeFirstEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotCopy := *got
-		single, err := NewReplayer(e, wH, wL, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := single.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -339,13 +340,29 @@ func TestCounterfactualMatchesCumulativeFirstEvent(t *testing.T) {
 }
 
 // TestCounterfactualLeakDetector is the checkpoint/revert property test:
-// after replaying a whole timeline counterfactually, every router tree,
-// load vector, weight buffer and maintained cost vector must be bitwise
-// identical to a freshly built replayer's.
+// after replaying a whole timeline of link, node and weight-set events
+// counterfactually, every router tree, load vector, weight buffer and
+// maintained cost vector must be bitwise identical to those of a freshly
+// built replayer on an evaluator of its own.
 func TestCounterfactualLeakDetector(t *testing.T) {
 	e := testEval(t, eval.SLABased, 5)
 	wH, wL := testWeights(e.Graph(), 5)
-	tl := testTimeline(t, e.Graph(), 17)
+	tl, err := Generate(e.Graph(), GenSpec{
+		Seed: 17, Horizon: 300, LinkMTBF: 120, LinkMTTR: 5,
+		NodeMTBF: 200, NodeMTTR: 20, WeightRate: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[Kind]int{}
+	for _, ev := range tl.Events {
+		kinds[ev.Kind]++
+	}
+	for _, k := range []Kind{LinkDown, LinkUp, NodeDown, NodeUp, WeightSet} {
+		if kinds[k] == 0 {
+			t.Fatalf("timeline has no %s event (%v); pick another seed", k, kinds)
+		}
+	}
 	used, err := NewReplayer(e, wH, wL, Options{Counterfactual: true})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +375,7 @@ func TestCounterfactualLeakDetector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := NewReplayer(e, wH, wL, Options{Counterfactual: true})
+	fresh, err := NewReplayer(e.Clone(), wH, wL, Options{Counterfactual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +384,14 @@ func TestCounterfactualLeakDetector(t *testing.T) {
 	}
 	compare := func(name string, a, b interface{}) {
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("replayed-with-revert %s differs from fresh build", name)
+			t.Fatalf("replayed-with-revert %s differs from fresh build:\n%+v\n%+v", name, a, b)
 		}
 	}
 	compare("buf", used.buf, fresh.buf)
 	compare("cfg", used.cfg, fresh.cfg)
 	compare("linkDown", used.linkDown, fresh.linkDown)
 	compare("nodeDown", used.nodeDown, fresh.nodeDown)
+	compare("down counts", [2]int{used.downLinks, used.downNodes}, [2]int{fresh.downLinks, fresh.downNodes})
 	for c := range used.buf {
 		a, b := used.st.Router(c), fresh.st.Router(c)
 		compare("loads", a.Loads, b.Loads)
@@ -400,8 +418,95 @@ func TestCounterfactualLeakDetector(t *testing.T) {
 		}
 		recs[i] = *rec
 		recs[i].Index, recs[i].RerouteNs = 0, 0
+		// A record reuses the sample slice of an earlier disconnected one.
+		recs[i].DisconnectedSample = append([]string(nil), rec.DisconnectedSample...)
 	}
 	compare("next event's record", recs[0], recs[1])
+}
+
+// TestReplayLeavesEvaluatorStateAtFinalRouting checks that the replayer
+// drives its evaluator's DTR state rather than one of its own: after a
+// cumulative replay, e.State(RouteDTR) routes the final effective weights
+// and reads the objectives a from-scratch evaluation of them gives. A
+// verified replay runs on a clone and leaves its evaluator's state alone.
+func TestReplayLeavesEvaluatorStateAtFinalRouting(t *testing.T) {
+	e := testEval(t, eval.SLABased, 7)
+	wH, wL := testWeights(e.Graph(), 7)
+	tl := testTimeline(t, e.Graph(), 29)
+	rep, err := NewReplayer(e, wH, wL, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Record
+	if _, err := rep.Run(tl, func(rec *Record) error { last = *rec; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if last.Disconnected {
+		t.Fatal("timeline ends disconnected; pick another seed")
+	}
+	// The final effective weights, rebuilt from the timeline alone.
+	g := e.Graph()
+	cfg := [2]spf.Weights{wH.Clone(), wL.Clone()}
+	linkDown := make([]bool, g.NumEdges())
+	nodeDown := make([]bool, g.NumNodes())
+	for i := range tl.Events {
+		ev := &tl.Events[i]
+		node, uv, vu, err := resolveTarget(g, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case LinkDown, LinkUp:
+			linkDown[uv], linkDown[vu] = ev.Kind == LinkDown, ev.Kind == LinkDown
+		case NodeDown, NodeUp:
+			nodeDown[node] = ev.Kind == NodeDown
+		case WeightSet:
+			for c, w := range [2]int{ev.WH, ev.WL} {
+				if w > 0 {
+					cfg[c][uv], cfg[c][vu] = w, w
+				}
+			}
+		}
+	}
+	want := [2]spf.Weights{cfg[0].Clone(), cfg[1].Clone()}
+	for a := range linkDown {
+		arc := g.Edge(graph.EdgeID(a))
+		if linkDown[a] || nodeDown[arc.From] || nodeDown[arc.To] {
+			want[0][a], want[1][a] = spf.Disabled, spf.Disabled
+		}
+	}
+	if reflect.DeepEqual(want[0], wH) {
+		t.Fatal("timeline leaves the high weights intact; pick another seed")
+	}
+	st := e.State(eval.RouteDTR)
+	if !st.Valid() {
+		t.Fatal("evaluator's DTR state is not routed after the replay")
+	}
+	for c := range want {
+		if got := st.Router(c).Weights(); !reflect.DeepEqual(got, want[c]) {
+			t.Fatalf("class %d: evaluator's DTR state routes %v, want the final effective weights %v", c, got, want[c])
+		}
+	}
+	full, err := e.Clone().EvaluateDTR(want[0], want[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PhiH() != full.PhiH || st.PhiL() != full.PhiL || last.PhiH != full.PhiH || last.PhiL != full.PhiL {
+		t.Fatalf("state Φ (%v, %v), last record (%v, %v), full (%v, %v)",
+			st.PhiH(), st.PhiL(), last.PhiH, last.PhiL, full.PhiH, full.PhiL)
+	}
+
+	e.ResetDelta()
+	verified, err := NewReplayer(e, wH, wL, Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verified.Run(tl, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.State(eval.RouteDTR).Valid() {
+		t.Fatal("a verified replay routed its caller's evaluator")
+	}
 }
 
 func TestConvergenceStrictlyMoreMass(t *testing.T) {

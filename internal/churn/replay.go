@@ -20,15 +20,18 @@ type Options struct {
 	Counterfactual bool
 	// Verify re-evaluates every event's routing from scratch and fails
 	// the replay on any bitwise disagreement with the delta path,
-	// including disagreement about disconnection. Debug mode.
+	// including disagreement about disconnection. Debug mode. A verified
+	// replay runs on a clone of the evaluator it is handed: the clone's DTR
+	// state carries the delta path and its plans the from-scratch
+	// evaluations, so the caller's evaluator is left alone and nothing a
+	// verified replay routed outlives the Replayer.
 	Verify bool
-	// RouteWorkers bounds the SPF worker pool of the Verify evaluator's
-	// from-scratch evaluations; 0 picks an automatic value. The replay's
-	// own routing state routes from scratch (at Start, and after an event
-	// that disconnected demand) with the bound set on the evaluator the
-	// Replayer is built from (eval.Evaluator.SetRouteWorkers). Parallel
-	// routing is bitwise-identical to sequential, so replay output never
-	// depends on either setting.
+	// RouteWorkers, under Verify, bounds the clone's SPF worker pool
+	// (eval.Evaluator.SetRouteWorkers; 0 picks an automatic value): its
+	// from-scratch evaluations and its routing state's full routes (at
+	// Start, and after an event that disconnected demand). Without Verify
+	// it is ignored and the evaluator's own bound holds. Parallel routing is
+	// bitwise-identical to sequential, so replay output never depends on it.
 	RouteWorkers int
 	// Convergence enables OSPF-convergence emulation: each event is also
 	// scored through per-router stale-tree windows (see ConvergenceOptions).
@@ -118,9 +121,9 @@ type Summary struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// Replayer drives a Timeline through an eval.RoutingState: per event it
-// updates the desired-state model (which links and nodes are down, which
-// weights are configured), moves the state to the resulting effective
+// Replayer drives a Timeline through its evaluator's DTR routing state: per
+// event it updates the desired-state model (which links and nodes are down,
+// which weights are configured), moves the state to the resulting effective
 // weights, reads the paper's objectives off it (bitwise-equal to a
 // from-scratch evaluation) and emits a Record. What is the replayer's own is
 // that model, the time integration and the convergence emulation. The warm
@@ -128,13 +131,13 @@ type Summary struct {
 //
 // A Replayer is not safe for concurrent use.
 type Replayer struct {
-	g      *graph.Graph
-	th     *traffic.Matrix
-	kind   eval.Kind
-	opts   Options
-	fullEv *eval.Evaluator // pooled clone backing -verify
+	e    *eval.Evaluator // owns the routing state; its plans back Verify
+	g    *graph.Graph
+	th   *traffic.Matrix
+	kind eval.Kind
+	opts Options
 
-	st *eval.RoutingState
+	st *eval.RoutingState // e's DTR state, resolved by Start
 	// Per class: base pins the intact configuration; cfg tracks the
 	// configured weights as weight-set events land; buf is the effective
 	// weights actually routed (cfg masked to Disabled wherever the link or
@@ -149,14 +152,8 @@ type Replayer struct {
 	hpDests []graph.NodeID
 	hpSrcs  [][]graph.NodeID
 
-	// Event-apply scratch (all reused).
-	evArcs []graph.EdgeID // arcs toggled by the current event
-	saved  [2][2]int      // counterfactual pre-images of cfg on the event's link
-	// Counterfactual pre-images of the desired-state flags.
-	cfLinkDown  bool
-	cfNodeDown  bool
-	cfDownLinks int
-	cfDownNodes int
+	// Event-apply scratch (reused): the arcs toggled by the current event.
+	evArcs []graph.EdgeID
 
 	// Disconnection scan scratch.
 	reach []bool
@@ -175,12 +172,23 @@ type Replayer struct {
 // record.
 const maxDisconnectedSample = 8
 
-// NewReplayer builds a replayer over e's problem instance, pinned to the
-// DTR weight setting (wH, wL). The evaluator is only used for instance
-// data (and cloned for -verify); its own plans are never disturbed.
+// NewReplayer builds a replayer that drives e's DTR routing state
+// (eval.Evaluator.State, resolved at every Start, so a ResetDelta between
+// replays is honoured), pinned to the DTR weight setting (wH, wL). The
+// caller must not drive e elsewhere during a replay — from Start to the
+// last Step — and must accept that a replay leaves e's DTR state at the last
+// replayed routing. Replays on e run one after another may share it: each
+// Start moves the state to the intact setting. A caller that wants e left
+// alone passes e.Clone(); Options.Verify does so itself.
 func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer, error) {
 	if opts.Counterfactual && opts.Convergence.Enabled {
 		return nil, errors.New("churn: counterfactual replay cannot score convergence transients (needs the cumulative trajectory)")
+	}
+	if opts.Verify {
+		e = e.Clone()
+		if opts.RouteWorkers != 1 {
+			e.SetRouteWorkers(opts.RouteWorkers)
+		}
 	}
 	g := e.Graph()
 	th, _ := e.Matrices()
@@ -193,11 +201,11 @@ func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer
 	m := g.NumEdges()
 	n := g.NumNodes()
 	r := &Replayer{
+		e:        e,
 		g:        g,
 		th:       th,
 		kind:     e.Options().Kind,
 		opts:     opts,
-		st:       eval.NewRoutingState(e, eval.RouteDTR),
 		base:     [2]spf.Weights{wH.Clone(), wL.Clone()},
 		linkDown: make([]bool, m),
 		nodeDown: make([]bool, n),
@@ -210,12 +218,6 @@ func NewReplayer(e *eval.Evaluator, wH, wL spf.Weights, opts Options) (*Replayer
 		r.buf[c] = make(spf.Weights, m)
 	}
 	r.hpDests, r.hpSrcs = e.HighPriorityByDest()
-	if opts.Verify {
-		r.fullEv = e.Clone()
-		if opts.RouteWorkers != 1 {
-			r.fullEv.SetRouteWorkers(opts.RouteWorkers)
-		}
-	}
 	if opts.Convergence.Enabled {
 		r.conv = newConvState(r)
 	}
@@ -237,6 +239,7 @@ func (r *Replayer) Start() (*Record, error) {
 		r.nodeDown[i] = false
 	}
 	r.downLinks, r.downNodes = 0, 0
+	r.st = r.e.State(eval.RouteDTR)
 	if _, err := r.st.Move(r.buf); err != nil {
 		return nil, fmt.Errorf("churn: intact network does not route: %w", err)
 	}

@@ -47,7 +47,6 @@ func (r *Replayer) Step(ev *Event) (*Record, error) {
 		if err := r.st.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("churn: event %d: %w", idx, err)
 		}
-		r.saveDesired(ev, node, uv, vu)
 	}
 	r.applyDesired(ev, node, uv, vu)
 
@@ -86,7 +85,7 @@ func (r *Replayer) Step(ev *Event) (*Record, error) {
 
 	if r.opts.Counterfactual {
 		r.st.Revert()
-		r.restoreDesired(ev, node, uv, vu)
+		r.resetDesired(ev, node)
 	} else {
 		r.lastMass = rec.ViolationMass
 	}
@@ -165,35 +164,21 @@ func (r *Replayer) maskEventArcs() {
 	}
 }
 
-// saveDesired snapshots the desired state the event is about to touch so
-// restoreDesired can unwind a counterfactual exactly.
-func (r *Replayer) saveDesired(ev *Event, node graph.NodeID, uv, vu graph.EdgeID) {
-	switch ev.Kind {
-	case LinkDown, LinkUp:
-		r.cfLinkDown = r.linkDown[uv]
-	case NodeDown, NodeUp:
-		r.cfNodeDown = r.nodeDown[node]
-	case WeightSet:
+// resetDesired unwinds applyDesired after a counterfactual event. Every
+// counterfactual event starts from the intact network, so the event's arcs
+// go back to the base weights, the down flags it set are cleared and the
+// down counts return to zero.
+func (r *Replayer) resetDesired(ev *Event, node graph.NodeID) {
+	if ev.Kind == NodeDown || ev.Kind == NodeUp {
+		r.nodeDown[node] = false
+	}
+	for _, a := range r.evArcs {
+		r.linkDown[a] = false
 		for c := range r.cfg {
-			r.saved[c] = [2]int{r.cfg[c][uv], r.cfg[c][vu]}
+			r.cfg[c][a] = r.base[c][a]
 		}
 	}
-	r.cfDownLinks, r.cfDownNodes = r.downLinks, r.downNodes
-}
-
-// restoreDesired unwinds applyDesired after a counterfactual event.
-func (r *Replayer) restoreDesired(ev *Event, node graph.NodeID, uv, vu graph.EdgeID) {
-	switch ev.Kind {
-	case LinkDown, LinkUp:
-		r.linkDown[uv], r.linkDown[vu] = r.cfLinkDown, r.cfLinkDown
-	case NodeDown, NodeUp:
-		r.nodeDown[node] = r.cfNodeDown
-	case WeightSet:
-		for c := range r.cfg {
-			r.cfg[c][uv], r.cfg[c][vu] = r.saved[c][0], r.saved[c][1]
-		}
-	}
-	r.downLinks, r.downNodes = r.cfDownLinks, r.cfDownNodes
+	r.downLinks, r.downNodes = 0, 0
 	r.maskEventArcs()
 }
 
@@ -241,9 +226,10 @@ func (r *Replayer) disconnectedMass(rec *Record) float64 {
 
 // verifyEvent asserts the delta outcome of one event — objectives and the
 // disconnection verdict — against a from-scratch evaluation of the
-// current effective weights.
+// current effective weights on the replay's evaluator's plans, which are
+// separate from its routing state.
 func (r *Replayer) verifyEvent(idx int, ev *Event, rec *Record, ok bool) error {
-	full, err := r.fullEv.EvaluateDTR(r.buf[eval.High], r.buf[eval.Low])
+	full, err := r.e.EvaluateDTR(r.buf[eval.High], r.buf[eval.Low])
 	if err != nil {
 		if !ok {
 			return nil // both sides agree: disconnected

@@ -14,14 +14,15 @@ import (
 )
 
 // State returns the evaluator's routing state of the given shape, building
-// it on first use. The evaluator owns at most one state per shape: the
-// Objective*Delta paths and a resilience.Sweeper built on this evaluator all
-// drive these two, so a caller's changed set must cover every arc where its
-// weights differ from wherever the last driver left the state. ResetDelta
-// drops both.
+// it on first use. The evaluator owns at most one state per shape, and no
+// other package builds one: the Objective*Delta paths, a resilience.Sweeper
+// and a churn.Replayer built on this evaluator all drive these two, so a
+// caller's changed set must cover every arc where its weights differ from
+// wherever the last driver left the state (RoutingState.Move diffs against
+// it instead). ResetDelta drops both.
 func (e *Evaluator) State(shape Shape) *RoutingState {
 	if e.states[shape] == nil {
-		e.states[shape] = NewRoutingState(e, shape)
+		e.states[shape] = newRoutingState(e, shape)
 	}
 	return e.states[shape]
 }

@@ -296,7 +296,7 @@ func (e *Evaluator) Clone() *Evaluator {
 // oracles) and those of its routing states' routers (a state's first
 // transition and any after a Reset or a disconnection; incremental
 // transitions stay sequential). The bound holds for the states it has and
-// those it builds later, including NewRoutingState's over it. Destinations
+// those State builds later. Destinations
 // are sharded across per-worker SPF computers and reduced in destination
 // order, so results stay bitwise-identical to sequential routing. n == 1
 // restores sequential routing, the default; n == 0 picks a block-aware

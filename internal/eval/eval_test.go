@@ -430,7 +430,7 @@ func TestPartialRefreshMatchesFull(t *testing.T) {
 			}
 			wH1, wH2 := randomW(g.NumEdges(), rng), randomW(g.NumEdges(), rng)
 			wL1, wL2 := randomW(g.NumEdges(), rng), randomW(g.NumEdges(), rng)
-			st := NewRoutingState(e, RouteDTR)
+			st := newRoutingState(e, RouteDTR)
 			var inc Result
 			for _, step := range []struct {
 				class  int // the class moved; -1 for both

@@ -83,7 +83,7 @@ func FuzzRoutingState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewRoutingState(e, shape)
+		st := newRoutingState(e, shape)
 		m := g.NumEdges()
 		classes := []int{High, Low}
 		if shape == RouteSTR {

@@ -83,11 +83,12 @@ type RoutingState struct {
 	diffBuf  []graph.EdgeID
 }
 
-// NewRoutingState builds an unrouted state of the given shape over e's
+// newRoutingState builds an unrouted state of the given shape over e's
 // problem instance, routing from scratch with e's SetRouteWorkers bound.
 // Only immutable instance data is shared with e: the state owns its routers,
-// and e's plans and delta states are never touched.
-func NewRoutingState(e *Evaluator, shape Shape) *RoutingState {
+// and e's plans are never touched. Evaluator.State is its one caller outside
+// tests, so an evaluator's states are the only ones there are.
+func newRoutingState(e *Evaluator, shape Shape) *RoutingState {
 	in := e.instance
 	m := in.g.NumEdges()
 	s := &RoutingState{in: in, residual: make([]float64, m), linkPhiL: make([]float64, m)}

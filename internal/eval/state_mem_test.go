@@ -44,7 +44,7 @@ func TestDTRStateLiveHeap(t *testing.T) {
 	}
 	w := spf.Uniform(inst.G.NumEdges())
 	before := liveHeap()
-	st := eval.NewRoutingState(e, eval.RouteDTR)
+	st := e.State(eval.RouteDTR)
 	if _, err := st.Move([2]spf.Weights{w, w}); err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func newStateHarness(t *testing.T, seed uint64, opts Options, sc stateCase) *sta
 	}
 	h := &stateHarness{
 		t: t, rng: rand.New(rand.NewPCG(seed, 77)), e: e, ref: ref, stateCase: sc,
-		st: NewRoutingState(e, sc.shape), m: m,
+		st: newRoutingState(e, sc.shape), m: m,
 	}
 	h.w[High] = randomWeightsFor(h.rng, m)
 	h.w[Low] = randomWeightsFor(h.rng, m)
@@ -209,7 +209,7 @@ func bitsEqual(a, b []float64) bool {
 // straight to the same weights.
 func (h *stateHarness) sameAsFresh(what string) {
 	h.t.Helper()
-	fresh := NewRoutingState(h.e, h.shape)
+	fresh := newRoutingState(h.e, h.shape)
 	if _, err := fresh.Move(h.w); err != nil {
 		h.t.Fatalf("%s: fresh state: %v", what, err)
 	}
@@ -333,7 +333,7 @@ func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
 func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 	e, m, ring := deltaInstance(t, 6, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
 	for _, sc := range stateShapes[2:] {
-		st := NewRoutingState(e, sc.shape)
+		st := newRoutingState(e, sc.shape)
 		rng := rand.New(rand.NewPCG(6, 6))
 		wA := [2]spf.Weights{randomWeightsFor(rng, m), randomWeightsFor(rng, m)}
 		wB := [2]spf.Weights{wA[High].Clone(), wA[Low].Clone()}
@@ -417,7 +417,7 @@ func TestRevertRestoresStaleMarks(t *testing.T) {
 		return n
 	}
 	for _, sc := range stateShapes[2:] {
-		st := NewRoutingState(e, sc.shape)
+		st := newRoutingState(e, sc.shape)
 		w := [2]spf.Weights{randomWeightsFor(rand.New(rand.NewPCG(8, 8)), m), nil}
 		if w[Low] = w[High]; sc.shape == RouteDTR {
 			w[Low] = randomWeightsFor(rand.New(rand.NewPCG(9, 9)), m)

@@ -30,8 +30,6 @@ type Preset struct {
 	Points int
 	// Parallel bounds concurrently executed sweep points.
 	Parallel int
-	// Trials averages each point over this many seeds (≥1).
-	Trials int
 }
 
 // Tiny returns the preset used by integration tests: two load points.
@@ -51,7 +49,7 @@ func Small() Preset { return newPreset("small", search.SmallBudget(), 5, 2) }
 func PaperPreset() Preset { return newPreset("paper", search.PaperBudget(), 7, 2) }
 
 func newPreset(name string, b search.Budget, points, parallel int) Preset {
-	return Preset{Name: name, DTR: b.DTR, STR: b.STR, Points: points, Parallel: parallel, Trials: 1}
+	return Preset{Name: name, DTR: b.DTR, STR: b.STR, Points: points, Parallel: parallel}
 }
 
 // PresetByName resolves "smoke", "tiny", "small" or "paper", in any case.

@@ -33,11 +33,7 @@ func runExtFail(p Preset) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := pt.Inst.Evaluator()
-	if err != nil {
-		return nil, err
-	}
-	fs, err := resilience.CompareSchemes(resilience.NewSweeper(e, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
+	fs, err := resilience.CompareSchemes(resilience.NewSweeper(pt.Eval, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 	if err != nil {
 		return nil, err
 	}

@@ -75,19 +75,14 @@ type ChurnMetrics struct {
 }
 
 // runChurn replays the trial's churn timeline against its final DTR
-// weights and condenses the summary.
-func runChurn(c *ChurnSpec, pt *Point, trialSeed uint64, routeWorkers int) (*ChurnMetrics, error) {
+// weights, on the point's evaluator, and condenses the summary.
+func runChurn(c *ChurnSpec, pt *Point, trialSeed uint64) (*ChurnMetrics, error) {
 	tl, err := churn.Generate(pt.Inst.G, c.genSpec(trialSeed))
 	if err != nil {
 		return nil, err
 	}
-	e, err := pt.Inst.Evaluator()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := churn.NewReplayer(e, pt.DTR.WH, pt.DTR.WL, churn.Options{
-		RouteWorkers: routeWorkers,
-		Convergence:  churn.ConvergenceOptions{Enabled: c.Convergence},
+	rep, err := churn.NewReplayer(pt.Eval, pt.DTR.WH, pt.DTR.WL, churn.Options{
+		Convergence: churn.ConvergenceOptions{Enabled: c.Convergence},
 	})
 	if err != nil {
 		return nil, err

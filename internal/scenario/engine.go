@@ -81,8 +81,9 @@ type Options struct {
 	// Workers bounds concurrently executed trials; 0 means GOMAXPROCS.
 	Workers int
 	// RouteWorkers bounds the SPF worker pool used inside each trial's full
-	// routing passes (search initialization and refreshes, failure-sweep
-	// baselines); 1 keeps them sequential, n > 1 fixes the pool size, and 0
+	// routing passes (the searches' initialization, refreshes and final
+	// evaluations; a trial's failure sweep and churn replay route
+	// sequentially); 1 keeps them sequential, n > 1 fixes the pool size, and 0
 	// (the default) is block-aware auto: when the trial pool itself is the
 	// parallelism (more than one concurrent trial) routing stays sequential,
 	// otherwise the SPF core picks a pool from the instance size and
@@ -189,7 +190,7 @@ func Run(spec Spec, opts Options) (*CampaignResult, error) {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 				} else {
-					results[i], errs[i] = runTrial(spec, items[i], budget, routeWorkers)
+					results[i], errs[i] = runTrial(spec, items[i], budget)
 				}
 				doneCh <- i
 			}
@@ -261,9 +262,9 @@ func Run(spec Spec, opts Options) (*CampaignResult, error) {
 	}, nil
 }
 
-// runTrial optimizes one work item and condenses it into a TrialResult.
-// routeWorkers sizes the SPF pool of the trial's full evaluations.
-func runTrial(spec Spec, it WorkItem, b search.Budget, routeWorkers int) (TrialResult, error) {
+// runTrial optimizes one work item and condenses it into a TrialResult. Its
+// failure sweep and churn replay drive the evaluator the searches ran on.
+func runTrial(spec Spec, it WorkItem, b search.Budget) (TrialResult, error) {
 	met.busy.Add(1)
 	defer met.busy.Add(-1)
 	start := time.Now()
@@ -291,11 +292,7 @@ func runTrial(spec Spec, it WorkItem, b search.Budget, routeWorkers int) (TrialR
 		if err != nil {
 			return TrialResult{}, err
 		}
-		e, err := pt.Inst.Evaluator()
-		if err != nil {
-			return TrialResult{}, err
-		}
-		fs, err := resilience.CompareSchemes(resilience.NewSweeper(e, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
+		fs, err := resilience.CompareSchemes(resilience.NewSweeper(pt.Eval, resilience.Options{}), pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 		if err != nil {
 			return TrialResult{}, err
 		}
@@ -303,7 +300,7 @@ func runTrial(spec Spec, it WorkItem, b search.Budget, routeWorkers int) (TrialR
 		sweepSpan.Stop()
 	}
 	if spec.Churn != nil {
-		cm, err := runChurn(spec.Churn, pt, it.Spec.Seed, routeWorkers)
+		cm, err := runChurn(spec.Churn, pt, it.Spec.Seed)
 		if err != nil {
 			return TrialResult{}, err
 		}

@@ -18,6 +18,11 @@ type Point struct {
 	// Inst is the built problem instance the searches ran on; kept so
 	// downstream analyses (histograms, failure sweeps) need not rebuild it.
 	Inst *instance.Instance
+	// Eval is the evaluator both searches ran on, over Inst, its routing
+	// states dropped on the searches' return. Failure sweeps and churn
+	// replays of the point drive it rather than build another evaluator;
+	// the Results below are copies and do not alias its plans.
+	Eval *eval.Evaluator
 	// MeasuredUtil is the average link utilization of the final STR
 	// solution, the paper's network-load reference (footnote 4).
 	MeasuredUtil float64
@@ -70,6 +75,7 @@ func RunPoint(spec instance.Spec, b search.Budget) (*Point, error) {
 	pt := &Point{
 		Spec:         spec,
 		Inst:         inst,
+		Eval:         e,
 		MeasuredUtil: strRes.Result.AvgUtilization(inst.G),
 		STR:          strRes,
 		DTR:          dtrRes,

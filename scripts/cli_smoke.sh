@@ -2,10 +2,10 @@
 # CLI smoke test: build every command and drive its primary paths — every
 # registered topology family through topogen, the bundled campaign examples
 # through dtrscen validate, a 1-trial preset run, dtropt on an imported
-# graph, a dtrfail sweep, a dtrchurn generate/replay/compare cycle and a dtrd
-# serve/load/route/whatif/search/drain round-trip — so no command, preset or
-# generator family can rot unnoticed. CI runs this as the cli-smoke job; it
-# is equally runnable locally.
+# graph, a dtrfail sweep, a dtrchurn generate/replay/counterfactual/compare
+# cycle and a dtrd serve/load/route/whatif/search/drain round-trip — so no
+# command, preset or generator family can rot unnoticed. CI runs this as
+# the cli-smoke job; it is equally runnable locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -159,6 +159,14 @@ tail -1 "$bin/churn-replay.jsonl" | grep -q '"churn_summary"' || {
   echo "FAIL: churn replay stream does not end with a summary"; exit 1; }
 grep -q '"kind":"link-down"' "$bin/churn-replay.jsonl" || {
   echo "FAIL: churn replay emitted no link-down records"; exit 1; }
+
+echo "== dtrchurn: counterfactual replay of the same trace, verified"
+# Each event checkpointed, applied, verified against a from-scratch
+# evaluation and reverted to the intact network.
+"$bin/dtrchurn" replay -budget tiny -trace "$bin/churn.jsonl" -counterfactual -verify \
+  >"$bin/churn-cf.jsonl" 2>/dev/null
+tail -1 "$bin/churn-cf.jsonl" | grep -q '"churn_summary"' || {
+  echo "FAIL: counterfactual churn replay stream does not end with a summary"; exit 1; }
 
 echo "== dtrchurn: instant-vs-convergence comparison on a generated timeline"
 "$bin/dtrchurn" compare -budget tiny -horizon 120 -link-mtbf 60 \
