@@ -136,7 +136,7 @@ func (c *genConfig) register(fs *flag.FlagSet, withTrace bool) {
 	fs.Float64Var(&c.horizon, "horizon", 600, "simulated duration in seconds")
 	fs.Float64Var(&c.linkMTBF, "link-mtbf", 300, "mean link up-time between failures, seconds (0 = no link flaps)")
 	fs.Float64Var(&c.linkMTTR, "link-mttr", 10, "mean link repair time, seconds")
-	fs.Float64Var(&c.nodeMTBF, "node-mtbf", 0, "mean node up-time between outages, seconds (0 = no node churn)")
+	fs.Float64Var(&c.nodeMTBF, "node-mtbf", 0, "mean node up-time between outages, seconds (0 = no node churn); a downed node strands its own demand, so every record until it returns is disconnected")
 	fs.Float64Var(&c.nodeMTTR, "node-mttr", 60, "mean node repair time, seconds")
 	fs.Float64Var(&c.weightRate, "weight-rate", 0, "operator weight-reset rate, events/second")
 	fs.Float64Var(&c.intensity, "intensity", 1, "global churn multiplier (scales failure and reset rates)")

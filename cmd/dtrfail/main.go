@@ -20,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"dualtopo/internal/engine"
 	"dualtopo/internal/eval"
 	"dualtopo/internal/instance"
 	"dualtopo/internal/obs"
@@ -140,22 +138,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Lease the sweep's evaluator through the engine — the same entry point
-	// the dtrd daemon serves what-ifs from — keeping batch and served sweeps
-	// bitwise-identical. The mode still applies: the sweeper drives the
-	// leased session's evaluator, which the route-workers flag bounds.
-	h, err := engine.New("dtrfail", pt.Inst, engine.PoolConfig{Size: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer h.Close()
-	sess, err := h.Session(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer h.Release(sess) //nolint:errcheck // process exits right after
-	sess.SetRouteWorkers(*routeWorkers)
-	sw := resilience.NewSweeper(sess.Evaluator(), opts)
+	// Sweep on the evaluator the searches ran on; -route-workers bounds its
+	// from-scratch routes.
+	pt.Eval.SetRouteWorkers(*routeWorkers)
+	sw := resilience.NewSweeper(pt.Eval, opts)
 	start := time.Now()
 	fs, err := resilience.CompareSchemes(sw, pt.STR.W, pt.DTR.WH, pt.DTR.WL, states)
 	if err != nil {

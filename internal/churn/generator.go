@@ -22,7 +22,12 @@ type GenSpec struct {
 	LinkMTBF float64
 	LinkMTTR float64
 	// NodeMTBF/NodeMTTR do the same per node (maintenance windows,
-	// crashes). NodeMTBF == 0 disables node churn.
+	// crashes). NodeMTBF == 0 disables node churn. A replay does not yet
+	// drop a downed node's own demand: that demand has no path, so from a
+	// node-down until the node returns every record is disconnected (ΦH,
+	// ΦL and max utilization read 0) and the return is a full re-route.
+	// Masking that demand needs the routers and plans of package spf to
+	// skip a down node's sources and destinations.
 	NodeMTBF float64
 	NodeMTTR float64
 	// WeightRate is the network-wide rate of operator weight

@@ -18,13 +18,14 @@ type Options struct {
 	// Incompatible with convergence mode (which needs the cumulative
 	// trajectory) and skips the time-integrated summary masses.
 	Counterfactual bool
-	// Verify re-evaluates every event's routing from scratch and fails
-	// the replay on any bitwise disagreement with the delta path,
-	// including disagreement about disconnection. Debug mode. A verified
-	// replay runs on a clone of the evaluator it is handed: the clone's DTR
-	// state carries the delta path and its plans the from-scratch
-	// evaluations, so the caller's evaluator is left alone and nothing a
-	// verified replay routed outlives the Replayer.
+	// Verify checks the DTR state after every event, before a
+	// counterfactual revert, against a from-scratch evaluation of the
+	// event's effective weights (eval.Evaluator.Verify) and fails the
+	// replay on any disagreement. Debug mode. A verified replay runs on a
+	// clone of the evaluator it is handed: the clone's DTR state carries
+	// the delta path and its plans the from-scratch evaluations, so the
+	// caller's evaluator is left alone and nothing a verified replay
+	// routed outlives the Replayer.
 	Verify bool
 	// RouteWorkers, under Verify, bounds the clone's SPF worker pool
 	// (eval.Evaluator.SetRouteWorkers; 0 picks an automatic value): its

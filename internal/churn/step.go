@@ -78,8 +78,8 @@ func (r *Replayer) Step(ev *Event) (*Record, error) {
 		r.scoreTransient(rec, ev, node, uv, vu, ok, hadFull)
 	}
 	if r.opts.Verify {
-		if err := r.verifyEvent(idx, ev, rec, ok); err != nil {
-			return nil, err
+		if _, err := r.e.Verify(eval.RouteDTR, r.buf); err != nil {
+			return nil, fmt.Errorf("churn: verify event %d (%s %s): %w", idx, ev.Kind, ev.Target, err)
 		}
 	}
 
@@ -222,41 +222,6 @@ func (r *Replayer) disconnectedMass(rec *Record) float64 {
 		}
 	}
 	return mass
-}
-
-// verifyEvent asserts the delta outcome of one event — objectives and the
-// disconnection verdict — against a from-scratch evaluation of the
-// current effective weights on the replay's evaluator's plans, which are
-// separate from its routing state.
-func (r *Replayer) verifyEvent(idx int, ev *Event, rec *Record, ok bool) error {
-	full, err := r.e.EvaluateDTR(r.buf[eval.High], r.buf[eval.Low])
-	if err != nil {
-		if !ok {
-			return nil // both sides agree: disconnected
-		}
-		return fmt.Errorf("churn: verify event %d (%s %s): delta survived, full evaluation failed: %v",
-			idx, ev.Kind, ev.Target, err)
-	}
-	if !ok {
-		return fmt.Errorf("churn: verify event %d (%s %s): delta disconnected, full evaluation survived (ΦH %v)",
-			idx, ev.Kind, ev.Target, full.PhiH)
-	}
-	if full.PhiH != rec.PhiH || full.PhiL != rec.PhiL {
-		return fmt.Errorf("churn: verify event %d (%s %s): delta Φ (%v, %v) != full (%v, %v)",
-			idx, ev.Kind, ev.Target, rec.PhiH, rec.PhiL, full.PhiH, full.PhiL)
-	}
-	if mu := full.MaxUtilization(r.g); mu != rec.MaxUtil {
-		return fmt.Errorf("churn: verify event %d (%s %s): delta max-util %v != full %v",
-			idx, ev.Kind, ev.Target, rec.MaxUtil, mu)
-	}
-	if r.kind == eval.SLABased {
-		if full.Lambda != rec.Lambda || full.Violations != rec.Violations || full.ViolationMass != rec.ViolationMass {
-			return fmt.Errorf("churn: verify event %d (%s %s): delta SLA (Λ=%v, v=%d, mass=%v) != full (Λ=%v, v=%d, mass=%v)",
-				idx, ev.Kind, ev.Target, rec.Lambda, rec.Violations, rec.ViolationMass,
-				full.Lambda, full.Violations, full.ViolationMass)
-		}
-	}
-	return nil
 }
 
 // Run replays the whole timeline: Start, every event through Step (each

@@ -1,13 +1,17 @@
-// Incremental objective evaluation: the Objective*Delta methods mirror
-// ObjectiveH / ObjectiveL / ObjectiveSTR but take the set of arcs whose
-// weights changed since the previous call and drive one of the evaluator's
-// two RoutingStates (see state.go), which route incrementally, re-score only
-// the arcs whose loads moved, and re-reduce in the order the full paths sum.
-// Delta and full evaluation therefore agree bitwise, which the search's
-// VerifyDelta debug mode and the equivalence tests assert.
+// The evaluator's two RoutingStates (see state.go), which route
+// incrementally, re-score only the arcs whose loads moved, and re-reduce in
+// the order the full paths sum, so delta and full evaluation agree bitwise;
+// the incremental objectives driven on them; and Verify, the one check of
+// that agreement, which the Verify modes of the search, the failure sweeper
+// and the churn replayer all call.
 package eval
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
 	"dualtopo/internal/cost"
 	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
@@ -15,8 +19,8 @@ import (
 
 // State returns the evaluator's routing state of the given shape, building
 // it on first use. The evaluator owns at most one state per shape, and no
-// other package builds one: the Objective*Delta paths, a resilience.Sweeper
-// and a churn.Replayer built on this evaluator all drive these two, so a
+// other package builds one: the searches, a resilience.Sweeper and a
+// churn.Replayer built on this evaluator all drive these two, so a
 // caller's changed set must cover every arc where its weights differ from
 // wherever the last driver left the state (RoutingState.Move diffs against
 // it instead). ResetDelta drops both.
@@ -39,13 +43,11 @@ func (e *Evaluator) DeltaCheckpointArmed() bool {
 	return false
 }
 
-// ObjectiveHDelta is the incremental FindH fast path: wH must differ from
-// the high-priority weights the evaluator's DTR state last routed — those of
-// the previous ObjectiveHDelta call — only on the listed arcs (a superset is
-// fine). Only the high-priority router moves, and only arcs whose H load
-// moved are re-scored; ΦL is summed against lLoads directly. The first call
-// (or any call after an error) routes from scratch. The result is
-// bitwise-equal to ObjectiveH(wH, lLoads).
+// ObjectiveHDelta moves the high class of the evaluator's DTR state to wH,
+// which must differ from the high-priority weights it last routed only on
+// the listed arcs (a superset is fine), and scores it as FindH does, with
+// ΦL summed against lLoads. Kept for bench/; the next benchmark change
+// deletes it.
 func (e *Evaluator) ObjectiveHDelta(wH spf.Weights, changed []graph.EdgeID, lLoads []float64) (cost.Lex, error) {
 	s := e.State(RouteDTR)
 	if _, err := s.Apply([2]spf.Weights{High: wH}, changed); err != nil {
@@ -62,10 +64,10 @@ func (e *Evaluator) ObjectiveHDelta(wH spf.Weights, changed []graph.EdgeID, lLoa
 	return cost.Lex{Primary: lambda, Secondary: phiL}, nil
 }
 
-// ObjectiveLDelta is the incremental FindL fast path: wL must differ from
-// the low-priority weights the evaluator's DTR state last routed only on the
-// listed arcs. Only the low-priority router moves; ΦL is summed against the
-// caller's residual capacities. Bitwise-equal to ObjectiveL(wL, residual).
+// ObjectiveLDelta moves the low class of the evaluator's DTR state to wL,
+// which must differ from the low-priority weights it last routed only on the
+// listed arcs, and returns ΦL summed against residual. Kept for bench/; the
+// next benchmark change deletes it.
 func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, residual []float64) (float64, error) {
 	s := e.State(RouteDTR)
 	if _, err := s.Apply([2]spf.Weights{Low: wL}, changed); err != nil {
@@ -81,7 +83,7 @@ func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, resi
 // ObjectiveSTRDelta is the incremental STR fast path: w must differ from the
 // weights the evaluator's STR state last routed only on the listed arcs.
 // Both classes are re-routed incrementally over one tree set. Bitwise-equal
-// to ObjectiveSTR(w).
+// to ObjectiveSTR(w) and to EvaluateSTR(w)'s costs.
 func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (STRObjective, error) {
 	s := e.State(RouteSTR)
 	if _, err := s.Apply([2]spf.Weights{High: w}, changed); err != nil {
@@ -95,4 +97,85 @@ func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (ST
 		o.Lex = cost.Lex{Primary: o.PhiH, Secondary: o.PhiL}
 	}
 	return o, nil
+}
+
+// Verify is the one check that a routing state equals a from-scratch
+// evaluation. It evaluates w (w[High] alone for RouteSTR) on the evaluator's
+// plans, which are separate from its states, and requires State(shape),
+// which must sit at w, to agree: the full evaluation fails with
+// spf.ErrNoPath exactly when the state is not Valid, and otherwise every
+// field of the state's ResultInto is bitwise-equal to it. It returns the
+// full evaluation, reused by the next call, so that a caller can also check
+// a score it derived — or nil, nil when both agree that w disconnects some
+// demand. Reading the state may arm its ΦH maintenance, and its delay
+// maintenance on SLA instances: the price of the check.
+func (e *Evaluator) Verify(shape Shape, w [2]spf.Weights) (*Result, error) {
+	full, got := &e.scratch[0], &e.scratch[1]
+	var err error
+	if shape == RouteSTR {
+		err = e.EvaluateSTRInto(full, w[High])
+	} else {
+		err = e.EvaluateDTRInto(full, w[High], w[Low])
+	}
+	s := e.State(shape)
+	switch {
+	case err != nil && !errors.Is(err, spf.ErrNoPath):
+		return nil, fmt.Errorf("eval: verify: full evaluation: %w", err)
+	case err != nil && s.Valid():
+		return nil, fmt.Errorf("eval: verify: the state routes, the full evaluation disconnects: %v", err)
+	case err != nil:
+		return nil, nil
+	case !s.Valid():
+		return nil, errors.New("eval: verify: the state disconnects, the full evaluation routes")
+	}
+	for c, dr := range s.dr {
+		if dr != nil && !slices.Equal(dr.Weights(), w[c]) {
+			return nil, fmt.Errorf("eval: verify: the state's class-%d weights are not the verified ones", c)
+		}
+	}
+	s.ResultInto(got)
+	if err := diffResults(got, full); err != nil {
+		return nil, fmt.Errorf("eval: verify: state vs full evaluation: %w", err)
+	}
+	return full, nil
+}
+
+// diffResults names the first field in which got and want differ bitwise.
+func diffResults(got, want *Result) error {
+	for _, f := range [...]struct {
+		name      string
+		got, want float64
+	}{
+		{"PhiH", got.PhiH, want.PhiH},
+		{"PhiL", got.PhiL, want.PhiL},
+		{"Lambda", got.Lambda, want.Lambda},
+		{"Violations", float64(got.Violations), float64(want.Violations)},
+		{"ViolationMass", got.ViolationMass, want.ViolationMass},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			return fmt.Errorf("%s %v != %v", f.name, f.got, f.want)
+		}
+	}
+	for _, f := range [...]struct {
+		name      string
+		got, want []float64
+	}{
+		{"HLoads", got.HLoads, want.HLoads},
+		{"LLoads", got.LLoads, want.LLoads},
+		{"Residual", got.Residual, want.Residual},
+		{"LinkPhiH", got.LinkPhiH, want.LinkPhiH},
+		{"LinkPhiL", got.LinkPhiL, want.LinkPhiL},
+		{"LinkDelay", got.LinkDelay, want.LinkDelay},
+		{"PairDelays", got.PairDelays, want.PairDelays},
+	} {
+		if len(f.got) != len(f.want) {
+			return fmt.Errorf("%s has %d entries, not %d", f.name, len(f.got), len(f.want))
+		}
+		for i, x := range f.got {
+			if math.Float64bits(x) != math.Float64bits(f.want[i]) {
+				return fmt.Errorf("%s[%d] %v != %v", f.name, i, x, f.want[i])
+			}
+		}
+	}
+	return nil
 }

@@ -50,9 +50,10 @@ func deltaInstance(t *testing.T, seed uint64, opts Options) (*Evaluator, int, in
 }
 
 // TestObjectiveDeltaMatchesFull drives random weight-change sequences
-// through ObjectiveHDelta / ObjectiveLDelta / ObjectiveSTRDelta and asserts
-// exact (==) agreement with the full ObjectiveH / ObjectiveL / ObjectiveSTR
-// evaluations at every step, across objective kinds and delay models.
+// through ObjectiveHDelta / ObjectiveLDelta and asserts exact (==) agreement
+// with full evaluations at every step — EvaluateDTR's objective at the
+// incumbent's low-priority weights, and ObjectiveL — across objective kinds
+// and delay models.
 func TestObjectiveDeltaMatchesFull(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,6 +73,7 @@ func TestObjectiveDeltaMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			wLBase := wL.Clone() // the low-priority weights base.LLoads route
 
 			mutate := func(w spf.Weights) []graph.EdgeID {
 				var changed []graph.EdgeID
@@ -96,11 +98,11 @@ func TestObjectiveDeltaMatchesFull(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: ObjectiveHDelta: %v", step, err)
 				}
-				wantH, err := e.ObjectiveH(wH, base.LLoads)
+				fullH, err := e.EvaluateDTR(wH, wLBase)
 				if err != nil {
-					t.Fatalf("step %d: ObjectiveH: %v", step, err)
+					t.Fatalf("step %d: EvaluateDTR: %v", step, err)
 				}
-				if gotH != wantH {
+				if wantH := fullH.Objective(); gotH != wantH {
 					t.Fatalf("step %d: H delta %+v != full %+v", step, gotH, wantH)
 				}
 
@@ -124,6 +126,7 @@ func TestObjectiveDeltaMatchesFull(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					copy(wLBase, wL)
 				}
 			}
 		})
@@ -187,11 +190,11 @@ func TestCloneDoesNotShareDeltaState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ObjectiveH(w2, base.LLoads)
+	full, err := c.EvaluateDTR(w2, wL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if want := full.Objective(); got != want {
 		t.Fatalf("clone delta %+v != full %+v", got, want)
 	}
 }

@@ -7,15 +7,17 @@
 // Two evaluation forms mirror how the searches use it:
 //
 //   - From scratch: EvaluateSTR routes both classes under one weight setting
-//     (one SPF pass), EvaluateDTR each class under its own. ObjectiveSTR,
-//     ObjectiveH and ObjectiveL are their score-only variants, kept as the
-//     from-scratch oracles a search's VerifyDelta mode checks every
-//     incremental score against.
+//     (one SPF pass), EvaluateDTR each class under its own, on the
+//     evaluator's plans. ObjectiveSTR is the score-only variant of
+//     EvaluateSTR.
 //   - Incremental: a RoutingState (state.go) keeps one scheme's routing and
 //     per-arc metrics current across weight transitions, re-scoring only the
-//     arcs whose loads moved; the Objective*Delta methods drive the
-//     evaluator's own two states (delta.go), and are what the searches score
-//     candidates and keep their incumbents with.
+//     arcs whose loads moved. The evaluator owns one state per scheme
+//     (State, delta.go), which the searches score candidates and keep their
+//     incumbents in, and which failure sweeps and churn replays drive.
+//
+// Verify (delta.go) is the one check that the two agree, bitwise and on
+// disconnection; every debug Verify mode goes through it.
 package eval
 
 import (
@@ -207,9 +209,9 @@ type Evaluator struct {
 	planL   *spf.Plan      // routes TL (DTR low topology)
 	planSTR *spf.MultiPlan // routes both under one weight set
 
-	// scratch is what the score-only paths ObjectiveSTR and ObjectiveH
-	// fill through finish; only the numbers they return are read from it.
-	scratch Result
+	// scratch[0] is the full evaluation of ObjectiveSTR (which returns only
+	// numbers) and of Verify, scratch[1] Verify's reading of the state.
+	scratch [2]Result
 
 	// states[shape] is the routing state State(shape) returns; built lazily
 	// so full-evaluation users pay nothing. Never shared by Clone.
@@ -292,8 +294,8 @@ func (e *Evaluator) Clone() *Evaluator {
 }
 
 // SetRouteWorkers bounds the SPF worker pool of this evaluator's
-// from-scratch routes: the plans' (EvaluateSTR/EvaluateDTR and the Objective*
-// oracles) and those of its routing states' routers (a state's first
+// from-scratch routes: the plans' (EvaluateSTR/EvaluateDTR, ObjectiveSTR
+// and Verify) and those of its routing states' routers (a state's first
 // transition and any after a Reset or a disconnection; incremental
 // transitions stay sequential). The bound holds for the states it has and
 // those State builds later. Destinations
@@ -461,35 +463,23 @@ type STRObjective struct {
 	Violations int
 }
 
+// STRObjective returns r's solution costs as the STR search scores them.
+func (r *Result) STRObjective() STRObjective {
+	return STRObjective{Lex: r.Objective(), PhiH: r.PhiH, PhiL: r.PhiL, Lambda: r.Lambda, Violations: r.Violations}
+}
+
 // ObjectiveSTR evaluates w for both classes into the evaluator's scratch
-// Result and returns only the solution costs: the from-scratch oracle of
-// ObjectiveSTRDelta, which the STR search's VerifyDelta mode checks it
-// against.
+// Result and returns only the solution costs, as ObjectiveSTRDelta does.
 func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
-	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
+	if err := e.EvaluateSTRInto(&e.scratch[0], w); err != nil {
 		return STRObjective{}, err
 	}
-	r := &e.scratch
-	e.finish(r, e.planSTR.Loads[0], e.planSTR.Loads[1], e.planSTR)
-	return STRObjective{Lex: r.Objective(), PhiH: r.PhiH, PhiL: r.PhiL, Lambda: r.Lambda, Violations: r.Violations}, nil
+	return e.scratch[0].STRObjective(), nil
 }
 
-// ObjectiveH is FindH's from-scratch score, the oracle of ObjectiveHDelta:
-// route only the high-priority class under wH and compute the solution
-// objective, reusing the low-priority loads of the incumbent solution (WL
-// unchanged implies L routing unchanged; only the residual capacities move).
-func (e *Evaluator) ObjectiveH(wH spf.Weights, lLoads []float64) (cost.Lex, error) {
-	if err := e.planH.Route(wH, e.th); err != nil {
-		return cost.Lex{}, err
-	}
-	e.finish(&e.scratch, e.planH.Loads, lLoads, e.planH)
-	return e.scratch.Objective(), nil
-}
-
-// ObjectiveL is FindL's from-scratch score, the oracle of ObjectiveLDelta:
-// route only the low-priority class under wL against the residual capacities
-// of the incumbent high-priority routing and return its ΦL. The primary
-// objective is unaffected by WL.
+// ObjectiveL routes only the low-priority class under wL and returns its ΦL
+// against the given residual capacities. Kept for bench/; the next benchmark
+// change deletes it.
 func (e *Evaluator) ObjectiveL(wL spf.Weights, residual []float64) (float64, error) {
 	if err := e.planL.Route(wL, e.tl); err != nil {
 		return 0, err

@@ -189,23 +189,26 @@ func TestObjectiveHMatchesFullEvaluation(t *testing.T) {
 			wL := randomW(g.NumEdges(), rng)
 			wH1 := randomW(g.NumEdges(), rng)
 			wH2 := randomW(g.NumEdges(), rng)
-			base, err := e.EvaluateDTR(wH1, wL)
-			if err != nil {
+			// FindH's score as the search reads it: the DTR state sits at
+			// the incumbent (wH1, wL), the high class alone moves to wH2,
+			// and the objective is read off the state.
+			st := e.State(RouteDTR)
+			if _, err := st.Move([2]spf.Weights{wH1, wL}); err != nil {
 				return false
 			}
-			// Fast path for a new wH2 must agree with a full evaluation.
-			fast, err := e.ObjectiveH(wH2, base.LLoads)
-			if err != nil {
+			if _, err := st.Move([2]spf.Weights{High: wH2}); err != nil {
 				return false
+			}
+			fast := cost.Lex{Primary: st.PhiH(), Secondary: st.PhiL()}
+			if kind == SLABased {
+				fast.Primary, _, _ = st.Penalties()
 			}
 			full, err := e.EvaluateDTR(wH2, wL)
 			if err != nil {
 				return false
 			}
-			if math.Abs(fast.Primary-full.Objective().Primary) > 1e-9 {
-				return false
-			}
-			if math.Abs(fast.Secondary-full.Objective().Secondary) > 1e-9 {
+			if fast != full.Objective() {
+				t.Errorf("seed %d, %v: FindH score %+v, full %+v", seed, kind, fast, full.Objective())
 				return false
 			}
 		}

@@ -31,8 +31,8 @@ const (
 // transitions by re-scoring only the arcs whose loads moved. Every reduction
 // walks the maintained vectors in the order the full evaluation sums them, so
 // each number is bitwise-equal to EvaluateSTR / EvaluateDTR at the same
-// weights — the property the Verify modes of the search, the failure sweeper
-// and the churn replayer assert.
+// weights — the property Evaluator.Verify checks, for the Verify modes of
+// the search, the failure sweeper and the churn replayer.
 //
 // A RouteDTR transition may move one class and leave the other where it is
 // — FindH's and FindL's moves. A class whose transition fails with

@@ -138,7 +138,7 @@ func TestFig2aMatchesScenarioEngine(t *testing.T) {
 	}
 	base := instance.Spec{Topology: instance.TopoRandom, Kind: eval.LoadBased}
 	specs := loadSweepSpecs(base, linspace(0.50, 0.90, p.Points), 201)
-	points, err := scenario.RunPoints(specs, p.budget(), 2, nil)
+	points, err := scenario.RunPoints(specs, p.budget(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

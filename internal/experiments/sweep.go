@@ -27,7 +27,7 @@ func runPoint(spec instance.Spec, p Preset) (*Point, error) {
 // runSweep executes one point per spec, Preset.Parallel at a time,
 // preserving spec order in the result.
 func runSweep(specs []instance.Spec, p Preset) ([]*Point, error) {
-	return scenario.RunPoints(specs, p.budget(), p.Parallel, nil)
+	return scenario.RunPoints(specs, p.budget(), p.Parallel)
 }
 
 // loadSweepSpecs builds one spec per target utilization.

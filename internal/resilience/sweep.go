@@ -6,22 +6,21 @@ import (
 	"time"
 
 	"dualtopo/internal/eval"
-	"dualtopo/internal/graph"
 	"dualtopo/internal/spf"
 )
 
 // Options configures how a Sweeper evaluates failure states.
 type Options struct {
-	// Verify re-evaluates every state (and the intact baseline) from
-	// scratch too, with EvaluateSTR / EvaluateDTR on WithFailedArcs copies,
-	// failing the sweep on any bitwise disagreement with the delta path —
-	// including disagreement about disconnection. Debug mode.
+	// Verify checks the routing state at the intact baseline and in every
+	// failure state, before its revert, against a from-scratch evaluation
+	// of the masked weights (eval.Evaluator.Verify), failing the sweep on
+	// any disagreement. Debug mode.
 	Verify bool
 }
 
 // Sweeper evaluates routings under failure states for one problem instance.
 // It owns what is specific to failure sweeps — the state list, the Disabled
-// masks over a pinned base weight setting, the Verify oracle — and
+// masks over a pinned base weight setting, when to Verify — and
 // holds no router: it drives its evaluator's eval.RoutingState of each scheme
 // (Evaluator.State) for everything else. Per state it checkpoints, applies
 // the mask (a pure weight increase, served by the partial SPF path), reads ΦL
@@ -82,22 +81,6 @@ func (s *Sweeper) SweepDTR(wH, wL spf.Weights, states []State) (*Sweep, error) {
 	return s.sweep(eval.RouteDTR, wH, wL, states)
 }
 
-// fullPhiL evaluates the routing (wH, wL) — wH alone for STR — from scratch
-// with the failed arcs down in every topology.
-func (s *Sweeper) fullPhiL(dual bool, wH, wL spf.Weights, failed ...graph.EdgeID) (float64, error) {
-	var r *eval.Result
-	var err error
-	if dual {
-		r, err = s.e.EvaluateDTR(wH.WithFailedArcs(failed...), wL.WithFailedArcs(failed...))
-	} else {
-		r, err = s.e.EvaluateSTR(wH.WithFailedArcs(failed...))
-	}
-	if err != nil {
-		return 0, err
-	}
-	return r.PhiL, nil
-}
-
 // record stores state i's outcome: its ΦL, or NaN if it disconnected.
 func (sw *Sweep) record(i int, phiL float64, ok bool) {
 	if !ok {
@@ -114,10 +97,15 @@ func (sw *Sweep) record(i int, phiL float64, ok bool) {
 // sits), then per state mask the arcs, read ΦL, and revert.
 func (s *Sweeper) sweep(shape eval.Shape, wH, wL spf.Weights, states []State) (*Sweep, error) {
 	start := time.Now()
-	sc, st, dual := &s.schemes[shape], s.e.State(shape), shape == eval.RouteDTR
+	sc, st := &s.schemes[shape], s.e.State(shape)
 	w := [2]spf.Weights{wH, wL}
 	if _, err := st.Move(w); err != nil {
 		return nil, err
+	}
+	if s.opts.Verify {
+		if _, err := s.e.Verify(shape, w); err != nil {
+			return nil, fmt.Errorf("resilience: verify the intact network: %w", err)
+		}
 	}
 	for c := range w {
 		sc.base[c] = append(sc.base[c][:0], w[c]...)
@@ -127,35 +115,21 @@ func (s *Sweeper) sweep(shape eval.Shape, wH, wL spf.Weights, states []State) (*
 		sc.phiBuf = make([]float64, len(states))
 	}
 	sw := &Sweep{Base: st.PhiL(), PhiL: sc.phiBuf[:len(states)]}
-	if s.opts.Verify {
-		full, err := s.fullPhiL(dual, wH, wL)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: verify: intact network failed full evaluation: %w", err)
-		}
-		if full != sw.Base {
-			return nil, fmt.Errorf("resilience: verify: intact ΦL delta %v != full %v", sw.Base, full)
-		}
-	}
 	for i, fs := range states {
-		phiL, ok, err := sc.evalState(st, fs)
+		phiL, ok, err := s.evalState(shape, sc, st, fs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("resilience: state %q: %w", fs.Label, err)
 		}
 		sw.record(i, phiL, ok)
-		if s.opts.Verify {
-			if err := s.verifyState(sc, dual, fs, phiL, ok); err != nil {
-				return nil, err
-			}
-		}
 	}
 	recordSweep(sw, time.Since(start).Seconds())
 	return sw, nil
 }
 
-// evalState scores failure state fs on the routing state st and restores st
-// to the scheme's base routing. ok reports whether the state left every
-// demand connected.
-func (sc *scheme) evalState(st *eval.RoutingState, fs State) (phiL float64, ok bool, err error) {
+// evalState scores failure state fs on the routing state st of the given
+// shape, verifies it in Verify mode, and restores st to the scheme's base
+// routing. ok reports whether the state left every demand connected.
+func (s *Sweeper) evalState(shape eval.Shape, sc *scheme, st *eval.RoutingState, fs State) (phiL float64, ok bool, err error) {
 	if err := st.Checkpoint(); err != nil {
 		return 0, false, err
 	}
@@ -165,24 +139,12 @@ func (sc *scheme) evalState(st *eval.RoutingState, fs State) (phiL float64, ok b
 	if _, err := st.Apply(sc.buf, fs.Arcs); err == nil {
 		phiL, ok = st.PhiL(), true
 	}
+	if s.opts.Verify {
+		_, err = s.e.Verify(shape, sc.buf)
+	}
 	st.Revert()
 	for _, a := range fs.Arcs {
 		sc.buf[eval.High][a], sc.buf[eval.Low][a] = sc.base[eval.High][a], sc.base[eval.Low][a]
 	}
-	return phiL, ok, nil
-}
-
-// verifyState asserts the delta outcome of one state — its ΦL and its
-// disconnection verdict — against a from-scratch evaluation.
-func (s *Sweeper) verifyState(sc *scheme, dual bool, st State, phiL float64, ok bool) error {
-	full, err := s.fullPhiL(dual, sc.base[eval.High], sc.base[eval.Low], st.Arcs...)
-	switch {
-	case err != nil && ok:
-		return fmt.Errorf("resilience: verify %q: delta survived, full evaluation disconnected: %v", st.Label, err)
-	case err == nil && !ok:
-		return fmt.Errorf("resilience: verify %q: delta disconnected, full evaluation survived (ΦL %v)", st.Label, full)
-	case err == nil && full != phiL:
-		return fmt.Errorf("resilience: verify %q: delta ΦL %v != full %v", st.Label, phiL, full)
-	}
-	return nil
+	return phiL, ok, err
 }

@@ -86,10 +86,8 @@ func RunPoint(spec instance.Spec, b search.Budget) (*Point, error) {
 }
 
 // RunPoints executes one point per spec on a pool of exactly `workers`
-// goroutines, preserving spec order in the result. onDone, when non-nil, is
-// called from worker goroutines as each point completes (in completion
-// order, not spec order).
-func RunPoints(specs []instance.Spec, b search.Budget, workers int, onDone func(i int, pt *Point)) ([]*Point, error) {
+// goroutines, preserving spec order in the result.
+func RunPoints(specs []instance.Spec, b search.Budget, workers int) ([]*Point, error) {
 	points := make([]*Point, len(specs))
 	errs := make([]error, len(specs))
 	if workers < 1 {
@@ -112,9 +110,6 @@ func RunPoints(specs []instance.Spec, b search.Budget, workers int, onDone func(
 			defer wg.Done()
 			for i := range idxCh {
 				points[i], errs[i] = RunPoint(specs[i], b)
-				if errs[i] == nil && onDone != nil {
-					onDone(i, points[i])
-				}
 			}
 		}()
 	}

@@ -40,16 +40,7 @@ func TestPruneBoundSoundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lLoads := append([]float64(nil), r.LLoads...)
-				residual := append([]float64(nil), r.Residual...)
-				base, err := e.Clone().ObjectiveH(w, lLoads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseL, err := e.Clone().ObjectiveL(w, residual)
-				if err != nil {
-					t.Fatal(err)
-				}
+				base, baseL := r.Objective(), r.PhiL
 
 				for trial := 0; trial < 120; trial++ {
 					up := graph.EdgeID(rng.IntN(n))
@@ -67,23 +58,23 @@ func TestPruneBoundSoundness(t *testing.T) {
 					ec := e.Clone()
 					if invH {
 						invariantSeen++
-						got, err := ec.ObjectiveH(cw, lLoads)
+						full, err := ec.EvaluateDTR(cw, w)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got != base {
-							t.Fatalf("seed %d trial %d: arcs (%d,%d) certified H-invariant but ObjectiveH moved: %+v vs %+v",
+						if got := full.Objective(); got != base {
+							t.Fatalf("seed %d trial %d: arcs (%d,%d) certified H-invariant but the objective moved: %+v vs %+v",
 								seed, trial, up, down, got, base)
 						}
 					}
 					if invL {
-						got, err := ec.ObjectiveL(cw, residual)
+						full, err := ec.EvaluateDTR(w, cw)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got != baseL {
-							t.Fatalf("seed %d trial %d: arcs (%d,%d) certified L-invariant but ObjectiveL moved: %g vs %g",
-								seed, trial, up, down, got, baseL)
+						if full.PhiL != baseL {
+							t.Fatalf("seed %d trial %d: arcs (%d,%d) certified L-invariant but ΦL moved: %g vs %g",
+								seed, trial, up, down, full.PhiL, baseL)
 						}
 					}
 					changedSeen++

@@ -12,9 +12,10 @@ import (
 )
 
 // TestDTRDeltaMatchesFullEval runs seeded DTR searches with VerifyDelta,
-// which re-scores every candidate from scratch on the scoring worker's
-// evaluator (ObjectiveH/ObjectiveL on its plans) and every accept on the
-// search's, failing on any bitwise difference from the delta scores. Each
+// which checks every candidate against a from-scratch evaluation on the
+// scoring worker's plans (eval.Evaluator.Verify) and every accept on the
+// search's, failing on any bitwise difference from the delta state or
+// scores. Each
 // verified run must finish and walk the trajectory of the unverified one:
 // same weights, objective, counters and robust score. This is the
 // end-to-end statement that the delta paths are bitwise-transparent to the
@@ -72,8 +73,9 @@ func TestDTRDeltaMatchesFullEval(t *testing.T) {
 }
 
 // TestSTRDeltaMatchesFullEval is the single-topology twin: VerifyDelta
-// re-scores every candidate with ObjectiveSTR, and the verified run must
-// equal the unverified one, ε-records included.
+// checks every candidate and accept against EvaluateSTR through
+// eval.Evaluator.Verify, and the verified run must equal the unverified
+// one, ε-records included.
 func TestSTRDeltaMatchesFullEval(t *testing.T) {
 	for _, kind := range []eval.Kind{eval.LoadBased, eval.SLABased} {
 		t.Run(kind.String(), func(t *testing.T) {

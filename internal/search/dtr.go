@@ -250,37 +250,36 @@ func (s *localSearch) findClass(c int) bool {
 	}
 	s.tally.accepted = true
 	if s.p.VerifyDelta {
-		full, err := s.e.EvaluateDTR(s.w[eval.High], s.w[eval.Low])
-		if err == nil && (lexes[bestIdx] != full.Objective() || s.curLex != full.Objective()) {
-			err = fmt.Errorf("search: delta/full mismatch on %s accept: delta %+v, incumbent %+v, full %+v",
-				[2]string{"FindH", "FindL"}[c], lexes[bestIdx], s.curLex, full.Objective())
-		}
-		s.err = err
+		what := [2]string{"FindH accept", "FindL accept"}[c]
+		s.err = verifyScore(s.e, eval.RouteDTR, s.w, what, lexes[bestIdx], (*eval.Result).Objective)
 	}
 	return s.err == nil
 }
 
-// score evaluates candidate weights w of class c on worker wk's routing
-// state: FindH routes the high class against the incumbent's low-priority
-// loads, FindL the low class against its residual capacities (keeping the
-// incumbent's primary). Under VerifyDelta the worker re-scores w from
-// scratch on its evaluator's plans, and any difference fails the search.
+// score moves class c of worker wk's routing state, which sits at the
+// incumbent, to the candidate weights w and reads the candidate's objective
+// off it: FindH's ⟨ΦH, ΦL⟩ (⟨Λ, ΦL⟩ on SLA instances), FindL's ΦL under the
+// incumbent's unchanged primary. Under VerifyDelta the state and the score
+// are checked against a from-scratch evaluation on the worker's plans.
 func (s *localSearch) score(c, wk int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
-	e := s.pool[wk]
-	if c == eval.High {
-		lex, err := e.ObjectiveHDelta(w, changed, s.cur.LLoads)
-		if err == nil && s.p.VerifyDelta {
-			full, ferr := e.ObjectiveH(w, s.cur.LLoads)
-			err = mismatch("FindH candidate", lex, full, ferr)
-		}
-		return lex, err
+	e, st, ws := s.pool[wk], s.pool[wk].State(eval.RouteDTR), s.w
+	ws[c] = w // the other class's router already sits at s.w
+	if _, err := st.Apply(ws, changed); err != nil {
+		return cost.Lex{}, err
 	}
-	phiL, err := e.ObjectiveLDelta(w, changed, s.cur.Residual)
-	if err == nil && s.p.VerifyDelta {
-		full, ferr := e.ObjectiveL(w, s.cur.Residual)
-		err = mismatch("FindL candidate", phiL, full, ferr)
+	lex := cost.Lex{Primary: s.curLex.Primary, Secondary: st.PhiL()}
+	switch {
+	case c == eval.Low:
+	case e.Options().Kind == eval.SLABased:
+		lex.Primary, _, _ = st.Penalties()
+	default:
+		lex.Primary = st.PhiH()
 	}
-	return cost.Lex{Primary: s.curLex.Primary, Secondary: phiL}, err
+	if s.p.VerifyDelta {
+		what := [2]string{"FindH candidate", "FindL candidate"}[c]
+		return lex, verifyScore(e, eval.RouteDTR, ws, what, lex, (*eval.Result).Objective)
+	}
+	return lex, nil
 }
 
 // rankLinks fills s.order with all arcs in decreasing cost order for class

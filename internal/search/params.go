@@ -109,10 +109,12 @@ type Params struct {
 	// evaluations and accepts are unaffected: they route incrementally, and
 	// already parallelize across Workers.
 	RouteWorkers int
-	// VerifyDelta re-scores every candidate from scratch on its worker's
-	// evaluator and every accepted incumbent on the search's, failing the
-	// search on any difference from the incremental scores. The trajectory
-	// is unchanged. Debug mode.
+	// VerifyDelta checks every candidate, inside its what-if, and every
+	// accepted incumbent with eval.Evaluator.Verify: the routing state the
+	// score was read off must agree field by field with a from-scratch
+	// evaluation on the same evaluator's plans (the worker's for a
+	// candidate, the search's for an accept), and so must the score. Any
+	// difference fails the search. The trajectory is unchanged. Debug mode.
 	VerifyDelta bool
 	// Robust configures failure-aware candidate scoring; the zero value
 	// keeps the search purely nominal.

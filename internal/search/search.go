@@ -333,13 +333,19 @@ func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, 
 	return s.lexes
 }
 
-// mismatch is the VerifyDelta verdict on one score: an error when the
-// from-scratch evaluation failed (err) or disagrees with the delta score.
-func mismatch[T comparable](what string, delta, full T, err error) error {
-	if err == nil && delta != full {
-		err = fmt.Errorf("search: delta/full mismatch on %s: delta %+v, full %+v", what, delta, full)
+// verifyScore is the VerifyDelta check of one score: e's routing state of
+// the given shape, which must sit at w, must agree with a from-scratch
+// evaluation of w (eval.Evaluator.Verify), and so must the score got that
+// the search read off it, derived from that evaluation by want.
+func verifyScore[T comparable](e *eval.Evaluator, shape eval.Shape, w [2]spf.Weights, what string, got T, want func(*eval.Result) T) error {
+	full, err := e.Verify(shape, w)
+	if err != nil {
+		return fmt.Errorf("search: verify %s: %w", what, err)
 	}
-	return err
+	if got != want(full) {
+		return fmt.Errorf("search: delta/full mismatch on %s: delta %+v, full %+v", what, got, want(full))
+	}
+	return nil
 }
 
 // perturb re-randomizes a g fraction (at least one) of the weights in w,

@@ -137,8 +137,7 @@ func (s *localSearch) stepSTR() bool {
 	lexes := s.evalCandidates(eval.High, s.moves, func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
 		var err error
 		if st.objs[i], err = s.pool[wk].ObjectiveSTRDelta(w, changed); err == nil && s.p.VerifyDelta {
-			full, ferr := s.pool[wk].ObjectiveSTR(w)
-			err = mismatch("STR candidate", st.objs[i], full, ferr)
+			err = verifyScore(s.pool[wk], eval.RouteSTR, [2]spf.Weights{w}, "STR candidate", st.objs[i], (*eval.Result).STRObjective)
 		}
 		return st.objs[i].Lex, err
 	})
@@ -161,8 +160,12 @@ func (s *localSearch) stepSTR() bool {
 	s.noteChange(eval.High, s.moves[bestIdx].appendArcs(nil))
 	st.cur = st.objs[bestIdx]
 	if s.p.VerifyDelta {
-		full, err := s.e.ObjectiveSTR(w)
-		if s.err = mismatch("STR accept", st.cur, full, err); s.err != nil {
+		// The primary state sits at the previous incumbent until the next
+		// candidate resyncs it; verify it at the accepted one.
+		if s.err = s.resync(0); s.err == nil {
+			s.err = verifyScore(s.e, eval.RouteSTR, [2]spf.Weights{w}, "STR accept", st.cur, (*eval.Result).STRObjective)
+		}
+		if s.err != nil {
 			return false
 		}
 	}

@@ -138,6 +138,10 @@ echo "== dtrfail: robust search, then a verify-mode sweep"
 # Verify holds every delta state to a from-scratch evaluation.
 "$bin/dtrfail" -budget tiny -kind link -sample 4 -robust -mode verify >/dev/null
 
+echo "== dtrfail: verify-mode sweep of an SLA instance"
+# The SLA state maintains link and pair delays, which verify mode compares.
+"$bin/dtrfail" -budget tiny -objective sla -kind link -sample 4 -mode verify >/dev/null
+
 echo "== dtrfail: -mode full is refused, naming the modes there are"
 if "$bin/dtrfail" -budget tiny -kind link -sample 4 -mode full 2>"$bin/dtrfail_full.err"; then
   echo "FAIL: dtrfail -mode full exited 0"; exit 1
@@ -167,6 +171,13 @@ echo "== dtrchurn: counterfactual replay of the same trace, verified"
   >"$bin/churn-cf.jsonl" 2>/dev/null
 tail -1 "$bin/churn-cf.jsonl" | grep -q '"churn_summary"' || {
   echo "FAIL: counterfactual churn replay stream does not end with a summary"; exit 1; }
+
+echo "== dtrchurn: load-based replay of the same trace, verified"
+# Reading the violation mass arms the delays of a load-based state too.
+"$bin/dtrchurn" replay -budget tiny -objective load -trace "$bin/churn.jsonl" -verify \
+  >"$bin/churn-load.jsonl" 2>/dev/null
+tail -1 "$bin/churn-load.jsonl" | grep -q '"churn_summary"' || {
+  echo "FAIL: load-based verified churn replay stream does not end with a summary"; exit 1; }
 
 echo "== dtrchurn: instant-vs-convergence comparison on a generated timeline"
 "$bin/dtrchurn" compare -budget tiny -horizon 120 -link-mtbf 60 \
