@@ -13,12 +13,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"dualtopo"
-	"dualtopo/internal/benchkit"
+	"dualtopo/internal/eval"
+	"dualtopo/internal/instance"
 	"dualtopo/internal/spf"
+	"dualtopo/internal/topo"
 )
 
 // benchExperiment runs one registered experiment per iteration and reports
@@ -26,17 +29,39 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	preset := dualtopo.TinyPreset()
-	var peakRL float64
+	var peak float64
 	for i := 0; i < b.N; i++ {
 		rep, err := dualtopo.RunExperiment(id, preset)
 		if err != nil {
 			b.Fatal(err)
 		}
-		peakRL = benchkit.PeakRL(rep)
+		peak = peakRL(rep)
 	}
-	if peakRL > 0 {
-		b.ReportMetric(peakRL, "peakRL")
+	if peak > 0 {
+		b.ReportMetric(peak, "peakRL")
 	}
+}
+
+// peakRL extracts the headline reproduction metric from an experiment
+// report: the peak y-value across the L-cost-ratio-bearing series (the
+// per-figure ratio series named "L-cost ratio", "k…"/"f…" sweeps, and the
+// sink placements "Uniform"/"Local").
+func peakRL(rep *dualtopo.ExperimentReport) float64 {
+	peak := 0.0
+	for _, s := range rep.Series {
+		// HasPrefix, not a [:1] slice: an empty series name must not panic
+		// the whole benchmark run.
+		if s.Name == "L-cost ratio" || strings.HasPrefix(s.Name, "k") ||
+			strings.HasPrefix(s.Name, "f") ||
+			s.Name == "Uniform" || s.Name == "Local" {
+			for _, y := range s.Y {
+				if y > peak {
+					peak = y
+				}
+			}
+		}
+	}
+	return peak
 }
 
 // Fig. 2: cost ratios across topologies and cost functions.
@@ -123,10 +148,24 @@ func BenchmarkScenarioEngine(b *testing.B) {
 	}
 }
 
-// benchInstance builds the standard 30-node random instance.
+// benchInstance builds the standard 30-node evaluator the search and
+// objective benchmarks run on.
 func benchInstance(b *testing.B, kind dualtopo.ObjectiveKind) *dualtopo.Evaluator {
 	b.Helper()
-	ev, err := benchkit.EvalInstance(kind)
+	rng := rand.New(rand.NewPCG(7, 7))
+	g, err := dualtopo.RandomTopology(30, 75, dualtopo.DefaultCapacity, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dualtopo.AssignUniformDelays(g, 1.2, 15, rng)
+	tl := dualtopo.GravityMatrix(30, rng)
+	th, err := dualtopo.RandomHighPriorityMatrix(30, 0.1, 0.3, tl.Total(), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := dualtopo.DefaultOptions()
+	opts.Kind = kind
+	ev, err := eval.New(g, th, tl, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,9 +364,16 @@ func BenchmarkObjectiveSTRSLA(b *testing.B) {
 func BenchmarkSPFTree(b *testing.B) {
 	for _, mode := range []string{"bucket", "heap"} {
 		b.Run(mode, func(b *testing.B) {
-			g, w, err := benchkit.SPFInstance()
+			// The standard 100-node, 250-link instance with paper-range
+			// [1, 30] weights.
+			rng := rand.New(rand.NewPCG(3, 3))
+			g, err := dualtopo.RandomTopology(100, 250, dualtopo.DefaultCapacity, rng)
 			if err != nil {
 				b.Fatal(err)
+			}
+			w := dualtopo.UniformWeights(g.NumEdges())
+			for i := range w {
+				w[i] = 1 + rng.IntN(30)
 			}
 			comp := dualtopo.NewSPFComputer(g)
 			comp.SetForceHeap(mode == "heap")
@@ -350,15 +396,31 @@ func BenchmarkSPFTree(b *testing.B) {
 func BenchmarkDeltaVsFullRoute(b *testing.B) {
 	build := func(b *testing.B) (*dualtopo.Graph, *dualtopo.TrafficMatrix, dualtopo.Weights) {
 		b.Helper()
-		g, tm, w, err := benchkit.RouteInstance()
+		rng := rand.New(rand.NewPCG(21, 21))
+		g, err := dualtopo.RandomTopology(30, 75, dualtopo.DefaultCapacity, rng)
 		if err != nil {
 			b.Fatal(err)
+		}
+		dualtopo.AssignUniformDelays(g, 1.2, 15, rng)
+		tm := dualtopo.GravityMatrix(g.NumNodes(), rng)
+		w := dualtopo.UniformWeights(g.NumEdges())
+		for i := range w {
+			w[i] = 1 + rng.IntN(20)
 		}
 		return g, tm, w
 	}
 	// Each iteration moves one arc's weight by ±1 — the FindH/FindL step
 	// size — cycling through the arcs, and re-evaluates all per-arc loads.
-	step := benchkit.Step
+	// step returns the changed arc.
+	step := func(w, base dualtopo.Weights, i, m int) int {
+		arc := i % m
+		if w[arc] == base[arc] {
+			w[arc] = base[arc] + 1
+		} else {
+			w[arc] = base[arc]
+		}
+		return arc
+	}
 	// The full side carries a worker-count dimension: workers=1 is the
 	// sequential baseline, higher counts shard destinations across the SPF
 	// worker pool (bitwise-identical loads, wall-clock scaling with cores).
@@ -457,7 +519,9 @@ func BenchmarkDTRSearch(b *testing.B) {
 }
 
 // BenchmarkDTRSearchGuided pins the guided-search speedup on the 500-node
-// hierarchical ISP instance (benchkit.SearchInstance): the "plain" series is
+// hierarchical ISP instance (20 PoPs × 25 routers, ~1000 bidirectional
+// links, gravity low-priority demand plus random high-priority pairs at the
+// paper's 60% average utilization): the "plain" series is
 // the PR 6 search at the budget it needs on this instance (N=150, K=100,
 // M=40); the "guided" series runs attribution-guided steps with the
 // routing-invariance prune at roughly a third of that budget (N=40, K=30,
@@ -468,7 +532,18 @@ func BenchmarkDTRSearch(b *testing.B) {
 // quality at a third of the budget; quality-improvement behaviour is pinned
 // by the search package tests on asymmetric instances.
 func BenchmarkDTRSearchGuided(b *testing.B) {
-	ev, err := benchkit.SearchInstance(dualtopo.LoadBased)
+	spec := instance.Spec{
+		Topology:   "hier",
+		Kind:       dualtopo.LoadBased,
+		TargetUtil: 0.6,
+		Seed:       17,
+		TopoParams: &topo.Params{Pops: 20, RoutersPerPop: 25},
+	}
+	inst, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := inst.Evaluator()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -54,8 +54,8 @@
 // independent of pooling and lease order. cmd/dtrd exposes the same engine
 // over HTTP for long-lived serving.
 //
-// See examples/ for complete programs and EXPERIMENTS.md for measured
-// reproductions of the paper's results.
+// See examples/ for complete programs; cmd/dtrexp regenerates the paper's
+// tables and figures (README, "Commands").
 package dualtopo
 
 import (

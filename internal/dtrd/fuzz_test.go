@@ -3,10 +3,12 @@ package dtrd
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -100,6 +102,113 @@ func FuzzDecodeRequests(f *testing.F) {
 			} else {
 				refused(rec, http.StatusRequestEntityTooLarge, CodeLimitExceeded)
 			}
+		}
+	})
+}
+
+// routeShapes are route bodies and whether decodeFast takes them: the
+// common shape with any whitespace, and the shapes it leaves to
+// encoding/json, which may accept or refuse them.
+var routeShapes = []struct {
+	body string
+	fast bool
+}{
+	{`{"weights":[1,2,3]}`, true},
+	{" \t{ \"weights_high\" :\n[ 1 , 2 ] ,\r\"weights_low\":[3,-4] }\n ", true},
+	{`{"weights_low":[5],"weights":[2147483647],"weights_high":[7]}`, true},
+	{`{}`, true},
+	{`{"Weights":[1]}`, false},                    // differently cased key
+	{`{"weights":[1],"weights":[2]}`, false},      // repeated key
+	{`{"weights":null}`, false},                   // null vector
+	{`{"weights":[1,null]}`, false},               // null element
+	{`{"weights":[]}`, false},                     // empty vector
+	{`{"weight\u0073":[1]}`, false},               // escaped key
+	{`{"weights":[1]} {}`, false},                 // trailing data
+	{`{"weights":[1],"extra":0}`, false},          // unknown key
+	{`{"weights":[1.5]}`, false},                  // not an integer
+	{`{"weights":[1]`, false},                     // truncated
+	{`{"weights":[1],}`, false},                   // trailing comma
+	{`{"weights":[[1]]}`, false},                  // nested array
+	{`{"weights":[99999999999999999999]}`, false}, // overflow
+	{`[1,2]`, false},
+	{``, false},
+}
+
+// TestRouteFastPathShapes pins which route bodies decodeFast takes, and that
+// decode answers each as encoding/json alone does.
+func TestRouteFastPathShapes(t *testing.T) {
+	for _, tc := range routeShapes {
+		if got := new(RouteRequest).decodeFast([]byte(tc.body)); got != tc.fast {
+			t.Errorf("decodeFast(%q) = %v, want %v", tc.body, got, tc.fast)
+		}
+		req, rec := decodeBody(func() any { return new(RouteRequest) }, []byte(tc.body), maxWeightsBody)
+		want := new(RouteRequest)
+		if err := decodeJSON(bytes.NewBufferString(tc.body), want); (err == nil) != (req != nil) {
+			t.Errorf("%q: decode answered %d %s, encoding/json err %v", tc.body, rec.Code, rec.Body, err)
+		}
+	}
+}
+
+// FuzzRouteJSON holds the /route fast paths to encoding/json. For any body,
+// decode — which offers a route body to decodeFast first — must answer as
+// decodeJSON alone does on a fresh request: both accept with equal vectors,
+// or both refuse with the same status, code and message. For any response,
+// writeRoute must write writeJSON's status, Content-Type and bytes; the
+// floats are fuzzed as bits and seeded with 0, -0, 1e-7, 1e21, subnormals,
+// the largest float64, NaN and ±Inf (where both write an empty body).
+func FuzzRouteJSON(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "route_*request.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no route request fixtures: %v", err)
+	}
+	var bodies [][]byte
+	for _, p := range paths {
+		body, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	for _, s := range routeShapes {
+		bodies = append(bodies, []byte(s.body))
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 1e21, 1e20, -1e21, 5e-324,
+		math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1), 0.1, 123456.789, 2.5e-9}
+	for i, body := range bodies {
+		bit := func(k int) uint64 { return math.Float64bits(floats[(i+k)%len(floats)]) }
+		f.Add(body, []string{"str", "dtr", "a<b"}[i%3], i-3, bit(0), bit(1), bit(2), bit(3), bit(4))
+	}
+	for i, x := range floats {
+		b := math.Float64bits(x)
+		f.Add([]byte(`{}`), "dtr", i, b, b, b, b, b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, scheme string, violations int, h, l, lambda, avg, mx uint64) {
+		got, rec := decodeBody(func() any { return new(RouteRequest) }, body, maxWeightsBody)
+		want := new(RouteRequest)
+		if err := decodeJSON(bytes.NewBuffer(body), want); err != nil {
+			ref := httptest.NewRecorder()
+			writeError(ref, http.StatusBadRequest, CodeBadRequest, "invalid fuzz request: "+err.Error())
+			if got != nil || rec.Code != ref.Code || rec.Body.String() != ref.Body.String() {
+				t.Fatalf("%q: decode answered %d %q, encoding/json refuses with %q", body, rec.Code, rec.Body.String(), ref.Body.String())
+			}
+		} else {
+			r, ok := got.(*RouteRequest)
+			if !ok || !slices.Equal(r.Weights, want.Weights) || !slices.Equal(r.WeightsHigh, want.WeightsHigh) ||
+				!slices.Equal(r.WeightsLow, want.WeightsLow) {
+				t.Fatalf("%q: decode gave %+v (%s), encoding/json %+v", body, got, rec.Body.String(), want)
+			}
+		}
+
+		resp := RouteResponse{Scheme: scheme, Violations: violations,
+			PhiH: math.Float64frombits(h), PhiL: math.Float64frombits(l), Lambda: math.Float64frombits(lambda),
+			AvgUtilization: math.Float64frombits(avg), MaxUtilization: math.Float64frombits(mx)}
+		fast, ref := httptest.NewRecorder(), httptest.NewRecorder()
+		writeRoute(fast, &resp)
+		writeJSON(ref, http.StatusOK, resp)
+		if fast.Code != ref.Code || fast.Header().Get("Content-Type") != ref.Header().Get("Content-Type") ||
+			!bytes.Equal(fast.Body.Bytes(), ref.Body.Bytes()) {
+			t.Fatalf("%+v: writeRoute wrote %d %q, writeJSON %d %q", resp, fast.Code, fast.Body, ref.Code, ref.Body)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package dtrd
 
 import (
+	"net/http"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -56,10 +57,26 @@ func newMetrics(r *obs.Registry) *metrics {
 	return m
 }
 
-func (m *metrics) observe(endpoint string, code int, seconds float64) {
-	m.latency.With(endpoint).Observe(seconds)
+// endpointSeries is one endpoint's latency histogram and code="200" request
+// counter, resolved once so that a 200 response builds no label key.
+type endpointSeries struct {
+	name    string
+	latency *obs.Histogram
+	ok      *obs.Counter
+}
+
+func (m *metrics) endpoint(name string) *endpointSeries {
+	return &endpointSeries{name: name, latency: m.latency.With(name), ok: m.requests.With(name, "200")}
+}
+
+func (m *metrics) observe(ep *endpointSeries, code int, seconds float64) {
+	ep.latency.Observe(seconds)
 	m.latencyAll.Observe(seconds)
-	m.requests.With(endpoint, strconv.Itoa(code)).Inc()
+	if code == http.StatusOK {
+		ep.ok.Inc()
+	} else {
+		m.requests.With(ep.name, strconv.Itoa(code)).Inc()
+	}
 	m.total.Add(1)
 }
 

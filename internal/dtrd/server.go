@@ -140,10 +140,14 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 }
 
 // statusWriter captures the response code for the requests-by-code counter.
+// The middleware takes one from statusWriters per request and puts it back
+// when the handler returns.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
@@ -151,8 +155,9 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // wrap is the per-endpoint middleware: drain gate, in-flight accounting,
-// latency and request metrics.
+// latency and request metrics. The endpoint's series are resolved here, once.
 func (s *Server) wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
+	ep := s.met.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
@@ -162,16 +167,24 @@ func (s *Server) wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
 		defer s.inflight.Done()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		fn(sw, r)
 		elapsed := time.Since(start).Seconds()
-		s.met.observe(endpoint, sw.code, elapsed)
+		code := sw.code
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
+		s.met.observe(ep, code, elapsed)
 	}
 }
 
+// jsonContentType is every JSON response's Content-Type value, shared so
+// that setting it allocates nothing; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -220,7 +233,9 @@ var (
 // decode reads the request body once, refusing more than limit bytes, and
 // strictly parses it into v: an unknown field, or anything but whitespace
 // after the JSON value, is refused. It reports whether it succeeded; when not, the
-// 413 or 400 is written. what names the request in error messages.
+// 413 or 400 is written. what names the request in error messages. A
+// *RouteRequest, which must be reset, is first offered to its fast decoder
+// (decodeFast); a body that decoder declines is parsed here as any other.
 func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	body := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(body)
@@ -235,6 +250,22 @@ func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v 
 		}
 		return false
 	}
+	if req, ok := v.(*RouteRequest); ok {
+		if req.decodeFast(body.Bytes()) {
+			return true
+		}
+		req.reset()
+	}
+	if err := decodeJSON(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid "+what+" request: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// decodeJSON is decode's encoding/json path: it parses body into v,
+// refusing an unknown field and anything but whitespace after the value.
+func decodeJSON(body *bytes.Buffer, v any) error {
 	raw := body.Bytes() // stays valid: decoding only advances body's read offset
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -242,11 +273,7 @@ func decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v 
 	if err == nil && len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) > 0 {
 		err = errTrailingData
 	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid "+what+" request: "+err.Error())
-		return false
-	}
-	return true
+	return err
 }
 
 // errTrailingData refuses a body with more than whitespace after its JSON
@@ -455,7 +482,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	req := routePool.Get().(*RouteRequest)
 	defer routePool.Put(req)
-	*req = RouteRequest{Weights: req.Weights[:0], WeightsHigh: req.WeightsHigh[:0], WeightsLow: req.WeightsLow[:0]}
+	req.reset()
 	if !decode(w, r, maxWeightsBody, "route", req) {
 		return
 	}
@@ -480,7 +507,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := t.handle.Graph()
-	writeJSON(w, http.StatusOK, RouteResponse{
+	writeRoute(w, &RouteResponse{
 		Scheme:         scheme,
 		PhiH:           res.PhiH,
 		PhiL:           res.PhiL,

@@ -44,8 +44,8 @@ func Smoke() Preset { return newPreset("smoke", search.SmokeBudget(), 1, 1) }
 func Small() Preset { return newPreset("small", search.SmallBudget(), 5, 2) }
 
 // PaperPreset returns the publication budgets of §5.1.3 (N=300000, K=800000
-// as published). Expect very long runtimes; results in EXPERIMENTS.md use
-// Small.
+// as published). Expect very long runtimes; regenerate results with Small
+// (dtrexp -preset small; README, "Commands").
 func PaperPreset() Preset { return newPreset("paper", search.PaperBudget(), 7, 2) }
 
 func newPreset(name string, b search.Budget, points, parallel int) Preset {

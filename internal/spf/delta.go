@@ -13,7 +13,8 @@ type DeltaStats struct {
 	// Applies counts Apply calls served incrementally.
 	Applies int64
 	// FullRoutes counts from-scratch recomputations (initial Route, error
-	// recovery, Apply on an invalid router).
+	// recovery, Apply on an invalid router, and an Apply without an armed
+	// checkpoint that changes at least half the arcs).
 	FullRoutes int64
 	// TreesRecomputed and TreesReused count per-destination SPF outcomes
 	// across incremental Applies.
@@ -225,8 +226,9 @@ func (r *DeltaRouter) ArcInvariant(a graph.EdgeID, oldW, newW int) bool {
 // the next call. After an initial Route, results are bitwise-equal to a
 // fresh full Route(w).
 //
-// On an invalid router, Apply falls back to a full Route and reports every
-// arc as moved. On error the router becomes invalid; the caller must treat
+// On an invalid router, or when no checkpoint is armed and at least half the
+// arcs change, Apply routes from scratch (Route) and reports every arc as
+// moved. On error the router becomes invalid; the caller must treat
 // its state as unspecified until the next successful call.
 func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, error) {
 	if !r.valid {
@@ -250,6 +252,15 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		}
 	}
 	r.changedBuf, r.raised, r.lowered = actual, raised, lowered
+	// A wholesale transition — half the arcs or more — would update nearly
+	// every tree, each at several times a Dijkstra's cost: route from
+	// scratch instead, unless a checkpoint needs the pre-images.
+	if !r.cpActive && 2*len(actual) >= len(r.w) {
+		if err := r.Route(w); err != nil {
+			return nil, err
+		}
+		return r.allArcs, nil
+	}
 	r.stats.Applies++
 	met.applies.Inc()
 	for di := range r.dirty {

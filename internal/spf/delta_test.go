@@ -95,8 +95,12 @@ func TestDeltaRouterMatchesFullRoute(t *testing.T) {
 			}
 
 			disabled := map[graph.EdgeID]int{} // arc -> weight before failure
+			prevLoads := make([][]float64, len(dr.Loads))
 			for step := 0; step < 400; step++ {
 				prev := w.Clone()
+				for mi := range dr.Loads {
+					prevLoads[mi] = append(prevLoads[mi][:0], dr.Loads[mi]...)
+				}
 				var changed []graph.EdgeID
 				narcs := 1 + rng.IntN(4)
 				for k := 0; k < narcs; k++ {
@@ -163,7 +167,13 @@ func TestDeltaRouterMatchesFullRoute(t *testing.T) {
 					for _, a := range moved {
 						movedSet[a] = true
 					}
-					_ = movedSet
+					for mi := range dr.Loads {
+						for a, x := range dr.Loads[mi] {
+							if x != prevLoads[mi][a] && !movedSet[graph.EdgeID(a)] {
+								t.Fatalf("step %d: arc %d load moved %v -> %v but was not reported", step, a, prevLoads[mi][a], x)
+							}
+						}
+					}
 				}
 				assertTreesEqual(t, step, dr, ref)
 				assertLoadsEqual(t, step, dr, ref)
@@ -234,6 +244,74 @@ func TestDeltaRouterApplyInvalidFallback(t *testing.T) {
 	}
 	if dr.Stats().FullRoutes != 1 {
 		t.Fatalf("expected one full route, got %+v", dr.Stats())
+	}
+}
+
+// wholesaleWeights redraws every weight of w in [1, 30], so nearly every arc
+// changes, and returns the redrawn setting and its changed arcs.
+func wholesaleWeights(rng *rand.Rand, w Weights) (Weights, []graph.EdgeID) {
+	w2 := w.Clone()
+	for i := range w2 {
+		w2[i] = 1 + rng.IntN(30)
+	}
+	return w2, DiffArcs(w, w2, nil)
+}
+
+// TestDeltaRouterWholesaleApply pins that an Apply changing at least half
+// the arcs with no checkpoint armed is one full route: the state equals a
+// fresh Route bitwise, every arc is reported moved, and no tree goes through
+// the dynamic update. Under an armed checkpoint — which a full route would
+// disarm — the same Apply stays incremental, and Revert restores the
+// pre-image bitwise.
+func TestDeltaRouterWholesaleApply(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		rng := rand.New(rand.NewPCG(13, 13))
+		g, tms := randomInstance(rng, 20, 24, 2)
+		dr := NewDeltaRouter(g, tms...)
+		w, _ := wholesaleWeights(rng, Uniform(g.NumEdges()))
+		if err := dr.Route(w); err != nil {
+			t.Fatal(err)
+		}
+		if armed {
+			if err := dr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w2, changed := wholesaleWeights(rng, w)
+		if 2*len(changed) < g.NumEdges() {
+			t.Fatalf("only %d of %d arcs changed", len(changed), g.NumEdges())
+		}
+		before := dr.Stats()
+		moved, err := dr.Apply(w2, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := dr.Stats()
+		full := after.FullRoutes == before.FullRoutes+1 && after.TreesPartial == before.TreesPartial &&
+			after.Applies == before.Applies && len(moved) == g.NumEdges()
+		incremental := after.FullRoutes == before.FullRoutes && after.TreesPartial > before.TreesPartial && dr.CheckpointArmed()
+		if (!armed && !full) || (armed && !incremental) {
+			t.Fatalf("armed=%v: stats %+v, then %+v, %d of %d arcs moved", armed, before, after, len(moved), g.NumEdges())
+		}
+		want := w2
+		if armed {
+			dr.Revert()
+			want = w
+		}
+		ref := NewMultiPlan(g, tms...)
+		if err := ref.Route(want, tms...); err != nil {
+			t.Fatal(err)
+		}
+		assertTreesEqual(t, 0, dr, ref)
+		assertLoadsEqual(t, 0, dr, ref)
+		if err := supportInvariant(dr); err != nil {
+			t.Fatalf("armed=%v: %v", armed, err)
+		}
+		for i, x := range dr.Weights() {
+			if x != want[i] {
+				t.Fatalf("armed=%v: weight %d is %d, want %d", armed, i, x, want[i])
+			}
+		}
 	}
 }
 

@@ -39,15 +39,14 @@ func (p *MultiPlan) CloneState() *MultiPlan {
 // Route computes shortest-path DAGs under w and aggregates each matrix's
 // demands into the corresponding Loads slice.
 //
-// Aggregation is grouped per destination: each destination's contribution is
-// routed into an all-zero staging buffer and then folded into the aggregate
-// over its support, the arcs it loaded. Because every arc receives at most
-// one addition per destination and destinations fold in ascending index
-// order, the sharded route (SetWorkers > 1) and the incremental DeltaRouter
-// both reproduce this exact floating-point summation sequence — which is
-// what makes all three bitwise-equal. Only the sharded route retains the
-// per-destination support lists; this sequential path drains each
-// destination straight into Loads.
+// Aggregation is grouped per destination, in ascending destination order:
+// each destination's demand is pushed over its tree straight into Loads, and
+// every arc receives at most one addition per destination. The sharded route
+// (SetWorkers > 1) and the incremental DeltaRouter stage each destination's
+// contribution as a support list and fold the lists in the same order, so
+// they reproduce this exact floating-point summation sequence — which is
+// what makes all three bitwise-equal. Only they retain the per-destination
+// support lists; this sequential path stages nothing.
 func (p *MultiPlan) Route(w Weights, tms ...*traffic.Matrix) error {
 	return p.route(w, tms)
 }
@@ -65,18 +64,13 @@ func (c *routeCore) route(w Weights, tms []*traffic.Matrix) error {
 	for i := range c.tms {
 		clear(c.Loads[i])
 	}
-	scratch := c.scratch
 	for di, dest := range c.dests {
 		c.comp.tree(dest, w, &c.trees[di], maxW)
-		for mi := range c.tms {
-			sup, err := c.destLoads(c.comp, di, mi, scratch)
-			if err != nil {
-				return err
-			}
-			loads := c.Loads[mi]
-			for _, a := range sup {
-				loads[a] += scratch[a]
-				scratch[a] = 0
+		for mi, tm := range c.tms {
+			if col := tm.Column(dest); col != nil {
+				if err := c.comp.AddLoads(&c.trees[di], col, c.Loads[mi]); err != nil {
+					return err
+				}
 			}
 		}
 	}

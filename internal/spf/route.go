@@ -12,11 +12,11 @@ import (
 
 // routeCore is the full-route state MultiPlan and DeltaRouter share: the
 // destination index, one tree per destination, the aggregate loads, and the
-// one per-destination routine (destLoads) both route through. Its retaining
-// full route (routeRetained) keeps every destination's contribution as a
-// support list and is what DeltaRouter.Route and MultiPlan's sharded Route
-// run; MultiPlan's sequential Route drains each destination straight into
-// Loads and retains nothing.
+// per-destination routine (destLoads) their retaining routes stage loads
+// through. The retaining full route (routeRetained) keeps every
+// destination's contribution as a support list and is what DeltaRouter.Route
+// and MultiPlan's sharded Route run; MultiPlan's sequential Route pushes each
+// destination straight into Loads (Computer.AddLoads) and retains nothing.
 type routeCore struct {
 	g     *graph.Graph
 	comp  *Computer
@@ -29,7 +29,7 @@ type routeCore struct {
 	Loads [][]float64
 
 	// scratch is an all-zero per-arc vector between uses: a destination's
-	// loads are routed into it and drained into Loads or the support lists.
+	// loads are routed into it and compacted into the support lists.
 	scratch []float64
 	xiBuf   []float64
 
@@ -183,8 +183,8 @@ func (c *routeCore) DelaysTo(dst graph.NodeID, arcDelay []float64) []float64 {
 // destLoads routes matrix mi's demand column toward destination di over its
 // tree into scratch, which must be all-zero, and returns the arcs it loaded,
 // collected in comp's DAG staging buffer (idle between tree builds, one slot
-// per arc): the one per-destination routine under every route, whose caller
-// drains scratch over the arcs. The column is read in place
+// per arc): the one per-destination routine under every retaining route,
+// whose caller drains scratch over the arcs. The column is read in place
 // (traffic.Matrix.Column). Reachability is validated before any load is
 // written, so on error scratch is still all-zero and no arc is returned.
 func (c *routeCore) destLoads(comp *Computer, di, mi int, scratch []float64) ([]graph.EdgeID, error) {

@@ -3,6 +3,7 @@ package topo
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -136,18 +137,18 @@ func parseAdjacency(data string, p Params) (*graph.Graph, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		if len(fields) > 4 {
+		if len(fields) < 2 || len(fields) > 4 {
 			return nil, fmt.Errorf("line %d: want '<u> <v> [capacity [delay]]', got %d fields", lineNo, len(fields))
 		}
 		var capacity, delay float64
 		var err error
 		if len(fields) >= 3 {
-			if capacity, err = strconv.ParseFloat(fields[2], 64); err != nil || capacity <= 0 {
+			if capacity, err = strconv.ParseFloat(fields[2], 64); err != nil || !(capacity > 0) || math.IsInf(capacity, 1) {
 				return nil, fmt.Errorf("line %d: bad capacity %q", lineNo, fields[2])
 			}
 		}
 		if len(fields) == 4 {
-			if delay, err = strconv.ParseFloat(fields[3], 64); err != nil || delay < 0 {
+			if delay, err = strconv.ParseFloat(fields[3], 64); err != nil || !(delay >= 0) || math.IsInf(delay, 1) {
 				return nil, fmt.Errorf("line %d: bad delay %q", lineNo, fields[3])
 			}
 		}
@@ -175,7 +176,9 @@ type gmlField struct {
 // parseGML reads the GML subset needed for topology files: one top-level
 // "graph" block containing "node" blocks (keyed by "id", named by "label")
 // and "edge" blocks (keyed by "source"/"target", with optional capacity,
-// bandwidth and delay attributes).
+// bandwidth and delay attributes). An attribute that is not a number is
+// ignored (a capacity of zero or below likewise falls back to the default);
+// a non-finite capacity or delay, and a negative delay, are refused.
 func parseGML(data string, p Params) (*graph.Graph, error) {
 	tokens, err := tokenizeGML(data)
 	if err != nil {
@@ -249,6 +252,12 @@ func parseGML(data string, p Params) (*graph.Graph, error) {
 		v, okV := gmlIDs[dst]
 		if !okU || !okV {
 			return nil, fmt.Errorf("gml: edge %s->%s references unknown node", src, dst)
+		}
+		if math.IsNaN(capacity) || math.IsInf(capacity, 0) {
+			return nil, fmt.Errorf("gml: edge %s->%s: capacity %g is not finite", src, dst, capacity)
+		}
+		if !(delay >= 0) || math.IsInf(delay, 1) {
+			return nil, fmt.Errorf("gml: edge %s->%s: delay %g is not finite and non-negative", src, dst, delay)
 		}
 		if err := b.link(u, v, capacity, delay); err != nil {
 			return nil, fmt.Errorf("gml: %w", err)

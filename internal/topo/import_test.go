@@ -1,11 +1,14 @@
 package topo
 
 import (
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dualtopo/internal/graph"
 )
 
 const testGML = `
@@ -116,10 +119,9 @@ func TestImportDelayModels(t *testing.T) {
 	}
 }
 
-func TestImportGMLDuplicateLabels(t *testing.T) {
-	// Real Topology-Zoo exports repeat labels ("None", "?"); identity must
-	// come from the id, never the label.
-	gml := `graph [
+// dupLabelGML repeats a label, as real Topology-Zoo exports do ("None",
+// "?"); identity must come from the id, never the label.
+const dupLabelGML = `graph [
 	  node [ id 0 label "None" ]
 	  node [ id 1 label "None" ]
 	  node [ id 2 label "Hub" ]
@@ -127,7 +129,9 @@ func TestImportGMLDuplicateLabels(t *testing.T) {
 	  edge [ source 1 target 2 ]
 	  edge [ source 2 target 0 ]
 	]`
-	path := writeFile(t, "dup.gml", gml)
+
+func TestImportGMLDuplicateLabels(t *testing.T) {
+	path := writeFile(t, "dup.gml", dupLabelGML)
 	g, err := Generate("import", Params{Path: path}, rand.New(rand.NewPCG(1, 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -137,23 +141,35 @@ func TestImportGMLDuplicateLabels(t *testing.T) {
 	}
 }
 
+// badImports are files both importers must refuse.
+var badImports = []struct {
+	name, file, data string
+}{
+	{"self loop", "x.adj", "a a 5\n"},
+	{"bad capacity", "x.adj", "a b nope\n"},
+	{"negative delay", "x.adj", "a b 10 -1\n"},
+	{"NaN capacity", "x.adj", "a b NaN\n"},
+	{"infinite capacity", "x.adj", "a b Inf\n"},
+	{"NaN delay", "x.adj", "a b 100 NaN\n"},
+	{"infinite delay", "x.adj", "a b 100 +Inf\n"},
+	{"too many fields", "x.adj", "a b 10 1 9\n"},
+	{"one field", "x.adj", "a b 10\nc\n"},
+	{"empty", "x.adj", "# nothing\n"},
+	{"gml no graph", "x.gml", "foo [ bar 1 ]"},
+	{"gml unterminated string", "x.gml", "graph [ label \"oops\n node [ id 0 ] ]"},
+	{"gml dangling edge", "x.gml", "graph [ node [ id 0 ] edge [ source 0 target 9 ] ]"},
+	{"gml node without id", "x.gml", "graph [ node [ label \"x\" ] ]"},
+	{"gml duplicate id", "x.gml", "graph [ node [ id 0 ] node [ id 0 ] edge [ source 0 target 0 ] ]"},
+	{"gml NaN capacity", "x.gml", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 capacity NaN ] ]"},
+	{"gml infinite capacity", "x.gml", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 capacity Inf ] ]"},
+	{"gml overflowing bandwidth", "x.gml", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 bandwidth 1e400 ] ]"},
+	{"gml NaN delay", "x.gml", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 delay NaN ] ]"},
+	{"gml negative delay", "x.gml", "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 delay -5 ] ]"},
+}
+
 func TestImportErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	cases := []struct {
-		name, file, data string
-	}{
-		{"self loop", "x.adj", "a a 5\n"},
-		{"bad capacity", "x.adj", "a b nope\n"},
-		{"negative delay", "x.adj", "a b 10 -1\n"},
-		{"too many fields", "x.adj", "a b 10 1 9\n"},
-		{"empty", "x.adj", "# nothing\n"},
-		{"gml no graph", "x.gml", "foo [ bar 1 ]"},
-		{"gml unterminated string", "x.gml", "graph [ label \"oops\n node [ id 0 ] ]"},
-		{"gml dangling edge", "x.gml", "graph [ node [ id 0 ] edge [ source 0 target 9 ] ]"},
-		{"gml node without id", "x.gml", "graph [ node [ label \"x\" ] ]"},
-		{"gml duplicate id", "x.gml", "graph [ node [ id 0 ] node [ id 0 ] edge [ source 0 target 0 ] ]"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badImports {
 		path := writeFile(t, tc.file, tc.data)
 		if _, err := Generate("import", Params{Path: path}, rng); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -177,4 +193,65 @@ func TestImportNodeCountAssertion(t *testing.T) {
 	if _, err := Generate("import", Params{Path: path, Nodes: 3}, rand.New(rand.NewPCG(1, 1))); err != nil {
 		t.Fatalf("matching node count rejected: %v", err)
 	}
+}
+
+// TestImportGMLIgnoresUnparseableAttributes pins that a GML attribute which
+// is not a number is ignored, as real Topology-Zoo files carry free-text
+// ones: the link keeps the default capacity and no delay.
+func TestImportGMLIgnoresUnparseableAttributes(t *testing.T) {
+	g, err := parseGML(`graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 capacity "10 Gbps" delay "?" ] ]`,
+		Params{CapacityMbps: DefaultCapacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := g.Edge(0); e.Capacity != DefaultCapacity || e.Delay != 0 {
+		t.Fatalf("link = %+v, want the default capacity and no delay", e)
+	}
+}
+
+// FuzzImport drives both importers, selected by gml and seeded from this
+// file's fixtures. Neither may panic, and an accepted graph must have finite
+// positive capacities, finite non-negative delays, adjacency-list node names
+// that are unique (GML names are labels, which may repeat; identity is the
+// id), and a CSR that builds and validates.
+func FuzzImport(f *testing.F) {
+	f.Add(true, testGML)
+	f.Add(true, dupLabelGML)
+	for _, adj := range []string{"a b 100 2\nb c 100 3 # comment\nc a 50\n", "a b 10\nc d 10\n"} {
+		f.Add(false, adj)
+	}
+	for _, tc := range badImports {
+		f.Add(strings.HasSuffix(tc.file, ".gml"), tc.data)
+	}
+	f.Fuzz(func(t *testing.T, gml bool, data string) {
+		parse := parseAdjacency
+		if gml {
+			parse = parseGML
+		}
+		g, err := parse(data, Params{CapacityMbps: DefaultCapacity})
+		if err != nil {
+			return
+		}
+		for _, e := range g.Edges() {
+			if !(e.Capacity > 0) || math.IsInf(e.Capacity, 1) || !(e.Delay >= 0) || math.IsInf(e.Delay, 1) {
+				t.Fatalf("accepted arc %+v from %q", e, data)
+			}
+		}
+		if !gml {
+			seen := map[string]bool{}
+			for u := 0; u < g.NumNodes(); u++ {
+				if name := g.Name(graph.NodeID(u)); seen[name] {
+					t.Fatalf("node name %q repeated in %q", name, data)
+				} else {
+					seen[name] = true
+				}
+			}
+		}
+		if c := g.CSR(); len(c.To) != g.NumEdges() {
+			t.Fatalf("CSR holds %d arcs, graph %d", len(c.To), g.NumEdges())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted %q: %v", data, err)
+		}
+	})
 }
