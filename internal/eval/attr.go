@@ -30,10 +30,11 @@ type Attribution struct {
 }
 
 // Attribute fills a with per-arc scores for r. r must be the evaluator's
-// most recent full evaluation (so that, for SLA instances, the evaluator's
-// high-priority plan trees still sit at r's weights — the violation walk
-// follows those DAGs).
-func (e *Evaluator) Attribute(r *Result, a *Attribution) { e.AttributeTrees(r, a, e.planH) }
+// most recent full evaluation, so that, for SLA instances, the evaluator's
+// plan trees still sit at r's high-priority weights: the violation walk
+// follows those DAGs. After an EvaluateSTR they are STR's trees, which route
+// both classes.
+func (e *Evaluator) Attribute(r *Result, a *Attribution) { e.AttributeTrees(r, a, e.plan) }
 
 // AttributeTrees is Attribute over r's high-priority trees held elsewhere —
 // a search's incumbent lives in a RoutingState, whose router holds them.

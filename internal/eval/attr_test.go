@@ -104,7 +104,7 @@ func TestAttributeSLAViolations(t *testing.T) {
 		totalPen += pen
 		// Independent reachability: collect every arc on some shortest path
 		// from p.Src in the DAG toward p.Dst via a plain visited-set BFS.
-		tree := e.planH.Tree(p.Dst)
+		tree := e.plan.Tree(p.Dst)
 		seen := map[graph.NodeID]bool{p.Src: true}
 		queue := []graph.NodeID{p.Src}
 		for len(queue) > 0 {
@@ -186,4 +186,42 @@ func TestAttributeReuseDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAttributeAfterSTRReadsSTRTrees: after an EvaluateSTR the evaluator's
+// one tree set is STR's, so Attribute must score exactly as AttributeTrees
+// over a fresh plan routed with both classes at the STR weights — even when
+// the evaluation before it was a DTR one at other weights.
+func TestAttributeAfterSTRReadsSTRTrees(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		e, _, w := attrInstance(t, SLABased, seed)
+		rng := rand.New(rand.NewPCG(seed, 78))
+		wSTR := append(spf.Weights(nil), w...)
+		for i := range wSTR {
+			wSTR[i] = 1 + rng.IntN(20)
+		}
+		r, err := e.EvaluateSTR(wSTR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Violations == 0 {
+			continue
+		}
+		th, tl := e.Matrices()
+		fresh := spf.NewMultiPlan(e.Graph(), th, tl)
+		if err := fresh.Route(wSTR, th, tl); err != nil {
+			t.Fatal(err)
+		}
+		var got, want Attribution
+		e.Attribute(r, &got)
+		e.AttributeTrees(r, &want, fresh)
+		for i := range want.HScore {
+			if got.HScore[i] != want.HScore[i] || got.LScore[i] != want.LScore[i] {
+				t.Fatalf("seed %d arc %d: Attribute after STR = (%g, %g), over a fresh STR plan (%g, %g)",
+					seed, i, got.HScore[i], got.LScore[i], want.HScore[i], want.LScore[i])
+			}
+		}
+		return
+	}
+	t.Fatal("no STR evaluation with violating pairs in 50 seeds")
 }

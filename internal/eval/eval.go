@@ -7,9 +7,11 @@
 // Two evaluation forms mirror how the searches use it:
 //
 //   - From scratch: EvaluateSTR routes both classes under one weight setting
-//     (one SPF pass), EvaluateDTR each class under its own, on the
-//     evaluator's plans. ObjectiveSTR is the score-only variant of
-//     EvaluateSTR.
+//     (one SPF pass), EvaluateDTR each class under its own. The evaluator
+//     keeps one tree set, its plan's: STR routes both classes on it, DTR the
+//     high-priority class, whose trees the Eq. 3–4 pair delays and Attribute
+//     read, while the low-priority class goes through a load-only route that
+//     keeps no trees. ObjectiveSTR is the score-only variant of EvaluateSTR.
 //   - Incremental: a RoutingState (state.go) keeps one scheme's routing and
 //     per-arc metrics current across weight transitions, re-scoring only the
 //     arcs whose loads moved. The evaluator owns one state per scheme
@@ -205,9 +207,12 @@ type instance struct {
 type Evaluator struct {
 	*instance
 
-	planH   *spf.Plan      // routes TH (DTR high topology)
-	planL   *spf.Plan      // routes TL (DTR low topology)
-	planSTR *spf.MultiPlan // routes both under one weight set
+	// plan is over (TH, TL): STR routes both on it, DTR TH alone. Its trees,
+	// the only ones the evaluator keeps, are thus the last evaluation's
+	// high-priority trees, which finish and Attribute read.
+	plan *spf.MultiPlan
+	// low routes TL for DTR (and ObjectiveL) for its loads alone.
+	low *spf.LoadRoute
 
 	// scratch[0] is the full evaluation of ObjectiveSTR (which returns only
 	// numbers) and of Verify, scratch[1] Verify's reading of the state.
@@ -219,12 +224,6 @@ type Evaluator struct {
 	// routeWorkers is the SetRouteWorkers bound, which the plans and every
 	// routing state built over the evaluator route from scratch with.
 	routeWorkers int
-}
-
-// treeSource is any routed plan that can hand back per-destination trees.
-type treeSource interface {
-	Tree(graph.NodeID) *spf.Tree
-	DelaysTo(graph.NodeID, []float64) []float64
 }
 
 // New builds an Evaluator. The graph must be strongly connected and the
@@ -267,9 +266,8 @@ func New(g *graph.Graph, th, tl *traffic.Matrix, opts Options) (*Evaluator, erro
 	return &Evaluator{
 		instance: in,
 
-		planH:   spf.NewPlan(g, th),
-		planL:   spf.NewPlan(g, tl),
-		planSTR: spf.NewMultiPlan(g, th, tl),
+		plan: spf.NewMultiPlan(g, th, tl),
+		low:  spf.NewLoadRoute(g, tl),
 
 		routeWorkers: 1,
 	}, nil
@@ -285,21 +283,20 @@ func (e *Evaluator) Clone() *Evaluator {
 	return &Evaluator{
 		instance: e.instance,
 
-		planH:   e.planH.CloneState(),
-		planL:   e.planL.CloneState(),
-		planSTR: e.planSTR.CloneState(),
+		plan: e.plan.CloneState(),
+		low:  e.low.CloneState(),
 
 		routeWorkers: 1,
 	}
 }
 
 // SetRouteWorkers bounds the SPF worker pool of this evaluator's
-// from-scratch routes: the plans' (EvaluateSTR/EvaluateDTR, ObjectiveSTR
-// and Verify) and those of its routing states' routers (a state's first
-// transition and any after a Reset or a disconnection; incremental
-// transitions stay sequential). The bound holds for the states it has and
-// those State builds later. Destinations
-// are sharded across per-worker SPF computers and reduced in destination
+// from-scratch routes: its plan's and load-only route's (EvaluateSTR,
+// EvaluateDTR, ObjectiveSTR and Verify) and those of its routing states'
+// routers (a state's first transition and any after a Reset or a
+// disconnection; incremental transitions stay sequential). The bound holds
+// for the states it has and those State builds later. Destinations are
+// sharded across per-worker SPF computers and reduced in destination
 // order, so results stay bitwise-identical to sequential routing. n == 1
 // restores sequential routing, the default; n == 0 picks a block-aware
 // automatic pool size from the instance size and GOMAXPROCS (sequential on
@@ -309,9 +306,8 @@ func (e *Evaluator) Clone() *Evaluator {
 // pools oversubscribe the machine.
 func (e *Evaluator) SetRouteWorkers(n int) {
 	e.routeWorkers = n
-	e.planH.SetWorkers(n)
-	e.planL.SetWorkers(n)
-	e.planSTR.SetWorkers(n)
+	e.plan.SetWorkers(n)
+	e.low.SetWorkers(n)
 	for _, s := range e.states {
 		if s != nil {
 			s.setRouteWorkers(n)
@@ -359,10 +355,10 @@ func (e *Evaluator) EvaluateSTR(w spf.Weights) (*Result, error) {
 // EvaluateSTRInto is EvaluateSTR writing into r, whose slices are reused
 // when large enough. On error r is left as it was.
 func (e *Evaluator) EvaluateSTRInto(r *Result, w spf.Weights) error {
-	if err := e.planSTR.Route(w, e.th, e.tl); err != nil {
+	if err := e.plan.Route(w, e.th, e.tl); err != nil {
 		return err
 	}
-	e.finish(r, e.planSTR.Loads[0], e.planSTR.Loads[1], e.planSTR)
+	e.finish(r, e.plan.Loads[0], e.plan.Loads[1])
 	return nil
 }
 
@@ -379,13 +375,13 @@ func (e *Evaluator) EvaluateDTR(wH, wL spf.Weights) (*Result, error) {
 // EvaluateDTRInto is EvaluateDTR writing into r, whose slices are reused
 // when large enough. On error r is left as it was.
 func (e *Evaluator) EvaluateDTRInto(r *Result, wH, wL spf.Weights) error {
-	if err := e.planH.Route(wH, e.th); err != nil {
+	if err := e.plan.Route(wH, e.th); err != nil {
 		return err
 	}
-	if err := e.planL.Route(wL, e.tl); err != nil {
+	if err := e.low.Route(wL, e.tl); err != nil {
 		return err
 	}
-	e.finish(r, e.planH.Loads, e.planL.Loads, e.planH)
+	e.finish(r, e.plan.Loads[0], e.low.Loads[0])
 	return nil
 }
 
@@ -399,9 +395,9 @@ func sized(s []float64, n int) []float64 {
 }
 
 // finish derives all costs from routed per-arc loads into r, overwriting
-// everything r held and reusing its slices. trees must be the plan that
-// routed the high-priority class (SLA delays follow its DAGs).
-func (e *Evaluator) finish(r *Result, hLoads, lLoads []float64, trees treeSource) {
+// everything r held and reusing its slices. SLA delays follow the plan's
+// DAGs, which must be the high-priority class's at hLoads' weights.
+func (e *Evaluator) finish(r *Result, hLoads, lLoads []float64) {
 	n := e.g.NumEdges()
 	linkDelay, pairDelays := r.LinkDelay, r.PairDelays
 	*r = Result{
@@ -426,7 +422,7 @@ func (e *Evaluator) finish(r *Result, hLoads, lLoads []float64, trees treeSource
 		}
 		r.PairDelays = sized(pairDelays, len(e.pairs))[:0]
 		for i, dest := range e.hpDests {
-			xi := trees.DelaysTo(dest, r.LinkDelay)
+			xi := e.plan.DelaysTo(dest, r.LinkDelay)
 			for _, src := range e.hpSrcs[i] {
 				d := xi[src]
 				r.PairDelays = append(r.PairDelays, d)
@@ -481,11 +477,11 @@ func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
 // against the given residual capacities. Kept for bench/; the next benchmark
 // change deletes it.
 func (e *Evaluator) ObjectiveL(wL spf.Weights, residual []float64) (float64, error) {
-	if err := e.planL.Route(wL, e.tl); err != nil {
+	if err := e.low.Route(wL, e.tl); err != nil {
 		return 0, err
 	}
 	phiL := 0.0
-	for i, l := range e.planL.Loads {
+	for i, l := range e.low.Loads[0] {
 		phiL += cost.Phi(l, residual[i])
 	}
 	return phiL, nil

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -347,13 +348,17 @@ func (s Spec) WorkList() []WorkItem {
 }
 
 // Load decodes one spec from JSON, rejecting unknown fields so typos in
-// hand-written campaign files fail loudly.
+// hand-written campaign files fail loudly, and anything but whitespace after
+// the spec, so a second or truncated value cannot hide behind a valid one.
 func Load(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("scenario: decode spec: data after the spec")
 	}
 	return s, nil
 }

@@ -90,7 +90,8 @@ func routeAllocs(t *testing.T, workers int, route func() error) float64 {
 }
 
 // TestMultiPlanRouteZeroSteadyStateAllocs pins the warm sequential route and
-// the warm sharded one, whose worker closures and support lists are reused.
+// the warm sharded one, whose worker closures, support lists and (LoadRoute)
+// worker trees are reused.
 func TestMultiPlanRouteZeroSteadyStateAllocs(t *testing.T) {
 	g, w, tm := allocInstance(t)
 	rng := rand.New(rand.NewPCG(9, 9))
@@ -100,6 +101,11 @@ func TestMultiPlanRouteZeroSteadyStateAllocs(t *testing.T) {
 		p.SetWorkers(workers)
 		if allocs := routeAllocs(t, workers, func() error { return p.Route(w, tm, tm2) }); allocs != 0 {
 			t.Fatalf("MultiPlan.Route at %d workers allocates %.1f objects per warm run, want 0", workers, allocs)
+		}
+		lr := NewLoadRoute(g, tm2)
+		lr.SetWorkers(workers)
+		if allocs := routeAllocs(t, workers, func() error { return lr.Route(w, tm2) }); allocs != 0 {
+			t.Fatalf("LoadRoute.Route at %d workers allocates %.1f objects per warm run, want 0", workers, allocs)
 		}
 	}
 }

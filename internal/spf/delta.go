@@ -107,7 +107,7 @@ type destSave struct {
 func NewDeltaRouter(g *graph.Graph, tms ...*traffic.Matrix) *DeltaRouter {
 	m := g.NumEdges()
 	r := &DeltaRouter{
-		routeCore: newRouteCore(g, tms),
+		routeCore: newRouteCore(g, tms, false),
 		csr:       g.CSR(),
 		w:         make(Weights, m),
 	}
@@ -337,7 +337,7 @@ func (r *DeltaRouter) Apply(w Weights, changed []graph.EdgeID) ([]graph.EdgeID, 
 		if sampled {
 			met.resettled.Observe(float64(resettled))
 		}
-		if err := r.keepLoads(r.comp, r.scratch, di); err != nil {
+		if err := r.keepLoads(r.comp, &r.trees[di], r.scratch, di); err != nil {
 			r.valid = false
 			for _, a := range r.touchList {
 				r.touched[a] = false

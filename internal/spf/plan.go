@@ -7,8 +7,9 @@ import (
 
 // MultiPlan routes one or more traffic matrices over a single weight setting
 // (one SPF tree set), retaining per-destination trees for delay queries.
-// This is the evaluation core for both STR (two classes, one topology) and
-// each DTR class (one class per topology). A MultiPlan reuses all buffers
+// This is the evaluation core for STR (two classes, one topology) and for
+// DTR's high-priority class; LoadRoute routes DTR's low-priority class, whose
+// trees nothing reads. A MultiPlan reuses all buffers
 // across Route calls and is not safe for concurrent use (Route orchestrates
 // its own internal workers when configured; see SetWorkers).
 type MultiPlan struct {
@@ -19,7 +20,7 @@ type MultiPlan struct {
 // in the given matrices. Route must later be called with matrices having the
 // same (or a subset of the) active destination sets.
 func NewMultiPlan(g *graph.Graph, tms ...*traffic.Matrix) *MultiPlan {
-	return &MultiPlan{routeCore: newRouteCore(g, tms)}
+	return &MultiPlan{routeCore: newRouteCore(g, tms, false)}
 }
 
 // CloneState returns an independent MultiPlan for the same instance, sharing
@@ -30,14 +31,11 @@ func NewMultiPlan(g *graph.Graph, tms ...*traffic.Matrix) *MultiPlan {
 // SPF workers under them would only oversubscribe. This is what evaluator
 // pools use: the O(n²) active-destination scan happens once, not once per
 // worker.
-func (p *MultiPlan) CloneState() *MultiPlan {
-	c := &MultiPlan{routeCore{g: p.g, dests: p.dests, byID: p.byID}}
-	c.allocate(len(p.Loads))
-	return c
-}
+func (p *MultiPlan) CloneState() *MultiPlan { return &MultiPlan{p.fresh(len(p.Loads))} }
 
 // Route computes shortest-path DAGs under w and aggregates each matrix's
-// demands into the corresponding Loads slice.
+// demands into the corresponding Loads slice. Routing a subset of the
+// matrices builds only the trees they load; Tree returns nil for the rest.
 //
 // Aggregation is grouped per destination, in ascending destination order:
 // each destination's demand is pushed over its tree straight into Loads, and
@@ -65,10 +63,10 @@ func (c *routeCore) route(w Weights, tms []*traffic.Matrix) error {
 		clear(c.Loads[i])
 	}
 	for di, dest := range c.dests {
-		c.comp.tree(dest, w, &c.trees[di], maxW)
+		t := c.buildTree(c.comp, di, 0, w, maxW)
 		for mi, tm := range c.tms {
 			if col := tm.Column(dest); col != nil {
-				if err := c.comp.AddLoads(&c.trees[di], col, c.Loads[mi]); err != nil {
+				if err := c.comp.AddLoads(t, col, c.Loads[mi]); err != nil {
 					return err
 				}
 			}
@@ -76,6 +74,26 @@ func (c *routeCore) route(w Weights, tms []*traffic.Matrix) error {
 	}
 	return nil
 }
+
+// LoadRoute routes traffic matrices for their per-arc loads alone: each
+// destination's tree is built, in destination order, into its route
+// worker's one reused tree, so it keeps a tree per worker instead of one per
+// destination, and Tree returns nil. Its loads and its first ErrNoPath are
+// bitwise a MultiPlan's over the same matrices at any worker count.
+type LoadRoute struct{ routeCore }
+
+// NewLoadRoute prepares a load-only route for the destinations active in
+// the given matrices. See NewMultiPlan.
+func NewLoadRoute(g *graph.Graph, tms ...*traffic.Matrix) *LoadRoute {
+	return &LoadRoute{routeCore: newRouteCore(g, tms, true)}
+}
+
+// CloneState returns an independent LoadRoute for the same instance. See
+// MultiPlan.CloneState.
+func (p *LoadRoute) CloneState() *LoadRoute { return &LoadRoute{p.fresh(len(p.Loads))} }
+
+// Route aggregates each matrix's demands under w into its Loads slice.
+func (p *LoadRoute) Route(w Weights, tms ...*traffic.Matrix) error { return p.route(w, tms) }
 
 // Plan routes a single traffic matrix under changing weight settings. It is
 // a MultiPlan specialized to one matrix, exposing its loads as a flat slice.
@@ -89,18 +107,9 @@ type Plan struct {
 
 // NewPlan prepares routing state for the destinations active in tm.
 func NewPlan(g *graph.Graph, tm *traffic.Matrix) *Plan {
-	p := &Plan{routeCore: newRouteCore(g, []*traffic.Matrix{tm})}
+	p := &Plan{routeCore: newRouteCore(g, []*traffic.Matrix{tm}, false)}
 	p.Loads = p.routeCore.Loads[0]
 	return p
-}
-
-// CloneState returns an independent Plan for the same instance, sharing only
-// the immutable destination index. See MultiPlan.CloneState.
-func (p *Plan) CloneState() *Plan {
-	c := &Plan{routeCore: routeCore{g: p.g, dests: p.dests, byID: p.byID}}
-	c.allocate(1)
-	c.Loads = c.routeCore.Loads[0]
-	return c
 }
 
 // Route computes shortest-path DAGs for every active destination under w and

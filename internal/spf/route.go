@@ -10,26 +10,30 @@ import (
 	"dualtopo/internal/traffic"
 )
 
-// routeCore is the full-route state MultiPlan and DeltaRouter share: the
-// destination index, one tree per destination, the aggregate loads, and the
+// routeCore is the full-route state MultiPlan, LoadRoute and DeltaRouter
+// share: the destination index, the trees, the aggregate loads, and the
 // per-destination routine (destLoads) their retaining routes stage loads
 // through. The retaining full route (routeRetained) keeps every
 // destination's contribution as a support list and is what DeltaRouter.Route
-// and MultiPlan's sharded Route run; MultiPlan's sequential Route pushes each
-// destination straight into Loads (Computer.AddLoads) and retains nothing.
+// and the sharded Route run; the sequential Route pushes each destination
+// straight into Loads (Computer.AddLoads) and retains nothing. A route skips
+// a destination that none of the routed matrices loads.
 type routeCore struct {
 	g     *graph.Graph
 	comp  *Computer
 	dests []graph.NodeID    // union of active destinations across matrices
 	byID  []int32           // node -> index into dests, -1 if inactive
-	trees []Tree            // parallel to dests
+	trees []Tree            // parallel to dests; one per route worker if loadOnly
 	tms   []*traffic.Matrix // the matrices routed, read in place
+	// loadOnly is fixed at construction (NewLoadRoute); Tree returns nil.
+	loadOnly bool
 
 	// Loads[mi] is the per-arc volume of matrix mi after a route.
 	Loads [][]float64
 
 	// scratch is an all-zero per-arc vector between uses: a destination's
-	// loads are routed into it and compacted into the support lists.
+	// loads are routed into it and compacted into the support lists. It is
+	// allocated with them, on the first retaining route.
 	scratch []float64
 	xiBuf   []float64
 
@@ -53,8 +57,8 @@ type routeCore struct {
 
 // newRouteCore indexes the union of destinations active in tms, in matrix
 // then destination order, and sizes the trees and loads for it.
-func newRouteCore(g *graph.Graph, tms []*traffic.Matrix) routeCore {
-	c := routeCore{g: g, byID: make([]int32, g.NumNodes()), tms: slices.Clone(tms)}
+func newRouteCore(g *graph.Graph, tms []*traffic.Matrix, loadOnly bool) routeCore {
+	c := routeCore{g: g, byID: make([]int32, g.NumNodes()), loadOnly: loadOnly}
 	for i := range c.byID {
 		c.byID[i] = -1
 	}
@@ -66,22 +70,25 @@ func newRouteCore(g *graph.Graph, tms []*traffic.Matrix) routeCore {
 			}
 		}
 	}
-	c.allocate(len(tms))
-	return c
+	f := c.fresh(len(tms))
+	f.tms = slices.Clone(tms)
+	return f
 }
 
-// allocate gives c a fresh computer, trees, nmat load vectors and scratch
-// vector, keeping its destination index, and makes it route inline.
-func (c *routeCore) allocate(nmat int) {
-	m := c.g.NumEdges()
-	c.comp = NewComputer(c.g)
-	c.trees = make([]Tree, len(c.dests))
-	c.Loads = make([][]float64, nmat)
-	for i := range c.Loads {
-		c.Loads[i] = make([]float64, m)
+// fresh returns a core sharing only c's immutable destination index (dests,
+// byID) and kind, with its own computer, trees and nmat load vectors,
+// routing inline.
+func (c *routeCore) fresh(nmat int) routeCore {
+	f := routeCore{g: c.g, dests: c.dests, byID: c.byID, loadOnly: c.loadOnly, comp: NewComputer(c.g), workers: 1}
+	f.trees = make([]Tree, len(c.dests))
+	if c.loadOnly {
+		f.trees = make([]Tree, 1)
 	}
-	c.scratch = make([]float64, m)
-	c.workers = 1
+	f.Loads = make([][]float64, nmat)
+	for i := range f.Loads {
+		f.Loads[i] = make([]float64, c.g.NumEdges())
+	}
+	return f
 }
 
 // SetWorkers bounds the SPF worker pool a from-scratch route shards
@@ -159,50 +166,72 @@ func autoBlockSize(numDests, numNodes, workers int) int {
 func (c *routeCore) Destinations() []graph.NodeID { return c.dests }
 
 // Tree returns the routing tree toward dest from the last route, or nil if
-// dest is not an active destination.
+// dest is not an active destination, the last route skipped it (none of the
+// matrices routed loads it), or the core keeps no trees (loadOnly).
 func (c *routeCore) Tree(dest graph.NodeID) *Tree {
 	i := c.byID[dest]
-	if i < 0 {
+	if i < 0 || c.loadOnly || len(c.trees[i].Dist) == 0 {
 		return nil
 	}
 	return &c.trees[i]
 }
 
+// buildTree builds destination di's tree under w into worker wk's tree for
+// it — di's own, or on a loadOnly core the worker's one reused tree — and
+// returns it, unless no routed matrix loads di. Then it returns nil, with
+// di's own tree marked unbuilt (no distances) so Tree never hands back a
+// stale one; no matrix has a column to push over a nil tree.
+func (c *routeCore) buildTree(comp *Computer, di, wk int, w Weights, maxW int) *Tree {
+	ti := di
+	if c.loadOnly {
+		ti = wk
+	}
+	t := &c.trees[ti]
+	for _, tm := range c.tms {
+		if tm.Column(c.dests[di]) != nil {
+			comp.tree(c.dests[di], w, t, maxW)
+			return t
+		}
+	}
+	t.Dist = t.Dist[:0]
+	return nil
+}
+
 // DelaysTo returns expected delays from every node to dst given per-arc
 // delays. The returned slice is reused by the next DelaysTo call. It panics
-// on an inactive destination.
+// where Tree returns nil.
 func (c *routeCore) DelaysTo(dst graph.NodeID, arcDelay []float64) []float64 {
 	t := c.Tree(dst)
 	if t == nil {
-		panic("spf: DelaysTo on inactive destination")
+		panic("spf: DelaysTo on a destination with no tree")
 	}
 	c.xiBuf = t.Delays(c.g, arcDelay, c.xiBuf)
 	return c.xiBuf
 }
 
-// destLoads routes matrix mi's demand column toward destination di over its
-// tree into scratch, which must be all-zero, and returns the arcs it loaded,
+// destLoads routes matrix mi's demand column toward destination di over t
+// into scratch, which must be all-zero, and returns the arcs it loaded,
 // collected in comp's DAG staging buffer (idle between tree builds, one slot
 // per arc): the one per-destination routine under every retaining route,
 // whose caller drains scratch over the arcs. The column is read in place
 // (traffic.Matrix.Column). Reachability is validated before any load is
 // written, so on error scratch is still all-zero and no arc is returned.
-func (c *routeCore) destLoads(comp *Computer, di, mi int, scratch []float64) ([]graph.EdgeID, error) {
+func (c *routeCore) destLoads(comp *Computer, t *Tree, di, mi int, scratch []float64) ([]graph.EdgeID, error) {
 	col := c.tms[mi].Column(c.dests[di])
 	if col == nil {
 		return nil, nil
 	}
-	return comp.addLoadsTracked(&c.trees[di], col, scratch, comp.stage[:0])
+	return comp.addLoadsTracked(t, col, scratch, comp.stage[:0])
 }
 
-// keepLoads routes every matrix toward destination di over its current tree
-// and compacts the loads into sup[di] and vals[di], leaving scratch
+// keepLoads routes every matrix toward destination di over t, its current
+// tree, and compacts the loads into sup[di] and vals[di], leaving scratch
 // all-zero. The arcs are copied out of the staging buffer, so a list first
 // allocated here fits its support exactly. It stops at the first matrix with
 // unreachable demand, whose lists it leaves empty.
-func (c *routeCore) keepLoads(comp *Computer, scratch []float64, di int) error {
+func (c *routeCore) keepLoads(comp *Computer, t *Tree, scratch []float64, di int) error {
 	for mi := range c.tms {
-		arcs, err := c.destLoads(comp, di, mi, scratch)
+		arcs, err := c.destLoads(comp, t, di, mi, scratch)
 		sup := append(c.sup[di][mi][:0], arcs...)
 		vals := slices.Grow(c.vals[di][mi][:0], len(sup))
 		for _, a := range sup {
@@ -217,10 +246,10 @@ func (c *routeCore) keepLoads(comp *Computer, scratch []float64, di int) error {
 	return nil
 }
 
-// routeRetained is the retaining full route: every destination's tree is
-// rebuilt under w and its loads kept as support lists, which a single
-// reduction then folds into Loads in ascending destination order — the
-// floating-point summation sequence of MultiPlan's sequential Route. At
+// routeRetained is the retaining full route: every loaded destination's
+// tree is rebuilt under w (buildTree) and its loads kept as support lists,
+// which a single reduction then folds into Loads in ascending destination
+// order — the floating-point summation sequence of the sequential Route. At
 // nw == 1 it runs on the caller's goroutine; above, the caller and nw−1
 // goroutines claim contiguous destination blocks off a shared counter.
 // Claiming only changes which worker computes which destination, never the
@@ -234,6 +263,7 @@ func (c *routeCore) routeRetained(w Weights, maxW, nw int) error {
 		clear(loads)
 	}
 	if c.sup == nil {
+		c.scratch = make([]float64, c.g.NumEdges())
 		c.sup = make([][][]graph.EdgeID, len(c.dests))
 		c.vals = make([][][]float64, len(c.dests))
 		for di := range c.dests {
@@ -315,8 +345,8 @@ func (c *routeCore) ensurePar(nw int) *parRoute {
 	return c.par
 }
 
-// grow adds one worker. Worker 0 routes on the core's own computer and
-// scratch vector.
+// grow adds one worker. Worker 0 routes on the core's own computer, scratch
+// vector and (loadOnly) tree.
 func (pr *parRoute) grow() {
 	wk := len(pr.comps)
 	if wk == 0 {
@@ -325,6 +355,9 @@ func (pr *parRoute) grow() {
 	} else {
 		pr.comps = append(pr.comps, NewComputer(pr.c.g))
 		pr.scratch = append(pr.scratch, make([]float64, pr.c.g.NumEdges()))
+		if pr.c.loadOnly {
+			pr.c.trees = append(pr.c.trees, Tree{})
+		}
 	}
 	pr.fns = append(pr.fns, func() {
 		defer pr.wg.Done()
@@ -354,8 +387,8 @@ func (pr *parRoute) work(wk int) {
 		stop := min(end, nd)
 		pr.claimed[wk] += int(stop - di)
 		for ; di < stop && di < pr.failed.Load(); di++ {
-			comp.tree(c.dests[di], pr.w, &c.trees[di], pr.maxW)
-			if pr.errs[di] = c.keepLoads(comp, scratch, int(di)); pr.errs[di] != nil {
+			t := c.buildTree(comp, int(di), wk, pr.w, pr.maxW)
+			if pr.errs[di] = c.keepLoads(comp, t, scratch, int(di)); pr.errs[di] != nil {
 				for f := pr.failed.Load(); di < f; f = pr.failed.Load() {
 					if pr.failed.CompareAndSwap(f, di) {
 						break
