@@ -338,9 +338,10 @@ func BenchmarkEvaluateDTR(b *testing.B) {
 func BenchmarkObjectiveSTRFastPath(b *testing.B) {
 	ev := benchInstance(b, dualtopo.LoadBased)
 	w := dualtopo.UniformWeights(150)
+	var r dualtopo.EvalResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.ObjectiveSTR(w); err != nil {
+		if err := ev.EvaluateSTRInto(&r, w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,9 +350,10 @@ func BenchmarkObjectiveSTRFastPath(b *testing.B) {
 func BenchmarkObjectiveSTRSLA(b *testing.B) {
 	ev := benchInstance(b, dualtopo.SLABased)
 	w := dualtopo.UniformWeights(150)
+	var r dualtopo.EvalResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.ObjectiveSTR(w); err != nil {
+		if err := ev.EvaluateSTRInto(&r, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -445,8 +445,8 @@ func TestSessionReset(t *testing.T) {
 	defer h.Release(s) //nolint:errcheck
 
 	abandonSweep(t, s, w, w)
-	if _, err := s.Evaluator().ObjectiveSTRDelta(w, nil); err != nil {
-		t.Fatalf("ObjectiveSTRDelta: %v", err)
+	if _, err := s.Evaluator().State(eval.RouteSTR).Apply([2]spf.Weights{w}, nil); err != nil {
+		t.Fatalf("STR state Apply: %v", err)
 	}
 	resets := met.resets.Value()
 	s.Reset()
@@ -462,16 +462,11 @@ func TestSessionReset(t *testing.T) {
 	// The evaluator's delta state is dropped too: the next delta call may
 	// claim nothing changed and must still route w2 from scratch.
 	w2 := perturb(inst.G.NumEdges(), 5)
-	got, err := s.Evaluator().ObjectiveSTRDelta(w2, nil)
-	if err != nil {
-		t.Fatalf("ObjectiveSTRDelta after Reset: %v", err)
+	if _, err := s.Evaluator().State(eval.RouteSTR).Apply([2]spf.Weights{w2}, nil); err != nil {
+		t.Fatalf("STR state Apply after Reset: %v", err)
 	}
-	want, err := s.Evaluator().ObjectiveSTR(w2)
-	if err != nil {
-		t.Fatalf("ObjectiveSTR: %v", err)
-	}
-	if got != want {
-		t.Fatalf("delta after Reset %+v != full %+v", got, want)
+	if _, err := s.Evaluator().Verify(eval.RouteSTR, [2]spf.Weights{w2}); err != nil {
+		t.Fatalf("delta after Reset: %v", err)
 	}
 }
 

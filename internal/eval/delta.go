@@ -80,23 +80,15 @@ func (e *Evaluator) ObjectiveLDelta(wL spf.Weights, changed []graph.EdgeID, resi
 	return phiL, nil
 }
 
-// ObjectiveSTRDelta is the incremental STR fast path: w must differ from the
-// weights the evaluator's STR state last routed only on the listed arcs.
-// Both classes are re-routed incrementally over one tree set. Bitwise-equal
-// to ObjectiveSTR(w) and to EvaluateSTR(w)'s costs.
-func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (STRObjective, error) {
+// ObjectiveSTRDelta moves the evaluator's STR state to w, which must differ
+// from the weights it last routed only on the listed arcs, and returns its
+// Objective. Kept for bench/; the next benchmark change deletes it.
+func (e *Evaluator) ObjectiveSTRDelta(w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
 	s := e.State(RouteSTR)
 	if _, err := s.Apply([2]spf.Weights{High: w}, changed); err != nil {
-		return STRObjective{}, err
+		return cost.Lex{}, err
 	}
-	o := STRObjective{PhiH: s.PhiH(), PhiL: s.PhiL()}
-	if e.opts.Kind == SLABased {
-		o.Lambda, o.Violations, _ = s.Penalties()
-		o.Lex = cost.Lex{Primary: o.Lambda, Secondary: o.PhiL}
-	} else {
-		o.Lex = cost.Lex{Primary: o.PhiH, Secondary: o.PhiL}
-	}
-	return o, nil
+	return s.Objective(), nil
 }
 
 // Verify is the one check that a routing state equals a from-scratch

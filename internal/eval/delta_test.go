@@ -157,11 +157,11 @@ func TestObjectiveSTRDeltaMatchesFull(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: ObjectiveSTRDelta: %v", step, err)
 				}
-				want, err := e.ObjectiveSTR(w)
+				full, err := e.Verify(RouteSTR, [2]spf.Weights{w})
 				if err != nil {
-					t.Fatalf("step %d: ObjectiveSTR: %v", step, err)
+					t.Fatalf("step %d: %v", step, err)
 				}
-				if got != want {
+				if want := full.Objective(); got != want {
 					t.Fatalf("step %d: STR delta %+v != full %+v", step, got, want)
 				}
 			}

@@ -11,12 +11,14 @@
 //     keeps one tree set, its plan's: STR routes both classes on it, DTR the
 //     high-priority class, whose trees the Eq. 3–4 pair delays and Attribute
 //     read, while the low-priority class goes through a load-only route that
-//     keeps no trees. ObjectiveSTR is the score-only variant of EvaluateSTR.
+//     keeps no trees.
 //   - Incremental: a RoutingState (state.go) keeps one scheme's routing and
 //     per-arc metrics current across weight transitions, re-scoring only the
 //     arcs whose loads moved. The evaluator owns one state per scheme
 //     (State, delta.go), which the searches score candidates and keep their
-//     incumbents in, and which failure sweeps and churn replays drive.
+//     incumbents in, and which failure sweeps and churn replays drive. Its
+//     Objective is the state's twin of Result.Objective, the one score read
+//     of STR and FindH candidates.
 //
 // Verify (delta.go) is the one check that the two agree, bitwise and on
 // disconnection; every debug Verify mode goes through it.
@@ -214,8 +216,8 @@ type Evaluator struct {
 	// low routes TL for DTR (and ObjectiveL) for its loads alone.
 	low *spf.LoadRoute
 
-	// scratch[0] is the full evaluation of ObjectiveSTR (which returns only
-	// numbers) and of Verify, scratch[1] Verify's reading of the state.
+	// scratch[0] is Verify's full evaluation, scratch[1] its reading of the
+	// state.
 	scratch [2]Result
 
 	// states[shape] is the routing state State(shape) returns; built lazily
@@ -292,9 +294,9 @@ func (e *Evaluator) Clone() *Evaluator {
 
 // SetRouteWorkers bounds the SPF worker pool of this evaluator's
 // from-scratch routes: its plan's and load-only route's (EvaluateSTR,
-// EvaluateDTR, ObjectiveSTR and Verify) and those of its routing states'
-// routers (a state's first transition and any after a Reset or a
-// disconnection; incremental transitions stay sequential). The bound holds
+// EvaluateDTR and Verify) and those of its routing states' routers (a
+// state's first transition and any after a Reset or a disconnection;
+// incremental transitions stay sequential). The bound holds
 // for the states it has and those State builds later. Destinations are
 // sharded across per-worker SPF computers and reduced in destination
 // order, so results stay bitwise-identical to sequential routing. n == 1
@@ -448,29 +450,6 @@ func (e *instance) linkDelayAt(i int, hLoad, linkPhiH float64) float64 {
 		// back to the (always finite) approximation.
 	}
 	return e.sla.LinkDelayApprox(linkPhiH, e.capacity[i], e.propDelay[i])
-}
-
-// STRObjective is the STR search's score of one weight setting: both
-// classes routed under it, only the solution costs (no per-arc slices).
-type STRObjective struct {
-	Lex        cost.Lex
-	PhiH, PhiL float64
-	Lambda     float64
-	Violations int
-}
-
-// STRObjective returns r's solution costs as the STR search scores them.
-func (r *Result) STRObjective() STRObjective {
-	return STRObjective{Lex: r.Objective(), PhiH: r.PhiH, PhiL: r.PhiL, Lambda: r.Lambda, Violations: r.Violations}
-}
-
-// ObjectiveSTR evaluates w for both classes into the evaluator's scratch
-// Result and returns only the solution costs, as ObjectiveSTRDelta does.
-func (e *Evaluator) ObjectiveSTR(w spf.Weights) (STRObjective, error) {
-	if err := e.EvaluateSTRInto(&e.scratch[0], w); err != nil {
-		return STRObjective{}, err
-	}
-	return e.scratch[0].STRObjective(), nil
 }
 
 // ObjectiveL routes only the low-priority class under wL and returns its ΦL

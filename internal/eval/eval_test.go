@@ -481,45 +481,6 @@ func resultsEqual(a, b *Result) bool {
 		bitsEqual(a.LinkDelay, b.LinkDelay) && bitsEqual(a.PairDelays, b.PairDelays)
 }
 
-func TestObjectiveSTRMatchesEvaluateSTR(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 91))
-	g, err := topo.Random(12, 30, 500, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo.AssignUniformDelays(g, 1.2, 15, rng)
-	tl := traffic.Gravity(12, rng)
-	th, err := traffic.RandomHighPriority(12, 0.15, 0.3, tl.Total(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []Kind{LoadBased, SLABased} {
-		opts := DefaultOptions()
-		opts.Kind = kind
-		e := mustEval(t, g, th, tl, opts)
-		for trial := 0; trial < 5; trial++ {
-			w := randomW(g.NumEdges(), rng)
-			fast, err := e.ObjectiveSTR(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := e.EvaluateSTR(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(fast.PhiH-full.PhiH) > 1e-9 || math.Abs(fast.PhiL-full.PhiL) > 1e-9 {
-				t.Fatalf("kind %v: fast %+v vs full PhiH=%v PhiL=%v", kind, fast, full.PhiH, full.PhiL)
-			}
-			if math.Abs(fast.Lambda-full.Lambda) > 1e-9 || fast.Violations != full.Violations {
-				t.Fatalf("kind %v: SLA mismatch fast %+v vs full Λ=%v V=%d", kind, fast, full.Lambda, full.Violations)
-			}
-			if fast.Lex != full.Objective() {
-				t.Fatalf("kind %v: lex mismatch", kind)
-			}
-		}
-	}
-}
-
 func randomW(n int, rng *rand.Rand) spf.Weights {
 	w := make(spf.Weights, n)
 	for i := range w {

@@ -315,6 +315,18 @@ func (s *RoutingState) PhiH() float64 { return sum(s.phiH()) }
 // PhiL re-reduces ΦL in ascending arc order.
 func (s *RoutingState) PhiL() float64 { return sum(s.linkPhiL) }
 
+// Objective is the state's twin of Result.Objective: ⟨ΦH, ΦL⟩ on load-based
+// instances, ⟨Λ, ΦL⟩ on SLA-based ones, bitwise-equal to the full
+// evaluation's at the state's weights. The state must route the
+// high-priority class.
+func (s *RoutingState) Objective() cost.Lex {
+	if s.in.opts.Kind == SLABased {
+		lambda, _, _ := s.Penalties()
+		return cost.Lex{Primary: lambda, Secondary: s.PhiL()}
+	}
+	return cost.Lex{Primary: s.PhiH(), Secondary: s.PhiL()}
+}
+
 // Penalties reduces the pair delays to Λ (Eq. 4), the number of violating
 // pairs and the high-priority demand they carry, in the destination-major
 // order of Evaluator.finish. Load-based instances are scored against the

@@ -329,7 +329,7 @@ func TestRoutingStateFirstReadUnderCheckpoint(t *testing.T) {
 
 // TestRoutingStateZeroSteadyStateAllocs pins the two warm paths every driver
 // sits on: apply + reduce, and checkpoint → apply → reduce → revert — and the
-// full, non-incremental STR score, ObjectiveSTR.
+// full, non-incremental STR evaluation into a reused Result.
 func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 	e, m, ring := deltaInstance(t, 6, Options{Kind: SLABased, SLA: cost.DefaultSLA()})
 	for _, sc := range stateShapes[2:] {
@@ -386,14 +386,15 @@ func TestRoutingStateZeroSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	w := randomWeightsFor(rand.New(rand.NewPCG(6, 6)), m)
+	var r Result
 	full := func() {
-		if _, err := e.ObjectiveSTR(w); err != nil {
+		if err := e.EvaluateSTRInto(&r, w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	full()
 	if n := testing.AllocsPerRun(50, full); n != 0 {
-		t.Errorf("warm ObjectiveSTR allocates %v times per run", n)
+		t.Errorf("warm EvaluateSTRInto allocates %v times per run", n)
 	}
 }
 

@@ -140,7 +140,7 @@ func newDTRSearch(e *eval.Evaluator, wH0, wL0 spf.Weights, p Params) (*localSear
 // robust penalty when failure-aware scoring is on. The primary routing state
 // routes from scratch on the Params.RouteWorkers pool.
 func (s *localSearch) refreshFull() error {
-	s.e.State(eval.RouteDTR).Reset()
+	s.e.State(s.shape).Reset()
 	s.parallelRouting(true)
 	err := s.evalIncumbent()
 	s.parallelRouting(false)
@@ -158,10 +158,10 @@ func (s *localSearch) evalIncumbent() error {
 	if err := s.resync(0); err != nil {
 		return err
 	}
-	s.e.State(eval.RouteDTR).ResultInto(&s.cur)
+	s.e.State(s.shape).ResultInto(&s.cur)
 	s.evals++
 	s.fullEvals++
-	searchMet.evalsFull.Inc()
+	s.count(searchMet.evalsFull, 1)
 	s.curLex = s.cur.Objective()
 	s.attrFresh = false
 	return nil
@@ -225,9 +225,7 @@ func (s *localSearch) findClass(c int) bool {
 	}
 	// robustAdd[i] is candidate i's failure penalty, 0 unless robust.
 	s.robustAdd = append(s.robustAdd[:0], make([]float64, len(moves))...)
-	lexes := s.evalCandidates(c, moves, func(wk, _ int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
-		return s.score(c, wk, w, changed)
-	})
+	lexes := s.evalCandidates(c, moves)
 	if s.err != nil {
 		return false
 	}
@@ -251,33 +249,36 @@ func (s *localSearch) findClass(c int) bool {
 	s.tally.accepted = true
 	if s.p.VerifyDelta {
 		what := [2]string{"FindH accept", "FindL accept"}[c]
-		s.err = verifyScore(s.e, eval.RouteDTR, s.w, what, lexes[bestIdx], (*eval.Result).Objective)
+		s.err = verifyScore(s.e, s.shape, s.w, what, lexes[bestIdx])
 	}
 	return s.err == nil
 }
 
 // score moves class c of worker wk's routing state, which sits at the
 // incumbent, to the candidate weights w and reads the candidate's objective
-// off it: FindH's ⟨ΦH, ΦL⟩ (⟨Λ, ΦL⟩ on SLA instances), FindL's ΦL under the
-// incumbent's unchanged primary. Under VerifyDelta the state and the score
-// are checked against a from-scratch evaluation on the worker's plans.
+// off it: an STR or FindH candidate's RoutingState.Objective, a FindL
+// candidate's ΦL under the incumbent's unchanged primary (which on SLA
+// instances spares a Λ read per candidate). Under VerifyDelta the state
+// and the score are checked against a from-scratch evaluation on the
+// worker's plans.
 func (s *localSearch) score(c, wk int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
-	e, st, ws := s.pool[wk], s.pool[wk].State(eval.RouteDTR), s.w
+	e, st, ws := s.pool[wk], s.pool[wk].State(s.shape), s.w
 	ws[c] = w // the other class's router already sits at s.w
 	if _, err := st.Apply(ws, changed); err != nil {
 		return cost.Lex{}, err
 	}
-	lex := cost.Lex{Primary: s.curLex.Primary, Secondary: st.PhiL()}
-	switch {
-	case c == eval.Low:
-	case e.Options().Kind == eval.SLABased:
-		lex.Primary, _, _ = st.Penalties()
-	default:
-		lex.Primary = st.PhiH()
+	var lex cost.Lex
+	if c == eval.Low {
+		lex = cost.Lex{Primary: s.curLex.Primary, Secondary: st.PhiL()}
+	} else {
+		lex = st.Objective()
 	}
 	if s.p.VerifyDelta {
 		what := [2]string{"FindH candidate", "FindL candidate"}[c]
-		return lex, verifyScore(e, eval.RouteDTR, ws, what, lex, (*eval.Result).Objective)
+		if s.str != nil {
+			what = "STR candidate"
+		}
+		return lex, verifyScore(e, s.shape, ws, what, lex)
 	}
 	return lex, nil
 }

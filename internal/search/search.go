@@ -28,11 +28,15 @@ type localSearch struct {
 	// (eval.High, eval.Low). STR routes both classes on w[eval.High] and
 	// leaves w[eval.Low] nil.
 	w, best [2]spf.Weights
-	cur     eval.Result // DTR incumbent evaluation, refilled in place
+	// cur is the incumbent's full evaluation, refilled in place by
+	// evalIncumbent: at every DTR accept and refresh, but for STR only at
+	// refreshes (an STR accept sets curLex alone). curLex and bestLex are
+	// the incumbent's and the best-known solution's objectives.
+	cur     eval.Result
 	curLex  cost.Lex
 	bestLex cost.Lex
 	str     *strState  // STR-only state; nil for DTR
-	shape   eval.Shape // the routing state the delta path drives; DTR sets it
+	shape   eval.Shape // the routing state the search drives: RouteSTR or RouteDTR
 
 	order []graph.EdgeID // scratch: links sorted by decreasing cost
 	aSet  []graph.EdgeID // scratch: high-cost picks
@@ -272,14 +276,14 @@ func (s *localSearch) noteChange(c int, arcs []graph.EdgeID) {
 // evalCandidates scores every move of class c, in parallel when the search
 // has more than one worker. Each worker owns its evaluator (and that
 // evaluator's routing states) and its scratch vectors, so the delta paths
-// parallelize without sharing. score scores candidate i, materialized as w
-// with the move's arcs as its changed set, on worker wk as a what-if on the
-// worker's routing state, between a Checkpoint and a Revert to the
-// incumbent. A failure sweep drives the same state, so it runs after the
-// Revert. Results are reduced in candidate order, keeping the search
+// parallelize without sharing. Candidate i, materialized as w with the
+// move's arcs as its changed set, is scored (see score) on worker wk as a
+// what-if on the worker's routing state, between a Checkpoint and a Revert
+// to the incumbent. A failure sweep drives the same state, so it runs after
+// the Revert. Results are reduced in candidate order, keeping the search
 // deterministic regardless of scheduling; the returned slice is valid until
 // the next call.
-func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error)) []cost.Lex {
+func (s *localSearch) evalCandidates(c int, moves []move) []cost.Lex {
 	n := len(moves)
 	s.lexes = append(s.lexes[:0], make([]cost.Lex, n)...)
 	s.errs = append(s.errs[:0], make([]error, n)...)
@@ -288,7 +292,7 @@ func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, 
 		if err == nil {
 			st := s.pool[wk].State(s.shape)
 			if err = st.Checkpoint(); err == nil {
-				s.lexes[i], err = score(wk, i, w, changed)
+				s.lexes[i], err = s.score(c, wk, w, changed)
 				st.Revert()
 			}
 		}
@@ -336,14 +340,14 @@ func (s *localSearch) evalCandidates(c int, moves []move, score func(wk, i int, 
 // verifyScore is the VerifyDelta check of one score: e's routing state of
 // the given shape, which must sit at w, must agree with a from-scratch
 // evaluation of w (eval.Evaluator.Verify), and so must the score got that
-// the search read off it, derived from that evaluation by want.
-func verifyScore[T comparable](e *eval.Evaluator, shape eval.Shape, w [2]spf.Weights, what string, got T, want func(*eval.Result) T) error {
+// the search read off it, equal to that evaluation's Objective.
+func verifyScore(e *eval.Evaluator, shape eval.Shape, w [2]spf.Weights, what string, got cost.Lex) error {
 	full, err := e.Verify(shape, w)
 	if err != nil {
 		return fmt.Errorf("search: verify %s: %w", what, err)
 	}
-	if got != want(full) {
-		return fmt.Errorf("search: delta/full mismatch on %s: delta %+v, full %+v", what, got, want(full))
+	if want := full.Objective(); got != want {
+		return fmt.Errorf("search: delta/full mismatch on %s: delta %+v, full %+v", what, got, want)
 	}
 	return nil
 }

@@ -409,6 +409,27 @@ func TestSTRRelaxedRecords(t *testing.T) {
 	if len(r5.W) != e.Graph().NumEdges() {
 		t.Errorf("relaxed record missing weights")
 	}
+	// Each record's costs are read off the search's scores; they must be
+	// bitwise the fresh evaluation of its weights.
+	for eps, rec := range res.Relaxed {
+		full, err := e.EvaluateSTR(rec.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rec.PhiH) != math.Float64bits(full.PhiH) || math.Float64bits(rec.PhiL) != math.Float64bits(full.PhiL) {
+			t.Errorf("relaxed(%v) record ⟨%v, %v⟩, fresh evaluation ⟨%v, %v⟩", eps, rec.PhiH, rec.PhiL, full.PhiH, full.PhiL)
+		}
+	}
+	// ε-relaxation is load-based: an SLA run keeps no record.
+	sla, err := STR(randomEvaluator(t, eval.SLABased, 16), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for eps, rec := range sla.Relaxed {
+		if rec.Found {
+			t.Errorf("SLA run found a relaxed(%v) record", eps)
+		}
+	}
 }
 
 func TestDTRInputValidation(t *testing.T) {

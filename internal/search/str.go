@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 
 	"dualtopo/internal/cost"
 	"dualtopo/internal/eval"
@@ -54,18 +53,21 @@ func STRFrom(e *eval.Evaluator, w0 spf.Weights, p STRParams) (*STRResult, error)
 	}
 	defer e.ResetDelta() // see newLocalSearch
 	s := newLocalSearch(e, p.params(), w0)
-	inf := math.Inf(1) // a best the initial evaluation always beats
-	s.str = &strState{
-		epsilons: p.Epsilons,
-		relaxed:  make(map[float64]RelaxedRecord, len(p.Epsilons)),
-		best:     eval.STRObjective{Lex: cost.Lex{Primary: inf, Secondary: inf}, PhiH: inf},
-	}
-	if err := s.refreshSTR(); err != nil {
+	s.shape = eval.RouteSTR
+	s.str = &strState{epsilons: p.Epsilons, relaxed: make(map[float64]RelaxedRecord, len(p.Epsilons))}
+	if err := s.refreshFull(); err != nil {
 		return nil, err
 	}
+	s.bestLex = s.curLex
+	s.record(s.curLex, nil)
 	s.runRoutine(0, "str", p.Iterations, s.stepSTR, func() error {
 		s.noteChange(eval.High, s.perturb(s.w[eval.High], p.Perturb))
-		return s.refreshSTR()
+		err := s.refreshFull()
+		if err == nil {
+			s.record(s.curLex, nil)
+			s.improveBest()
+		}
+		return err
 	})
 	if s.err != nil {
 		return nil, s.err
@@ -86,45 +88,22 @@ func STRFrom(e *eval.Evaluator, w0 spf.Weights, p STRParams) (*STRResult, error)
 	}, nil
 }
 
-// strState is the STR-only part of a localSearch: both classes' costs of the
-// incumbent and best solutions (the ε-records read ΦH), per-candidate
-// objectives, and the records themselves.
+// strState is the STR-only part of a localSearch: the ε-relaxation
+// records. The incumbent and best solutions are the shared curLex and
+// bestLex, whose primary is ΦH on the load-based runs that keep records.
 type strState struct {
-	cur, best eval.STRObjective
-	objs      []eval.STRObjective
-	epsilons  []float64
-	relaxed   map[float64]RelaxedRecord
-}
-
-// refreshSTR evaluates the incumbent from scratch (at start and after each
-// diversification), feeds it to the ε-records, and keeps it as the best if
-// it improves on it. Like DTR's refreshFull, it routes the primary routing
-// state from scratch — the incumbent lives there — and reads the incumbent's
-// objective off it.
-func (s *localSearch) refreshSTR() error {
-	w := s.w[eval.High]
-	s.e.State(eval.RouteSTR).Reset()
-	s.parallelRouting(true)
-	obj, err := s.e.ObjectiveSTRDelta(w, nil) // a Reset state routes from scratch
-	s.parallelRouting(false)
-	if err != nil {
-		return err
-	}
-	s.evals++
-	s.str.cur = obj
-	s.record(obj, nil)
-	if obj.Lex.Less(s.str.best.Lex) {
-		copy(s.best[eval.High], w)
-		s.str.best = obj
-	}
-	return nil
+	epsilons []float64
+	relaxed  map[float64]RelaxedRecord
 }
 
 // stepSTR samples Candidates single-weight changes, scores them, feeds the
 // relaxation records, and moves to the best candidate if it improves the
-// current solution. Reports whether the best-known solution improved.
+// current solution. An accept takes the winner's score as the incumbent's
+// instead of re-reading it (evalIncumbent would count an evaluation), so
+// s.cur holds STR's incumbent only after a refresh. Reports whether the
+// best-known solution improved.
 func (s *localSearch) stepSTR() bool {
-	w, st := s.w[eval.High], s.str
+	w := s.w[eval.High]
 	s.moves = s.moves[:0]
 	for len(s.moves) < s.p.Neighbors {
 		arc := graph.EdgeID(s.rng.IntN(len(w)))
@@ -133,23 +112,16 @@ func (s *localSearch) stepSTR() bool {
 			s.moves = append(s.moves, move{up: arc, down: arc, wUp: nw, wDown: nw})
 		}
 	}
-	st.objs = append(st.objs[:0], make([]eval.STRObjective, len(s.moves))...)
-	lexes := s.evalCandidates(eval.High, s.moves, func(wk, i int, w spf.Weights, changed []graph.EdgeID) (cost.Lex, error) {
-		var err error
-		if st.objs[i], err = s.pool[wk].ObjectiveSTRDelta(w, changed); err == nil && s.p.VerifyDelta {
-			err = verifyScore(s.pool[wk], eval.RouteSTR, [2]spf.Weights{w}, "STR candidate", st.objs[i], (*eval.Result).STRObjective)
-		}
-		return st.objs[i].Lex, err
-	})
+	lexes := s.evalCandidates(eval.High, s.moves)
 	if s.err != nil {
 		return false
 	}
 	bestIdx := -1
-	bestLex := st.cur.Lex
+	win := s.curLex
 	for i, lx := range lexes {
-		s.record(st.objs[i], &s.moves[i])
-		if lx.Less(bestLex) {
-			bestLex = lx
+		s.record(lx, &s.moves[i])
+		if lx.Less(win) {
+			win = lx
 			bestIdx = i
 		}
 	}
@@ -158,23 +130,18 @@ func (s *localSearch) stepSTR() bool {
 	}
 	s.moves[bestIdx].apply(w)
 	s.noteChange(eval.High, s.moves[bestIdx].appendArcs(nil))
-	st.cur = st.objs[bestIdx]
+	s.curLex = win
 	if s.p.VerifyDelta {
 		// The primary state sits at the previous incumbent until the next
 		// candidate resyncs it; verify it at the accepted one.
 		if s.err = s.resync(0); s.err == nil {
-			s.err = verifyScore(s.e, eval.RouteSTR, [2]spf.Weights{w}, "STR accept", st.cur, (*eval.Result).STRObjective)
+			s.err = verifyScore(s.e, s.shape, s.w, "STR accept", s.curLex)
 		}
 		if s.err != nil {
 			return false
 		}
 	}
-	if st.cur.Lex.Less(st.best.Lex) {
-		copy(s.best[eval.High], w)
-		st.best = st.cur
-		return true
-	}
-	return false
+	return s.improveBest()
 }
 
 // record feeds one evaluated setting — the incumbent with mv applied, or the
@@ -187,25 +154,26 @@ func (s *localSearch) stepSTR() bool {
 //
 // ε-relaxation is a load-based concept; for SLA-based runs the analogous
 // relaxation is a looser delay bound, applied at the evaluator (§5.3.2).
-func (s *localSearch) record(obj eval.STRObjective, mv *move) {
+func (s *localSearch) record(lex cost.Lex, mv *move) {
 	st := s.str
 	if len(st.epsilons) == 0 || s.e.Options().Kind != eval.LoadBased {
 		return
 	}
-	// Φ*H(n): the lowest ΦH seen so far, including this candidate. For
-	// load-based runs the lexicographic primary is ΦH itself.
-	bestPhiH := min(st.best.PhiH, st.cur.PhiH, obj.PhiH)
+	// A load-based score is ⟨ΦH, ΦL⟩. Φ*H(n) is the lowest ΦH seen so far,
+	// including this candidate.
+	phiH, phiL := lex.Primary, lex.Secondary
+	bestPhiH := min(s.bestLex.Primary, s.curLex.Primary, phiH)
 	for _, epsilon := range st.epsilons {
-		if obj.PhiH > (1+epsilon)*bestPhiH {
+		if phiH > (1+epsilon)*bestPhiH {
 			continue
 		}
 		rec, ok := st.relaxed[epsilon]
-		if !ok || !rec.Found || obj.PhiL < rec.PhiL {
+		if !ok || !rec.Found || phiL < rec.PhiL {
 			w := s.w[eval.High].Clone()
 			if mv != nil {
 				mv.apply(w)
 			}
-			st.relaxed[epsilon] = RelaxedRecord{W: w, PhiH: obj.PhiH, PhiL: obj.PhiL, Found: true}
+			st.relaxed[epsilon] = RelaxedRecord{W: w, PhiH: phiH, PhiL: phiL, Found: true}
 		}
 	}
 }
